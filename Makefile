@@ -7,7 +7,7 @@ GO ?= go
 # no global tool install, the version is part of the repo contract.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build test race race-recovery bench bench-plans bench-serve bench-tenants bench-compare bench-cluster lint fmt vet staticcheck cover
+.PHONY: all build test race race-recovery bench bench-plans bench-serve bench-tenants bench-compare bench-cluster perfbench-check lint fmt vet staticcheck cover
 
 all: build test
 
@@ -96,6 +96,13 @@ bench-cluster:
 ## single-number flake gating).
 bench-compare:
 	GOMAXPROCS=2 BENCH_COMPARE_GATE=1 $(GO) run ./cmd/experiments -run bench-compare
+
+## perfbench-check: vet and test the benchmark in perfbench/. It is a
+## module of its own (replace starmesh => ../), so build, lint and
+## race, which cover ./... of the root module, never reach it.
+perfbench-check:
+	$(GO) -C perfbench vet .
+	$(GO) -C perfbench test -count=1 .
 
 ## lint: gofmt divergence fails the build; vet and staticcheck catch
 ## the rest.

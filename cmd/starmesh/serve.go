@@ -33,8 +33,6 @@ func cmdServe(args []string) {
 		"graceful-drain deadline: admitted jobs get this long after SIGINT/SIGTERM before running ones are canceled at their next checkpoint")
 	storeDir := fs.String("store-dir", "",
 		"durable WAL-backed job store directory (empty = in-memory; on restart, queued jobs are re-admitted in order and interrupted running jobs re-execute deterministically)")
-	snapshotEvery := fs.Int("snapshot-every", 0,
-		"WAL records between snapshot+compaction cycles of the durable store (0 = 256)")
 	tenantsPath := fs.String("tenants", "",
 		"tenant registry JSON file (API keys, fair-queueing weights, rate limits, queue quotas; see docs/tenancy.md). Empty = single anonymous tenant")
 	logLevel := fs.String("log-level", "info", "minimum log level: debug, info, warn or error")
@@ -72,7 +70,6 @@ func cmdServe(args []string) {
 		NoPlans:       !*plan,
 		DrainGrace:    *drainGrace,
 		StoreDir:      *storeDir,
-		SnapshotEvery: *snapshotEvery,
 		Tenants:       tenantsFile.Tenants,
 		RequireKey:    tenantsFile.RequireKey,
 		Logger:        log,

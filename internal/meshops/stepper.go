@@ -13,7 +13,6 @@
 package meshops
 
 import (
-	"starmesh/internal/core"
 	"starmesh/internal/mesh"
 	"starmesh/internal/meshsim"
 	"starmesh/internal/simd"
@@ -55,20 +54,16 @@ func (s meshStepper) PEOf(meshID int) int    { return meshID }
 type starStepper struct {
 	sm     *starsim.Machine
 	dn     *mesh.Mesh
-	meshID []int // star PE -> mesh id
+	meshID []int // star PE -> mesh id (the machine's cached MeshIDs)
 	peID   []int // mesh id -> star PE
 }
 
 // NewStarStepper wraps a star machine; the mesh is D_n and PE
 // placement follows the paper's embedding.
 func NewStarStepper(sm *starsim.Machine) Stepper {
-	n := sm.N
-	s := &starStepper{sm: sm, dn: mesh.D(n)}
-	s.meshID = make([]int, sm.Size())
+	s := &starStepper{sm: sm, dn: mesh.D(sm.N), meshID: sm.MeshIDs()}
 	s.peID = make([]int, sm.Size())
-	for pe := 0; pe < sm.Size(); pe++ {
-		m := core.UnmapID(n, pe)
-		s.meshID[pe] = m
+	for pe, m := range s.meshID {
 		s.peID[m] = pe
 	}
 	return s

@@ -60,15 +60,16 @@
 // in-memory store; Config.StoreDir selects the WAL-backed durable
 // one (wal.go): every state transition appends one CRC32C-framed
 // record to an append-only log under the store mutex, a full-store
-// snapshot rotates in atomically every Config.SnapshotEvery records
-// (truncating the log), and opening the directory after a crash
-// replays snapshot + tail — torn or corrupt tails truncated, queued
-// jobs re-admitted in admission order, interrupted running jobs
-// re-executed bit-exactly from their seeded specs, and jobs with a
-// pending cancel request finalized as canceled. Runtime disk
-// failure degrades the store to memory-only rather than failing
-// submissions; the condition and the recovery counters are exposed
-// in the Durability block of /v1/healthz and /v1/stats. See
+// snapshot rotates in atomically (truncating the log) once the log
+// since the last snapshot is at least that snapshot's size and
+// 1 MiB, and opening the directory after a crash replays snapshot +
+// tail — torn or corrupt tails truncated, queued jobs re-admitted in
+// admission order, interrupted running jobs re-executed bit-exactly
+// from their seeded specs, and jobs with a pending cancel request
+// finalized as canceled. Runtime disk failure degrades the store to
+// memory-only rather than failing submissions; the condition and the
+// recovery counters are exposed in the Durability block of
+// /v1/healthz and /v1/stats. See
 // docs/durability.md for the record format and the crash matrix;
 // internal/faultfs is the deterministic fault-injection harness the
 // recovery tests are built on.

@@ -257,7 +257,7 @@ func tracesEqual(a, b []TraceEvent) bool {
 
 func TestTraceSurvivesCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
-	ds := openDurable(t, dir, 1000, nil)
+	ds := openDurable(t, dir, nil)
 	now := time.Now()
 
 	// A job that completes before the crash: its trace must replay
@@ -282,7 +282,7 @@ func TestTraceSurvivesCrashRecovery(t *testing.T) {
 
 	ds.freeze() // crash
 
-	ds2 := openDurable(t, dir, 1000, nil)
+	ds2 := openDurable(t, dir, nil)
 	defer ds2.close()
 
 	doneAfter, ok := ds2.get(done.ID)

@@ -52,10 +52,6 @@ type Config struct {
 	// admission order and interrupted running jobs re-execute
 	// deterministically from their spec seeds.
 	StoreDir string `json:"store_dir,omitempty"`
-	// SnapshotEvery is the WAL record count between snapshot +
-	// compaction cycles of the durable store (0 = 256; ignored
-	// without StoreDir).
-	SnapshotEvery int `json:"snapshot_every,omitempty"`
 	// NoObs disables the metrics layer entirely: no registry, no
 	// instrument updates on any path, /v1/metrics answers 404. The
 	// bench harness uses it to measure the metrics path's own
@@ -89,9 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainGrace <= 0 {
 		c.DrainGrace = 5 * time.Second
-	}
-	if c.SnapshotEvery <= 0 {
-		c.SnapshotEvery = 256
 	}
 	return c
 }
@@ -192,7 +185,7 @@ func newService(cfg Config, startWorkers bool) (*Service, error) {
 	var st Store = newStore()
 	var recovered []string
 	if eff.StoreDir != "" {
-		ds, err := openDurableStore(eff.StoreDir, eff.SnapshotEvery, nil)
+		ds, err := openDurableStore(eff.StoreDir, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -11,6 +11,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -793,31 +794,33 @@ type Stats struct {
 	Tenants []TenantStats `json:"tenants,omitempty"`
 }
 
-// aggregate computes the store's part of Stats.
+// aggregate computes the store's part of Stats. The latency windows
+// are copied under the store lock and sorted after it is released,
+// so appends and reads never wait on the sort.
 func (st *store) aggregate(uptime time.Duration) Stats {
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	s := Stats{
-		Queued:            st.counts[StatusQueued],
-		Running:           st.counts[StatusRunning],
-		Done:              st.counts[StatusDone],
-		Failed:            st.counts[StatusFailed],
-		Canceled:          st.counts[StatusCanceled],
-		UnitRoutes:        st.unitRoutes,
-		Conflicts:         st.conflicts,
-		WatchDrops:        st.watchDrops,
-		LatencyTotalP50Ns: percentile(st.latTotal.samples, 50).Nanoseconds(),
-		LatencyTotalP99Ns: percentile(st.latTotal.samples, 99).Nanoseconds(),
-		LatencyRunP50Ns:   percentile(st.latRun.samples, 50).Nanoseconds(),
-		LatencyRunP99Ns:   percentile(st.latRun.samples, 99).Nanoseconds(),
+		Queued:     st.counts[StatusQueued],
+		Running:    st.counts[StatusRunning],
+		Done:       st.counts[StatusDone],
+		Failed:     st.counts[StatusFailed],
+		Canceled:   st.counts[StatusCanceled],
+		UnitRoutes: st.unitRoutes,
+		Conflicts:  st.conflicts,
+		WatchDrops: st.watchDrops,
 	}
 	for _, k := range st.byKind {
 		s.Kinds = append(s.Kinds, *k)
 	}
-	sort.Slice(s.Kinds, func(i, j int) bool { return s.Kinds[i].Kind < s.Kinds[j].Kind })
 	if secs := uptime.Seconds(); secs > 0 {
 		s.ThroughputJobsPerSec = float64(st.finished) / secs
 	}
+	total, run := slices.Clone(st.latTotal.samples), slices.Clone(st.latRun.samples)
+	st.mu.Unlock()
+
+	sort.Slice(s.Kinds, func(i, j int) bool { return s.Kinds[i].Kind < s.Kinds[j].Kind })
+	s.LatencyTotalP50Ns, s.LatencyTotalP99Ns = percentilesNs(total)
+	s.LatencyRunP50Ns, s.LatencyRunP99Ns = percentilesNs(run)
 	return s
 }
 
@@ -901,17 +904,16 @@ func (st *store) recoveredQueued() []string { return nil }
 // close: nothing to flush.
 func (st *store) close() error { return nil }
 
-// percentile returns the nearest-rank p-th percentile of the
-// samples (0 for an empty set).
-func percentile(samples []time.Duration, p int) time.Duration {
+// percentilesNs returns the nearest-rank p50 and p99 of the samples
+// in nanoseconds (0 for an empty set). It sorts samples in place, so
+// callers pass a copy they own.
+func percentilesNs(samples []time.Duration) (p50, p99 int64) {
 	if len(samples) == 0 {
-		return 0
+		return 0, 0
 	}
-	sorted := append([]time.Duration(nil), samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := (p*len(sorted) + 99) / 100 // ceil(p/100 · n)
-	if rank < 1 {
-		rank = 1
+	slices.Sort(samples)
+	rank := func(p int) int64 {
+		return samples[(p*len(samples)+99)/100-1].Nanoseconds() // rank ceil(p/100 · n)
 	}
-	return sorted[rank-1]
+	return rank(50), rank(99)
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 )
@@ -129,8 +130,58 @@ func TestStoreSmallHelpers(t *testing.T) {
 	if got := newStore().recoveredQueued(); got != nil {
 		t.Fatalf("memory store recovered %v, want nothing", got)
 	}
-	if percentile(nil, 99) != 0 {
+	if p50, p99 := percentilesNs(nil); p50 != 0 || p99 != 0 {
 		t.Fatal("empty percentile must be 0")
+	}
+}
+
+// TestStatsPercentilesExact pins the nearest-rank percentiles that
+// /v1/stats reports — the p-th percentile of n samples is the
+// ceil(p·n/100)-th smallest — through the store's latency windows
+// and the tenant leaderboard, which share one helper. Aggregation
+// sorts a copy: the window itself keeps its insertion order.
+func TestStatsPercentilesExact(t *testing.T) {
+	ms := func(v ...int) []time.Duration {
+		out := make([]time.Duration, len(v))
+		for i, x := range v {
+			out[i] = time.Duration(x) * time.Millisecond
+		}
+		return out
+	}
+	shuffled := make([]int, 200)
+	for i := range shuffled {
+		shuffled[i] = 1 + (i*37)%200 // a permutation of 1..200
+	}
+	cases := []struct {
+		samples  []time.Duration
+		p50, p99 time.Duration
+	}{
+		{ms(7), 7 * time.Millisecond, 7 * time.Millisecond},
+		{ms(5, 1, 3), 3 * time.Millisecond, 5 * time.Millisecond},
+		{ms(4, 1, 3, 2), 2 * time.Millisecond, 4 * time.Millisecond},
+		{ms(shuffled...), 100 * time.Millisecond, 198 * time.Millisecond},
+	}
+	for _, c := range cases {
+		st := newStore()
+		for _, d := range c.samples {
+			st.latTotal.add(d)
+			st.latRun.add(d / 2)
+		}
+		s := st.aggregate(time.Second)
+		if s.LatencyTotalP50Ns != c.p50.Nanoseconds() || s.LatencyTotalP99Ns != c.p99.Nanoseconds() ||
+			s.LatencyRunP50Ns != (c.p50/2).Nanoseconds() || s.LatencyRunP99Ns != (c.p99/2).Nanoseconds() {
+			t.Fatalf("%d samples: store percentiles %+v, want p50 %v p99 %v (run halved)", len(c.samples), s, c.p50, c.p99)
+		}
+		if !slices.Equal(st.latTotal.samples, c.samples) {
+			t.Fatal("aggregate reordered the live latency window")
+		}
+		rows := buildTenantStats(map[string]*tenantAgg{
+			"t": {tenant: "t", jobs: len(c.samples), waits: slices.Clone(c.samples)},
+		}, time.Second, func(string) int { return 1 }, nil)
+		if rows[0].QueueWaitP50Ns != c.p50.Nanoseconds() || rows[0].QueueWaitP99Ns != c.p99.Nanoseconds() {
+			t.Fatalf("%d samples: tenant wait percentiles %d/%d, want %v/%v",
+				len(c.samples), rows[0].QueueWaitP50Ns, rows[0].QueueWaitP99Ns, c.p50, c.p99)
+		}
 	}
 }
 

@@ -140,16 +140,16 @@ func buildTenantStats(aggs map[string]*tenantAgg, window time.Duration,
 	secs := window.Seconds()
 	for name, agg := range aggs {
 		row := TenantStats{
-			Tenant:         name,
-			Weight:         weightOf(name),
-			Queued:         depths[name],
-			Jobs:           agg.jobs,
-			Done:           agg.done,
-			UnitRoutes:     agg.routes,
-			Conflicts:      agg.conflicts,
-			QueueWaitP50Ns: percentile(agg.waits, 50).Nanoseconds(),
-			QueueWaitP99Ns: percentile(agg.waits, 99).Nanoseconds(),
+			Tenant:     name,
+			Weight:     weightOf(name),
+			Queued:     depths[name],
+			Jobs:       agg.jobs,
+			Done:       agg.done,
+			UnitRoutes: agg.routes,
+			Conflicts:  agg.conflicts,
 		}
+		// agg.waits is tenantWindow's own copy: sort it in place.
+		row.QueueWaitP50Ns, row.QueueWaitP99Ns = percentilesNs(agg.waits)
 		if secs > 0 {
 			n := float64(agg.jobs)
 			margin := 1.96 * math.Sqrt(n)

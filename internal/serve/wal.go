@@ -3,12 +3,16 @@
 // (submit/claim/finish/cancel — the same events the watch
 // subscription publishes) is appended, under the store lock that
 // orders them, as one length-prefixed CRC32C-checksummed record to
-// an append-only log. Every SnapshotEvery records the full store
-// state is written to a snapshot file (tmp + fsync + rename, so the
-// named snapshot is always whole) and the log restarts empty —
-// compaction that bounds both disk use and recovery time no matter
-// how long the service runs; retention inside a snapshot is the
-// in-memory store's own eviction window.
+// an append-only log. Once the log written since the last snapshot
+// is at least as large as that snapshot (and at least
+// minCompactBytes), the full store state is written to a snapshot
+// file (tmp + fsync + rename, so the named snapshot is always whole)
+// and the log restarts empty. Compaction in proportion to the
+// snapshot bounds both disk use and recovery replay to about twice
+// the snapshot (or the floor) no matter how long the service runs,
+// while a multi-megabyte snapshot is rewritten only after as many
+// bytes of log; retention inside a snapshot is the in-memory store's
+// own eviction window.
 //
 // Recovery = snapshot + tail replay: records with LSNs at or below
 // the snapshot's are skipped (a crash between snapshot rename and
@@ -50,8 +54,6 @@ type Durability struct {
 	Dir          string `json:"dir,omitempty"`
 	WALPath      string `json:"wal_path,omitempty"`
 	SnapshotPath string `json:"snapshot_path,omitempty"`
-	// SnapshotEvery is the record count between snapshot+compaction.
-	SnapshotEvery int `json:"snapshot_every,omitempty"`
 	// LastSnapshot is when the newest durable snapshot was taken.
 	LastSnapshot time.Time `json:"last_snapshot,omitzero"`
 	// Snapshots and WALRecords count compactions and appended records
@@ -143,6 +145,12 @@ type walSnapshot struct {
 	WatchDrops int64          `json:"watch_drops,omitempty"`
 }
 
+// minCompactBytes is the log size below which the store never
+// compacts, however small its snapshot: a near-empty store would
+// otherwise rewrite its snapshot every few records. A variable, not a
+// constant, so tests can shrink it.
+var minCompactBytes int64 = 1 << 20
+
 // File names inside the store dir.
 const (
 	walFileName     = "wal.log"
@@ -155,15 +163,17 @@ const (
 // every transition via logf.
 type durableStore struct {
 	*store
-	dir       string
-	snapEvery int
-	open      faultfs.OpenFunc
+	dir  string
+	open faultfs.OpenFunc
 
 	// All fields below are guarded by store.mu: logRecord runs under
 	// it (logf contract), and the other methods take it.
-	f         faultfs.File
-	lsn       uint64
-	sinceSnap int
+	f   faultfs.File
+	lsn uint64
+	// walBytes is the log written since the last snapshot, snapBytes
+	// that snapshot's size: the compaction trigger compares the two.
+	walBytes  int64
+	snapBytes int64
 	frozen    bool // crash-simulated (tests) or degraded: no more appends
 	dur       Durability
 	recovered []string // queued ids to re-admit, admission order
@@ -177,12 +187,9 @@ type durableStore struct {
 
 // openDurableStore opens (or creates) the durable store rooted at
 // dir, running crash recovery against whatever a previous process
-// left there. snapEvery <= 0 defaults to 256; open == nil uses real
-// files (tests inject a faultfs.Injector).
-func openDurableStore(dir string, snapEvery int, open faultfs.OpenFunc) (*durableStore, error) {
-	if snapEvery <= 0 {
-		snapEvery = 256
-	}
+// left there. open == nil uses real files (tests inject a
+// faultfs.Injector).
+func openDurableStore(dir string, open faultfs.OpenFunc) (*durableStore, error) {
 	if open == nil {
 		open = faultfs.Open
 	}
@@ -192,16 +199,14 @@ func openDurableStore(dir string, snapEvery int, open faultfs.OpenFunc) (*durabl
 	walPath := filepath.Join(dir, walFileName)
 	snapPath := filepath.Join(dir, snapFileName)
 	ds := &durableStore{
-		store:     newStore(),
-		dir:       dir,
-		snapEvery: snapEvery,
-		open:      open,
+		store: newStore(),
+		dir:   dir,
+		open:  open,
 		dur: Durability{
-			Store:         "wal",
-			Dir:           dir,
-			WALPath:       walPath,
-			SnapshotPath:  snapPath,
-			SnapshotEvery: snapEvery,
+			Store:        "wal",
+			Dir:          dir,
+			WALPath:      walPath,
+			SnapshotPath: snapPath,
 		},
 	}
 	// A leftover tmp snapshot is a snapshot write the crash
@@ -421,7 +426,9 @@ func (ds *durableStore) recoverInterrupted(now time.Time) {
 }
 
 // logRecord is the logf hook: append one framed record, snapshotting
-// + compacting on cadence. Runs under store.mu (logf contract). A
+// + compacting once the log since the last snapshot has outgrown it
+// (and the minCompactBytes floor). Runs under store.mu (logf
+// contract). A
 // write failure degrades to memory-only instead of failing the job
 // transition that triggered it.
 func (ds *durableStore) logRecord(op walOp, j *Job) {
@@ -449,8 +456,8 @@ func (ds *durableStore) logRecord(op walOp, j *Job) {
 		ds.walObs.appendBytes.Add(int64(len(frame)))
 	}
 	ds.dur.WALRecords++
-	ds.sinceSnap++
-	if ds.sinceSnap >= ds.snapEvery {
+	ds.walBytes += int64(len(frame))
+	if ds.walBytes >= max(ds.snapBytes, minCompactBytes) {
 		if err := ds.snapshotLocked(time.Now()); err != nil {
 			ds.degrade(fmt.Sprintf("snapshot: %v", err))
 		}
@@ -529,7 +536,8 @@ func (ds *durableStore) snapshotLocked(now time.Time) error {
 	if err != nil {
 		return err
 	}
-	_, werr := tmp.Write(appendFrame(make([]byte, 0, frameHeaderLen+len(payload)), payload))
+	frame := appendFrame(make([]byte, 0, frameHeaderLen+len(payload)), payload)
+	_, werr := tmp.Write(frame)
 	if werr == nil {
 		var start time.Time
 		if ds.walObs != nil {
@@ -561,7 +569,8 @@ func (ds *durableStore) snapshotLocked(now time.Time) error {
 		return err
 	}
 	ds.f = nf
-	ds.sinceSnap = 0
+	ds.walBytes = 0
+	ds.snapBytes = int64(len(frame))
 	ds.dur.Snapshots++
 	ds.dur.LastSnapshot = now
 	return nil

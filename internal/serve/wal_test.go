@@ -16,9 +16,9 @@ import (
 )
 
 // openDurable opens a durable store or fails the test.
-func openDurable(t *testing.T, dir string, snapEvery int, open faultfs.OpenFunc) *durableStore {
+func openDurable(t *testing.T, dir string, open faultfs.OpenFunc) *durableStore {
 	t.Helper()
-	ds, err := openDurableStore(dir, snapEvery, open)
+	ds, err := openDurableStore(dir, open)
 	if err != nil {
 		t.Fatalf("openDurableStore(%s): %v", dir, err)
 	}
@@ -27,7 +27,7 @@ func openDurable(t *testing.T, dir string, snapEvery int, open faultfs.OpenFunc)
 
 func TestDurableStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	ds := openDurable(t, dir, 1000, nil)
+	ds := openDurable(t, dir, nil)
 	now := time.Now()
 
 	// One of every lifecycle outcome: done, failed, canceled-queued,
@@ -56,7 +56,7 @@ func TestDurableStoreRoundTrip(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	ds2 := openDurable(t, dir, 1000, nil)
+	ds2 := openDurable(t, dir, nil)
 	defer ds2.close()
 	dur := ds2.durability()
 	if dur.Store != "wal" || dur.ReplayedRecords == 0 {
@@ -102,7 +102,7 @@ func TestDurableStoreRoundTrip(t *testing.T) {
 
 func TestRecoveryPreservesAdmissionOrderAndCursors(t *testing.T) {
 	dir := t.TempDir()
-	ds := openDurable(t, dir, 1000, nil)
+	ds := openDurable(t, dir, nil)
 	now := time.Now()
 	var ids []string
 	for i := 0; i < 5; i++ {
@@ -110,7 +110,7 @@ func TestRecoveryPreservesAdmissionOrderAndCursors(t *testing.T) {
 	}
 	ds.freeze() // crash: nothing after this reaches disk
 
-	ds2 := openDurable(t, dir, 1000, nil)
+	ds2 := openDurable(t, dir, nil)
 	defer ds2.close()
 	if got := ds2.recoveredQueued(); !reflect.DeepEqual(got, ids) {
 		t.Fatalf("re-admission order = %v, want original admission order %v", got, ids)
@@ -140,7 +140,7 @@ func TestRecoveryPreservesAdmissionOrderAndCursors(t *testing.T) {
 
 func TestRecoveryReexecutesInterruptedRunning(t *testing.T) {
 	dir := t.TempDir()
-	ds := openDurable(t, dir, 1000, nil)
+	ds := openDurable(t, dir, nil)
 	now := time.Now()
 	running := ds.add(JobSpec{Kind: KindSweep, N: 3}, DefaultTenant, now)
 	queued := ds.add(JobSpec{Kind: KindSweep, N: 4}, DefaultTenant, now)
@@ -149,7 +149,7 @@ func TestRecoveryReexecutesInterruptedRunning(t *testing.T) {
 	}
 	ds.freeze() // crash mid-run
 
-	ds2 := openDurable(t, dir, 1000, nil)
+	ds2 := openDurable(t, dir, nil)
 	defer ds2.close()
 	dur := ds2.durability()
 	if dur.ReexecutedRunning != 1 || dur.RecoveredQueued != 1 {
@@ -172,7 +172,7 @@ func TestRecoveryReexecutesInterruptedRunning(t *testing.T) {
 
 func TestRecoveryHonorsRequestedCancel(t *testing.T) {
 	dir := t.TempDir()
-	ds := openDurable(t, dir, 1000, nil)
+	ds := openDurable(t, dir, nil)
 	now := time.Now()
 	j := ds.add(JobSpec{Kind: KindSweep, N: 3}, DefaultTenant, now)
 	if _, ok := ds.claim(j.ID, now.Add(time.Millisecond), nil); !ok {
@@ -185,7 +185,7 @@ func TestRecoveryHonorsRequestedCancel(t *testing.T) {
 	}
 	ds.freeze()
 
-	ds2 := openDurable(t, dir, 1000, nil)
+	ds2 := openDurable(t, dir, nil)
 	defer ds2.close()
 	dur := ds2.durability()
 	if dur.CanceledAtRecovery != 1 || dur.ReexecutedRunning != 0 {
@@ -204,7 +204,7 @@ func TestTornTailTruncatedAtRecovery(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultfs.NewInjector()
 	inj.Target(walFileName)
-	ds := openDurable(t, dir, 1000, inj.Open)
+	ds := openDurable(t, dir, inj.Open)
 	now := time.Now()
 	a := ds.add(JobSpec{Kind: KindSweep, N: 3}, DefaultTenant, now)
 	b := ds.add(JobSpec{Kind: KindSweep, N: 4}, DefaultTenant, now)
@@ -214,7 +214,7 @@ func TestTornTailTruncatedAtRecovery(t *testing.T) {
 	c := ds.add(JobSpec{Kind: KindSweep, N: 3}, DefaultTenant, now)
 	ds.freeze()
 
-	ds2 := openDurable(t, dir, 1000, nil)
+	ds2 := openDurable(t, dir, nil)
 	defer ds2.close()
 	dur := ds2.durability()
 	if dur.TruncatedTailBytes == 0 {
@@ -233,7 +233,7 @@ func TestTornTailTruncatedAtRecovery(t *testing.T) {
 
 	// Recovery compacted: a third open sees a clean log, no tail.
 	ds2.close()
-	ds3 := openDurable(t, dir, 1000, nil)
+	ds3 := openDurable(t, dir, nil)
 	defer ds3.close()
 	if dur := ds3.durability(); dur.TruncatedTailBytes != 0 {
 		t.Fatalf("tail reported again after compaction: %+v", dur)
@@ -244,7 +244,7 @@ func TestCorruptRecordTruncatesTail(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultfs.NewInjector()
 	inj.Target(walFileName)
-	ds := openDurable(t, dir, 1000, inj.Open)
+	ds := openDurable(t, dir, inj.Open)
 	now := time.Now()
 	a := ds.add(JobSpec{Kind: KindSweep, N: 3}, DefaultTenant, now)
 	// Flip a payload byte of the second record in flight: the frame
@@ -254,7 +254,7 @@ func TestCorruptRecordTruncatesTail(t *testing.T) {
 	c := ds.add(JobSpec{Kind: KindSweep, N: 3}, DefaultTenant, now) // intact, but beyond the corruption
 	ds.freeze()
 
-	ds2 := openDurable(t, dir, 1000, nil)
+	ds2 := openDurable(t, dir, nil)
 	defer ds2.close()
 	dur := ds2.durability()
 	if dur.TruncatedTailBytes == 0 || dur.ReplayedRecords != 1 {
@@ -274,8 +274,13 @@ func TestCorruptRecordTruncatesTail(t *testing.T) {
 }
 
 func TestSnapshotCompactionBoundsWALAndSurvivesTmpLeftover(t *testing.T) {
+	// Shrink the compaction floor so a handful of small records
+	// outgrow it: compaction then follows the snapshot's own size.
+	oldFloor := minCompactBytes
+	minCompactBytes = 512
+	defer func() { minCompactBytes = oldFloor }()
 	dir := t.TempDir()
-	ds := openDurable(t, dir, 4, nil) // snapshot every 4 records
+	ds := openDurable(t, dir, nil)
 	now := time.Now()
 	for i := 0; i < 6; i++ {
 		j := ds.add(JobSpec{Kind: KindSweep, N: 3}, DefaultTenant, now)
@@ -308,7 +313,7 @@ func TestSnapshotCompactionBoundsWALAndSurvivesTmpLeftover(t *testing.T) {
 	if err := os.WriteFile(tmp, []byte("half-written snapshot garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ds2 := openDurable(t, dir, 4, nil)
+	ds2 := openDurable(t, dir, nil)
 	defer ds2.close()
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatal("leftover snapshot tmp not cleaned up")
@@ -322,7 +327,7 @@ func TestWALWriteFailureDegradesToMemoryOnly(t *testing.T) {
 	dir := t.TempDir()
 	inj := faultfs.NewInjector()
 	inj.Target(walFileName)
-	ds := openDurable(t, dir, 1000, inj.Open)
+	ds := openDurable(t, dir, inj.Open)
 	defer ds.close()
 	now := time.Now()
 	a := ds.add(JobSpec{Kind: KindSweep, N: 3}, DefaultTenant, now)
@@ -348,7 +353,7 @@ func TestWALWriteFailureDegradesToMemoryOnly(t *testing.T) {
 	// The disk state is the pre-failure prefix: recovery finds job a
 	// and nothing of b.
 	ds.close()
-	ds2 := openDurable(t, dir, 1000, nil)
+	ds2 := openDurable(t, dir, nil)
 	defer ds2.close()
 	if _, ok := ds2.get(a.ID); !ok {
 		t.Fatal("pre-failure job lost")
@@ -360,7 +365,7 @@ func TestWALWriteFailureDegradesToMemoryOnly(t *testing.T) {
 
 func TestCorruptSnapshotRefusesToOpen(t *testing.T) {
 	dir := t.TempDir()
-	ds := openDurable(t, dir, 1000, nil)
+	ds := openDurable(t, dir, nil)
 	ds.add(JobSpec{Kind: KindSweep, N: 3}, DefaultTenant, time.Now())
 	ds.close()
 
@@ -373,7 +378,7 @@ func TestCorruptSnapshotRefusesToOpen(t *testing.T) {
 	if err := os.WriteFile(snapPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openDurableStore(dir, 1000, nil); err == nil {
+	if _, err := openDurableStore(dir, nil); err == nil {
 		t.Fatal("open accepted a corrupt snapshot — silent state loss")
 	}
 }

@@ -12,6 +12,14 @@
 //   - a unit route along the NEW dimension n is a pure intra-PE slot
 //     shuffle and costs zero unit routes.
 //
+// The placement is table-driven: New derives every virtual node's
+// (pe, slot) and its inverse from the star machine's cached vertex
+// map (starsim.Machine.MeshIDs), and the snake plan of D_{n+1} once.
+// Slot register names and banks are memoized on first use. All of
+// these depend only on n and on registers that never move, so they
+// survive Reset and a pooled machine never rebuilds them; Locate,
+// Get, Put, Set and every mask test are table lookups.
+//
 // The equivalence tests check bit-identical behaviour against a real
 // (n+1)!-PE mesh machine.
 package virtual
@@ -20,8 +28,8 @@ import (
 	"context"
 	"fmt"
 
-	"starmesh/internal/core"
 	"starmesh/internal/mesh"
+	"starmesh/internal/meshops"
 	"starmesh/internal/simd"
 	"starmesh/internal/starsim"
 )
@@ -32,19 +40,48 @@ type Machine struct {
 	N     int        // star parameter n
 	Slots int        // n+1 virtual nodes per PE
 	Big   *mesh.Mesh // D_{n+1}
-	small *mesh.Mesh // D_n
+
+	// Virtual node bigID lives in slot bigID / n! of PE pe[bigID];
+	// bigAt[slot·n! + pe] inverts that.
+	pe    []int
+	bigAt []int
+	snake *meshops.SnakePlan // snake order of D_{n+1}
+	regs  map[string]*vreg
+}
+
+// vreg is a virtual register's n+1 physical slot registers.
+type vreg struct {
+	names []string
+	banks [][]int64
 }
 
 // New builds the virtualized machine over S_n. Options select the
 // simd execution engine of the underlying star machine.
 func New(n int, opts ...simd.Option) *Machine {
-	return &Machine{
-		SM:    starsim.New(n, opts...),
+	sm := starsim.New(n, opts...)
+	big := mesh.D(n + 1)
+	m := &Machine{
+		SM:    sm,
 		N:     n,
 		Slots: n + 1,
-		Big:   mesh.D(n + 1),
-		small: mesh.D(n),
+		Big:   big,
+		pe:    make([]int, big.Order()),
+		bigAt: make([]int, big.Order()),
+		snake: meshops.NewSnakePlan(big),
+		regs:  make(map[string]*vreg),
 	}
+	// D_{n+1}'s last dimension has stride n!, so bigID = slot·n! + the
+	// id of its D_n coordinates, which the paper's map places on PE pe.
+	meshIDs := sm.MeshIDs()
+	size := len(meshIDs)
+	for slot := 0; slot < m.Slots; slot++ {
+		for pe, small := range meshIDs {
+			bigID := slot*size + small
+			m.pe[bigID] = pe
+			m.bigAt[slot*size+pe] = bigID
+		}
+	}
+	return m
 }
 
 // Close releases the underlying star machine's worker pool.
@@ -53,7 +90,8 @@ func (m *Machine) Close() { m.SM.Close() }
 // Reset returns the machine to its post-construction state for
 // pooled reuse: every slot register is zeroed and stats cleared,
 // while the star machine's amortized state (neighbor tables, route
-// tables, compiled plans, worker pool) is kept.
+// tables, compiled plans, worker pool) and the placement tables are
+// kept.
 func (m *Machine) Reset() { m.SM.Reset() }
 
 // slotReg names the physical register backing a virtual register's
@@ -62,12 +100,32 @@ func slotReg(name string, slot int) string {
 	return fmt.Sprintf("%s#%d", name, slot)
 }
 
+// reg returns the memoized slot registers of a virtual register.
+// Banks never move once declared (not even across Reset), so the
+// memo stays valid for the machine's lifetime.
+func (m *Machine) reg(name string) *vreg {
+	if r, ok := m.regs[name]; ok {
+		return r
+	}
+	r := &vreg{names: make([]string, m.Slots), banks: make([][]int64, m.Slots)}
+	for s := range r.names {
+		r.names[s] = slotReg(name, s)
+		r.banks[s] = m.SM.Reg(r.names[s])
+	}
+	m.regs[name] = r
+	return r
+}
+
 // EnsureReg declares a virtual register if it does not exist yet —
 // the idempotent form pooled reuse needs.
 func (m *Machine) EnsureReg(name string) {
+	if _, ok := m.regs[name]; ok {
+		return
+	}
 	for s := 0; s < m.Slots; s++ {
 		m.SM.EnsureReg(slotReg(name, s))
 	}
+	m.reg(name)
 }
 
 // AddReg declares a virtual register (n+1 physical registers).
@@ -75,29 +133,37 @@ func (m *Machine) AddReg(name string) {
 	for s := 0; s < m.Slots; s++ {
 		m.SM.AddReg(slotReg(name, s))
 	}
+	m.reg(name)
 }
 
 // Locate returns the physical PE and slot hosting a virtual mesh
 // node of D_{n+1}.
 func (m *Machine) Locate(bigID int) (pe, slot int) {
-	coords := m.Big.Coords(nil, bigID)
-	slot = coords[m.N-1] // d_n
-	pe = core.MapID(m.N, m.small.ID(coords[:m.N-1]))
-	return pe, slot
+	return m.pe[bigID], bigID / m.SM.Size()
+}
+
+// cell returns the storage of a virtual register at a virtual node.
+func (m *Machine) cell(r *vreg, bigID int) *int64 {
+	pe, slot := m.Locate(bigID)
+	return &r.banks[slot][pe]
 }
 
 // Get reads a virtual register at a virtual mesh node.
 func (m *Machine) Get(name string, bigID int) int64 {
-	pe, slot := m.Locate(bigID)
-	return m.SM.Reg(slotReg(name, slot))[pe]
+	return *m.cell(m.reg(name), bigID)
+}
+
+// Put writes one virtual register value.
+func (m *Machine) Put(name string, bigID int, v int64) {
+	*m.cell(m.reg(name), bigID) = v
 }
 
 // Set writes virtual register values from a function over virtual
 // mesh ids.
 func (m *Machine) Set(name string, fn func(bigID int) int64) {
-	for bigID := 0; bigID < m.Big.Order(); bigID++ {
-		pe, slot := m.Locate(bigID)
-		m.SM.Reg(slotReg(name, slot))[pe] = fn(bigID)
+	r := m.reg(name)
+	for bigID := range m.pe {
+		*m.cell(r, bigID) = fn(bigID)
 	}
 }
 
@@ -119,32 +185,22 @@ func (m *Machine) MaskedUnitRoute(src, dst string, k, dir int, mask func(bigID i
 	if dir != 1 && dir != -1 {
 		panic("virtual: dir must be ±1")
 	}
-	// bigOf reconstructs the virtual node id from (pe, slot).
-	bigOf := func(pe, slot int) int {
-		coords := m.small.Coords(nil, core.UnmapID(m.N, pe))
-		coords = append(coords, slot)
-		return m.Big.ID(coords)
-	}
+	s, d := m.reg(src), m.reg(dst)
+	size := m.SM.Size()
+	// slotNodes is the virtual node each PE hosts in one slot.
+	slotNodes := func(slot int) []int { return m.bigAt[slot*size : (slot+1)*size] }
 	if k == m.N {
 		// The new dimension: value in slot s moves to slot s+dir of
 		// the same PE (masked per virtual node). Iterate receivers
 		// farthest-first so src == dst does not clobber unread slots.
-		froms := make([]int, 0, m.Slots)
-		if dir > 0 {
-			for from := m.Slots - 2; from >= 0; from-- {
-				froms = append(froms, from)
+		for i := 0; i < m.Slots-1; i++ {
+			from := m.Slots - 2 - i
+			if dir < 0 {
+				from = i + 1
 			}
-		} else {
-			for from := 1; from < m.Slots; from++ {
-				froms = append(froms, from)
-			}
-		}
-		for _, from := range froms {
-			to := from + dir
-			srcReg := m.SM.Reg(slotReg(src, from))
-			dstReg := m.SM.Reg(slotReg(dst, to))
+			srcReg, dstReg, nodes := s.banks[from], d.banks[from+dir], slotNodes(from)
 			for pe := range srcReg {
-				if mask == nil || mask(bigOf(pe, from)) {
+				if mask == nil || mask(nodes[pe]) {
 					dstReg[pe] = srcReg[pe]
 				}
 			}
@@ -152,13 +208,13 @@ func (m *Machine) MaskedUnitRoute(src, dst string, k, dir int, mask func(bigID i
 		return 0
 	}
 	routes := 0
-	for s := 0; s < m.Slots; s++ {
-		slot := s
+	for slot := 0; slot < m.Slots; slot++ {
 		var starMask func(pe int) bool
 		if mask != nil {
-			starMask = func(pe int) bool { return mask(bigOf(pe, slot)) }
+			nodes := slotNodes(slot)
+			starMask = func(pe int) bool { return mask(nodes[pe]) }
 		}
-		r, conflicts := m.SM.MaskedMeshUnitRoute(slotReg(src, s), slotReg(dst, s), k, dir, starMask)
+		r, conflicts := m.SM.MaskedMeshUnitRoute(s.names[slot], d.names[slot], k, dir, starMask)
 		if conflicts != 0 {
 			panic("virtual: unit route conflicted (Lemma 5 violated)")
 		}
@@ -169,12 +225,6 @@ func (m *Machine) MaskedUnitRoute(src, dst string, k, dir int, mask func(bigID i
 
 // Stats exposes the underlying machine counters.
 func (m *Machine) Stats() (unitRoutes int) { return m.SM.Stats().UnitRoutes }
-
-// Put writes one virtual register value.
-func (m *Machine) Put(name string, bigID int, v int64) {
-	pe, slot := m.Locate(bigID)
-	m.SM.Reg(slotReg(name, slot))[pe] = v
-}
 
 // SnakeSort sorts virtual register key into the snake order of
 // D_{n+1} by odd-even transposition over the snake — (n+1)! keys on
@@ -191,33 +241,12 @@ func (m *Machine) SnakeSort(key string) (sorted bool, routes int) {
 // On cancellation it returns the partial route count with ctx's
 // error (sorted false).
 func (m *Machine) SnakeSortCtx(ctx context.Context, key string) (sorted bool, routes int, err error) {
-	big := m.Big
-	N := big.Order()
-	// Snake plan over the big mesh.
-	index := make([]int, N)
-	stepDim := make([]int, N)
-	stepDir := make([]int, N)
-	prev := -1
-	for s := 0; s < N; s++ {
-		id := big.SnakeIDAt(s)
-		index[id] = s
-		stepDim[id] = -1
-		if prev != -1 {
-			for j := 0; j < big.Dims(); j++ {
-				switch big.Coord(id, j) - big.Coord(prev, j) {
-				case 1:
-					stepDim[prev], stepDir[prev] = j, +1
-				case -1:
-					stepDim[prev], stepDir[prev] = j, -1
-				}
-			}
-		}
-		prev = id
-	}
+	plan := m.snake
+	index, idAt, stepDim, stepDir := plan.Index, plan.IDAt, plan.Dim, plan.Dir
+	N := len(idAt)
 	const tmp = "__vsnake_tmp"
-	for s := 0; s < m.Slots; s++ {
-		m.SM.EnsureReg(slotReg(tmp, s))
-	}
+	m.EnsureReg(tmp)
+	keys, tmps := m.reg(key), m.reg(tmp)
 	before := m.SM.Stats().UnitRoutes
 	for phase := 0; phase < N; phase++ {
 		if err := ctx.Err(); err != nil {
@@ -228,9 +257,9 @@ func (m *Machine) SnakeSortCtx(ctx context.Context, key string) (sorted bool, ro
 		}
 		isHigh := func(bigID int) bool {
 			s := index[bigID]
-			return s > 0 && isLow(big.SnakeIDAt(s-1))
+			return s > 0 && isLow(idAt[s-1])
 		}
-		for j := 0; j < big.Dims(); j++ {
+		for j := 0; j < m.Big.Dims(); j++ {
 			for _, dir := range []int{+1, -1} {
 				jj, dd := j, dir
 				lowMask := func(bigID int) bool {
@@ -238,7 +267,7 @@ func (m *Machine) SnakeSortCtx(ctx context.Context, key string) (sorted bool, ro
 				}
 				highMask := func(bigID int) bool {
 					s := index[bigID]
-					return s > 0 && lowMask(big.SnakeIDAt(s-1))
+					return s > 0 && lowMask(idAt[s-1])
 				}
 				any := false
 				for bigID := 0; bigID < N && !any; bigID++ {
@@ -252,16 +281,15 @@ func (m *Machine) SnakeSortCtx(ctx context.Context, key string) (sorted bool, ro
 			}
 		}
 		for bigID := 0; bigID < N; bigID++ {
-			k := m.Get(key, bigID)
-			t := m.Get(tmp, bigID)
+			k, t := m.cell(keys, bigID), *m.cell(tmps, bigID)
 			switch {
 			case isLow(bigID):
-				if t < k {
-					m.Put(key, bigID, t)
+				if t < *k {
+					*k = t
 				}
 			case isHigh(bigID):
-				if t > k {
-					m.Put(key, bigID, t)
+				if t > *k {
+					*k = t
 				}
 			}
 		}
@@ -269,8 +297,8 @@ func (m *Machine) SnakeSortCtx(ctx context.Context, key string) (sorted bool, ro
 	routes = m.SM.Stats().UnitRoutes - before
 	sorted = true
 	prevVal := int64(0)
-	for s := 0; s < N; s++ {
-		v := m.Get(key, big.SnakeIDAt(s))
+	for s, bigID := range idAt {
+		v := *m.cell(keys, bigID)
 		if s > 0 && v < prevVal {
 			sorted = false
 		}

@@ -1,10 +1,13 @@
 package virtual
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"starmesh/internal/mesh"
+	"starmesh/internal/meshops"
 	"starmesh/internal/meshsim"
 )
 
@@ -127,9 +130,11 @@ func BenchmarkVirtualUnitRoute(b *testing.B) {
 	}
 }
 
+// TestVirtualSnakeSort sorts (n+1)! keys on n! physical PEs and
+// checks the result position by position: the node at snake
+// position s holds exactly the s-th smallest key.
 func TestVirtualSnakeSort(t *testing.T) {
-	// Sort (n+1)! keys on n! physical PEs.
-	for _, n := range []int{3, 4} {
+	for _, n := range []int{2, 3, 4} {
 		vm := New(n)
 		vm.AddReg("K")
 		keys := uniformKeys(vm.Big.Order(), int64(n))
@@ -141,18 +146,83 @@ func TestVirtualSnakeSort(t *testing.T) {
 		if routes <= 0 {
 			t.Fatalf("n=%d: no routes recorded", n)
 		}
-		// Multiset preserved.
-		before := map[int64]int{}
-		for _, k := range keys {
-			before[k]++
+		want := slices.Sorted(slices.Values(keys))
+		for s, bigID := range meshops.NewSnakePlan(vm.Big).IDAt {
+			if got := vm.Get("K", bigID); got != want[s] {
+				t.Fatalf("n=%d: snake position %d (node %d) holds %d, want %d", n, s, bigID, got, want[s])
+			}
 		}
-		after := map[int64]int{}
-		for bigID := 0; bigID < vm.Big.Order(); bigID++ {
-			after[vm.Get("K", bigID)]++
-		}
-		for v, c := range before {
-			if after[v] != c {
-				t.Fatalf("n=%d: multiset changed", n)
+	}
+}
+
+// TestSnakeSortGoldenRouteCounts pins the physical unit routes of
+// one virtual snake sort for n = 2..5. The schedule depends only on
+// the snake plan, never on the keys, so each count is a constant of
+// n; the sort repeats on the same machine after Reset, the pooled
+// path, and must cost the same.
+func TestSnakeSortGoldenRouteCounts(t *testing.T) {
+	golden := []struct{ n, routes int }{{2, 36}, {3, 768}, {4, 8400}, {5, 86400}}
+	for _, g := range golden {
+		t.Run(fmt.Sprintf("n=%d", g.n), func(t *testing.T) {
+			if g.n == 5 && testing.Short() {
+				t.Skip("n=5 sorts 720 keys over 720 phases; skipped under -short")
+			}
+			vm := New(g.n)
+			for pass := 0; pass < 2; pass++ {
+				vm.Reset()
+				vm.EnsureReg("K")
+				keys := uniformKeys(vm.Big.Order(), int64(pass))
+				vm.Set("K", func(bigID int) int64 { return keys[bigID] })
+				sorted, routes := vm.SnakeSort("K")
+				if !sorted || routes != g.routes {
+					t.Fatalf("pass %d: sorted=%v routes=%d, want sorted with %d routes", pass, sorted, routes, g.routes)
+				}
+			}
+		})
+	}
+}
+
+// TestMaskedUnitRouteMatchesMeshReference drives seeded random masks
+// along every (k, dir) of D_{n+1} and checks every virtual node
+// against a direct reference on the mesh: a selected node with a
+// (k, dir) neighbor b' sends, so dst[b'] = src[b]; every other dst
+// value is unchanged. The second pass repeats on the same machine
+// after Reset, as a pooled job would.
+func TestMaskedUnitRouteMatchesMeshReference(t *testing.T) {
+	for n := 2; n <= 4; n++ {
+		m := New(n)
+		order := m.Big.Order()
+		for pass := 0; pass < 2; pass++ {
+			if pass == 1 {
+				m.Reset()
+			}
+			m.EnsureReg("A")
+			m.EnsureReg("B")
+			rng := rand.New(rand.NewSource(int64(10*n + pass)))
+			for k := 1; k <= n; k++ {
+				for _, dir := range []int{+1, -1} {
+					src := make([]int64, order)
+					dst := make([]int64, order)
+					sel := make([]bool, order)
+					for b := range src {
+						src[b], dst[b], sel[b] = rng.Int63(), -rng.Int63(), rng.Intn(2) == 0
+					}
+					want := slices.Clone(dst)
+					for b, on := range sel {
+						if to := m.Big.Step(b, k-1, dir); on && to != -1 {
+							want[to] = src[b]
+						}
+					}
+					m.Set("A", func(b int) int64 { return src[b] })
+					m.Set("B", func(b int) int64 { return dst[b] })
+					m.MaskedUnitRoute("A", "B", k, dir, func(b int) bool { return sel[b] })
+					for b := range want {
+						if got := m.Get("B", b); got != want[b] {
+							t.Fatalf("n=%d pass=%d k=%d dir=%d: node %d holds %d, want %d",
+								n, pass, k, dir, b, got, want[b])
+						}
+					}
+				}
 			}
 		}
 	}
