@@ -237,24 +237,13 @@ func BenchmarkEngineBatch(b *testing.B) {
 	}
 }
 
-// Pooled vs spawn-per-route parallel execution on a multi-worker
-// batch: each scenario machine runs the sharded executor with two
-// workers; the pool variant parks them, the spawn variant creates
-// fresh goroutines for every phase of every route.
+// Parallel execution on a multi-worker batch: each scenario machine
+// runs the sharded executor with two workers parked on its persistent
+// pool.
 func BenchmarkEngineBatchPool(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		res := workload.RunBatch(context.Background(), workload.StandardBatch(5, 42, simd.WithExecutor(simd.Parallel(2))), 0)
-		if len(res.Errors) != 0 {
-			b.Fatalf("batch errors: %v", res.Errors)
-		}
-	}
-}
-
-func BenchmarkEngineBatchSpawn(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res := workload.RunBatch(context.Background(), workload.StandardBatch(5, 42, simd.WithExecutor(simd.ParallelSpawn(2))), 0)
 		if len(res.Errors) != 0 {
 			b.Fatalf("batch errors: %v", res.Errors)
 		}
@@ -400,11 +389,10 @@ func TestEngineBenchRecord(t *testing.T) {
 	}
 }
 
-// TestPlanBenchRecord measures compiled route plans and the
-// persistent worker pool on the S_8 sweep and a multi-worker batch
-// run, asserts parity (bit-identical stats and registers) and the
-// perf gate — plan replay must not be slower than closure resolution
-// — and emits the perf record. It writes BENCH_plans.json at the
+// TestPlanBenchRecord measures compiled route plans on the S_8 sweep,
+// asserts parity (bit-identical stats and registers) and the perf
+// gate — plan replay must not be slower than closure resolution — and
+// emits the perf record. It writes BENCH_plans.json at the
 // repository root when BENCH_PLANS_RECORD is set (CI's bench job and
 // the Makefile's bench-plans target set it, with GOMAXPROCS > 1);
 // otherwise the record goes to a scratch directory and the test only
@@ -446,69 +434,18 @@ func TestPlanBenchRecord(t *testing.T) {
 		t.Log("WARNING: " + msg)
 	}
 
-	// Persistent pool vs spawn-per-route on a multi-worker batch:
-	// every scenario machine shards its routes across 2 workers, with
-	// plans disabled so every unit route actually dispatches to the
-	// workers (replayed small-machine steps would bypass them). The
-	// batch is measured best-of-3 to denoise scheduler jitter.
-	const batchWorkers = 2
-	runBatch := func(exec simd.Executor) (time.Duration, workload.BatchResult) {
-		best := time.Duration(0)
-		var res workload.BatchResult
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			r := workload.RunBatch(context.Background(), workload.StandardBatch(5, 42,
-				simd.WithExecutor(exec), simd.WithPlans(false)), 0)
-			elapsed := time.Since(start)
-			if len(r.Errors) != 0 {
-				t.Fatalf("batch errors under %s: %v", exec.Name(), r.Errors)
-			}
-			if best == 0 || elapsed < best {
-				best, res = elapsed, r
-			}
-		}
-		return best, res
-	}
-	spawnTime, spawnRes := runBatch(simd.ParallelSpawn(batchWorkers))
-	poolTime, poolRes := runBatch(simd.Parallel(batchWorkers))
-	batchParity := len(spawnRes.Scenarios) == len(poolRes.Scenarios)
-	sortRoutes := 0
-	for i := range spawnRes.Scenarios {
-		sp, po := spawnRes.Scenarios[i], poolRes.Scenarios[i]
-		if sp.Name != po.Name || sp.UnitRoutes != po.UnitRoutes || sp.Conflicts != po.Conflicts || sp.OK != po.OK {
-			batchParity = false
-		}
-		if i == 0 {
-			sortRoutes = po.UnitRoutes
-		}
-	}
-	if !batchParity {
-		t.Fatalf("pool batch results diverged from spawn batch:\nspawn %+v\npool  %+v", spawnRes, poolRes)
-	}
-	if poolTime > spawnTime {
-		t.Logf("WARNING: pooled batch (%v) slower than spawn-per-route (%v) on this host", poolTime, spawnTime)
-	}
-
 	rec := workload.PlanBenchRecord{
-		Benchmark:       fmt.Sprintf("plans-S%d-mesh-route-sweep", engineBenchN),
-		Timestamp:       time.Now().UTC().Format(time.RFC3339),
-		GoMaxProcs:      runtime.GOMAXPROCS(0),
-		N:               engineBenchN,
-		PEs:             int(perm.Factorial(engineBenchN)),
-		Reps:            reps,
-		ClosureNs:       closureTime.Nanoseconds(),
-		ReplayNs:        replayTime.Nanoseconds(),
-		SpeedupReplay:   float64(closureTime) / float64(replayTime),
-		ParityOK:        parityOK,
-		BatchWorkers:    batchWorkers,
-		SpawnBatchNs:    spawnTime.Nanoseconds(),
-		PoolBatchNs:     poolTime.Nanoseconds(),
-		SpeedupPool:     float64(spawnTime) / float64(poolTime),
-		BatchParityOK:   batchParity,
-		PlansCached:     simd.SharedPlans.Len(),
-		BatchScenarios:  len(poolRes.Scenarios),
-		BatchBatchSize:  3,
-		BatchSortRoutes: sortRoutes,
+		Benchmark:     fmt.Sprintf("plans-S%d-mesh-route-sweep", engineBenchN),
+		Timestamp:     time.Now().UTC().Format(time.RFC3339),
+		GoMaxProcs:    runtime.GOMAXPROCS(0),
+		N:             engineBenchN,
+		PEs:           int(perm.Factorial(engineBenchN)),
+		Reps:          reps,
+		ClosureNs:     closureTime.Nanoseconds(),
+		ReplayNs:      replayTime.Nanoseconds(),
+		SpeedupReplay: float64(closureTime) / float64(replayTime),
+		ParityOK:      parityOK,
+		PlansCached:   simd.SharedPlans.Len(),
 	}
 	path := filepath.Join(t.TempDir(), "BENCH_plans.json")
 	if os.Getenv("BENCH_PLANS_RECORD") != "" {
@@ -517,13 +454,12 @@ func TestPlanBenchRecord(t *testing.T) {
 	if err := rec.WriteJSON(path); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("S_%d sweep ×%d: closure %v, replay %v (%.2fx); batch ×%d workers: spawn %v, pool %v (%.2fx) → %s",
-		engineBenchN, reps, closureTime, replayTime, rec.SpeedupReplay,
-		batchWorkers, spawnTime, poolTime, rec.SpeedupPool, path)
+	t.Logf("S_%d sweep ×%d: closure %v, replay %v (%.2fx) → %s",
+		engineBenchN, reps, closureTime, replayTime, rec.SpeedupReplay, path)
 	if os.Getenv("BENCH_PLANS_RECORD") != "" {
 		exptab.StepSummary("### Plans bench (S_%d)\n"+
-			"plan replay %.2fx vs closure · pooled batch %.2fx vs spawn · parity %t",
-			engineBenchN, rec.SpeedupReplay, rec.SpeedupPool, parityOK && batchParity)
+			"plan replay %.2fx vs closure · parity %t",
+			engineBenchN, rec.SpeedupReplay, parityOK)
 	}
 }
 

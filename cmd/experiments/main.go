@@ -19,30 +19,21 @@ import (
 	"os"
 
 	"starmesh/internal/experiments"
-	"starmesh/internal/simd"
+	"starmesh/internal/serve"
 )
 
 func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	run := flag.String("run", "all", "experiment id to run, or 'all'")
-	engine := flag.String("engine", "sequential", "execution engine: sequential, parallel or parallel-spawn (bit-identical results)")
+	engine := flag.String("engine", "sequential", "execution engine: sequential or parallel (bit-identical results)")
 	workers := flag.Int("workers", 0, "parallel engine worker count (0 = GOMAXPROCS)")
 	plan := flag.Bool("plan", true, "compiled route plans: record each pure schedule once, replay dense tables (bit-identical results)")
 	flag.Parse()
 
-	var opts []simd.Option
-	switch *engine {
-	case "sequential", "seq":
-	case "parallel", "par":
-		opts = append(opts, simd.WithExecutor(simd.Parallel(*workers)))
-	case "parallel-spawn", "spawn":
-		opts = append(opts, simd.WithExecutor(simd.ParallelSpawn(*workers)))
-	default:
-		fmt.Fprintf(os.Stderr, "experiments: unknown engine %q (want sequential, parallel or parallel-spawn)\n", *engine)
+	opts, err := serve.Config{Engine: *engine, EngineWorkers: *workers, NoPlans: !*plan}.EngineOptions()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
-	}
-	if !*plan {
-		opts = append(opts, simd.WithPlans(false))
 	}
 	if len(opts) > 0 {
 		experiments.SetEngine(opts...)

@@ -1,7 +1,7 @@
 // The scenarios and run subcommands: the CLI face of the scenario
 // registry. `scenarios` prints the catalog (optionally as the
 // README's markdown table); `run` executes one spec — the same JSON
-// document POST /jobs accepts — standalone on a fresh machine.
+// document POST /v1/jobs accepts — standalone on a fresh machine.
 package main
 
 import (
@@ -12,7 +12,7 @@ import (
 	"os"
 	"strings"
 
-	"starmesh/internal/simd"
+	"starmesh/internal/serve"
 	"starmesh/internal/workload"
 )
 
@@ -33,7 +33,7 @@ func cmdScenarios(args []string) {
 
 func cmdRun(args []string) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	engine := fs.String("engine", "sequential", "execution engine: sequential, parallel or parallel-spawn")
+	engine := fs.String("engine", "sequential", "execution engine: sequential or parallel")
 	workers := fs.Int("workers", 0, "parallel engine worker count (0 = GOMAXPROCS)")
 	plan := fs.Bool("plan", true, "compiled route plans")
 	fs.Parse(args)
@@ -41,18 +41,9 @@ func cmdRun(args []string) {
 		fatalf("run needs exactly one JSON job spec (try: starmesh run '{\"kind\":\"sweep\",\"n\":5}')")
 	}
 
-	var opts []simd.Option
-	switch *engine {
-	case "sequential", "seq":
-	case "parallel", "par":
-		opts = append(opts, simd.WithExecutor(simd.Parallel(*workers)))
-	case "parallel-spawn", "spawn":
-		opts = append(opts, simd.WithExecutor(simd.ParallelSpawn(*workers)))
-	default:
-		fatalf("unknown engine %q (want sequential, parallel or parallel-spawn)", *engine)
-	}
-	if !*plan {
-		opts = append(opts, simd.WithPlans(false))
+	opts, err := serve.Config{Engine: *engine, EngineWorkers: *workers, NoPlans: !*plan}.EngineOptions()
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	var spec workload.Spec

@@ -26,7 +26,7 @@ func cmdServe(args []string) {
 	workers := fs.Int("workers", 0, "concurrent job executors (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 64, "admission queue depth (full queue returns 429)")
 	pool := fs.Bool("pool", true, "per-shape machine pooling (false builds a machine per job)")
-	engine := fs.String("engine", "sequential", "execution engine: sequential, parallel or parallel-spawn")
+	engine := fs.String("engine", "sequential", "execution engine: sequential or parallel")
 	engineWorkers := fs.Int("engine-workers", 0, "parallel engine worker count (0 = GOMAXPROCS)")
 	plan := fs.Bool("plan", true, "compiled route plans on the job machines")
 	drainGrace := fs.Duration("drain-grace", 5*time.Second,

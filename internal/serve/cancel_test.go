@@ -163,17 +163,14 @@ func TestCancelTerminalJobConflicts(t *testing.T) {
 	}
 	queued.Drain()
 
-	// Over HTTP: 409 with the typed code on both the v1 route and the
-	// legacy alias.
-	for _, base := range []string{ts.URL + "/v1/jobs/", ts.URL + "/jobs/"} {
-		code, data := doJSON(t, "DELETE", base+job.ID, "")
-		if code != http.StatusConflict {
-			t.Fatalf("DELETE of done job returned %d: %s", code, data)
-		}
-		var body ErrorBody
-		if err := json.Unmarshal(data, &body); err != nil || body.Error.Code != CodeTerminal {
-			t.Fatalf("409 body is not the typed terminal conflict: %s", data)
-		}
+	// Over HTTP: 409 with the typed code.
+	code, data := doJSON(t, "DELETE", ts.URL+"/v1/jobs/"+job.ID, "")
+	if code != http.StatusConflict {
+		t.Fatalf("DELETE of done job returned %d: %s", code, data)
+	}
+	var body ErrorBody
+	if err := json.Unmarshal(data, &body); err != nil || body.Error.Code != CodeTerminal {
+		t.Fatalf("409 body is not the typed terminal conflict: %s", data)
 	}
 }
 
@@ -261,8 +258,8 @@ func TestSubmitBatchAtomicCapacity(t *testing.T) {
 	if _, err := svc.SubmitBatch(three[:2]); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("oversized batch returned %v, want ErrQueueFull", err)
 	}
-	if got := len(svc.Jobs(0)); got != 1 {
-		t.Fatalf("rejected batch left %d jobs in the store, want the 1 pre-admitted", got)
+	if page, err := svc.ListJobs(ListQuery{}); err != nil || len(page.Jobs) != 1 {
+		t.Fatalf("rejected batch left %d jobs in the store (%v), want the 1 pre-admitted", len(page.Jobs), err)
 	}
 	// A batch fitting the free capacity is admitted whole.
 	jobs, err := svc.SubmitBatch(three[:1])
@@ -288,7 +285,7 @@ func TestSubmitBatchAtomicCapacity(t *testing.T) {
 // TestStorePageFiltersByStatus covers the status filter + cursor at
 // the store level (the HTTP walk is covered by the client suite).
 func TestStorePageFiltersByStatus(t *testing.T) {
-	st := newStore()
+	st := memStore(t)
 	now := time.Now()
 	for i := 0; i < 6; i++ {
 		j := st.add(JobSpec{Kind: KindSweep, N: 3}, DefaultTenant, now)

@@ -5,8 +5,8 @@
 // them on per-shape machine pools, records every outcome in a job
 // store with latency/cost aggregation (global and per scenario
 // kind), and exposes the whole thing over an HTTP JSON API. The
-// store is in-memory by default; Config.StoreDir swaps in the
-// WAL-backed durable implementation with crash recovery.
+// store is in-memory by default; Config.StoreDir attaches its
+// write-ahead log, with crash recovery.
 //
 // The service carries NO scenario knowledge of its own: validation,
 // pool shapes, machine construction and execution all dispatch
@@ -56,20 +56,19 @@
 //
 // # Durable store and crash recovery
 //
-// The Store interface has two implementations. The default is the
-// in-memory store; Config.StoreDir selects the WAL-backed durable
-// one (wal.go): every state transition appends one CRC32C-framed
-// record to an append-only log under the store mutex, a full-store
-// snapshot rotates in atomically (truncating the log) once the log
-// since the last snapshot is at least that snapshot's size and
-// 1 MiB, and opening the directory after a crash replays snapshot +
-// tail — torn or corrupt tails truncated, queued jobs re-admitted in
-// admission order, interrupted running jobs re-executed bit-exactly
-// from their seeded specs, and jobs with a pending cancel request
-// finalized as canceled. Runtime disk failure degrades the store to
-// memory-only rather than failing submissions; the condition and the
-// recovery counters are exposed in the Durability block of
-// /v1/healthz and /v1/stats. See
+// There is one store type. By default it keeps jobs in memory only;
+// Config.StoreDir attaches its write-ahead log (wal.go): every state
+// transition appends one CRC32C-framed record to an append-only log
+// under the store mutex, a full-store snapshot rotates in atomically
+// (truncating the log) once the log since the last snapshot is at
+// least that snapshot's size and 1 MiB, and opening the directory
+// after a crash replays snapshot + tail — torn or corrupt tails
+// truncated, queued jobs re-admitted in admission order, interrupted
+// running jobs re-executed bit-exactly from their seeded specs, and
+// jobs with a pending cancel request finalized as canceled. Runtime
+// disk failure degrades the store to memory-only rather than failing
+// submissions; the condition and the recovery counters are exposed in
+// the Durability block of /v1/healthz and /v1/stats. See
 // docs/durability.md for the record format and the crash matrix;
 // internal/faultfs is the deterministic fault-injection harness the
 // recovery tests are built on.
@@ -96,8 +95,7 @@
 //
 // # The v1 contract
 //
-// The HTTP surface is versioned under /v1 (pre-v1 unversioned paths
-// remain as thin aliases for one release):
+// The HTTP surface lives under /v1 only:
 //
 //	POST   /v1/jobs            submit a JobSpec          → 202 Job
 //	POST   /v1/jobs:batch      atomic multi-spec submit  → 202 {jobs}

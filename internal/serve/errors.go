@@ -36,11 +36,6 @@ var (
 	ErrUnauthorized = errors.New("serve: unauthorized")
 )
 
-// ErrNotCancelable is the pre-v1 name of ErrTerminal, kept as an
-// alias for one release: running jobs became cancelable in v1, so
-// the only non-cancelable jobs left are the terminal ones.
-var ErrNotCancelable = ErrTerminal
-
 // ErrorCode is the machine-readable error class of the v1 API.
 type ErrorCode string
 

@@ -14,9 +14,6 @@
 //	GET    /v1/stats          aggregated service view    → 200 Stats
 //	GET    /v1/healthz        liveness + drain state     → 200/503 Health
 //
-// The pre-v1 unversioned routes remain for one release: thin aliases
-// onto the same handlers, except GET /jobs, which keeps its original
-// bare-array wire shape so pre-v1 consumers survive unchanged.
 // Errors are structured (ErrorBody) with the code taxonomy of
 // errors.go, mapped to HTTP statuses in exactly one place.
 package serve
@@ -45,35 +42,26 @@ type Health struct {
 	Durability Durability `json:"durability"`
 }
 
-// Handler returns the service's HTTP API: the v1 surface plus the
-// legacy unversioned aliases. Every route is wrapped at registration
-// with the metrics/logging middleware (see instrument), labeled by
-// its route pattern — never by the raw URL, which would explode the
-// metric cardinality with job ids.
+// Handler returns the service's HTTP API. Every route lives under /v1
+// and is wrapped at registration with the metrics/logging middleware
+// (see instrument), labeled by its route pattern — never by the raw
+// URL, which would explode the metric cardinality with job ids.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	for _, prefix := range []string{"/v1", ""} {
-		handle := func(method, pattern string, h http.HandlerFunc) {
-			mux.HandleFunc(method+" "+prefix+pattern, s.instrument(prefix+pattern, h))
-		}
-		handle("POST", "/jobs", s.handleSubmit)
-		handle("POST", "/jobs:batch", s.handleSubmitBatch)
-		handle("GET", "/jobs/{id}", s.handleJob)
-		handle("DELETE", "/jobs/{id}", s.handleCancel)
-		handle("GET", "/jobs/{id}/watch", s.handleWatch)
-		handle("GET", "/stats", s.handleStats)
-		handle("GET", "/healthz", s.handleHealthz)
-		handle("GET", "/metrics", s.handleMetrics)
+	handle := func(method, route string, h http.HandlerFunc) {
+		mux.HandleFunc(method+" "+route, s.instrument(route, h))
 	}
-	mux.HandleFunc("GET /v1/jobs", s.instrument("/v1/jobs", s.handleList))
-	// Cluster routes are v1-only: they postdate the alias release, so
-	// no unversioned spelling ever existed to keep alive.
-	mux.HandleFunc("GET /v1/cluster", s.instrument("/v1/cluster", s.handleCluster))
-	mux.HandleFunc("POST /v1/drain", s.instrument("/v1/drain", s.handleDrain))
-	// The legacy listing keeps its pre-v1 wire shape — a bare JSON
-	// array, limit 0 = all — so existing consumers survive the alias
-	// release unchanged; only /v1/jobs speaks JobPage.
-	mux.HandleFunc("GET /jobs", s.instrument("/jobs", s.handleListLegacy))
+	handle("POST", "/v1/jobs", s.handleSubmit)
+	handle("POST", "/v1/jobs:batch", s.handleSubmitBatch)
+	handle("GET", "/v1/jobs", s.handleList)
+	handle("GET", "/v1/jobs/{id}", s.handleJob)
+	handle("DELETE", "/v1/jobs/{id}", s.handleCancel)
+	handle("GET", "/v1/jobs/{id}/watch", s.handleWatch)
+	handle("GET", "/v1/stats", s.handleStats)
+	handle("GET", "/v1/healthz", s.handleHealthz)
+	handle("GET", "/v1/metrics", s.handleMetrics)
+	handle("GET", "/v1/cluster", s.handleCluster)
+	handle("POST", "/v1/drain", s.handleDrain)
 	return mux
 }
 
@@ -158,19 +146,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", obs.ContentType)
 	w.WriteHeader(http.StatusOK)
 	_ = reg.WriteText(w)
-}
-
-func (s *Service) handleListLegacy(w http.ResponseWriter, r *http.Request) {
-	limit := 100
-	if q := r.URL.Query().Get("limit"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 0 {
-			writeErrorCode(w, CodeInvalidArgument, fmt.Sprintf("bad limit %q", q), nil)
-			return
-		}
-		limit = v
-	}
-	writeJSON(w, http.StatusOK, s.Jobs(limit))
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {

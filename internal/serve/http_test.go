@@ -41,7 +41,7 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	defer ts.Close()
 
 	// Submit.
-	code, data := doJSON(t, "POST", ts.URL+"/jobs", `{"kind":"sort","n":4,"dist":"reversed","seed":5}`)
+	code, data := doJSON(t, "POST", ts.URL+"/v1/jobs", `{"kind":"sort","n":4,"dist":"reversed","seed":5}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit returned %d: %s", code, data)
 	}
@@ -60,7 +60,7 @@ func TestHTTPJobLifecycle(t *testing.T) {
 			t.Fatalf("job stuck in %s", job.Status)
 		}
 		time.Sleep(time.Millisecond)
-		code, data = doJSON(t, "GET", ts.URL+"/jobs/"+job.ID, "")
+		code, data = doJSON(t, "GET", ts.URL+"/v1/jobs/"+job.ID, "")
 		if code != http.StatusOK {
 			t.Fatalf("poll returned %d: %s", code, data)
 		}
@@ -86,16 +86,16 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	}
 
 	// Listing includes it; cancel of a finished job conflicts.
-	code, data = doJSON(t, "GET", ts.URL+"/jobs?limit=10", "")
+	code, data = doJSON(t, "GET", ts.URL+"/v1/jobs?limit=10", "")
 	if code != http.StatusOK || !bytes.Contains(data, []byte(job.ID)) {
 		t.Fatalf("list missing job: %d %s", code, data)
 	}
-	if code, _ = doJSON(t, "DELETE", ts.URL+"/jobs/"+job.ID, ""); code != http.StatusConflict {
+	if code, _ = doJSON(t, "DELETE", ts.URL+"/v1/jobs/"+job.ID, ""); code != http.StatusConflict {
 		t.Fatalf("cancel of done job returned %d, want 409", code)
 	}
 
 	// Stats reflect the work.
-	code, data = doJSON(t, "GET", ts.URL+"/stats", "")
+	code, data = doJSON(t, "GET", ts.URL+"/v1/stats", "")
 	if code != http.StatusOK {
 		t.Fatalf("stats returned %d", code)
 	}
@@ -108,7 +108,7 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	}
 
 	// Health.
-	if code, _ = doJSON(t, "GET", ts.URL+"/healthz", ""); code != http.StatusOK {
+	if code, _ = doJSON(t, "GET", ts.URL+"/v1/healthz", ""); code != http.StatusOK {
 		t.Fatalf("healthz returned %d", code)
 	}
 }
@@ -122,21 +122,21 @@ func TestHTTPErrorMapping(t *testing.T) {
 	defer ts.Close()
 
 	// Bad JSON and bad specs → 400.
-	if code, _ := doJSON(t, "POST", ts.URL+"/jobs", `{`); code != http.StatusBadRequest {
+	if code, _ := doJSON(t, "POST", ts.URL+"/v1/jobs", `{`); code != http.StatusBadRequest {
 		t.Fatalf("bad JSON returned %d, want 400", code)
 	}
-	if code, _ := doJSON(t, "POST", ts.URL+"/jobs", `{"kind":"warp"}`); code != http.StatusBadRequest {
+	if code, _ := doJSON(t, "POST", ts.URL+"/v1/jobs", `{"kind":"warp"}`); code != http.StatusBadRequest {
 		t.Fatalf("bad kind returned %d, want 400", code)
 	}
-	if code, _ := doJSON(t, "POST", ts.URL+"/jobs", `{"kind":"sort","n":4,"bogus":1}`); code != http.StatusBadRequest {
+	if code, _ := doJSON(t, "POST", ts.URL+"/v1/jobs", `{"kind":"sort","n":4,"bogus":1}`); code != http.StatusBadRequest {
 		t.Fatalf("unknown field returned %d, want 400", code)
 	}
 
 	// Fill the queue → 429 with Retry-After.
-	if code, data := doJSON(t, "POST", ts.URL+"/jobs", `{"kind":"sweep","n":3}`); code != http.StatusAccepted {
+	if code, data := doJSON(t, "POST", ts.URL+"/v1/jobs", `{"kind":"sweep","n":3}`); code != http.StatusAccepted {
 		t.Fatalf("first submit returned %d: %s", code, data)
 	}
-	req, _ := http.NewRequest("POST", ts.URL+"/jobs", strings.NewReader(`{"kind":"sweep","n":3}`))
+	req, _ := http.NewRequest("POST", ts.URL+"/v1/jobs", strings.NewReader(`{"kind":"sweep","n":3}`))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -148,19 +148,19 @@ func TestHTTPErrorMapping(t *testing.T) {
 	}
 
 	// Unknown job → 404.
-	if code, _ := doJSON(t, "GET", ts.URL+"/jobs/job-999999", ""); code != http.StatusNotFound {
+	if code, _ := doJSON(t, "GET", ts.URL+"/v1/jobs/job-999999", ""); code != http.StatusNotFound {
 		t.Fatalf("unknown job returned %d, want 404", code)
 	}
-	if code, _ := doJSON(t, "DELETE", ts.URL+"/jobs/job-999999", ""); code != http.StatusNotFound {
+	if code, _ := doJSON(t, "DELETE", ts.URL+"/v1/jobs/job-999999", ""); code != http.StatusNotFound {
 		t.Fatalf("unknown cancel returned %d, want 404", code)
 	}
 
 	// Draining → 503 on submit and healthz.
 	svc.Drain()
-	if code, _ := doJSON(t, "POST", ts.URL+"/jobs", `{"kind":"sweep","n":3}`); code != http.StatusServiceUnavailable {
+	if code, _ := doJSON(t, "POST", ts.URL+"/v1/jobs", `{"kind":"sweep","n":3}`); code != http.StatusServiceUnavailable {
 		t.Fatalf("submit while draining returned %d, want 503", code)
 	}
-	if code, _ := doJSON(t, "GET", ts.URL+"/healthz", ""); code != http.StatusServiceUnavailable {
+	if code, _ := doJSON(t, "GET", ts.URL+"/v1/healthz", ""); code != http.StatusServiceUnavailable {
 		t.Fatalf("healthz while draining returned %d, want 503", code)
 	}
 }
@@ -172,7 +172,7 @@ func TestHTTPCancelQueuedJob(t *testing.T) {
 	}
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
-	code, data := doJSON(t, "POST", ts.URL+"/jobs", `{"kind":"sweep","n":3}`)
+	code, data := doJSON(t, "POST", ts.URL+"/v1/jobs", `{"kind":"sweep","n":3}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit returned %d", code)
 	}
@@ -180,7 +180,7 @@ func TestHTTPCancelQueuedJob(t *testing.T) {
 	if err := json.Unmarshal(data, &job); err != nil {
 		t.Fatal(err)
 	}
-	code, data = doJSON(t, "DELETE", ts.URL+"/jobs/"+job.ID, "")
+	code, data = doJSON(t, "DELETE", ts.URL+"/v1/jobs/"+job.ID, "")
 	if code != http.StatusOK {
 		t.Fatalf("cancel returned %d: %s", code, data)
 	}

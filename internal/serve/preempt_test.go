@@ -122,7 +122,7 @@ func TestPreemptRequiresSaturationAndPriority(t *testing.T) {
 // started run (least sunk work), non-sweeps and jobs already being
 // canceled or preempted are never candidates.
 func TestRequestPreemptSelection(t *testing.T) {
-	st := newStore()
+	st := memStore(t)
 	now := time.Now()
 	claim := func(spec JobSpec, at time.Time) (string, context.Context) {
 		t.Helper()

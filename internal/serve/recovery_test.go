@@ -22,7 +22,7 @@ import (
 // goroutines and pools release without draining gracefully.
 func crash(t *testing.T, svc *Service) {
 	t.Helper()
-	svc.store.(*durableStore).freeze()
+	svc.store.freeze()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_ = svc.Shutdown(ctx)
@@ -110,7 +110,7 @@ func TestCrashRecoveryParity(t *testing.T) {
 	// Re-admission preserves admission order: the interrupted running
 	// job first (it was admitted first), then the queued backlog.
 	wantOrder := []string{ids[0], ids[3], ids[4], ids[5]}
-	if got := svc2.store.(*durableStore).recovered; !reflect.DeepEqual(got, wantOrder) {
+	if got := svc2.store.wal.recovered; !reflect.DeepEqual(got, wantOrder) {
 		t.Fatalf("re-admission order %v, want %v", got, wantOrder)
 	}
 

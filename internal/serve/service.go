@@ -34,7 +34,7 @@ type Config struct {
 	// fresh machine and closes it (the measured baseline).
 	NoPool bool `json:"no_pool"`
 	// Engine selects the execution engine of the job machines:
-	// "sequential" (default), "parallel" or "parallel-spawn".
+	// "sequential" (default) or "parallel".
 	Engine string `json:"engine"`
 	// EngineWorkers is the parallel engine's worker count (0 =
 	// GOMAXPROCS).
@@ -94,22 +94,18 @@ func (c Config) withDefaults() Config {
 // record must describe the real configuration.
 func (c Config) Effective() Config { return c.withDefaults() }
 
-// EngineOptions maps the config to simd machine options — exported
-// so the load harness builds its standalone parity references with
-// exactly the service's engine.
-func (c Config) EngineOptions() ([]simd.Option, error) { return c.engineOptions() }
-
-// engineOptions maps the config to simd machine options.
-func (c Config) engineOptions() ([]simd.Option, error) {
+// EngineOptions maps the config to simd machine options — the one
+// engine-name parser, shared by the service, the CLIs and the load
+// harness, which builds its standalone parity references with exactly
+// the service's engine.
+func (c Config) EngineOptions() ([]simd.Option, error) {
 	var opts []simd.Option
 	switch c.Engine {
 	case "", "sequential", "seq":
 	case "parallel", "par":
 		opts = append(opts, simd.WithExecutor(simd.Parallel(c.EngineWorkers)))
-	case "parallel-spawn", "spawn":
-		opts = append(opts, simd.WithExecutor(simd.ParallelSpawn(c.EngineWorkers)))
 	default:
-		return nil, fmt.Errorf("serve: unknown engine %q (want sequential, parallel or parallel-spawn)", c.Engine)
+		return nil, fmt.Errorf("serve: unknown engine %q (want sequential or parallel)", c.Engine)
 	}
 	if c.NoPlans {
 		opts = append(opts, simd.WithPlans(false))
@@ -124,7 +120,7 @@ type Service struct {
 	queueCap   int
 	engineOpts []simd.Option
 
-	store   Store
+	store   *store
 	pools   *poolSet
 	sched   *wfq
 	tenants *tenantSet
@@ -174,7 +170,7 @@ func NewService(cfg Config) (*Service, error) {
 // service to observe queued state deterministically.
 func newService(cfg Config, startWorkers bool) (*Service, error) {
 	eff := cfg.withDefaults()
-	opts, err := eff.engineOptions()
+	opts, err := eff.EngineOptions()
 	if err != nil {
 		return nil, err
 	}
@@ -182,16 +178,11 @@ func newService(cfg Config, startWorkers bool) (*Service, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	var st Store = newStore()
-	var recovered []string
-	if eff.StoreDir != "" {
-		ds, err := openDurableStore(eff.StoreDir, nil)
-		if err != nil {
-			return nil, err
-		}
-		st = ds
-		recovered = ds.recoveredQueued()
+	st, err := openStore(eff.StoreDir, nil)
+	if err != nil {
+		return nil, err
 	}
+	recovered := st.recoveredQueued()
 	baseCtx, baseCancel := context.WithCancel(context.Background())
 	s := &Service{
 		cfg:        eff,
@@ -236,8 +227,8 @@ func newService(cfg Config, startWorkers bool) (*Service, error) {
 				met.finished(status, kind, tenant).Inc()
 			},
 		)
-		if ds, ok := st.(*durableStore); ok {
-			ds.setObs(&s.met.wal)
+		if st.wal != nil {
+			st.wal.obs = &s.met.wal
 		}
 		// Every machine the pools build reports into the engine
 		// counters.
@@ -448,10 +439,6 @@ func (s *Service) SubmitBatchWithKey(apiKey string, specs []JobSpec) ([]Job, err
 // Job returns a snapshot of a job by id.
 func (s *Service) Job(id string) (Job, bool) { return s.store.get(id) }
 
-// Jobs returns snapshots of the most recent jobs, newest first
-// (limit 0 = all).
-func (s *Service) Jobs(limit int) []Job { return s.store.list(limit) }
-
 // ListJobs returns one page of the job listing, newest first,
 // filtered and resumed per the query.
 func (s *Service) ListJobs(q ListQuery) (JobPage, error) { return s.store.page(q) }
@@ -532,7 +519,7 @@ func (s *Service) Draining() bool {
 }
 
 // beginDrain stops admission: Submit fails with ErrDraining,
-// Draining() and /healthz report draining, and the workers exit once
+// Draining() and /v1/healthz report draining, and the workers exit once
 // the queue empties. Idempotent, non-blocking — the first step of
 // every shutdown path, taken before the HTTP listener dies so health
 // checks see the drain while in-flight requests complete.

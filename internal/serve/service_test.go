@@ -150,8 +150,8 @@ func TestSubmitBackpressure(t *testing.T) {
 		t.Fatalf("third submit returned %v, want ErrQueueFull", err)
 	}
 	// The rejected job left no trace in the store.
-	if got := len(svc.Jobs(0)); got != 2 {
-		t.Fatalf("store holds %d jobs after rejection, want 2", got)
+	if page, err := svc.ListJobs(ListQuery{}); err != nil || len(page.Jobs) != 2 {
+		t.Fatalf("store holds %d jobs after rejection (%v), want 2", len(page.Jobs), err)
 	}
 	svc.Drain()
 }
@@ -186,9 +186,9 @@ func TestCancelQueuedJobSkippedByWorker(t *testing.T) {
 	if job, _ := svc.Job(b.ID); job.Status != StatusDone {
 		t.Fatalf("queued job did not run: %s (%s)", job.Status, job.Error)
 	}
-	// Running and finished jobs are not cancelable.
-	if _, err := svc.Cancel(b.ID); !errors.Is(err, ErrNotCancelable) {
-		t.Fatalf("cancel of a done job returned %v, want ErrNotCancelable", err)
+	// Finished jobs are not cancelable.
+	if _, err := svc.Cancel(b.ID); !errors.Is(err, ErrTerminal) {
+		t.Fatalf("cancel of a done job returned %v, want ErrTerminal", err)
 	}
 	if _, err := svc.Cancel("job-999999"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("cancel of unknown job returned %v, want ErrNotFound", err)

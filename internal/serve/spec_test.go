@@ -53,22 +53,19 @@ func TestSpecValidationRejectsWith400(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// The v1 route and the legacy alias must reject alike.
-			for _, base := range []string{ts.URL + "/v1/jobs", ts.URL + "/jobs"} {
-				code, data := doJSON(t, "POST", base, tc.body)
-				if code != http.StatusBadRequest {
-					t.Fatalf("submit to %s returned %d, want 400: %s", base, code, data)
-				}
-				var out ErrorBody
-				if err := json.Unmarshal(data, &out); err != nil || out.Error.Code == "" {
-					t.Fatalf("400 body is not a structured error document: %s", data)
-				}
-				if out.Error.Code != CodeInvalidSpec && out.Error.Code != CodeInvalidArgument {
-					t.Fatalf("400 code %q, want invalid_spec or invalid_argument", out.Error.Code)
-				}
-				if msg := out.Error.Message; !strings.Contains(msg, tc.want) {
-					t.Fatalf("400 message %q does not explain the problem (want %q)", msg, tc.want)
-				}
+			code, data := doJSON(t, "POST", ts.URL+"/v1/jobs", tc.body)
+			if code != http.StatusBadRequest {
+				t.Fatalf("submit returned %d, want 400: %s", code, data)
+			}
+			var out ErrorBody
+			if err := json.Unmarshal(data, &out); err != nil || out.Error.Code == "" {
+				t.Fatalf("400 body is not a structured error document: %s", data)
+			}
+			if out.Error.Code != CodeInvalidSpec && out.Error.Code != CodeInvalidArgument {
+				t.Fatalf("400 code %q, want invalid_spec or invalid_argument", out.Error.Code)
+			}
+			if msg := out.Error.Message; !strings.Contains(msg, tc.want) {
+				t.Fatalf("400 message %q does not explain the problem (want %q)", msg, tc.want)
 			}
 		})
 	}

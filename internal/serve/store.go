@@ -1,11 +1,12 @@
-// The job store: the record of every job the service has admitted,
-// plus the aggregation the /stats endpoint reports — status counts,
-// latency percentiles, unit-route and conflict totals. Store is the
-// interface the Service schedules against; the in-memory map here is
-// the default implementation, and wal.go wraps it with a durable
-// WAL-backed one. The store holds the canonical *Job values;
-// everything it hands out is a snapshot copy, so readers never race
-// the workers.
+// The job store: the record of every job the service has admitted —
+// the lifecycle state machine (admit → claim → finish/cancel), the
+// watch subscriptions, listing/pagination — plus the aggregation the
+// /v1/stats endpoint reports: status counts, latency percentiles,
+// unit-route and conflict totals. State lives in memory; a store
+// opened with a directory also logs every transition to the WAL of
+// wal.go and recovers from it at boot. The store holds the canonical
+// *Job values; everything it hands out is a snapshot copy, so readers
+// never race the workers.
 package serve
 
 import (
@@ -20,78 +21,6 @@ import (
 
 	"starmesh/internal/workload"
 )
-
-// Store is the job-state backend of a Service: the full lifecycle
-// state machine (admit → claim → finish/cancel), the watch
-// subscription stream, listing/pagination and the stats aggregation.
-// Two implementations exist: the in-memory store below (state dies
-// with the process) and the WAL-backed durable store in wal.go
-// (every transition is logged, and recovery re-admits interrupted
-// work). The Service neither knows nor cares which it runs on.
-type Store interface {
-	// add admits a job in the queued state, owned by tenant, and
-	// returns its snapshot.
-	add(spec JobSpec, tenant string, now time.Time) Job
-	// remove forgets a job that never made it into the queue
-	// (admission rollback after ErrQueueFull).
-	remove(id string)
-	// get returns a snapshot of a job.
-	get(id string) (Job, bool)
-	// list returns snapshots of the most recent retained jobs, newest
-	// first, up to limit (0 means all).
-	list(limit int) []Job
-	// page walks the retained jobs newest-first per the query.
-	page(q ListQuery) (JobPage, error)
-	// claim transitions a queued job to running; false means the job
-	// was canceled while waiting and the worker must skip it.
-	claim(id string, now time.Time, cancel context.CancelFunc) (JobSpec, bool)
-	// finish records a running job's outcome. requeued=true means the
-	// job was preempted (not terminal): it went back to queued with
-	// its partial stats preserved and the caller must re-enqueue it.
-	finish(id string, res workload.ScenarioResult, err error, now time.Time) (requeued bool)
-	// requestPreempt picks the best preemption victim among running
-	// jobs — preemptible (a multi-trial sweep), not already being
-	// canceled or preempted, and of strictly lower priority — and
-	// fires its context cancel. The job requeues at its next
-	// checkpoint instead of finishing canceled.
-	requestPreempt(priority int, now time.Time) (id string, ok bool)
-	// cancel aborts a job (queued: immediately; running: at its next
-	// checkpoint; terminal: ErrTerminal).
-	cancel(id string, now time.Time) (Job, error)
-	// migrate hands a queued job off for drain migration: locally it
-	// becomes canceled with error "migrated" (WAL-logged like any
-	// cancel, so a crash mid-drain recovers it as canceled, never as
-	// a duplicate run), and the returned snapshot carries the Spec
-	// and Tenant the drainer resubmits elsewhere. false means the job
-	// is no longer queued (a worker won the race) and must not move.
-	migrate(id string, now time.Time) (Job, bool)
-	// cancelAllRunning fires every running job's context cancel.
-	cancelAllRunning()
-	// watch subscribes to a job's status transitions.
-	watch(id string) (Job, <-chan Job, func(), error)
-	// trace appends a mid-run event to a live job's timeline (durable
-	// stores log it so the timeline survives a crash).
-	trace(id string, now time.Time, event, detail string)
-	// aggregate computes the store's part of Stats.
-	aggregate(uptime time.Duration) Stats
-	// watchStats samples live watch-subscription state (subscriber
-	// channels, cumulative drops) for the metrics layer.
-	watchStats() (subscribers int, drops int64)
-	// setHooks installs the metrics observers called on claim and
-	// finish (before any worker starts).
-	setHooks(onClaim func(tenant, kind string, wait time.Duration), onFinish func(status Status, tenant, kind string, run time.Duration, ran bool))
-	// tenantWindow aggregates the finish events of the trailing
-	// window per tenant — the /v1/stats leaderboard's raw material.
-	tenantWindow(now time.Time, window time.Duration) map[string]*tenantAgg
-	// durability describes the backend (kind, WAL paths, recovery
-	// counts) for /v1/healthz and /v1/stats.
-	durability() Durability
-	// recoveredQueued returns the ids the Service must re-admit at
-	// startup, in original admission order (empty for memory stores).
-	recoveredQueued() []string
-	// close releases the backend (flushes and closes the WAL).
-	close() error
-}
 
 // Status is the lifecycle state of a job.
 type Status string
@@ -192,10 +121,9 @@ func (w *latWindow) add(d time.Duration) {
 	w.next = (w.next + 1) % len(w.samples)
 }
 
-// walOp names one job transition in the durable store's log; the
-// in-memory store emits them through its logf hook (a no-op when
-// nil), so the WAL observes every transition under the same lock
-// that orders them.
+// walOp names one job transition in the WAL; every transition emits
+// one through st.log (a no-op for a memory-only store), so the WAL
+// observes every transition under the same lock that orders them.
 type walOp string
 
 const (
@@ -209,7 +137,8 @@ const (
 	opPreempt   walOp = "preempt"   // running → queued (preemption requeue)
 )
 
-// store is the mutex-guarded job table.
+// store is the mutex-guarded job table; openStore (wal.go) builds
+// one, memory-only or WAL-backed.
 type store struct {
 	mu    sync.Mutex
 	jobs  map[string]*Job
@@ -217,11 +146,10 @@ type store struct {
 	front int      // index in order of the oldest retained job
 	next  int
 
-	// logf, when set, is called under mu with every transition — the
-	// durable store's append hook. Keeping it inside the lock makes
-	// the WAL's record order identical to the store's transition
-	// order.
-	logf func(op walOp, j *Job)
+	// wal is the durable log of a store opened with a directory (nil =
+	// memory only). st.log appends to it under mu, which makes the
+	// WAL's record order identical to the store's transition order.
+	wal *walLog
 
 	// onClaim and onFinish, when set, observe transitions for the
 	// metrics layer (queue-wait and run-time histograms, finished
@@ -251,16 +179,6 @@ type store struct {
 	latTotal   latWindow             // created→finished of done/failed jobs
 	latRun     latWindow             // started→finished
 	tenantWin  tenantEventRing       // recent finish events, for windowed leaderboards
-}
-
-func newStore() *store {
-	return &store{
-		jobs:     make(map[string]*Job),
-		counts:   make(map[Status]int),
-		byKind:   make(map[string]*KindStats),
-		cancels:  make(map[string]context.CancelFunc),
-		watchers: make(map[string][]chan Job),
-	}
 }
 
 // watchBuffer bounds a subscriber channel. A job makes at most a
@@ -384,9 +302,7 @@ func (st *store) add(spec JobSpec, tenant string, now time.Time) Job {
 	st.jobs[j.ID] = j
 	st.order = append(st.order, j.ID)
 	st.counts[StatusQueued]++
-	if st.logf != nil {
-		st.logf(opSubmit, j)
-	}
+	st.log(opSubmit, j)
 	return j.snapshot()
 }
 
@@ -401,9 +317,7 @@ func (st *store) remove(id string) {
 		if n := len(st.order); n > 0 && st.order[n-1] == id {
 			st.order = st.order[:n-1]
 		}
-		if st.logf != nil {
-			st.logf(opRemove, j)
-		}
+		st.log(opRemove, j)
 	}
 }
 
@@ -416,22 +330,6 @@ func (st *store) get(id string) (Job, bool) {
 		return Job{}, false
 	}
 	return j.snapshot(), true
-}
-
-// list returns snapshots of the most recent retained jobs, newest
-// first, up to limit (0 means all).
-func (st *store) list(limit int) []Job {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	n := len(st.order) - st.front
-	if limit <= 0 || limit > n {
-		limit = n
-	}
-	out := make([]Job, 0, limit)
-	for i := len(st.order) - 1; i >= len(st.order)-limit; i-- {
-		out = append(out, st.jobs[st.order[i]].snapshot())
-	}
-	return out
 }
 
 // Page size bounds of the v1 listing.
@@ -519,9 +417,7 @@ func (st *store) claim(id string, now time.Time, cancel context.CancelFunc) (Job
 	if cancel != nil {
 		st.cancels[id] = cancel
 	}
-	if st.logf != nil {
-		st.logf(opClaim, j)
-	}
+	st.log(opClaim, j)
 	if st.onClaim != nil {
 		st.onClaim(j.Tenant, j.Spec.Kind, now.Sub(j.Created))
 	}
@@ -554,9 +450,7 @@ func (st *store) finish(id string, res workload.ScenarioResult, err error, now t
 		j.Result = &res // partial stats of the interrupted run
 		appendTrace(j, now, TracePreempted,
 			fmt.Sprintf("requeued with partial stats (%d unit routes)", res.UnitRoutes))
-		if st.logf != nil {
-			st.logf(opPreempt, j)
-		}
+		st.log(opPreempt, j)
 		st.publish(j)
 		return true
 	}
@@ -589,9 +483,7 @@ func (st *store) finish(id string, res workload.ScenarioResult, err error, now t
 	}
 	appendTrace(j, now, string(j.Status), j.Error)
 	st.foldFinished(j)
-	if st.logf != nil {
-		st.logf(opFinish, j)
-	}
+	st.log(opFinish, j)
 	if st.onFinish != nil {
 		st.onFinish(j.Status, j.Tenant, j.Spec.Kind, now.Sub(j.Started), true)
 	}
@@ -651,9 +543,7 @@ func (st *store) cancel(id string, now time.Time) (Job, error) {
 		j.Finished = now
 		appendTrace(j, now, string(StatusCanceled), "canceled while queued")
 		st.foldCanceledQueued(j)
-		if st.logf != nil {
-			st.logf(opCancel, j)
-		}
+		st.log(opCancel, j)
 		if st.onFinish != nil {
 			st.onFinish(StatusCanceled, j.Tenant, j.Spec.Kind, 0, false)
 		}
@@ -667,9 +557,7 @@ func (st *store) cancel(id string, now time.Time) (Job, error) {
 		if cancel, ok := st.cancels[id]; ok {
 			cancel()
 		}
-		if st.logf != nil {
-			st.logf(opCancelReq, j)
-		}
+		st.log(opCancelReq, j)
 		st.publish(j)
 		return j.snapshot(), nil
 	default:
@@ -682,7 +570,8 @@ func (st *store) cancel(id string, now time.Time) (Job, error) {
 // aggregates fold and WAL op (the logged snapshot carries the
 // "migrated" error, so replay and live state agree) and publishes to
 // watchers — a local watch stream ends here; the routing client's
-// cluster watcher re-attaches to the resubmitted job.
+// cluster watcher re-attaches to the resubmitted job. false means the
+// job is no longer queued (a worker won the race) and must not move.
 func (st *store) migrate(id string, now time.Time) (Job, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -696,9 +585,7 @@ func (st *store) migrate(id string, now time.Time) (Job, bool) {
 	j.Error = MigratedError
 	appendTrace(j, now, TraceMigrated, "queued job handed off at drain")
 	st.foldCanceledQueued(j)
-	if st.logf != nil {
-		st.logf(opCancel, j)
-	}
+	st.log(opCancel, j)
 	if st.onFinish != nil {
 		st.onFinish(StatusCanceled, j.Tenant, j.Spec.Kind, 0, false)
 	}
@@ -731,16 +618,14 @@ func (st *store) cancelAllRunning() {
 		if j, ok := st.jobs[id]; ok {
 			j.CancelRequested = true
 			appendTrace(j, now, TraceCancelRequested, "drain deadline")
-			if st.logf != nil {
-				st.logf(opCancelReq, j)
-			}
+			st.log(opCancelReq, j)
 			st.publish(j)
 		}
 		cancel()
 	}
 }
 
-// Stats is the aggregated service view (/stats).
+// Stats is the aggregated service view (/v1/stats).
 type Stats struct {
 	Queued   int `json:"queued"`
 	Running  int `json:"running"`
@@ -893,16 +778,6 @@ func (st *store) watchStats() (subscribers int, drops int64) {
 	}
 	return subscribers, st.watchDrops
 }
-
-// durability of the in-memory store: there is none — state dies
-// with the process.
-func (st *store) durability() Durability { return Durability{Store: "memory"} }
-
-// recoveredQueued: a memory store never recovers anything.
-func (st *store) recoveredQueued() []string { return nil }
-
-// close: nothing to flush.
-func (st *store) close() error { return nil }
 
 // percentilesNs returns the nearest-rank p50 and p99 of the samples
 // in nanoseconds (0 for an empty set). It sorts samples in place, so

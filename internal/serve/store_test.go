@@ -9,12 +9,22 @@ import (
 
 var errAny = errors.New("boom")
 
+// memStore opens a memory-only store or fails the test.
+func memStore(t *testing.T) *store {
+	t.Helper()
+	st, err := openStore("", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func TestStoreEvictsOldTerminalJobsKeepsAggregates(t *testing.T) {
 	oldJobs, oldLat := maxRetainedJobs, maxLatencySamples
 	maxRetainedJobs, maxLatencySamples = 4, 3
 	defer func() { maxRetainedJobs, maxLatencySamples = oldJobs, oldLat }()
 
-	st := newStore()
+	st := memStore(t)
 	now := time.Now()
 	var ids []string
 	for i := 0; i < 10; i++ {
@@ -52,7 +62,11 @@ func TestStoreEvictsOldTerminalJobsKeepsAggregates(t *testing.T) {
 	}
 	// Listing covers only retained jobs, newest first, and never
 	// panics on evicted prefixes.
-	jobs := st.list(0)
+	page, err := st.page(ListQuery{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := page.Jobs
 	if len(jobs) != retained || jobs[0].ID != ids[len(ids)-1] {
 		t.Fatalf("list wrong after eviction: %d jobs, first %s", len(jobs), jobs[0].ID)
 	}
@@ -86,7 +100,7 @@ func TestLatWindowWrapsToRecentSamples(t *testing.T) {
 }
 
 func TestStoreAggregatesPerKind(t *testing.T) {
-	st := newStore()
+	st := memStore(t)
 	now := time.Now()
 	finish := func(spec JobSpec, res ScenarioResult, err error) {
 		j := st.add(spec, DefaultTenant, now)
@@ -127,7 +141,7 @@ func TestStoreSmallHelpers(t *testing.T) {
 	if seqOf("weird") != 0 || seqOf("job-xyz") != 0 {
 		t.Fatal("malformed ids must order first, not panic")
 	}
-	if got := newStore().recoveredQueued(); got != nil {
+	if got := memStore(t).recoveredQueued(); got != nil {
 		t.Fatalf("memory store recovered %v, want nothing", got)
 	}
 	if p50, p99 := percentilesNs(nil); p50 != 0 || p99 != 0 {
@@ -162,7 +176,7 @@ func TestStatsPercentilesExact(t *testing.T) {
 		{ms(shuffled...), 100 * time.Millisecond, 198 * time.Millisecond},
 	}
 	for _, c := range cases {
-		st := newStore()
+		st := memStore(t)
 		for _, d := range c.samples {
 			st.latTotal.add(d)
 			st.latRun.add(d / 2)
@@ -195,7 +209,7 @@ func TestErrorTaxonomyLeafCases(t *testing.T) {
 	if CodeInternal.HTTPStatus() != 500 || ErrorCode("madeup").HTTPStatus() != 500 {
 		t.Fatal("internal/unknown codes must map to 500")
 	}
-	st := newStore()
+	st := memStore(t)
 	j := st.add(JobSpec{Kind: KindSweep, N: 3}, DefaultTenant, time.Now())
 	if _, _, stop, err := st.watch(j.ID); err != nil {
 		t.Fatal(err)

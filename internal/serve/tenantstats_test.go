@@ -21,7 +21,7 @@ func winEvent(st *store, tenant string, at time.Time, status Status, wait time.D
 }
 
 func TestTenantWindowCutoffAndAggregation(t *testing.T) {
-	st := newStore()
+	st := memStore(t)
 	now := time.Now()
 	// Two old events fall outside the 10s window; the rest count.
 	winEvent(st, "a", now.Add(-time.Minute), StatusDone, time.Millisecond, 100)
@@ -50,7 +50,7 @@ func TestTenantEventRingBounded(t *testing.T) {
 	maxLatencySamples = 4
 	defer func() { maxLatencySamples = old }()
 
-	st := newStore()
+	st := memStore(t)
 	now := time.Now()
 	for i := 0; i < 6; i++ {
 		winEvent(st, "t", now.Add(time.Duration(i)*time.Second), StatusDone, 0, 1)

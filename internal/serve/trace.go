@@ -83,7 +83,5 @@ func (st *store) trace(id string, now time.Time, event, detail string) {
 		return
 	}
 	appendTrace(j, now, event, detail)
-	if st.logf != nil {
-		st.logf(opTrace, j)
-	}
+	st.log(opTrace, j)
 }

@@ -151,7 +151,7 @@ func TestHTTPListQueries(t *testing.T) {
 		t.Fatalf("cursor list returned %d: %s", code, data)
 	}
 
-	for _, bad := range []string{"?status=zombie", "?limit=-1", "?limit=x", "?cursor=x"} {
+	for _, bad := range []string{"?status=zombie", "?limit=-1", "?limit=x", "?limit=10abc", "?cursor=x"} {
 		code, data = doJSON(t, "GET", ts.URL+"/v1/jobs"+bad, "")
 		var body ErrorBody
 		if code != http.StatusBadRequest || json.Unmarshal(data, &body) != nil || body.Error.Code != CodeInvalidArgument {
@@ -211,15 +211,17 @@ func TestConfigEffectiveAndEngineOptions(t *testing.T) {
 	if opts, err := (Config{Engine: "parallel"}).EngineOptions(); err != nil || len(opts) == 0 {
 		t.Fatalf("parallel engine options: %v %v", opts, err)
 	}
-	if _, err := (Config{Engine: "quantum"}).EngineOptions(); err == nil {
-		t.Fatal("unknown engine accepted")
+	for _, engine := range []string{"quantum", "parallel-spawn", "spawn"} {
+		if _, err := (Config{Engine: engine}).EngineOptions(); err == nil {
+			t.Fatalf("unknown engine %q accepted", engine)
+		}
 	}
 }
 
-// TestLegacyListKeepsArrayShape pins the alias contract: pre-v1
-// consumers of GET /jobs still get a bare array (limit 0 = all),
-// while /v1/jobs speaks JobPage.
-func TestLegacyListKeepsArrayShape(t *testing.T) {
+// TestUnversionedRoutesAreNotFound pins that the API lives under /v1
+// only: the pre-v1 spellings of submit, list, stats and health answer
+// 404.
+func TestUnversionedRoutesAreNotFound(t *testing.T) {
 	svc, err := newService(Config{Queue: 8}, false)
 	if err != nil {
 		t.Fatal(err)
@@ -227,22 +229,18 @@ func TestLegacyListKeepsArrayShape(t *testing.T) {
 	defer svc.Drain()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
-	for i := 0; i < 3; i++ {
-		if _, err := svc.Submit(JobSpec{Kind: KindSweep, N: 3}); err != nil {
-			t.Fatal(err)
+	for _, r := range []struct{ method, path, body string }{
+		{"GET", "/jobs", ""},
+		{"POST", "/jobs", `{"kind":"sweep","n":3}`},
+		{"GET", "/stats", ""},
+		{"GET", "/healthz", ""},
+	} {
+		if code, data := doJSON(t, r.method, ts.URL+r.path, r.body); code != http.StatusNotFound {
+			t.Fatalf("%s %s returned %d, want 404: %s", r.method, r.path, code, data)
 		}
 	}
-	code, data := doJSON(t, "GET", ts.URL+"/jobs?limit=0", "")
-	var arr []Job
-	if code != http.StatusOK || json.Unmarshal(data, &arr) != nil || len(arr) != 3 {
-		t.Fatalf("legacy list broke its array contract: %d %s", code, data)
-	}
-	if code, _ := doJSON(t, "GET", ts.URL+"/jobs?limit=10abc", ""); code != http.StatusBadRequest {
-		t.Fatalf("legacy list accepted a malformed limit: %d", code)
-	}
-	// And the v1 route rejects the same malformed limit too.
-	if code, _ := doJSON(t, "GET", ts.URL+"/v1/jobs?limit=10abc", ""); code != http.StatusBadRequest {
-		t.Fatalf("v1 list accepted a malformed limit: %d", code)
+	if n := svc.Stats().Queued; n != 0 {
+		t.Fatalf("an unversioned submit admitted %d jobs", n)
 	}
 }
 

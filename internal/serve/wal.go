@@ -1,5 +1,5 @@
-// The durable job store: a WAL-backed Store implementation that
-// survives crashes. Every transition the in-memory store makes
+// The store's write-ahead log: what makes a store opened with a
+// directory survive crashes. Every transition the store makes
 // (submit/claim/finish/cancel — the same events the watch
 // subscription publishes) is appended, under the store lock that
 // orders them, as one length-prefixed CRC32C-checksummed record to
@@ -34,6 +34,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -45,8 +46,8 @@ import (
 	"starmesh/internal/faultfs"
 )
 
-// Durability describes a Store's persistence backend — the /v1/healthz
-// and /v1/stats durability block.
+// Durability describes the store's persistence backend — the
+// /v1/healthz and /v1/stats durability block.
 type Durability struct {
 	// Store is the backend kind: "memory" or "wal".
 	Store string `json:"store"`
@@ -158,16 +159,13 @@ const (
 	snapTmpFileName = "store.snap.tmp"
 )
 
-// durableStore is the WAL-backed Store: the in-memory store for all
-// live behavior, plus an append log + snapshot cycle hooked into
-// every transition via logf.
-type durableStore struct {
-	*store
+// walLog is the durable half of a store opened with a directory: the
+// append log, its snapshot + compaction cycle and what boot-time
+// recovery found. Every field is guarded by the owning store's mu.
+type walLog struct {
 	dir  string
 	open faultfs.OpenFunc
 
-	// All fields below are guarded by store.mu: logRecord runs under
-	// it (logf contract), and the other methods take it.
 	f   faultfs.File
 	lsn uint64
 	// walBytes is the log written since the last snapshot, snapBytes
@@ -178,18 +176,29 @@ type durableStore struct {
 	dur       Durability
 	recovered []string // queued ids to re-admit, admission order
 
-	// walObs, when set (setObs, after open), observes append/sync/
+	// obs, when set (by the Service after open), observes append/sync/
 	// snapshot timings for the metrics layer. Counters that already
 	// live in dur (records, snapshots, recovery) are bridged at scrape
 	// time instead.
-	walObs *walObs
+	obs *walObs
 }
 
-// openDurableStore opens (or creates) the durable store rooted at
-// dir, running crash recovery against whatever a previous process
-// left there. open == nil uses real files (tests inject a
+// openStore opens the job store. dir == "" keeps state in memory only
+// — it dies with the process. Otherwise the store is WAL-backed,
+// rooted at dir, and crash recovery runs against whatever a previous
+// process left there. open == nil uses real files (tests inject a
 // faultfs.Injector).
-func openDurableStore(dir string, open faultfs.OpenFunc) (*durableStore, error) {
+func openStore(dir string, open faultfs.OpenFunc) (*store, error) {
+	st := &store{
+		jobs:     make(map[string]*Job),
+		counts:   make(map[Status]int),
+		byKind:   make(map[string]*KindStats),
+		cancels:  make(map[string]context.CancelFunc),
+		watchers: make(map[string][]chan Job),
+	}
+	if dir == "" {
+		return st, nil
+	}
 	if open == nil {
 		open = faultfs.Open
 	}
@@ -198,10 +207,9 @@ func openDurableStore(dir string, open faultfs.OpenFunc) (*durableStore, error) 
 	}
 	walPath := filepath.Join(dir, walFileName)
 	snapPath := filepath.Join(dir, snapFileName)
-	ds := &durableStore{
-		store: newStore(),
-		dir:   dir,
-		open:  open,
+	w := &walLog{
+		dir:  dir,
+		open: open,
 		dur: Durability{
 			Store:        "wal",
 			Dir:          dir,
@@ -209,6 +217,9 @@ func openDurableStore(dir string, open faultfs.OpenFunc) (*durableStore, error) 
 			SnapshotPath: snapPath,
 		},
 	}
+	// Replay and recovery never log (only live transitions call
+	// st.log), so the WAL can be attached before them.
+	st.wal = w
 	// A leftover tmp snapshot is a snapshot write the crash
 	// interrupted before the atomic rename: the named snapshot (or
 	// its absence) plus the un-reset WAL is the consistent state.
@@ -223,7 +234,7 @@ func openDurableStore(dir string, open faultfs.OpenFunc) (*durableStore, error) 
 		if err := json.Unmarshal(payload, &snap); err != nil {
 			return nil, fmt.Errorf("serve: snapshot %s does not decode: %w", snapPath, err)
 		}
-		ds.installSnapshot(&snap)
+		st.installSnapshot(&snap)
 	}
 
 	if data, err := os.ReadFile(walPath); err == nil {
@@ -234,24 +245,24 @@ func openDurableStore(dir string, open faultfs.OpenFunc) (*durableStore, error) 
 				// Torn or corrupt tail: a crash mid-append. Everything
 				// before it is intact; the tail is dropped and the file
 				// truncated to the good prefix.
-				ds.dur.TruncatedTailBytes = int64(len(data) - off)
+				w.dur.TruncatedTailBytes = int64(len(data) - off)
 				break
 			}
 			var rec walRecord
 			if err := json.Unmarshal(payload, &rec); err != nil {
-				ds.dur.TruncatedTailBytes = int64(len(data) - off)
+				w.dur.TruncatedTailBytes = int64(len(data) - off)
 				break
 			}
-			if rec.LSN > ds.lsn {
-				ds.store.apply(&rec)
-				ds.lsn = rec.LSN
-				ds.dur.ReplayedRecords++
+			if rec.LSN > w.lsn {
+				st.apply(&rec)
+				w.lsn = rec.LSN
+				w.dur.ReplayedRecords++
 			}
 			off = next
 		}
 	}
 
-	ds.recoverInterrupted(time.Now())
+	st.recoverInterrupted(time.Now())
 
 	// Compact immediately: the recovered state becomes the snapshot
 	// and the WAL restarts empty, so a second crash replays from
@@ -262,18 +273,16 @@ func openDurableStore(dir string, open faultfs.OpenFunc) (*durableStore, error) 
 	if err != nil {
 		return nil, fmt.Errorf("serve: open wal: %w", err)
 	}
-	ds.f = f
-	if err := ds.snapshotLocked(time.Now()); err != nil {
-		ds.f.Close()
+	w.f = f
+	if err := st.snapshotLocked(time.Now()); err != nil {
+		w.f.Close()
 		return nil, fmt.Errorf("serve: boot snapshot: %w", err)
 	}
-	ds.store.logf = ds.logRecord
-	return ds, nil
+	return st, nil
 }
 
-// installSnapshot loads a decoded snapshot into the embedded store.
-func (ds *durableStore) installSnapshot(snap *walSnapshot) {
-	st := ds.store
+// installSnapshot loads a decoded snapshot into the store.
+func (st *store) installSnapshot(snap *walSnapshot) {
 	st.next = snap.Next
 	for i := range snap.Jobs {
 		j := snap.Jobs[i] // copy: each job gets its own allocation
@@ -297,12 +306,12 @@ func (ds *durableStore) installSnapshot(snap *walSnapshot) {
 		st.latRun.add(time.Duration(ns))
 	}
 	st.watchDrops = snap.WatchDrops
-	ds.lsn = snap.LSN
-	ds.dur.LastSnapshot = snap.TakenAt
+	st.wal.lsn = snap.LSN
+	st.wal.dur.LastSnapshot = snap.TakenAt
 }
 
 // apply replays one WAL record against the store state — the replay
-// side of the logf hook. Transition guards make replay idempotent
+// side of st.log. Transition guards make replay idempotent
 // and tolerant of records about jobs the snapshot already settled.
 func (st *store) apply(rec *walRecord) {
 	id := rec.Job.ID
@@ -382,8 +391,8 @@ func (st *store) apply(rec *walRecord) {
 
 // recoverInterrupted settles the jobs a crash left non-terminal.
 // Walks admission order, so re-admission preserves it.
-func (ds *durableStore) recoverInterrupted(now time.Time) {
-	st := ds.store
+func (st *store) recoverInterrupted(now time.Time) {
+	w := st.wal
 	for i := st.front; i < len(st.order); i++ {
 		j := st.jobs[st.order[i]]
 		if j == nil {
@@ -391,8 +400,8 @@ func (ds *durableStore) recoverInterrupted(now time.Time) {
 		}
 		switch j.Status {
 		case StatusQueued:
-			ds.recovered = append(ds.recovered, j.ID)
-			ds.dur.RecoveredQueued++
+			w.recovered = append(w.recovered, j.ID)
+			w.dur.RecoveredQueued++
 		case StatusRunning:
 			st.counts[StatusRunning]--
 			if j.CancelRequested {
@@ -403,7 +412,7 @@ func (ds *durableStore) recoverInterrupted(now time.Time) {
 				j.Error = "canceled: cancellation requested before the service restarted"
 				appendTrace(j, now, string(StatusCanceled), "finalized at recovery")
 				st.foldCanceledQueued(j)
-				ds.dur.CanceledAtRecovery++
+				w.dur.CanceledAtRecovery++
 			} else {
 				// Back to the queue for deterministic re-execution: the
 				// spec's seed fully determines the result, so the re-run
@@ -418,68 +427,67 @@ func (ds *durableStore) recoverInterrupted(now time.Time) {
 				}
 				appendTrace(j, now, TraceRecovered, "re-queued for deterministic re-execution")
 				st.counts[StatusQueued]++
-				ds.recovered = append(ds.recovered, j.ID)
-				ds.dur.ReexecutedRunning++
+				w.recovered = append(w.recovered, j.ID)
+				w.dur.ReexecutedRunning++
 			}
 		}
 	}
 }
 
-// logRecord is the logf hook: append one framed record, snapshotting
-// + compacting once the log since the last snapshot has outgrown it
-// (and the minCompactBytes floor). Runs under store.mu (logf
-// contract). A
-// write failure degrades to memory-only instead of failing the job
-// transition that triggered it.
-func (ds *durableStore) logRecord(op walOp, j *Job) {
-	if ds.frozen {
+// log appends one framed transition record to the WAL — a no-op for
+// a memory-only store — snapshotting + compacting once the log since
+// the last snapshot has outgrown it (and the minCompactBytes floor).
+// Caller holds st.mu. A write failure degrades to memory-only instead
+// of failing the job transition that triggered it.
+func (st *store) log(op walOp, j *Job) {
+	w := st.wal
+	if w == nil || w.frozen {
 		return
 	}
-	ds.lsn++
-	rec := walRecord{LSN: ds.lsn, Op: op, Job: j.snapshot()}
+	w.lsn++
+	rec := walRecord{LSN: w.lsn, Op: op, Job: j.snapshot()}
 	payload, err := json.Marshal(rec)
 	if err != nil {
-		ds.degrade(fmt.Sprintf("marshal %s record: %v", op, err))
+		w.degrade(fmt.Sprintf("marshal %s record: %v", op, err))
 		return
 	}
 	frame := appendFrame(make([]byte, 0, frameHeaderLen+len(payload)), payload)
 	var start time.Time
-	if ds.walObs != nil {
+	if w.obs != nil {
 		start = time.Now()
 	}
-	if _, err := ds.f.Write(frame); err != nil {
-		ds.degrade(fmt.Sprintf("append %s record: %v", op, err))
+	if _, err := w.f.Write(frame); err != nil {
+		w.degrade(fmt.Sprintf("append %s record: %v", op, err))
 		return
 	}
-	if ds.walObs != nil {
-		ds.walObs.appendSeconds.Observe(time.Since(start).Seconds())
-		ds.walObs.appendBytes.Add(int64(len(frame)))
+	if w.obs != nil {
+		w.obs.appendSeconds.Observe(time.Since(start).Seconds())
+		w.obs.appendBytes.Add(int64(len(frame)))
 	}
-	ds.dur.WALRecords++
-	ds.walBytes += int64(len(frame))
-	if ds.walBytes >= max(ds.snapBytes, minCompactBytes) {
-		if err := ds.snapshotLocked(time.Now()); err != nil {
-			ds.degrade(fmt.Sprintf("snapshot: %v", err))
+	w.dur.WALRecords++
+	w.walBytes += int64(len(frame))
+	if w.walBytes >= max(w.snapBytes, minCompactBytes) {
+		if err := st.snapshotLocked(time.Now()); err != nil {
+			w.degrade(fmt.Sprintf("snapshot: %v", err))
 		}
 	}
 }
 
 // degrade records the first WAL failure and stops appending; the
-// in-memory store keeps serving. Caller holds store.mu.
-func (ds *durableStore) degrade(msg string) {
-	if ds.dur.Degraded == "" {
-		ds.dur.Degraded = msg
+// store keeps serving from memory. Caller holds the store's mu.
+func (w *walLog) degrade(msg string) {
+	if w.dur.Degraded == "" {
+		w.dur.Degraded = msg
 	}
-	ds.frozen = true
+	w.frozen = true
 }
 
-// buildSnapshot captures the store state. Caller holds store.mu (or
-// has exclusive access during open).
-func (ds *durableStore) buildSnapshot(now time.Time) walSnapshot {
-	st := ds.store
+// buildSnapshot captures the store state. Caller holds st.mu (or has
+// exclusive access during open).
+func (st *store) buildSnapshot(now time.Time) walSnapshot {
 	snap := walSnapshot{
 		TakenAt:    now,
-		LSN:        ds.lsn,
+		LSN:        st.wal.lsn,
 		Next:       st.next,
 		Jobs:       make([]Job, 0, len(st.order)-st.front),
 		Counts:     make(map[Status]int, len(st.counts)),
@@ -518,21 +526,22 @@ func windowNs(w *latWindow) []int64 {
 // The WAL is only truncated after the rename lands, so every crash
 // point leaves either the old snapshot + full log or the new
 // snapshot + (possibly still-full, LSN-skipped) log. Caller holds
-// store.mu (or has exclusive access during open).
-func (ds *durableStore) snapshotLocked(now time.Time) error {
-	if ds.walObs != nil {
+// st.mu (or has exclusive access during open).
+func (st *store) snapshotLocked(now time.Time) error {
+	w := st.wal
+	if w.obs != nil {
 		start := time.Now()
 		defer func() {
-			ds.walObs.snapshotSeconds.Observe(time.Since(start).Seconds())
+			w.obs.snapshotSeconds.Observe(time.Since(start).Seconds())
 		}()
 	}
-	snap := ds.buildSnapshot(now)
+	snap := st.buildSnapshot(now)
 	payload, err := json.Marshal(&snap)
 	if err != nil {
 		return err
 	}
-	tmpPath := filepath.Join(ds.dir, snapTmpFileName)
-	tmp, err := ds.open(tmpPath, true)
+	tmpPath := filepath.Join(w.dir, snapTmpFileName)
+	tmp, err := w.open(tmpPath, true)
 	if err != nil {
 		return err
 	}
@@ -540,12 +549,12 @@ func (ds *durableStore) snapshotLocked(now time.Time) error {
 	_, werr := tmp.Write(frame)
 	if werr == nil {
 		var start time.Time
-		if ds.walObs != nil {
+		if w.obs != nil {
 			start = time.Now()
 		}
 		werr = tmp.Sync()
-		if ds.walObs != nil {
-			ds.walObs.syncSeconds.Observe(time.Since(start).Seconds())
+		if w.obs != nil {
+			w.obs.syncSeconds.Observe(time.Since(start).Seconds())
 		}
 	}
 	if cerr := tmp.Close(); werr == nil {
@@ -555,77 +564,81 @@ func (ds *durableStore) snapshotLocked(now time.Time) error {
 		os.Remove(tmpPath)
 		return werr
 	}
-	if err := os.Rename(tmpPath, ds.dur.SnapshotPath); err != nil {
+	if err := os.Rename(tmpPath, w.dur.SnapshotPath); err != nil {
 		os.Remove(tmpPath)
 		return err
 	}
 	// The snapshot is durable; the log it covers can go.
-	if ds.f != nil {
-		ds.f.Close()
+	if w.f != nil {
+		w.f.Close()
 	}
-	nf, err := ds.open(ds.dur.WALPath, true)
+	nf, err := w.open(w.dur.WALPath, true)
 	if err != nil {
-		ds.f = nil
+		w.f = nil
 		return err
 	}
-	ds.f = nf
-	ds.walBytes = 0
-	ds.snapBytes = int64(len(frame))
-	ds.dur.Snapshots++
-	ds.dur.LastSnapshot = now
+	w.f = nf
+	w.walBytes = 0
+	w.snapBytes = int64(len(frame))
+	w.dur.Snapshots++
+	w.dur.LastSnapshot = now
 	return nil
 }
 
-// setObs attaches the WAL timing instruments — called once by the
-// Service after open, before any worker starts.
-func (ds *durableStore) setObs(w *walObs) {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	ds.walObs = w
-}
-
-// durability reports the WAL state for /v1/healthz and /v1/stats.
-func (ds *durableStore) durability() Durability {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	return ds.dur
+// durability reports the persistence backend for /v1/healthz and
+// /v1/stats: "memory", or the WAL state.
+func (st *store) durability() Durability {
+	if st.wal == nil {
+		return Durability{Store: "memory"}
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.wal.dur
 }
 
 // recoveredQueued returns the ids recovery re-admitted, in original
-// admission order; the Service feeds them to its workers before
-// accepting new submissions.
-func (ds *durableStore) recoveredQueued() []string { return ds.recovered }
-
-// close flushes and closes the WAL. Safe after freeze (a no-op).
-func (ds *durableStore) close() error {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if ds.frozen || ds.f == nil {
+// admission order (none for a memory store); the Service feeds them
+// to its workers before accepting new submissions.
+func (st *store) recoveredQueued() []string {
+	if st.wal == nil {
 		return nil
 	}
-	ds.frozen = true
-	err := ds.f.Sync()
-	if cerr := ds.f.Close(); err == nil {
+	return st.wal.recovered
+}
+
+// close flushes and closes the WAL. A no-op for a memory store and
+// after freeze.
+func (st *store) close() error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	w := st.wal
+	if w == nil || w.frozen || w.f == nil {
+		return nil
+	}
+	w.frozen = true
+	err := w.f.Sync()
+	if cerr := w.f.Close(); err == nil {
 		err = cerr
 	}
-	ds.f = nil
+	w.f = nil
 	return err
 }
 
-// freeze simulates a crash: appends stop and the file handle dies,
-// mid-whatever the service was doing — the test hook behind the
-// kill-under-load recovery suite. The in-memory side keeps running
-// (the "process" hasn't noticed it is doomed), but nothing after the
-// freeze reaches disk, exactly like SIGKILL.
-func (ds *durableStore) freeze() {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if ds.frozen {
+// freeze simulates a crash of a WAL-backed store: appends stop and the
+// file handle dies, mid-whatever the service was doing — the test hook
+// behind the kill-under-load recovery suite. The in-memory side keeps
+// running (the "process" hasn't noticed it is doomed), but nothing
+// after the freeze reaches disk, exactly like SIGKILL.
+func (st *store) freeze() {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	w := st.wal
+	if w.frozen {
 		return
 	}
-	ds.frozen = true
-	if ds.f != nil {
-		ds.f.Close()
-		ds.f = nil
+	w.frozen = true
+	if w.f != nil {
+		w.f.Close()
+		w.f = nil
 	}
 }

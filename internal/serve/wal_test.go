@@ -16,11 +16,11 @@ import (
 )
 
 // openDurable opens a durable store or fails the test.
-func openDurable(t *testing.T, dir string, open faultfs.OpenFunc) *durableStore {
+func openDurable(t *testing.T, dir string, open faultfs.OpenFunc) *store {
 	t.Helper()
-	ds, err := openDurableStore(dir, open)
+	ds, err := openStore(dir, open)
 	if err != nil {
-		t.Fatalf("openDurableStore(%s): %v", dir, err)
+		t.Fatalf("openStore(%s): %v", dir, err)
 	}
 	return ds
 }
@@ -378,7 +378,7 @@ func TestCorruptSnapshotRefusesToOpen(t *testing.T) {
 	if err := os.WriteFile(snapPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := openDurableStore(dir, nil); err == nil {
+	if _, err := openStore(dir, nil); err == nil {
 		t.Fatal("open accepted a corrupt snapshot — silent state loss")
 	}
 }
@@ -388,7 +388,7 @@ func TestWatchDropsCounted(t *testing.T) {
 	watchBuffer = 0 // every publish to a subscriber drops
 	defer func() { watchBuffer = old }()
 
-	st := newStore()
+	st := memStore(t)
 	now := time.Now()
 	j := st.add(JobSpec{Kind: KindSweep, N: 3}, DefaultTenant, now)
 	_, ch, stop, err := st.watch(j.ID)

@@ -51,8 +51,7 @@
 // An Executor carries out the per-PE work: Sequential() is the
 // reference (one ascending pass, the semantic ground truth);
 // Parallel(w) shards the PE range over a persistent per-machine
-// worker pool (ParallelSpawn is the measured spawn-per-route
-// baseline). The parallel route keeps its conflict scan sequential in
+// worker pool. The parallel route keeps its conflict scan sequential in
 // ascending sender order — exactly the sequential executor's order —
 // so first-message-wins delivery, Stats, PortUses, register contents
 // and conflict diagnostics are bit-identical to Sequential() for pure

@@ -21,10 +21,6 @@
 //     function in this repository is pure; user programs that close
 //     over an *rand.Rand or other order-sensitive state must use
 //     Sequential().
-//   - ParallelSpawn(workers): the historical variant that spawns
-//     fresh goroutines for every phase of every route instead of
-//     using the pool. Semantically identical to Parallel; kept as
-//     the measured baseline of the pool (BENCH_plans.json).
 //
 // The parallel executor pays off when port resolution is expensive
 // (the star machine's Lemma-2 role tests cost O(n²) per PE) or the
@@ -36,7 +32,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 )
 
 // Executor carries out the per-PE work of a Machine. Implementations
@@ -84,12 +79,6 @@ func Sequential() Executor { return seqExecutor{} }
 // Sequential() for pure per-PE functions (see the package comment
 // above). Call Machine.Close when done to release the pool promptly.
 func Parallel(workers int) Executor { return parExecutor{workers: workers} }
-
-// ParallelSpawn returns the sharded executor in its historical
-// spawn-per-route mode: fresh goroutines for every phase of every
-// route, no pool. Bit-identical to Parallel(workers); it exists as
-// the measured baseline the persistent pool is benchmarked against.
-func ParallelSpawn(workers int) Executor { return parExecutor{workers: workers, spawn: true} }
 
 // --- sequential ---------------------------------------------------
 
@@ -172,18 +161,13 @@ func aliased(a, b []int64) bool {
 
 type parExecutor struct {
 	workers int
-	spawn   bool // spawn-per-route baseline instead of the pool
 }
 
 func (e parExecutor) Name() string {
-	name := "parallel"
-	if e.spawn {
-		name = "parallel-spawn"
-	}
 	if e.workers <= 0 {
-		return name
+		return "parallel"
 	}
-	return fmt.Sprintf("%s-%d", name, e.workers)
+	return fmt.Sprintf("parallel-%d", e.workers)
 }
 
 func (e parExecutor) workerCount(n int) int {
@@ -198,26 +182,6 @@ func (e parExecutor) workerCount(n int) int {
 		w = 1
 	}
 	return w
-}
-
-// dispatch runs fn(0) … fn(w-1) concurrently: on the machine's
-// persistent pool, or on freshly spawned goroutines in spawn mode.
-// fn must not let panics escape (route/apply shards recover into
-// parScratch.panics; replay shards cannot panic).
-func (e parExecutor) dispatch(m *Machine, w int, fn func(sh int)) {
-	if !e.spawn {
-		m.poolFor(w).run(w, fn)
-		return
-	}
-	var wg sync.WaitGroup
-	for sh := 0; sh < w; sh++ {
-		wg.Add(1)
-		go func(sh int) {
-			defer wg.Done()
-			fn(sh)
-		}(sh)
-	}
-	wg.Wait()
 }
 
 // parScratch is the per-machine buffer set of the parallel executor,
@@ -307,7 +271,7 @@ func (e parExecutor) route(m *Machine, sr, dr []int64, portOf PortFunc) int {
 	needClear := !m.touchedClean
 	m.touchedDirty = m.touchedDirty[:0]
 	m.touchedClean = false
-	e.dispatch(m, w, func(sh int) {
+	m.poolFor(w).run(w, func(sh int) {
 		defer func() { s.panics[sh] = recover() }()
 		lo, hi := shardRange(n, w, sh)
 		if needClear {
@@ -405,7 +369,7 @@ func (e parExecutor) route(m *Machine, sr, dr []int64, portOf PortFunc) int {
 			}
 		}
 	} else {
-		e.dispatch(m, w, func(sh int) {
+		m.poolFor(w).run(w, func(sh int) {
 			defer func() { s.panics[sh] = recover() }()
 			for b := sh * nb / w; b < (sh+1)*nb/w; b++ {
 				for _, to := range s.buckets[b] {
@@ -428,7 +392,7 @@ func (e parExecutor) apply(m *Machine, fn func(pe int)) {
 		return
 	}
 	s := m.parScratchFor(w)
-	e.dispatch(m, w, func(sh int) {
+	m.poolFor(w).run(w, func(sh int) {
 		defer func() { s.panics[sh] = recover() }()
 		lo, hi := shardRange(n, w, sh)
 		for pe := lo; pe < hi; pe++ {
@@ -476,14 +440,14 @@ func (e parExecutor) replayStep(m *Machine, st *planStep, sr, dr []int64) {
 	if aliased(sr, dr) {
 		// Stage all reads before any write, both phases over the same
 		// aligned pair ranges.
-		e.dispatch(m, w, func(sh int) {
+		m.poolFor(w).run(w, func(sh int) {
 			lo, hi := replayShardBounds(tos, w, sh)
 			inbox := m.inbox
 			for i := lo; i < hi; i++ {
 				inbox[i] = sr[froms[i]]
 			}
 		})
-		e.dispatch(m, w, func(sh int) {
+		m.poolFor(w).run(w, func(sh int) {
 			lo, hi := replayShardBounds(tos, w, sh)
 			inbox := m.inbox
 			for i := lo; i < hi; i++ {
@@ -493,10 +457,10 @@ func (e parExecutor) replayStep(m *Machine, st *planStep, sr, dr []int64) {
 		return
 	}
 	if st.segs != nil {
-		e.dispatch(m, w, func(sh int) { st.replaySegShard(sr, dr, w, sh) })
+		m.poolFor(w).run(w, func(sh int) { st.replaySegShard(sr, dr, w, sh) })
 		return
 	}
-	e.dispatch(m, w, func(sh int) {
+	m.poolFor(w).run(w, func(sh int) {
 		lo, hi := replayShardBounds(tos, w, sh)
 		for i := lo; i < hi; i++ {
 			dr[tos[i]] = sr[froms[i]]

@@ -83,8 +83,6 @@ func executorsUnderTest() map[string]Executor {
 		"parallel-3":          Parallel(3),
 		"parallel-7":          Parallel(7),
 		"parallel-gomaxprocs": Parallel(0),
-		"parallel-spawn-2":    ParallelSpawn(2),
-		"parallel-spawn-5":    ParallelSpawn(5),
 	}
 }
 

@@ -363,7 +363,7 @@ func TestShardedReplayMatchesSequential(t *testing.T) {
 // recovery clear).
 func TestTouchedRecoveryAfterRoutePanic(t *testing.T) {
 	for name, exec := range map[string]Executor{
-		"sequential": Sequential(), "parallel-3": Parallel(3), "spawn-3": ParallelSpawn(3),
+		"sequential": Sequential(), "parallel-3": Parallel(3),
 	} {
 		m := newPlanMachine(line{n: 16})
 		func() {
@@ -410,14 +410,4 @@ func TestPoolLifecycle(t *testing.T) {
 		t.Fatalf("machine diverged after Close\nwant %+v\ngot  %+v", want, got)
 	}
 	m.Close()
-}
-
-// TestSpawnExecutorName pins the spawn-mode diagnostics names.
-func TestSpawnExecutorName(t *testing.T) {
-	if got := ParallelSpawn(4).Name(); got != "parallel-spawn-4" {
-		t.Errorf("ParallelSpawn(4).Name() = %q", got)
-	}
-	if got := ParallelSpawn(0).Name(); got != "parallel-spawn" {
-		t.Errorf("ParallelSpawn(0).Name() = %q", got)
-	}
 }

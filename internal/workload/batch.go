@@ -460,29 +460,20 @@ func (r *BenchRecord) WriteJSON(path string) error {
 
 // PlanBenchRecord is the schema of BENCH_plans.json: the measured
 // effect of compiled route plans (replay vs closure resolution on
-// the S_8 mesh-route sweep) and of the persistent worker pool
-// (pooled vs spawn-per-route parallel execution on a multi-worker
-// batch run), with parity asserted before any timing is reported.
+// the S_8 mesh-route sweep), with parity asserted before any timing
+// is reported.
 type PlanBenchRecord struct {
-	Benchmark       string  `json:"benchmark"`
-	Timestamp       string  `json:"timestamp"`
-	GoMaxProcs      int     `json:"gomaxprocs"`
-	N               int     `json:"n"`
-	PEs             int     `json:"pes"`
-	Reps            int     `json:"reps"`
-	ClosureNs       int64   `json:"closure_ns"`
-	ReplayNs        int64   `json:"replay_ns"`
-	SpeedupReplay   float64 `json:"speedup_replay_vs_closure"`
-	ParityOK        bool    `json:"parity_ok"`
-	BatchWorkers    int     `json:"batch_workers"`
-	SpawnBatchNs    int64   `json:"spawn_batch_ns"`
-	PoolBatchNs     int64   `json:"pool_batch_ns"`
-	SpeedupPool     float64 `json:"speedup_pool_vs_spawn"`
-	BatchParityOK   bool    `json:"batch_parity_ok"`
-	PlansCached     int     `json:"plans_cached"`
-	BatchScenarios  int     `json:"batch_scenarios"`
-	BatchBatchSize  int     `json:"batch_reps"`
-	BatchSortRoutes int     `json:"batch_sort_unit_routes"`
+	Benchmark     string  `json:"benchmark"`
+	Timestamp     string  `json:"timestamp"`
+	GoMaxProcs    int     `json:"gomaxprocs"`
+	N             int     `json:"n"`
+	PEs           int     `json:"pes"`
+	Reps          int     `json:"reps"`
+	ClosureNs     int64   `json:"closure_ns"`
+	ReplayNs      int64   `json:"replay_ns"`
+	SpeedupReplay float64 `json:"speedup_replay_vs_closure"`
+	ParityOK      bool    `json:"parity_ok"`
+	PlansCached   int     `json:"plans_cached"`
 }
 
 // WriteJSON writes the record as indented JSON.

@@ -39,14 +39,6 @@ func ParallelEngine(workers int) EngineOption {
 	return simd.WithExecutor(simd.Parallel(workers))
 }
 
-// SpawnParallelEngine selects the historical parallel executor that
-// spawns fresh goroutines for every route instead of pooling them.
-// Bit-identical to ParallelEngine; kept as the measured baseline of
-// the persistent pool (see BENCH_plans.json).
-func SpawnParallelEngine(workers int) EngineOption {
-	return simd.WithExecutor(simd.ParallelSpawn(workers))
-}
-
 // WithPlans enables or disables compiled route plans (default
 // enabled): machines record each pure unit-route schedule once —
 // resolving every PE's port and destination into dense delivery
