@@ -7,7 +7,7 @@ GO ?= go
 # no global tool install, the version is part of the repo contract.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build test race race-recovery bench bench-plans bench-serve bench-tenants bench-compare bench-cluster perfbench-check lint fmt vet staticcheck cover
+.PHONY: all build test race race-recovery bench bench-plans bench-serve bench-tenants bench-compare bench-cluster perfbench-check fuzz-short lint fmt vet staticcheck cover
 
 all: build test
 
@@ -103,6 +103,22 @@ bench-compare:
 perfbench-check:
 	$(GO) -C perfbench vet .
 	$(GO) -C perfbench test -count=1 .
+
+## fuzz-short: every native fuzz target for a fixed 10s each: the D_n
+## coordinate conversions and neighbor and rank maps in internal/core,
+## and the /v1/stats percentile selection in internal/serve, which is
+## checked against a sort-based reference. Minimization is capped at
+## 100 runs per input: the selection target's inputs run to 10 kB, and
+## minimizing each new interesting one for the default 60s would eat
+## the whole budget. A failing input is still saved under the
+## package's testdata/fuzz.
+FUZZ = $(GO) test -run='^$$' -fuzztime=10s -fuzzminimizetime=100x
+
+fuzz-short:
+	$(FUZZ) -fuzz='^FuzzConvertRoundTrip$$' ./internal/core
+	$(FUZZ) -fuzz='^FuzzNeighborConsistency$$' ./internal/core
+	$(FUZZ) -fuzz='^FuzzRankUnrank$$' ./internal/core
+	$(FUZZ) -fuzz='^FuzzPercentilesNs$$' ./internal/serve
 
 ## lint: gofmt divergence fails the build; vet and staticcheck catch
 ## the rest.

@@ -110,9 +110,12 @@
 // typed code taxonomy (ErrorCode) mapped to HTTP statuses exactly
 // once (errors.go): invalid_spec/invalid_argument 400, unauthorized
 // 401, not_found 404, terminal 409, queue_full/rate_limited 429
-// (+Retry-After), draining 503, internal 500. The watch stream is a
-// store subscription: every status transition publishes a snapshot;
-// the stream ends after the terminal one.
+// (+Retry-After), draining 503, internal 500. Response bodies are
+// compact JSON: one value per response, with no indentation, ending
+// in a newline; the starmesh CLI pretty-prints what it shows. The
+// watch stream (application/x-ndjson) is a store subscription, one
+// compact value per line: every status transition publishes a
+// snapshot; the stream ends after the terminal one.
 //
 // The public typed client (starmesh/client) is the supported caller:
 // the CLI's remote subcommands and the load generator

@@ -318,9 +318,7 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v) // compact, one value ending in a newline
 }
 
 // writeError maps a service error through the taxonomy — the single

@@ -31,6 +31,20 @@ func doJSON(t *testing.T, method, url string, body string) (int, []byte) {
 	return resp.StatusCode, data
 }
 
+// requireCompact fails unless body is one compact JSON value ending
+// in a newline: the v1 response body contract.
+func requireCompact(t *testing.T, body []byte) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, body); err != nil {
+		t.Fatalf("response body is not JSON: %v: %q", err, body)
+	}
+	buf.WriteByte('\n')
+	if !bytes.Equal(buf.Bytes(), body) {
+		t.Fatalf("response body is not compact JSON ending in a newline: %q", body)
+	}
+}
+
 func TestHTTPJobLifecycle(t *testing.T) {
 	svc, err := NewService(Config{Workers: 2, Queue: 16})
 	if err != nil {
@@ -52,6 +66,7 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	if job.ID == "" || job.Shape != "star:4" {
 		t.Fatalf("bad submit response: %s", data)
 	}
+	requireCompact(t, data)
 
 	// Poll to completion.
 	deadline := time.Now().Add(30 * time.Second)
@@ -71,6 +86,7 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	if job.Status != StatusDone || job.Result == nil || !job.Result.OK || job.Result.UnitRoutes == 0 {
 		t.Fatalf("job did not finish clean: %s", data)
 	}
+	requireCompact(t, data)
 
 	// The standalone scenario of the same spec must agree exactly.
 	sc, err := workload.ScenarioFor(JobSpec{Kind: KindSort, N: 4, Dist: "reversed", Seed: 5})
@@ -90,9 +106,11 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	if code != http.StatusOK || !bytes.Contains(data, []byte(job.ID)) {
 		t.Fatalf("list missing job: %d %s", code, data)
 	}
-	if code, _ = doJSON(t, "DELETE", ts.URL+"/v1/jobs/"+job.ID, ""); code != http.StatusConflict {
+	requireCompact(t, data)
+	if code, data = doJSON(t, "DELETE", ts.URL+"/v1/jobs/"+job.ID, ""); code != http.StatusConflict {
 		t.Fatalf("cancel of done job returned %d, want 409", code)
 	}
+	requireCompact(t, data) // structured errors too
 
 	// Stats reflect the work.
 	code, data = doJSON(t, "GET", ts.URL+"/v1/stats", "")
@@ -106,11 +124,13 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	if stats.Done < 1 || stats.UnitRoutes == 0 || len(stats.Pools) == 0 || !stats.Pooling {
 		t.Fatalf("stats incomplete: %s", data)
 	}
+	requireCompact(t, data)
 
 	// Health.
-	if code, _ = doJSON(t, "GET", ts.URL+"/v1/healthz", ""); code != http.StatusOK {
+	if code, data = doJSON(t, "GET", ts.URL+"/v1/healthz", ""); code != http.StatusOK {
 		t.Fatalf("healthz returned %d", code)
 	}
+	requireCompact(t, data)
 }
 
 func TestHTTPErrorMapping(t *testing.T) {

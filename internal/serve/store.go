@@ -172,11 +172,11 @@ type store struct {
 	watchers map[string][]chan Job
 
 	counts     map[Status]int // cumulative, unaffected by eviction
-	finished   int64          // done + failed, cumulative
+	finished   int64          // terminal from running (done, failed or canceled mid-run), cumulative
 	unitRoutes int64
 	conflicts  int64
 	byKind     map[string]*KindStats // cumulative per scenario kind
-	latTotal   latWindow             // created→finished of done/failed jobs
+	latTotal   latWindow             // created→finished of jobs that finished from running
 	latRun     latWindow             // started→finished
 	tenantWin  tenantEventRing       // recent finish events, for windowed leaderboards
 }
@@ -237,7 +237,13 @@ func (st *store) watch(id string) (Job, <-chan Job, func(), error) {
 		chans := st.watchers[id]
 		for i, c := range chans {
 			if c == ch {
-				st.watchers[id] = append(chans[:i], chans[i+1:]...)
+				if len(chans) == 1 {
+					// The last subscriber left before the terminal
+					// transition: publish would never delete the entry.
+					delete(st.watchers, id)
+				} else {
+					st.watchers[id] = append(chans[:i], chans[i+1:]...)
+				}
 				return
 			}
 		}
@@ -650,16 +656,19 @@ type Stats struct {
 	// executed appears here.
 	Kinds []KindStats `json:"kinds,omitempty"`
 
-	// Latency percentiles over the most recent finished (done or
-	// failed) jobs — a bounded window of maxLatencySamples — with
-	// total = admission→finish, run = execution only.
+	// Latency percentiles over the most recent jobs that reached a
+	// terminal status from running (done, failed, or canceled mid-run;
+	// jobs canceled from the queue never ran and are not counted) — a
+	// bounded window of maxLatencySamples — with total =
+	// admission→finish, run = execution only.
 	LatencyTotalP50Ns int64 `json:"latency_total_p50_ns"`
 	LatencyTotalP99Ns int64 `json:"latency_total_p99_ns"`
 	LatencyRunP50Ns   int64 `json:"latency_run_p50_ns"`
 	LatencyRunP99Ns   int64 `json:"latency_run_p99_ns"`
 
-	// ThroughputJobsPerSec counts finished jobs over the service
-	// uptime.
+	// ThroughputJobsPerSec counts every job that reached a terminal
+	// status from running (the same jobs as the latency window, but
+	// cumulative) over the service uptime.
 	ThroughputJobsPerSec float64 `json:"throughput_jobs_per_sec"`
 
 	Workers  int  `json:"workers"`
@@ -680,8 +689,9 @@ type Stats struct {
 }
 
 // aggregate computes the store's part of Stats. The latency windows
-// are copied under the store lock and sorted after it is released,
-// so appends and reads never wait on the sort.
+// are copied under the store lock and their percentiles selected from
+// the copies after it is released, so appends and reads never wait on
+// the selection, and the live windows keep their insertion order.
 func (st *store) aggregate(uptime time.Duration) Stats {
 	st.mu.Lock()
 	s := Stats{
@@ -780,15 +790,79 @@ func (st *store) watchStats() (subscribers int, drops int64) {
 }
 
 // percentilesNs returns the nearest-rank p50 and p99 of the samples
-// in nanoseconds (0 for an empty set). It sorts samples in place, so
+// in nanoseconds (0 for an empty set): the p-th percentile of n
+// samples is the ceil(p·n/100)-th smallest. It finds both ranks by
+// selection, not a full sort, and reorders samples in place, so
 // callers pass a copy they own.
 func percentilesNs(samples []time.Duration) (p50, p99 int64) {
 	if len(samples) == 0 {
 		return 0, 0
 	}
-	slices.Sort(samples)
-	rank := func(p int) int64 {
-		return samples[(p*len(samples)+99)/100-1].Nanoseconds() // rank ceil(p/100 · n)
+	rank := func(p int) int { return (p*len(samples)+99)/100 - 1 } // 0-based rank ceil(p/100 · n)
+	k50, k99 := rank(50), rank(99)
+	selectRank(samples, k99)
+	// Everything left of k99 is ≤ samples[k99], so the prefix holds the
+	// k99 smallest samples and the p50 rank lies inside it (k50 < k99
+	// for n ≥ 2; for n = 1 the prefix is empty and k50 = k99 = 0).
+	selectRank(samples[:k99], k50)
+	return samples[k50].Nanoseconds(), samples[k99].Nanoseconds()
+}
+
+// selectRounds bounds the partition rounds of selectRank; a range
+// still unresolved after them is sorted, so adversarial inputs cost
+// O(n log n) at worst instead of quickselect's O(n²). Random
+// 4096-sample windows resolve within about 20 rounds. A variable so
+// tests can shrink it.
+var selectRounds = 32
+
+// selectRank reorders s so that s[k] is its k-th smallest element
+// (0-based), everything before it ≤ s[k] and everything after it
+// ≥ s[k]: Hoare-partition quickselect with a median-of-three pivot.
+// Equal elements stop both scans and are swapped, so heavy ties
+// split evenly instead of degrading the partition.
+func selectRank(s []time.Duration, k int) {
+	lo, hi := 0, len(s)-1
+	for round := 0; lo < hi; round++ {
+		if round == selectRounds {
+			slices.Sort(s[lo : hi+1])
+			return
+		}
+		// Order s[lo] ≤ s[mid] ≤ s[hi] and pivot on the middle value;
+		// the outer two then stop the scans at the range ends.
+		mid := lo + (hi-lo)/2
+		if s[mid] < s[lo] {
+			s[mid], s[lo] = s[lo], s[mid]
+		}
+		if s[hi] < s[mid] {
+			s[hi], s[mid] = s[mid], s[hi]
+			if s[mid] < s[lo] {
+				s[mid], s[lo] = s[lo], s[mid]
+			}
+		}
+		pivot := s[mid]
+		i, j := lo, hi
+		for i <= j {
+			for s[i] < pivot {
+				i++
+			}
+			for s[j] > pivot {
+				j--
+			}
+			if i <= j {
+				s[i], s[j] = s[j], s[i]
+				i++
+				j--
+			}
+		}
+		// Now s[lo..j] ≤ pivot ≤ s[i..hi], and anything strictly
+		// between j and i equals the pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
 	}
-	return rank(50), rank(99)
 }

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"context"
+	"encoding/binary"
 	"errors"
 	"slices"
 	"testing"
@@ -153,7 +155,7 @@ func TestStoreSmallHelpers(t *testing.T) {
 // /v1/stats reports — the p-th percentile of n samples is the
 // ceil(p·n/100)-th smallest — through the store's latency windows
 // and the tenant leaderboard, which share one helper. Aggregation
-// sorts a copy: the window itself keeps its insertion order.
+// selects on a copy: the window itself keeps its insertion order.
 func TestStatsPercentilesExact(t *testing.T) {
 	ms := func(v ...int) []time.Duration {
 		out := make([]time.Duration, len(v))
@@ -162,18 +164,39 @@ func TestStatsPercentilesExact(t *testing.T) {
 		}
 		return out
 	}
+	// seq counts from a to b inclusive, up or down.
+	seq := func(a, b int) []int {
+		step := 1
+		if b < a {
+			step = -1
+		}
+		var out []int
+		for x := a; x != b+step; x += step {
+			out = append(out, x)
+		}
+		return out
+	}
 	shuffled := make([]int, 200)
 	for i := range shuffled {
 		shuffled[i] = 1 + (i*37)%200 // a permutation of 1..200
 	}
 	cases := []struct {
-		samples  []time.Duration
+		name     string
+		samples  []time.Duration // in insertion order
 		p50, p99 time.Duration
 	}{
-		{ms(7), 7 * time.Millisecond, 7 * time.Millisecond},
-		{ms(5, 1, 3), 3 * time.Millisecond, 5 * time.Millisecond},
-		{ms(4, 1, 3, 2), 2 * time.Millisecond, 4 * time.Millisecond},
-		{ms(shuffled...), 100 * time.Millisecond, 198 * time.Millisecond},
+		{"one", ms(7), 7 * time.Millisecond, 7 * time.Millisecond},
+		{"three", ms(5, 1, 3), 3 * time.Millisecond, 5 * time.Millisecond},
+		{"four", ms(4, 1, 3, 2), 2 * time.Millisecond, 4 * time.Millisecond},
+		{"shuffled", ms(shuffled...), 100 * time.Millisecond, 198 * time.Millisecond},
+		{"all-equal", ms(slices.Repeat([]int{3}, 4096)...), 3 * time.Millisecond, 3 * time.Millisecond},
+		// A full window, 4096 samples: ranks 2048 and 4056.
+		{"sorted", ms(seq(1, 4096)...), 2048 * time.Millisecond, 4056 * time.Millisecond},
+		{"reversed", ms(seq(4096, 1)...), 2048 * time.Millisecond, 4056 * time.Millisecond},
+		// 5000 inserts wrap the ring: it keeps 905..5000, laid out as
+		// 4097..5000 then 905..4096, and ranks 2048 and 4056 of those
+		// are 905+2047 and 905+4055.
+		{"wrapped-full-ring", ms(seq(1, 5000)...), 2952 * time.Millisecond, 4960 * time.Millisecond},
 	}
 	for _, c := range cases {
 		st := memStore(t)
@@ -181,22 +204,171 @@ func TestStatsPercentilesExact(t *testing.T) {
 			st.latTotal.add(d)
 			st.latRun.add(d / 2)
 		}
+		window := slices.Clone(st.latTotal.samples)
 		s := st.aggregate(time.Second)
 		if s.LatencyTotalP50Ns != c.p50.Nanoseconds() || s.LatencyTotalP99Ns != c.p99.Nanoseconds() ||
 			s.LatencyRunP50Ns != (c.p50/2).Nanoseconds() || s.LatencyRunP99Ns != (c.p99/2).Nanoseconds() {
-			t.Fatalf("%d samples: store percentiles %+v, want p50 %v p99 %v (run halved)", len(c.samples), s, c.p50, c.p99)
+			t.Fatalf("%s: store percentiles %+v, want p50 %v p99 %v (run halved)", c.name, s, c.p50, c.p99)
 		}
-		if !slices.Equal(st.latTotal.samples, c.samples) {
-			t.Fatal("aggregate reordered the live latency window")
+		if !slices.Equal(st.latTotal.samples, window) {
+			t.Fatalf("%s: aggregate reordered the live latency window", c.name)
 		}
 		rows := buildTenantStats(map[string]*tenantAgg{
-			"t": {tenant: "t", jobs: len(c.samples), waits: slices.Clone(c.samples)},
+			"t": {tenant: "t", jobs: len(window), waits: window},
 		}, time.Second, func(string) int { return 1 }, nil)
 		if rows[0].QueueWaitP50Ns != c.p50.Nanoseconds() || rows[0].QueueWaitP99Ns != c.p99.Nanoseconds() {
-			t.Fatalf("%d samples: tenant wait percentiles %d/%d, want %v/%v",
-				len(c.samples), rows[0].QueueWaitP50Ns, rows[0].QueueWaitP99Ns, c.p50, c.p99)
+			t.Fatalf("%s: tenant wait percentiles %d/%d, want %v/%v",
+				c.name, rows[0].QueueWaitP50Ns, rows[0].QueueWaitP99Ns, c.p50, c.p99)
 		}
 	}
+}
+
+// nearestRankRef is the sort-based reference percentilesNs must
+// match: the p-th percentile of the sorted samples is the
+// ceil(p·n/100)-th smallest.
+func nearestRankRef(sorted []time.Duration, p int) int64 {
+	r := p * len(sorted) / 100
+	if p*len(sorted)%100 != 0 {
+		r++
+	}
+	return sorted[r-1].Nanoseconds()
+}
+
+// maxFuzzSamples caps a fuzzed window a little above the store's
+// 4096-sample windows.
+const maxFuzzSamples = 5000
+
+// decodeWindow reads fuzz bytes as little-endian uint16 samples (an
+// odd trailing byte is dropped), at most maxFuzzSamples of them.
+func decodeWindow(data []byte) []time.Duration {
+	out := make([]time.Duration, min(len(data)/2, maxFuzzSamples))
+	for i := range out {
+		out[i] = time.Duration(binary.LittleEndian.Uint16(data[2*i:]))
+	}
+	return out
+}
+
+func encodeWindow(v []int) []byte {
+	out := make([]byte, 2*len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint16(out[2*i:], uint16(x))
+	}
+	return out
+}
+
+// FuzzPercentilesNs checks the selection behind /v1/stats against
+// the sort-based reference on generated windows, at the default
+// round budget and at one round, where every range that a single
+// partition leaves open goes to the sort fallback. It also checks
+// that the reordered copy still holds exactly the input samples.
+// The seeds cover the small sizes, both sides of the 4096-sample
+// window, and the shapes that trip naive pivots: all-equal, sorted,
+// reversed and organ-pipe.
+func FuzzPercentilesNs(f *testing.F) {
+	gen := func(n int, at func(i int) int) []byte {
+		v := make([]int, n)
+		for i := range v {
+			v[i] = at(i)
+		}
+		return encodeWindow(v)
+	}
+	lcg := func(i int) int { return (i*7919 + 13) % 1009 } // many ties
+	f.Add(encodeWindow([]int{7}))
+	f.Add(encodeWindow([]int{9, 2}))
+	f.Add(encodeWindow([]int{5, 1, 3}))
+	f.Add(gen(4096, lcg))
+	f.Add(gen(4097, lcg))
+	f.Add(gen(4096, func(int) int { return 42 }))
+	f.Add(gen(4096, func(i int) int { return i }))
+	f.Add(gen(4096, func(i int) int { return 4095 - i }))
+	f.Add(gen(4096, func(i int) int { return min(i, 4095-i) }))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		window := decodeWindow(data)
+		sorted := slices.Sorted(slices.Values(window))
+		var want50, want99 int64
+		if len(sorted) > 0 {
+			want50, want99 = nearestRankRef(sorted, 50), nearestRankRef(sorted, 99)
+		}
+		defaultRounds := selectRounds
+		defer func() { selectRounds = defaultRounds }()
+		for _, rounds := range []int{defaultRounds, 1} {
+			selectRounds = rounds
+			got := slices.Clone(window)
+			p50, p99 := percentilesNs(got)
+			if p50 != want50 || p99 != want99 {
+				t.Fatalf("n=%d rounds=%d: percentilesNs %d/%d, sort reference %d/%d",
+					len(window), rounds, p50, p99, want50, want99)
+			}
+			slices.Sort(got)
+			if !slices.Equal(got, sorted) {
+				t.Fatalf("n=%d rounds=%d: percentilesNs lost or duplicated samples", len(window), rounds)
+			}
+		}
+	})
+}
+
+// TestStatsCountJobsThatRan pins which jobs the latency percentiles
+// and the throughput count: every job that reached a terminal status
+// from running — a job canceled mid-run included — and no job
+// canceled straight out of the queue, which never ran.
+func TestStatsCountJobsThatRan(t *testing.T) {
+	st := memStore(t)
+	now := time.Now()
+	ran := st.add(JobSpec{Kind: KindSweep, N: 3}, DefaultTenant, now)
+	if _, ok := st.claim(ran.ID, now, nil); !ok {
+		t.Fatalf("claim %s failed", ran.ID)
+	}
+	st.finish(ran.ID, ScenarioResult{}, context.Canceled, now.Add(5*time.Millisecond))
+	queued := st.add(JobSpec{Kind: KindSweep, N: 3}, DefaultTenant, now)
+	if _, err := st.cancel(queued.ID, now.Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+
+	s := st.aggregate(time.Second)
+	if s.Done != 0 || s.Failed != 0 || s.Canceled != 2 {
+		t.Fatalf("status counts %+v, want 2 canceled only", s)
+	}
+	// Only the job canceled mid-run is in the window and the rate.
+	five := (5 * time.Millisecond).Nanoseconds()
+	if s.LatencyTotalP50Ns != five || s.LatencyTotalP99Ns != five ||
+		s.LatencyRunP50Ns != five || s.LatencyRunP99Ns != five {
+		t.Fatalf("latency %+v, want 5ms everywhere (the queued cancel never ran)", s)
+	}
+	if s.ThroughputJobsPerSec != 1 {
+		t.Fatalf("throughput %v jobs/s over 1s, want 1", s.ThroughputJobsPerSec)
+	}
+}
+
+// TestWatchStopForgetsSubscription: a subscriber that stops before
+// its job's terminal transition (a client leaving mid-watch) takes
+// its channel with it, and the last one to leave takes the job's
+// entry — publish only forgets subscriptions still live at the
+// terminal transition.
+func TestWatchStopForgetsSubscription(t *testing.T) {
+	st := memStore(t)
+	now := time.Now()
+	j := st.add(JobSpec{Kind: KindSweep, N: 3}, DefaultTenant, now)
+	_, _, stopA, err := st.watch(j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, stopB, err := st.watch(j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopA()
+	if n := len(st.watchers[j.ID]); n != 1 {
+		t.Fatalf("%d subscribers after one of two stopped, want 1", n)
+	}
+	stopB()
+	if _, ok := st.claim(j.ID, now, nil); !ok {
+		t.Fatalf("claim %s failed", j.ID)
+	}
+	st.finish(j.ID, ScenarioResult{OK: true}, nil, now.Add(time.Millisecond))
+	if n := len(st.watchers); n != 0 {
+		t.Fatalf("%d watcher entries leaked after every subscriber stopped", n)
+	}
+	stopB() // stop stays safe after the job is gone from the map
 }
 
 // TestErrorTaxonomyLeafCases pins the fallback classification: an

@@ -148,7 +148,7 @@ func buildTenantStats(aggs map[string]*tenantAgg, window time.Duration,
 			UnitRoutes: agg.routes,
 			Conflicts:  agg.conflicts,
 		}
-		// agg.waits is tenantWindow's own copy: sort it in place.
+		// agg.waits is tenantWindow's own copy: select in place.
 		row.QueueWaitP50Ns, row.QueueWaitP99Ns = percentilesNs(agg.waits)
 		if secs > 0 {
 			n := float64(agg.jobs)
