@@ -105,9 +105,11 @@ perfbench-check:
 	$(GO) -C perfbench test -count=1 .
 
 ## fuzz-short: every native fuzz target for a fixed 10s each: the D_n
-## coordinate conversions and neighbor and rank maps in internal/core,
-## and the /v1/stats percentile selection in internal/serve, which is
-## checked against a sort-based reference. Minimization is capped at
+## coordinate conversions and neighbor and rank maps in internal/core;
+## in internal/serve the /v1/stats percentile selection, checked
+## against a sort-based reference, the job-record codec, checked
+## against encoding/json both ways, and WAL replay of arbitrary
+## checksummed records and snapshots. Minimization is capped at
 ## 100 runs per input: the selection target's inputs run to 10 kB, and
 ## minimizing each new interesting one for the default 60s would eat
 ## the whole budget. A failing input is still saved under the
@@ -119,6 +121,8 @@ fuzz-short:
 	$(FUZZ) -fuzz='^FuzzNeighborConsistency$$' ./internal/core
 	$(FUZZ) -fuzz='^FuzzRankUnrank$$' ./internal/core
 	$(FUZZ) -fuzz='^FuzzPercentilesNs$$' ./internal/serve
+	$(FUZZ) -fuzz='^FuzzJobCodec$$' ./internal/serve
+	$(FUZZ) -fuzz='^FuzzWALReplay$$' ./internal/serve
 
 ## lint: gofmt divergence fails the build; vet and staticcheck catch
 ## the rest.

@@ -304,7 +304,8 @@ func (c *Client) Await(ctx context.Context, id string) (Job, error) {
 }
 
 // do issues one request; body (when non-nil) is sent as JSON and the
-// response decoded into out. Non-2xx responses become *APIError.
+// response decoded into out, a zero value, by serve.DecodeJSON.
+// Non-2xx responses become *APIError.
 func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
 	var rd io.Reader
 	if body != nil {
@@ -339,7 +340,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	if out == nil {
 		return nil
 	}
-	return json.Unmarshal(data, out)
+	return serve.DecodeJSON(data, out)
 }
 
 // doRetry is do with the 429 retry loop: sleep per Retry-After (or

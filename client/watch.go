@@ -1,7 +1,9 @@
 // Watch: the push-style job observer over GET /v1/jobs/{id}/watch.
 // The server streams newline-delimited JSON snapshots — the current
 // state first, then every status transition — and ends the stream
-// after the terminal one.
+// after the terminal one. Each line is one compact job value written
+// by the service's job codec; the Watcher reads it whole and decodes
+// it with serve.DecodeJSON.
 //
 // A watch is long-lived, so the stream can die mid-flight for
 // transient reasons (connection reset, proxy idle timeout, a node
@@ -16,12 +18,14 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/url"
 	"time"
+
+	"starmesh/internal/serve"
 )
 
 // Watcher reads one job's status transitions from the server's
@@ -33,7 +37,7 @@ type Watcher struct {
 	ctx  context.Context
 	id   string
 	body io.ReadCloser
-	dec  *json.Decoder
+	rd   *bufio.Reader
 	last Job
 	seen bool
 	// stalls counts consecutive reconnects that delivered no snapshot
@@ -74,8 +78,41 @@ func (w *Watcher) connect() error {
 		return apiErrorFrom(resp, data)
 	}
 	w.body = resp.Body
-	w.dec = json.NewDecoder(bufio.NewReader(resp.Body))
+	w.rd = bufio.NewReader(resp.Body)
 	return nil
+}
+
+// read decodes the stream's next snapshot line.
+func (w *Watcher) read() (Job, error) {
+	for {
+		line, err := w.rd.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			// A line longer than the buffer: gather it whole.
+			long := append([]byte(nil), line...)
+			for err == bufio.ErrBufferFull {
+				line, err = w.rd.ReadSlice('\n')
+				long = append(long, line...)
+			}
+			line = long
+		}
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 {
+			if err != nil {
+				return Job{}, err
+			}
+			continue
+		}
+		// A final line may lack its newline; a torn one fails to
+		// decode.
+		var j Job
+		if derr := serve.DecodeJSON(line, &j); derr != nil {
+			if err == nil || err == io.EOF {
+				err = derr
+			}
+			return Job{}, err
+		}
+		return j, nil
+	}
 }
 
 // Next returns the next snapshot from the stream; io.EOF once the
@@ -85,8 +122,7 @@ func (w *Watcher) connect() error {
 // gone), or the retry budget runs out.
 func (w *Watcher) Next() (Job, error) {
 	for {
-		var j Job
-		err := w.dec.Decode(&j)
+		j, err := w.read()
 		if err == nil {
 			// Replayed state after a reconnect: skip anything not newer
 			// than what the caller already saw. Replays do not reset the

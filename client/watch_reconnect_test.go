@@ -12,6 +12,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -207,5 +209,46 @@ func TestWatchReconnectAgainstRealService(t *testing.T) {
 	}
 	if _, err := w.Next(); err != io.EOF {
 		t.Fatalf("after terminal = %v, want io.EOF", err)
+	}
+}
+
+// A snapshot line longer than the Watcher's read buffer must still
+// decode whole, and a last line without its newline must still count.
+func TestWatchDecodesLinesLongerThanTheBuffer(t *testing.T) {
+	long := Job{ID: "job-000001", Status: StatusRunning, Error: strings.Repeat("x<&>", 5000)}
+	for i := range 200 {
+		long.Trace = append(long.Trace, serve.TraceEvent{Event: fmt.Sprintf("e%d", i), At: time.Unix(int64(i), 0).UTC()})
+	}
+	done := long
+	done.Status = StatusDone
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/jobs/job-000001/watch", func(w http.ResponseWriter, r *http.Request) {
+		watchSnap(t, w, long)
+		line, err := json.Marshal(done)
+		if err != nil {
+			t.Error(err)
+		}
+		w.Write(line) // no trailing newline
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	w, err := New(srv.URL, fastSleep()).Watch(context.Background(), "job-000001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for _, want := range []Job{long, done} {
+		got, err := w.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("long snapshot decoded wrong: status %s, %d trace events, %d-byte error",
+				got.Status, len(got.Trace), len(got.Error))
+		}
+	}
+	if _, err := w.Next(); err != io.EOF {
+		t.Fatalf("after the terminal snapshot: %v, want io.EOF", err)
 	}
 }

@@ -114,11 +114,16 @@
 // compact JSON: one value per response, with no indentation, ending
 // in a newline; the starmesh CLI pretty-prints what it shows. The
 // watch stream (application/x-ndjson) is a store subscription, one
-// compact value per line: every status transition publishes a
-// snapshot; the stream ends after the terminal one.
+// compact job value per line: every status transition publishes a
+// snapshot; the stream ends after the terminal one. Job, page and
+// batch bodies and watch lines are written by the job codec
+// (jobjson.go), byte for byte what encoding/json writes for the same
+// value; the other bodies by encoding/json itself.
 //
 // The public typed client (starmesh/client) is the supported caller:
 // the CLI's remote subcommands and the load generator
 // (internal/loadgen, behind BENCH_serve.json) contain no hand-rolled
-// HTTP.
+// HTTP. It decodes every response with DecodeJSON, which reads the
+// codec's canonical form directly and leaves any other input to
+// json.Unmarshal.
 package serve

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -251,9 +252,10 @@ func (s *Service) handleWatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	var line []byte // reused by every line of the stream
 	emit := func(j Job) bool {
-		if err := enc.Encode(j); err != nil {
+		line = append(appendJob(line[:0], &j), '\n')
+		if _, err := w.Write(line); err != nil {
 			return false
 		}
 		if flusher != nil {
@@ -315,11 +317,34 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, h)
 }
 
+// writeJSON writes v as a compact JSON body ending in a newline. Job,
+// JobPage and BatchResponse bodies go through the job codec
+// (jobjson.go), the rest through encoding/json; both write the same
+// bytes json.Encoder would.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v) // compact, one value ending in a newline
+	bp := bodyBufs.Get().(*[]byte)
+	defer bodyBufs.Put(bp)
+	b := (*bp)[:0]
+	switch v := v.(type) {
+	case Job:
+		b = appendJob(b, &v)
+	case JobPage:
+		b = appendJobPage(b, &v)
+	case BatchResponse:
+		b = append(appendJobs(append(b, `{"jobs":`...), v.Jobs), '}')
+	default:
+		_ = json.NewEncoder(w).Encode(v)
+		return
+	}
+	*bp = append(b, '\n')
+	_, _ = w.Write(*bp)
 }
+
+// bodyBufs recycles writeJSON's body buffers across requests, as
+// encoding/json recycles its own.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // writeError maps a service error through the taxonomy — the single
 // error → status translation of the HTTP layer.

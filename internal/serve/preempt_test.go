@@ -36,9 +36,19 @@ func TestPreemptRequeuesAndReplaysBitIdentical(t *testing.T) {
 	}
 	defer svc.Drain()
 
-	// ~0.6s of work at ~1.2µs/trial: long enough that the preemptor
-	// always lands while it runs, short enough to re-execute twice.
-	victimSpec := JobSpec{Kind: KindSweep, N: 4, Trials: 500_000, Seed: 3}
+	// About 0.5 s of victim work in this build: long enough that the
+	// preemptor always lands while it runs, short enough to run three
+	// times (partial, re-execution, standalone reference) well inside
+	// the waits' deadline, with or without the race detector. The
+	// per-trial cost comes from a short standalone sweep of the same
+	// shape.
+	probe := JobSpec{Kind: KindSweep, N: 4, Trials: 2000, Seed: 3}
+	start := time.Now()
+	standaloneResult(t, probe)
+	perTrial := time.Since(start) / time.Duration(probe.Trials)
+	trials := min(max(int(500*time.Millisecond/max(perTrial, 1)), 1000), workload.MaxSweepTrials)
+	victimSpec := JobSpec{Kind: KindSweep, N: 4, Trials: trials, Seed: 3}
+	t.Logf("victim sweep: %d trials at %v per trial", trials, perTrial)
 	victim := submitOrDie(t, svc, victimSpec)
 	waitRunning(t, svc, victim.ID)
 	time.Sleep(2 * time.Millisecond) // accumulate partial work to carry through the requeue

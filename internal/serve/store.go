@@ -133,7 +133,6 @@ const (
 	opCancel    walOp = "cancel"    // queued → canceled
 	opCancelReq walOp = "cancelreq" // running, cancellation requested
 	opRemove    walOp = "remove"    // admission rollback
-	opTrace     walOp = "trace"     // mid-run trace event appended
 	opPreempt   walOp = "preempt"   // running → queued (preemption requeue)
 )
 

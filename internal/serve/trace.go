@@ -3,8 +3,9 @@
 // cancel_requested and recovered where they apply — with the duration
 // since the previous event, so GET /v1/jobs/{id} answers "where did
 // this job spend its time" without any external tracing system. The
-// events ride the job snapshots the WAL already logs, so a timeline
-// survives crash recovery with the job.
+// events ride the job snapshots the WAL already logs for lifecycle
+// transitions, so a finished job's timeline survives crash recovery
+// with it.
 package serve
 
 import "time"
@@ -72,9 +73,11 @@ func appendTrace(j *Job, now time.Time, event, detail string) {
 	j.Trace = append(j.Trace, ev)
 }
 
-// trace appends a mid-run event to a live job's timeline and logs it
-// (opTrace) so the timeline stays durable between the claim and
-// finish records.
+// trace appends a mid-run event to a live job's timeline. It writes
+// no WAL record of its own: the job's next record (finish, cancelreq
+// or preempt) and every snapshot carry the whole timeline, and
+// recovery restarts an interrupted job's timeline from its submitted
+// event, so a record here could never be observed after a restart.
 func (st *store) trace(id string, now time.Time, event, detail string) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -83,5 +86,4 @@ func (st *store) trace(id string, now time.Time, event, detail string) {
 		return
 	}
 	appendTrace(j, now, event, detail)
-	st.log(opTrace, j)
 }

@@ -90,12 +90,12 @@ const (
 	maxFrameLen = 16 << 20
 )
 
-// appendFrame appends one framed payload to buf.
-func appendFrame(buf, payload []byte) []byte {
-	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	return append(append(buf, hdr[:]...), payload...)
+// sealFrame fills in the header of a frame encoded in place: frame
+// holds frameHeaderLen reserved bytes, then the payload.
+func sealFrame(frame []byte) {
+	payload := frame[frameHeaderLen:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
 }
 
 // frameAt decodes the frame starting at off. ok=false means the
@@ -121,21 +121,37 @@ func frameAt(data []byte, off int) (payload []byte, next int, ok bool) {
 // walRecord is one logged transition: the op plus the job's full
 // post-transition snapshot. Carrying the whole job makes replay a
 // state overwrite instead of a re-derivation, so the WAL cannot
-// disagree with the store about what a transition meant.
+// disagree with the store about what a transition meant. st.log
+// writes it with appendRecord (jobjson.go); replay decodes it with
+// encoding/json.
 type walRecord struct {
 	LSN uint64 `json:"lsn"`
 	Op  walOp  `json:"op"`
 	Job Job    `json:"job"`
 }
 
-// walSnapshot is the full store state at one LSN.
+// validRecord reports whether replay can apply rec. A finish record
+// must carry a terminal status, and a done one its result (the
+// aggregates fold it); anything else is as corrupt as an undecodable
+// record.
+func validRecord(rec *walRecord) bool {
+	if rec.Op != opFinish {
+		return true
+	}
+	return rec.Job.Status.Terminal() && (rec.Job.Status != StatusDone || rec.Job.Result != nil)
+}
+
+// walSnapshot is the full store state at one LSN, written by
+// appendSnapshot (jobjson.go) and decoded with encoding/json.
 type walSnapshot struct {
 	TakenAt time.Time `json:"taken_at"`
 	LSN     uint64    `json:"lsn"`
 	Next    int       `json:"next"`
 	// Jobs are the retained jobs in admission order (evicted jobs are
-	// gone — the cumulative counters below remember them).
-	Jobs       []Job          `json:"jobs"`
+	// gone — the cumulative counters below remember them). A snapshot
+	// being written points at the store's live jobs: it is built and
+	// encoded under the store lock.
+	Jobs       []*Job         `json:"jobs"`
 	Counts     map[Status]int `json:"counts"`
 	Finished   int64          `json:"finished"`
 	UnitRoutes int64          `json:"unit_routes"`
@@ -173,6 +189,9 @@ type walLog struct {
 	walBytes  int64
 	snapBytes int64
 	frozen    bool // crash-simulated (tests) or degraded: no more appends
+	// rec is the frame buffer st.log encodes each record into, reused
+	// from record to record.
+	rec       []byte
 	dur       Durability
 	recovered []string // queued ids to re-admit, admission order
 
@@ -234,7 +253,9 @@ func openStore(dir string, open faultfs.OpenFunc) (*store, error) {
 		if err := json.Unmarshal(payload, &snap); err != nil {
 			return nil, fmt.Errorf("serve: snapshot %s does not decode: %w", snapPath, err)
 		}
-		st.installSnapshot(&snap)
+		if err := st.installSnapshot(&snap); err != nil {
+			return nil, fmt.Errorf("serve: snapshot %s is corrupt: %w", snapPath, err)
+		}
 	}
 
 	if data, err := os.ReadFile(walPath); err == nil {
@@ -249,7 +270,7 @@ func openStore(dir string, open faultfs.OpenFunc) (*store, error) {
 				break
 			}
 			var rec walRecord
-			if err := json.Unmarshal(payload, &rec); err != nil {
+			if err := json.Unmarshal(payload, &rec); err != nil || !validRecord(&rec) {
 				w.dur.TruncatedTailBytes = int64(len(data) - off)
 				break
 			}
@@ -282,11 +303,13 @@ func openStore(dir string, open faultfs.OpenFunc) (*store, error) {
 }
 
 // installSnapshot loads a decoded snapshot into the store.
-func (st *store) installSnapshot(snap *walSnapshot) {
+func (st *store) installSnapshot(snap *walSnapshot) error {
 	st.next = snap.Next
-	for i := range snap.Jobs {
-		j := snap.Jobs[i] // copy: each job gets its own allocation
-		st.jobs[j.ID] = &j
+	for i, j := range snap.Jobs {
+		if j == nil {
+			return fmt.Errorf("job %d is null", i)
+		}
+		st.jobs[j.ID] = j
 		st.order = append(st.order, j.ID)
 	}
 	for status, n := range snap.Counts {
@@ -308,6 +331,7 @@ func (st *store) installSnapshot(snap *walSnapshot) {
 	st.watchDrops = snap.WatchDrops
 	st.wal.lsn = snap.LSN
 	st.wal.dur.LastSnapshot = snap.TakenAt
+	return nil
 }
 
 // apply replays one WAL record against the store state — the replay
@@ -370,12 +394,6 @@ func (st *store) apply(rec *walRecord) {
 		st.counts[StatusRunning]--
 		*j = rec.Job
 		st.counts[StatusQueued]++
-	case opTrace:
-		// The record carries the job's whole timeline; replay is a
-		// state overwrite like every other op.
-		if j, ok := st.jobs[id]; ok && !j.Status.Terminal() {
-			j.Trace = append([]TraceEvent(nil), rec.Job.Trace...)
-		}
 	case opRemove:
 		j, ok := st.jobs[id]
 		if !ok {
@@ -445,13 +463,11 @@ func (st *store) log(op walOp, j *Job) {
 		return
 	}
 	w.lsn++
-	rec := walRecord{LSN: w.lsn, Op: op, Job: j.snapshot()}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		w.degrade(fmt.Sprintf("marshal %s record: %v", op, err))
-		return
-	}
-	frame := appendFrame(make([]byte, 0, frameHeaderLen+len(payload)), payload)
+	// Encode straight from the live job (the lock is held) into the
+	// reused buffer, leaving room for the header.
+	frame := appendRecord(append(w.rec[:0], make([]byte, frameHeaderLen)...), w.lsn, op, j)
+	w.rec = frame
+	sealFrame(frame)
 	var start time.Time
 	if w.obs != nil {
 		start = time.Now()
@@ -482,14 +498,15 @@ func (w *walLog) degrade(msg string) {
 	w.frozen = true
 }
 
-// buildSnapshot captures the store state. Caller holds st.mu (or has
-// exclusive access during open).
+// buildSnapshot captures the store state. Its Jobs are the store's
+// live jobs, not copies, so the caller holds st.mu (or has exclusive
+// access during open) until the snapshot is encoded.
 func (st *store) buildSnapshot(now time.Time) walSnapshot {
 	snap := walSnapshot{
 		TakenAt:    now,
 		LSN:        st.wal.lsn,
 		Next:       st.next,
-		Jobs:       make([]Job, 0, len(st.order)-st.front),
+		Jobs:       make([]*Job, 0, len(st.order)-st.front),
 		Counts:     make(map[Status]int, len(st.counts)),
 		Finished:   st.finished,
 		UnitRoutes: st.unitRoutes,
@@ -500,7 +517,7 @@ func (st *store) buildSnapshot(now time.Time) walSnapshot {
 	}
 	for i := st.front; i < len(st.order); i++ {
 		if j := st.jobs[st.order[i]]; j != nil {
-			snap.Jobs = append(snap.Jobs, j.snapshot())
+			snap.Jobs = append(snap.Jobs, j)
 		}
 	}
 	for status, n := range st.counts {
@@ -536,16 +553,17 @@ func (st *store) snapshotLocked(now time.Time) error {
 		}()
 	}
 	snap := st.buildSnapshot(now)
-	payload, err := json.Marshal(&snap)
-	if err != nil {
-		return err
-	}
+	// One buffer, sized from the previous snapshot, holds the whole
+	// frame. It is not kept: a multi-megabyte buffer held between
+	// snapshots would stay on the live heap.
+	frame := make([]byte, frameHeaderLen, frameHeaderLen+w.snapBytes+w.snapBytes/8)
+	frame = appendSnapshot(frame, &snap)
+	sealFrame(frame)
 	tmpPath := filepath.Join(w.dir, snapTmpFileName)
 	tmp, err := w.open(tmpPath, true)
 	if err != nil {
 		return err
 	}
-	frame := appendFrame(make([]byte, 0, frameHeaderLen+len(payload)), payload)
 	_, werr := tmp.Write(frame)
 	if werr == nil {
 		var start time.Time

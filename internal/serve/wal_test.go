@@ -5,10 +5,14 @@
 package serve
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -410,4 +414,210 @@ func TestWatchDropsCounted(t *testing.T) {
 	if _, open := <-ch; open {
 		t.Fatal("subscriber channel not closed after the terminal transition")
 	}
+}
+
+// recordFrame encodes rec with encoding/json, the reference encoder,
+// and frames it as the WAL does.
+func recordFrame(t testing.TB, rec walRecord) []byte {
+	t.Helper()
+	payload, err := json.Marshal(&rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame(payload)
+}
+
+// frame frames a payload as the WAL does.
+func frame(payload []byte) []byte {
+	f := append(make([]byte, frameHeaderLen), payload...)
+	sealFrame(f)
+	return f
+}
+
+// runningJobRecords returns the submit and claim records of one sweep
+// job, as the WAL holds them.
+func runningJobRecords(now time.Time) (submit, claim walRecord) {
+	j := Job{ID: "job-000001", Spec: JobSpec{Kind: KindSweep, N: 3}, Tenant: DefaultTenant,
+		Shape: "star:3", Status: StatusQueued, Created: now}
+	appendTrace(&j, now, TraceSubmitted, "tenant="+DefaultTenant)
+	submit = walRecord{LSN: 1, Op: opSubmit, Job: j.snapshot()}
+	j.Status, j.Started = StatusRunning, now.Add(time.Millisecond)
+	appendTrace(&j, j.Started, TraceClaimed, "")
+	return submit, walRecord{LSN: 2, Op: opClaim, Job: j.snapshot()}
+}
+
+// TestRecoveryIgnoresTraceRecord replays a log that still holds a
+// "trace" record, which earlier versions wrote for the machine_ready
+// event: submit, claim, trace, crash. It must recover exactly the
+// state the same log recovers without that record.
+func TestRecoveryIgnoresTraceRecord(t *testing.T) {
+	now := time.Date(2026, 10, 17, 10, 0, 0, 0, time.UTC)
+	submit, claim := runningJobRecords(now)
+	traced := claim.Job.snapshot()
+	appendTrace(&traced, now.Add(2*time.Millisecond), TraceMachineReady, "shape=star:3 built")
+	trace := walRecord{LSN: 3, Op: "trace", Job: traced}
+
+	recoverLog := func(recs ...walRecord) (*store, Job) {
+		dir := t.TempDir()
+		var data []byte
+		for _, rec := range recs {
+			data = append(data, recordFrame(t, rec)...)
+		}
+		if err := os.WriteFile(filepath.Join(dir, walFileName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st := openDurable(t, dir, nil)
+		t.Cleanup(func() { st.close() })
+		j, ok := st.get(submit.Job.ID)
+		if !ok {
+			t.Fatal("job lost in recovery")
+		}
+		// The recovered event is stamped with the clock at open.
+		for i := range j.Trace {
+			if j.Trace[i].Event == TraceRecovered {
+				j.Trace[i].At, j.Trace[i].DurNs = time.Time{}, 0
+			}
+		}
+		return st, j
+	}
+	with, jobWith := recoverLog(submit, claim, trace)
+	without, jobWithout := recoverLog(submit, claim)
+	if !reflect.DeepEqual(jobWith, jobWithout) {
+		t.Fatalf("trace record changed the recovered job:\nwith    %+v\nwithout %+v", jobWith, jobWithout)
+	}
+	if a, b := with.aggregate(time.Second), without.aggregate(time.Second); !reflect.DeepEqual(a, b) {
+		t.Fatalf("trace record changed the aggregates:\nwith    %+v\nwithout %+v", a, b)
+	}
+	if a, b := with.recoveredQueued(), without.recoveredQueued(); !reflect.DeepEqual(a, b) || len(a) != 1 {
+		t.Fatalf("re-admitted %v with the trace record, %v without", a, b)
+	}
+	dw, dwo := with.durability(), without.durability()
+	if dw.ReexecutedRunning != 1 || dwo.ReexecutedRunning != 1 || dw.TruncatedTailBytes != 0 ||
+		dw.ReplayedRecords != 3 || dwo.ReplayedRecords != 2 {
+		t.Fatalf("recovery counts with %+v, without %+v", dw, dwo)
+	}
+}
+
+// TestRecoveryTruncatesUnfoldableFinish replays a CRC-valid finish
+// record that replay cannot fold — a done job without its result, or a
+// status that is not terminal. Replay treats it as a corrupt record
+// and truncates there instead of panicking at boot.
+func TestRecoveryTruncatesUnfoldableFinish(t *testing.T) {
+	now := time.Date(2026, 10, 17, 10, 0, 0, 0, time.UTC)
+	submit, claim := runningJobRecords(now)
+	for name, mutate := range map[string]func(*Job){
+		"done without result": func(j *Job) { j.Status = StatusDone },
+		"non-terminal status": func(j *Job) { j.Result = &ScenarioResult{UnitRoutes: 1, OK: true} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			fin := claim.Job.snapshot()
+			fin.Finished = now.Add(3 * time.Millisecond)
+			mutate(&fin)
+			tail := recordFrame(t, walRecord{LSN: 3, Op: opFinish, Job: fin})
+			dir := t.TempDir()
+			data := slices.Concat(recordFrame(t, submit), recordFrame(t, claim), tail)
+			if err := os.WriteFile(filepath.Join(dir, walFileName), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st := openDurable(t, dir, nil)
+			defer st.close()
+			dur := st.durability()
+			if dur.ReplayedRecords != 2 || dur.TruncatedTailBytes != int64(len(tail)) || dur.ReexecutedRunning != 1 {
+				t.Fatalf("unfoldable finish not truncated: %+v", dur)
+			}
+			if st.aggregate(time.Second).Done != 0 {
+				t.Fatal("the truncated finish was folded")
+			}
+		})
+	}
+}
+
+func TestSnapshotWithNullJobRefusesToOpen(t *testing.T) {
+	dir := t.TempDir()
+	payload := `{"taken_at":"2026-10-17T10:00:00Z","lsn":1,"next":1,"jobs":[null],"counts":{},"finished":0,"unit_routes":0,"conflicts":0}`
+	if err := os.WriteFile(filepath.Join(dir, snapFileName), frame([]byte(payload)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := openStore(dir, nil); err == nil || !strings.Contains(err.Error(), "null") {
+		t.Fatalf("open of a snapshot with a null job: %v", err)
+	}
+}
+
+// FuzzWALReplay frames the fuzz payload with a correct checksum, once
+// as the record after a valid prefix and once as a snapshot. openStore
+// must return a store or an error, never panic, and the prefix must
+// always replay.
+func FuzzWALReplay(f *testing.F) {
+	now := time.Date(2026, 10, 17, 10, 0, 0, 0, time.UTC)
+	submit, claim := runningJobRecords(now)
+	prefix := slices.Concat(recordFrame(f, submit), recordFrame(f, claim))
+
+	// Seeds: every record and the snapshot a live store writes, plus
+	// records replay must refuse.
+	dir := f.TempDir()
+	ds, err := openStore(dir, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	a := ds.add(JobSpec{Kind: KindSweep, N: 4, Trials: 2}, DefaultTenant, now)
+	ds.claim(a.ID, now, func() {})
+	ds.requestPreempt(5, now)
+	ds.finish(a.ID, ScenarioResult{UnitRoutes: 3}, context.Canceled, now)
+	ds.claim(a.ID, now, func() {})
+	ds.cancel(a.ID, now)
+	ds.finish(a.ID, ScenarioResult{UnitRoutes: 4}, context.Canceled, now)
+	b := ds.add(JobSpec{Kind: KindSort, N: 3}, DefaultTenant, now)
+	ds.claim(b.ID, now, nil)
+	ds.finish(b.ID, ScenarioResult{UnitRoutes: 9, OK: true}, nil, now)
+	ds.cancel(ds.add(JobSpec{Kind: KindSweep, N: 3}, DefaultTenant, now).ID, now)
+	ds.remove(ds.add(JobSpec{Kind: KindSweep, N: 3}, DefaultTenant, now).ID)
+	ds.close()
+	for _, name := range []string{walFileName, snapFileName} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		for off := 0; off < len(data); {
+			payload, next, ok := frameAt(data, off)
+			if !ok {
+				f.Fatalf("%s: bad frame at %d", name, off)
+			}
+			f.Add(payload)
+			off = next
+		}
+	}
+	for _, s := range []string{
+		`{"lsn":3,"op":"finish","job":{"id":"job-000001","status":"done"}}`,
+		`{"lsn":3,"op":"finish","job":{"id":"job-000001","status":"running","result":{"ok":true}}}`,
+		`{"lsn":3,"op":"trace","job":{"id":"job-000001","status":"running"}}`,
+		`{"lsn":1,"jobs":[null]}`,
+		`null`,
+	} {
+		f.Add([]byte(s))
+	}
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		fr := frame(payload)
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, walFileName), slices.Concat(prefix, fr), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := openStore(dir, nil)
+		if err != nil {
+			t.Fatalf("open of a valid prefix and one record: %v", err)
+		}
+		dur := st.durability()
+		st.close()
+		if dur.ReplayedRecords < 2 || (dur.TruncatedTailBytes != 0 && dur.TruncatedTailBytes != int64(len(fr))) {
+			t.Fatalf("the valid prefix did not replay: %+v", dur)
+		}
+
+		dir = t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, snapFileName), fr, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := openStore(dir, nil); err == nil {
+			st.close()
+		}
+	})
 }
