@@ -106,14 +106,16 @@ perfbench-check:
 
 ## fuzz-short: every native fuzz target for a fixed 10s each: the D_n
 ## coordinate conversions and neighbor and rank maps in internal/core;
-## in internal/serve the /v1/stats percentile selection, checked
-## against a sort-based reference, the job-record codec, checked
-## against encoding/json both ways, and WAL replay of arbitrary
-## checksummed records and snapshots. Minimization is capped at
-## 100 runs per input: the selection target's inputs run to 10 kB, and
-## minimizing each new interesting one for the default 60s would eat
-## the whole budget. A failing input is still saved under the
-## package's testdata/fuzz.
+## in internal/serve the /v1/stats log-bucket latency window, checked
+## against a sort-based reference and a recount of its ring, the
+## job-record codec, checked against encoding/json both ways, WAL
+## replay of arbitrary checksummed records and snapshots, the job-spec
+## request decoder and the -tenants file loader; in internal/cluster
+## the compound pagination cursor and the -peers flag parser.
+## Minimization is capped at 100 runs per input: the latency window
+## target's inputs run to 10 kB, and minimizing each new interesting
+## one for the default 60s would eat the whole budget. A failing input
+## is still saved under the package's testdata/fuzz.
 FUZZ = $(GO) test -run='^$$' -fuzztime=10s -fuzzminimizetime=100x
 
 fuzz-short:
@@ -123,6 +125,10 @@ fuzz-short:
 	$(FUZZ) -fuzz='^FuzzPercentilesNs$$' ./internal/serve
 	$(FUZZ) -fuzz='^FuzzJobCodec$$' ./internal/serve
 	$(FUZZ) -fuzz='^FuzzWALReplay$$' ./internal/serve
+	$(FUZZ) -fuzz='^FuzzSpecDecode$$' ./internal/serve
+	$(FUZZ) -fuzz='^FuzzLoadTenantsFile$$' ./internal/serve
+	$(FUZZ) -fuzz='^FuzzDecodeCursor$$' ./internal/cluster
+	$(FUZZ) -fuzz='^FuzzParsePeers$$' ./internal/cluster
 
 ## lint: gofmt divergence fails the build; vet and staticcheck catch
 ## the rest.

@@ -7,9 +7,11 @@ package client
 import (
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -228,6 +230,50 @@ func TestWatchStreams(t *testing.T) {
 // statuses drains a watch stream to its end, deduplicating
 // consecutive snapshots of the same status (a cancel_requested
 // republish repeats "running").
+// TestAwaitKeepsItsConnection drives 200 Submit → Await → Get cycles
+// through one Transport that keeps a single idle connection: every
+// request must reuse the one connection the first opened. Await stops
+// reading at the terminal line, so this holds only when the stream's
+// end arrives with that line and the body is already at EOF.
+func TestAwaitKeepsItsConnection(t *testing.T) {
+	svc, err := serve.NewService(serve.Config{Workers: 1, Queue: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conns atomic.Int64
+	ts := httptest.NewUnstartedServer(svc.Handler())
+	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		svc.Drain()
+	})
+	tr := &http.Transport{MaxIdleConnsPerHost: 1}
+	defer tr.CloseIdleConnections()
+	c := New(ts.URL, WithHTTPClient(&http.Client{Transport: tr}))
+	ctx := context.Background()
+	for i := 0; i < 200; i++ {
+		job, err := c.Submit(ctx, quickSpec(int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		final, err := c.Await(ctx, job.ID)
+		if err != nil || final.Status != StatusDone {
+			t.Fatalf("await %s: %v, status %s", job.ID, err, final.Status)
+		}
+		if _, err := c.Get(ctx, job.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("200 cycles opened %d connections, want 1", n)
+	}
+}
+
 func statuses(t *testing.T, w *Watcher) []Status {
 	t.Helper()
 	var out []Status

@@ -3,7 +3,10 @@
 // state first, then every status transition — and ends the stream
 // after the terminal one. Each line is one compact job value written
 // by the service's job codec; the Watcher reads it whole and decodes
-// it with serve.DecodeJSON.
+// it with serve.DecodeJSON. The server sends the terminal line in the
+// same write as the end of the body, so a caller that stops reading
+// at it (Await does) finds the body at EOF, and the connection goes
+// back to the keep-alive pool.
 //
 // A watch is long-lived, so the stream can die mid-flight for
 // transient reasons (connection reset, proxy idle timeout, a node

@@ -10,6 +10,7 @@ package cluster
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -105,9 +106,12 @@ func ParsePeers(s string) ([]Node, error) {
 		}
 		n := Node{Name: name, URL: rest}
 		if url, w, ok := strings.Cut(rest, "*"); ok {
-			var weight int
-			if _, err := fmt.Sscanf(w, "%d", &weight); err != nil || weight < 1 {
+			weight, err := strconv.Atoi(w)
+			if err != nil || weight < 1 {
 				return nil, fmt.Errorf("cluster: bad peer weight in %q", part)
+			}
+			if url == "" {
+				return nil, fmt.Errorf("cluster: bad peer %q (want name=url[*weight])", part)
 			}
 			n.URL, n.Weight = url, weight
 		}

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -62,7 +64,8 @@ func TestParsePeers(t *testing.T) {
 	if !reflect.DeepEqual(nodes, want) {
 		t.Errorf("ParsePeers = %+v, want %+v", nodes, want)
 	}
-	for _, bad := range []string{"", "  ,  ", "justurl", "=http://a", "n1=", "n1=http://a*0", "n1=http://a*x"} {
+	for _, bad := range []string{"", "  ,  ", "justurl", "=http://a", "n1=", "n1=http://a*0", "n1=http://a*x",
+		"n1=http://a*2x", "n1=*2"} {
 		if _, err := ParsePeers(bad); err == nil {
 			t.Errorf("ParsePeers(%q) should fail", bad)
 		}
@@ -107,4 +110,60 @@ func TestCursorRoundTrip(t *testing.T) {
 			t.Errorf("DecodeCursor(%q) should fail", bad)
 		}
 	}
+}
+
+// FuzzParsePeers parses arbitrary -peers flags. Nothing may panic;
+// an accepted list is sorted by name, every node has a name and a
+// URL and a weight ≥ 0, and rendering it back to flag form parses to
+// the same nodes.
+func FuzzParsePeers(f *testing.F) {
+	f.Add("n2=http://b:8080, n1=http://a:8080*3,")
+	f.Add("n1=http://a*2x")
+	f.Add("n1=*2,n2=http://b=c")
+	f.Add("a=x,a=y,b=z*1")
+	f.Fuzz(func(t *testing.T, s string) {
+		nodes, err := ParsePeers(s)
+		if err != nil {
+			return
+		}
+		parts := make([]string, len(nodes))
+		for i, n := range nodes {
+			if n.Name == "" || n.URL == "" || n.Weight < 0 {
+				t.Fatalf("ParsePeers(%q) accepted node %+v", s, n)
+			}
+			parts[i] = n.Name + "=" + n.URL
+			if n.Weight > 0 {
+				parts[i] += "*" + strconv.Itoa(n.Weight)
+			}
+		}
+		if !slices.IsSortedFunc(nodes, func(a, b Node) int { return strings.Compare(a.Name, b.Name) }) {
+			t.Fatalf("ParsePeers(%q) = %+v, not sorted by name", s, nodes)
+		}
+		flag := strings.Join(parts, ",")
+		again, err := ParsePeers(flag)
+		if err != nil || !reflect.DeepEqual(again, nodes) {
+			t.Fatalf("ParsePeers(%q) = %+v, rendered %q parses to %+v, %v", s, nodes, flag, again, err)
+		}
+	})
+}
+
+// FuzzDecodeCursor decodes arbitrary compound cursors. Nothing may
+// panic, and a decoded map survives EncodeCursor and DecodeCursor
+// unchanged.
+func FuzzDecodeCursor(f *testing.F) {
+	f.Add("n1=job-000009;n2=job-000123;n3=")
+	f.Add("")
+	f.Add("n1=a=b;n2=")
+	f.Add("n1=a;n1=b")
+	f.Fuzz(func(t *testing.T, s string) {
+		per, err := DecodeCursor(s)
+		if err != nil {
+			return
+		}
+		enc := EncodeCursor(per)
+		again, err := DecodeCursor(enc)
+		if err != nil || !reflect.DeepEqual(again, per) {
+			t.Fatalf("DecodeCursor(%q) = %v, re-encoded %q decodes to %v, %v", s, per, enc, again, err)
+		}
+	})
 }

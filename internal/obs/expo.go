@@ -27,6 +27,8 @@ type FamilySnapshot struct {
 // SeriesSnapshot is one labeled series' collected state. Counters
 // and gauges use Value; histograms use Buckets/Sum/Count (Buckets are
 // per-bucket counts aligned with Uppers, the last entry being +Inf).
+// Count is the sum of the loaded Buckets, so it always matches the
+// +Inf bucket; Sum may trail observations still in flight.
 type SeriesSnapshot struct {
 	LabelValues []string
 	Value       float64
@@ -83,9 +85,9 @@ func (r *Registry) Snapshot() []FamilySnapshot {
 				ss.Buckets = make([]uint64, len(s.counts))
 				for i := range s.counts {
 					ss.Buckets[i] = s.counts[i].Load()
+					ss.Count += ss.Buckets[i]
 				}
 				ss.Sum = math.Float64frombits(s.sum.Load())
-				ss.Count = s.count.Load()
 			} else {
 				ss.Value = float64(s.val.Load())
 			}

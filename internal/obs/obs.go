@@ -12,9 +12,10 @@
 //     client into the module.
 //   - Hot-path writes are one atomic op. Counter.Add and
 //     Gauge.Set/Add are single atomic instructions; Histogram.Observe
-//     is two atomic adds plus a bucket search over a handful of
-//     upper bounds. Label resolution (the map lookup) is paid once
-//     via With, and callers on hot paths hold the resolved series.
+//     is one atomic add and one compare-and-swap loop on the sum,
+//     plus a bucket search over a handful of upper bounds. Label
+//     resolution (the map lookup) is paid once via With, and callers
+//     on hot paths hold the resolved series.
 //   - Reads never block writes. Exposition and Snapshot take the
 //     registry read lock and load atomics; they never quiesce
 //     writers, so a scrape cannot stall the scheduler.
@@ -85,7 +86,6 @@ type series struct {
 	val         atomic.Int64 // counter/gauge value
 	counts      []atomic.Uint64
 	sum         atomic.Uint64 // float64 bits
-	count       atomic.Uint64
 }
 
 // Sample is one sampled value of a CollectFunc family.
@@ -269,11 +269,13 @@ func (v *HistogramVec) With(labelValues ...string) Histogram {
 
 // Observe records one value: the owning bucket and every wider one
 // are counted at exposition (buckets are stored sparse, cumulated at
-// render), sum and count advance atomically.
+// render). There is no separate count: the count is the sum of the
+// buckets, so a snapshot's _count always equals its +Inf bucket. The
+// sum advances after the bucket, so a scrape racing an observation
+// may show a _sum that trails it, which the exposition format allows.
 func (h Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.buckets, v) // first upper bound >= v
 	h.s.counts[i].Add(1)
-	h.s.count.Add(1)
 	for {
 		old := h.s.sum.Load()
 		if h.s.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
@@ -282,8 +284,14 @@ func (h Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h Histogram) Count() uint64 { return h.s.count.Load() }
+// Count returns the number of observations: the sum of the buckets.
+func (h Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.s.counts {
+		n += h.s.counts[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of observed values.
 func (h Histogram) Sum() float64 { return math.Float64frombits(h.s.sum.Load()) }

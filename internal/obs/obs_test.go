@@ -147,6 +147,55 @@ func TestConcurrentObserve(t *testing.T) {
 	}
 }
 
+// TestHistogramScrapeConsistentUnderObserve takes snapshots while
+// two goroutines observe: every snapshot's Count must equal the sum
+// of its buckets, and every 20th exposition must validate, whose
+// _count must equal its +Inf bucket.
+func TestHistogramScrapeConsistentUnderObserve(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("lat", "Latency.", []float64{1, 2}).With()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				h.Observe(float64(i % 3))
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	var text strings.Builder
+	for i := 0; i < 20000; i++ {
+		s := r.Snapshot()[0].Series[0]
+		var sum uint64
+		for _, c := range s.Buckets {
+			sum += c
+		}
+		if s.Count != sum {
+			t.Fatalf("snapshot %d: Count %d != bucket sum %d", i, s.Count, sum)
+		}
+		if i%20 == 0 {
+			text.Reset()
+			if err := r.WriteText(&text); err != nil {
+				t.Fatal(err)
+			}
+			if err := Validate(text.String()); err != nil {
+				t.Fatalf("exposition %d: %v", i/20, err)
+			}
+		}
+	}
+}
+
 func TestWriteTextGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_total", "Total b.", "kind").With("star").Add(3)

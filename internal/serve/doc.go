@@ -93,6 +93,13 @@
 // leaderboard (StatsWindow) with Poisson throughput intervals and
 // rank-uncertainty bounds.
 //
+// Every percentile in Stats — job latency over the most recent
+// finishes, each tenant's queue wait over the window — is read from
+// log-bucket counts kept beside the samples (DDSketch's logarithmic
+// mapping at α = 1%), not selected from a copy of them: it lies
+// within 1% of the exact nearest-rank value over the same window,
+// plus ½ ns of rounding.
+//
 // # The v1 contract
 //
 // The HTTP surface lives under /v1 only:
@@ -115,7 +122,8 @@
 // in a newline; the starmesh CLI pretty-prints what it shows. The
 // watch stream (application/x-ndjson) is a store subscription, one
 // compact job value per line: every status transition publishes a
-// snapshot; the stream ends after the terminal one. Job, page and
+// snapshot; the stream ends after the terminal one, which goes out
+// with the end of the body so that the connection stays reusable. Job, page and
 // batch bodies and watch lines are written by the job codec
 // (jobjson.go), byte for byte what encoding/json writes for the same
 // value; the other bodies by encoding/json itself.

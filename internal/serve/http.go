@@ -240,7 +240,12 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 // handleWatch streams a job's status transitions as newline-delimited
 // JSON snapshots: the current state first, then every transition,
 // closing after the terminal one. Cancellation mid-stream (client
-// disconnect) just unsubscribes.
+// disconnect) just unsubscribes. Every line but the terminal one is
+// flushed as it is written. The terminal line is left in the buffer
+// and the handler returns, so net/http sends it in the same write as
+// the chunked terminator: a client that stops reading at the
+// terminal line then still finds the body at EOF, and its connection
+// goes back to the keep-alive pool instead of being closed.
 func (s *Service) handleWatch(w http.ResponseWriter, r *http.Request) {
 	initial, ch, stop, err := s.Watch(r.PathValue("id"))
 	if err != nil {
@@ -258,7 +263,7 @@ func (s *Service) handleWatch(w http.ResponseWriter, r *http.Request) {
 		if _, err := w.Write(line); err != nil {
 			return false
 		}
-		if flusher != nil {
+		if flusher != nil && !j.Status.Terminal() {
 			flusher.Flush()
 		}
 		return true

@@ -7,8 +7,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"starmesh/internal/workload"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -211,4 +213,92 @@ func TestHTTPCancelQueuedJob(t *testing.T) {
 		t.Fatalf("cancel left status %s", job.Status)
 	}
 	svc.Drain()
+}
+
+// flushLog is a ResponseWriter that logs each Write, by the status of
+// the job line written, and each Flush.
+type flushLog struct {
+	header http.Header
+	wrote  chan struct{} // one receive per Write
+	mu     sync.Mutex
+	ops    []string
+}
+
+func (f *flushLog) Header() http.Header { return f.header }
+func (f *flushLog) WriteHeader(int)     {}
+
+func (f *flushLog) Write(b []byte) (int, error) {
+	var j Job
+	if err := json.Unmarshal(b, &j); err != nil {
+		return 0, err
+	}
+	f.mu.Lock()
+	f.ops = append(f.ops, "write "+string(j.Status))
+	f.mu.Unlock()
+	f.wrote <- struct{}{}
+	return len(b), nil
+}
+
+func (f *flushLog) Flush() {
+	f.mu.Lock()
+	f.ops = append(f.ops, "flush")
+	f.mu.Unlock()
+}
+
+// TestWatchLeavesTerminalLineUnflushed: the watch stream flushes every
+// snapshot but the terminal one, which leaves with the chunked
+// terminator when the handler returns — so no Flush may follow the
+// terminal line, for a job already terminal at subscribe time and for
+// one that finishes mid-stream.
+func TestWatchLeavesTerminalLineUnflushed(t *testing.T) {
+	svc, err := newService(Config{Workers: 1, Queue: 4}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Drain()
+	watch := func(id string) (*flushLog, chan struct{}) {
+		// Room for every line of a stream (three at most), so Write
+		// never blocks the handler on the test.
+		rec := &flushLog{header: http.Header{}, wrote: make(chan struct{}, 3)}
+		req := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/watch", nil)
+		req.SetPathValue("id", id)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			svc.handleWatch(rec, req)
+		}()
+		return rec, done
+	}
+	run := func(id string) {
+		now := time.Now()
+		if _, ok := svc.store.claim(id, now, nil); !ok {
+			t.Fatalf("claim %s failed", id)
+		}
+		svc.store.finish(id, ScenarioResult{OK: true}, nil, now)
+	}
+	submit := func() string {
+		job, err := svc.Submit(JobSpec{Kind: KindSort, N: 4, Dist: "reversed", Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job.ID
+	}
+	check := func(name string, rec *flushLog, want ...string) {
+		if !slices.Equal(rec.ops, want) {
+			t.Errorf("%s: stream ops %q, want %q", name, rec.ops, want)
+		}
+	}
+
+	id := submit()
+	run(id)
+	rec, done := watch(id)
+	<-done
+	check("terminal at subscribe", rec, "write done")
+
+	id = submit()
+	rec, done = watch(id)
+	<-rec.wrote
+	run(id)
+	<-done
+	check("finishes mid-stream", rec, "write queued", "flush", "write running", "flush", "write done")
 }

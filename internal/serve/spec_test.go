@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -112,4 +113,43 @@ func TestNormalizedFillsDefaults(t *testing.T) {
 			t.Errorf("%s normalized name = %q, want %q", tc.spec.Kind, got, tc.name)
 		}
 	}
+}
+
+// FuzzSpecDecode decodes arbitrary bytes exactly as POST /v1/jobs
+// does — a json.Decoder with DisallowUnknownFields into a JobSpec —
+// and normalizes the result. Nothing may panic, and an accepted spec
+// is a fixed point: it normalizes to itself, with the same Shape and
+// Name. Seeded with every registry family's demo spec.
+func FuzzSpecDecode(f *testing.F) {
+	for _, fam := range workload.Builtin.Families() {
+		seed, err := json.Marshal(fam.Demo())
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
+	f.Add([]byte(`{"kind":"sweep","n":4,"trials":3,"priority":9}`))
+	f.Add([]byte(`{"kind":"sweep","n":4,"bogus":1}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec JobSpec
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
+			return
+		}
+		norm, err := spec.Normalized()
+		if err != nil {
+			return
+		}
+		again, err := norm.Normalized()
+		if err != nil {
+			t.Fatalf("normalized spec %+v no longer validates: %v", norm, err)
+		}
+		if again != norm {
+			t.Fatalf("normalizing is not idempotent: %+v then %+v", norm, again)
+		}
+		if norm.Shape() != again.Shape() || norm.Name() != again.Name() {
+			t.Fatalf("shape/name unstable: %q/%q then %q/%q", norm.Shape(), norm.Name(), again.Shape(), again.Name())
+		}
+	})
 }

@@ -12,7 +12,7 @@ package serve
 import (
 	"context"
 	"fmt"
-	"slices"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -106,19 +106,82 @@ var (
 )
 
 // latWindow is a fixed-capacity ring of the most recent latency
-// samples.
+// samples, with their log-bucket counts kept beside them: add moves
+// the counts with every append and eviction, so percentiles read
+// the counts and never copy the samples. The ring itself stays:
+// eviction needs the exact sample to know which bucket it left, and
+// snapshots persist it.
 type latWindow struct {
 	samples []time.Duration
 	next    int
+	counts  latCounts
 }
 
 func (w *latWindow) add(d time.Duration) {
+	w.counts[latBucket(d)]++
 	if len(w.samples) < maxLatencySamples {
 		w.samples = append(w.samples, d)
 		return
 	}
+	w.counts[latBucket(w.samples[w.next])]--
 	w.samples[w.next] = d
 	w.next = (w.next + 1) % len(w.samples)
+}
+
+// Log-bucket percentiles, after DDSketch's logarithmic mapping
+// (Masson, Rim, Lee, VLDB 2019). With γ = (1+α)/(1−α), bucket k ≥ 1
+// holds the durations in (γ^(k−2), γ^(k−1)] ns and reports
+// 2γ^(k−1)/(1+γ) rounded to a whole ns, which lies within α of
+// every value in the bucket before the rounding; bucket 0 holds the
+// durations ≤ 0 and reports 0. So a percentile read from the counts
+// is within α·exact + ½ ns of the exact nearest-rank value. The
+// array reaches γ^(latBuckets−2) ≥ 24 h; the top bucket also takes
+// every longer duration and reports about 24 h for it.
+const (
+	latAlpha   = 0.01
+	latGamma   = (1 + latAlpha) / (1 - latAlpha)
+	latBuckets = 1607
+)
+
+var (
+	latLogGamma = math.Log(latGamma)
+	// latValues is the value each bucket reports.
+	latValues = func() (v [latBuckets]int64) {
+		for k := 1; k < latBuckets; k++ {
+			v[k] = int64(math.Round(2 * math.Pow(latGamma, float64(k-1)) / (1 + latGamma)))
+		}
+		return v
+	}()
+)
+
+// latCounts counts durations per log bucket.
+type latCounts [latBuckets]uint32
+
+// latBucket maps a duration to its log bucket.
+func latBucket(d time.Duration) int {
+	if d <= 0 {
+		return 0
+	}
+	return min(int(math.Ceil(math.Log(float64(d))/latLogGamma))+1, latBuckets-1)
+}
+
+// percentiles returns the nearest-rank p50 and p99 of the n counted
+// durations (0 for n = 0) in one pass: the p-th percentile is the
+// value of the bucket holding the ceil(p·n/100)-th smallest.
+func (c *latCounts) percentiles(n int) (p50, p99 int64) {
+	if n == 0 {
+		return 0, 0
+	}
+	r50, r99 := (50*n+99)/100, (99*n+99)/100
+	k, seen := 0, 0
+	for ; k < latBuckets-1 && seen+int(c[k]) < r50; k++ {
+		seen += int(c[k])
+	}
+	p50 = latValues[k]
+	for ; k < latBuckets-1 && seen+int(c[k]) < r99; k++ {
+		seen += int(c[k])
+	}
+	return p50, latValues[k]
 }
 
 // walOp names one job transition in the WAL; every transition emits
@@ -659,7 +722,9 @@ type Stats struct {
 	// terminal status from running (done, failed, or canceled mid-run;
 	// jobs canceled from the queue never ran and are not counted) — a
 	// bounded window of maxLatencySamples — with total =
-	// admission→finish, run = execution only.
+	// admission→finish, run = execution only. Each is read from
+	// log-bucket counts and lies within 1% of the exact nearest-rank
+	// value over the same window (plus ½ ns of rounding).
 	LatencyTotalP50Ns int64 `json:"latency_total_p50_ns"`
 	LatencyTotalP99Ns int64 `json:"latency_total_p99_ns"`
 	LatencyRunP50Ns   int64 `json:"latency_run_p50_ns"`
@@ -687,10 +752,9 @@ type Stats struct {
 	Tenants []TenantStats `json:"tenants,omitempty"`
 }
 
-// aggregate computes the store's part of Stats. The latency windows
-// are copied under the store lock and their percentiles selected from
-// the copies after it is released, so appends and reads never wait on
-// the selection, and the live windows keep their insertion order.
+// aggregate computes the store's part of Stats. The latency
+// percentiles are read from the windows' bucket counts under the
+// store lock: one pass over each window's counts, no copy.
 func (st *store) aggregate(uptime time.Duration) Stats {
 	st.mu.Lock()
 	s := Stats{
@@ -709,12 +773,11 @@ func (st *store) aggregate(uptime time.Duration) Stats {
 	if secs := uptime.Seconds(); secs > 0 {
 		s.ThroughputJobsPerSec = float64(st.finished) / secs
 	}
-	total, run := slices.Clone(st.latTotal.samples), slices.Clone(st.latRun.samples)
+	s.LatencyTotalP50Ns, s.LatencyTotalP99Ns = st.latTotal.counts.percentiles(len(st.latTotal.samples))
+	s.LatencyRunP50Ns, s.LatencyRunP99Ns = st.latRun.counts.percentiles(len(st.latRun.samples))
 	st.mu.Unlock()
 
 	sort.Slice(s.Kinds, func(i, j int) bool { return s.Kinds[i].Kind < s.Kinds[j].Kind })
-	s.LatencyTotalP50Ns, s.LatencyTotalP99Ns = percentilesNs(total)
-	s.LatencyRunP50Ns, s.LatencyRunP99Ns = percentilesNs(run)
 	return s
 }
 
@@ -786,82 +849,4 @@ func (st *store) watchStats() (subscribers int, drops int64) {
 		subscribers += len(chans)
 	}
 	return subscribers, st.watchDrops
-}
-
-// percentilesNs returns the nearest-rank p50 and p99 of the samples
-// in nanoseconds (0 for an empty set): the p-th percentile of n
-// samples is the ceil(p·n/100)-th smallest. It finds both ranks by
-// selection, not a full sort, and reorders samples in place, so
-// callers pass a copy they own.
-func percentilesNs(samples []time.Duration) (p50, p99 int64) {
-	if len(samples) == 0 {
-		return 0, 0
-	}
-	rank := func(p int) int { return (p*len(samples)+99)/100 - 1 } // 0-based rank ceil(p/100 · n)
-	k50, k99 := rank(50), rank(99)
-	selectRank(samples, k99)
-	// Everything left of k99 is ≤ samples[k99], so the prefix holds the
-	// k99 smallest samples and the p50 rank lies inside it (k50 < k99
-	// for n ≥ 2; for n = 1 the prefix is empty and k50 = k99 = 0).
-	selectRank(samples[:k99], k50)
-	return samples[k50].Nanoseconds(), samples[k99].Nanoseconds()
-}
-
-// selectRounds bounds the partition rounds of selectRank; a range
-// still unresolved after them is sorted, so adversarial inputs cost
-// O(n log n) at worst instead of quickselect's O(n²). Random
-// 4096-sample windows resolve within about 20 rounds. A variable so
-// tests can shrink it.
-var selectRounds = 32
-
-// selectRank reorders s so that s[k] is its k-th smallest element
-// (0-based), everything before it ≤ s[k] and everything after it
-// ≥ s[k]: Hoare-partition quickselect with a median-of-three pivot.
-// Equal elements stop both scans and are swapped, so heavy ties
-// split evenly instead of degrading the partition.
-func selectRank(s []time.Duration, k int) {
-	lo, hi := 0, len(s)-1
-	for round := 0; lo < hi; round++ {
-		if round == selectRounds {
-			slices.Sort(s[lo : hi+1])
-			return
-		}
-		// Order s[lo] ≤ s[mid] ≤ s[hi] and pivot on the middle value;
-		// the outer two then stop the scans at the range ends.
-		mid := lo + (hi-lo)/2
-		if s[mid] < s[lo] {
-			s[mid], s[lo] = s[lo], s[mid]
-		}
-		if s[hi] < s[mid] {
-			s[hi], s[mid] = s[mid], s[hi]
-			if s[mid] < s[lo] {
-				s[mid], s[lo] = s[lo], s[mid]
-			}
-		}
-		pivot := s[mid]
-		i, j := lo, hi
-		for i <= j {
-			for s[i] < pivot {
-				i++
-			}
-			for s[j] > pivot {
-				j--
-			}
-			if i <= j {
-				s[i], s[j] = s[j], s[i]
-				i++
-				j--
-			}
-		}
-		// Now s[lo..j] ≤ pivot ≤ s[i..hi], and anything strictly
-		// between j and i equals the pivot.
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return
-		}
-	}
 }

@@ -101,6 +101,27 @@ func TestLatWindowWrapsToRecentSamples(t *testing.T) {
 	}
 }
 
+// TestLatBucketRange pins the ends of the bucket array: durations
+// ≤ 0 report 0, 1 ns reports 1 ns, 24 h still lands in a bucket
+// within 1% of it, and anything longer clamps into that top bucket.
+func TestLatBucketRange(t *testing.T) {
+	for _, d := range []time.Duration{-time.Second, 0} {
+		if k := latBucket(d); k != 0 || latValues[k] != 0 {
+			t.Fatalf("latBucket(%v) = %d reporting %d, want bucket 0 reporting 0", d, k, latValues[k])
+		}
+	}
+	if v := latValues[latBucket(1)]; v != 1 {
+		t.Fatalf("1ns reports %d", v)
+	}
+	day := 24 * time.Hour
+	if k := latBucket(day); k != latBuckets-1 || !withinAlpha(latValues[k], day.Nanoseconds()) {
+		t.Fatalf("24h lands in bucket %d of %d reporting %d", k, latBuckets, latValues[k])
+	}
+	if k := latBucket(30 * day); k != latBuckets-1 {
+		t.Fatalf("30 days land in bucket %d, want the top one", k)
+	}
+}
+
 func TestStoreAggregatesPerKind(t *testing.T) {
 	st := memStore(t)
 	now := time.Now()
@@ -146,16 +167,30 @@ func TestStoreSmallHelpers(t *testing.T) {
 	if got := memStore(t).recoveredQueued(); got != nil {
 		t.Fatalf("memory store recovered %v, want nothing", got)
 	}
-	if p50, p99 := percentilesNs(nil); p50 != 0 || p99 != 0 {
+	var empty latCounts
+	if p50, p99 := empty.percentiles(0); p50 != 0 || p99 != 0 {
 		t.Fatal("empty percentile must be 0")
 	}
 }
 
+// withinAlpha reports whether a published percentile keeps the
+// log-bucket contract against the exact value: |got − exact| ≤
+// α·exact + ½ ns, checked in integers as 200·|got − exact| ≤
+// 2·exact + 100 for α = 1%.
+func withinAlpha(got, exact int64) bool {
+	d := got - exact
+	if d < 0 {
+		d = -d
+	}
+	return 200*d <= 2*exact+100
+}
+
 // TestStatsPercentilesExact pins the nearest-rank percentiles that
 // /v1/stats reports — the p-th percentile of n samples is the
-// ceil(p·n/100)-th smallest — through the store's latency windows
-// and the tenant leaderboard, which share one helper. Aggregation
-// selects on a copy: the window itself keeps its insertion order.
+// ceil(p·n/100)-th smallest, published within 1% — through the
+// store's latency windows and the tenant leaderboard, which share one
+// bucket type. Aggregation reads the counts: the window itself keeps
+// its insertion order.
 func TestStatsPercentilesExact(t *testing.T) {
 	ms := func(v ...int) []time.Duration {
 		out := make([]time.Duration, len(v))
@@ -198,34 +233,34 @@ func TestStatsPercentilesExact(t *testing.T) {
 		// are 905+2047 and 905+4055.
 		{"wrapped-full-ring", ms(seq(1, 5000)...), 2952 * time.Millisecond, 4960 * time.Millisecond},
 	}
+	now := time.Now()
 	for _, c := range cases {
 		st := memStore(t)
 		for _, d := range c.samples {
 			st.latTotal.add(d)
 			st.latRun.add(d / 2)
+			winEvent(st, "t", now, StatusDone, d, 1)
 		}
 		window := slices.Clone(st.latTotal.samples)
 		s := st.aggregate(time.Second)
-		if s.LatencyTotalP50Ns != c.p50.Nanoseconds() || s.LatencyTotalP99Ns != c.p99.Nanoseconds() ||
-			s.LatencyRunP50Ns != (c.p50/2).Nanoseconds() || s.LatencyRunP99Ns != (c.p99/2).Nanoseconds() {
-			t.Fatalf("%s: store percentiles %+v, want p50 %v p99 %v (run halved)", c.name, s, c.p50, c.p99)
+		if !withinAlpha(s.LatencyTotalP50Ns, c.p50.Nanoseconds()) || !withinAlpha(s.LatencyTotalP99Ns, c.p99.Nanoseconds()) ||
+			!withinAlpha(s.LatencyRunP50Ns, (c.p50/2).Nanoseconds()) || !withinAlpha(s.LatencyRunP99Ns, (c.p99/2).Nanoseconds()) {
+			t.Fatalf("%s: store percentiles %+v, want p50 %v p99 %v (run halved) within 1%%", c.name, s, c.p50, c.p99)
 		}
 		if !slices.Equal(st.latTotal.samples, window) {
 			t.Fatalf("%s: aggregate reordered the live latency window", c.name)
 		}
-		rows := buildTenantStats(map[string]*tenantAgg{
-			"t": {tenant: "t", jobs: len(window), waits: window},
-		}, time.Second, func(string) int { return 1 }, nil)
-		if rows[0].QueueWaitP50Ns != c.p50.Nanoseconds() || rows[0].QueueWaitP99Ns != c.p99.Nanoseconds() {
-			t.Fatalf("%s: tenant wait percentiles %d/%d, want %v/%v",
+		rows := buildTenantStats(st.tenantWindow(now, time.Second), time.Second, func(string) int { return 1 }, nil)
+		if !withinAlpha(rows[0].QueueWaitP50Ns, c.p50.Nanoseconds()) || !withinAlpha(rows[0].QueueWaitP99Ns, c.p99.Nanoseconds()) {
+			t.Fatalf("%s: tenant wait percentiles %d/%d, want %v/%v within 1%%",
 				c.name, rows[0].QueueWaitP50Ns, rows[0].QueueWaitP99Ns, c.p50, c.p99)
 		}
 	}
 }
 
-// nearestRankRef is the sort-based reference percentilesNs must
-// match: the p-th percentile of the sorted samples is the
-// ceil(p·n/100)-th smallest.
+// nearestRankRef is the sort-based reference the published
+// percentiles are held to: the p-th percentile of the sorted samples
+// is the ceil(p·n/100)-th smallest.
 func nearestRankRef(sorted []time.Duration, p int) int64 {
 	r := p * len(sorted) / 100
 	if p*len(sorted)%100 != 0 {
@@ -256,14 +291,15 @@ func encodeWindow(v []int) []byte {
 	return out
 }
 
-// FuzzPercentilesNs checks the selection behind /v1/stats against
-// the sort-based reference on generated windows, at the default
-// round budget and at one round, where every range that a single
-// partition leaves open goes to the sort fallback. It also checks
-// that the reordered copy still holds exactly the input samples.
-// The seeds cover the small sizes, both sides of the 4096-sample
-// window, and the shapes that trip naive pivots: all-equal, sorted,
-// reversed and organ-pipe.
+// FuzzPercentilesNs checks the log-bucket percentiles behind /v1/stats
+// against the sort-based reference on generated windows: the samples
+// go through a latWindow at the default capacity and at one a third
+// of their number, so the ring wraps and evicts. After the adds the
+// bucket counts must equal a recount of the ring, and both
+// percentiles must lie within α of the reference over the samples
+// the ring kept. The seeds cover the small sizes, both sides of the
+// 4096-sample window, heavy ties, and all-equal, sorted, reversed and
+// organ-pipe windows.
 func FuzzPercentilesNs(f *testing.F) {
 	gen := func(n int, at func(i int) int) []byte {
 		v := make([]int, n)
@@ -283,25 +319,31 @@ func FuzzPercentilesNs(f *testing.F) {
 	f.Add(gen(4096, func(i int) int { return 4095 - i }))
 	f.Add(gen(4096, func(i int) int { return min(i, 4095-i) }))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		window := decodeWindow(data)
-		sorted := slices.Sorted(slices.Values(window))
-		var want50, want99 int64
-		if len(sorted) > 0 {
-			want50, want99 = nearestRankRef(sorted, 50), nearestRankRef(sorted, 99)
-		}
-		defaultRounds := selectRounds
-		defer func() { selectRounds = defaultRounds }()
-		for _, rounds := range []int{defaultRounds, 1} {
-			selectRounds = rounds
-			got := slices.Clone(window)
-			p50, p99 := percentilesNs(got)
-			if p50 != want50 || p99 != want99 {
-				t.Fatalf("n=%d rounds=%d: percentilesNs %d/%d, sort reference %d/%d",
-					len(window), rounds, p50, p99, want50, want99)
+		samples := decodeWindow(data)
+		defaultCap := maxLatencySamples
+		defer func() { maxLatencySamples = defaultCap }()
+		for _, capacity := range []int{defaultCap, len(samples)/3 + 1} {
+			maxLatencySamples = capacity
+			var w latWindow
+			for _, d := range samples {
+				w.add(d)
 			}
-			slices.Sort(got)
-			if !slices.Equal(got, sorted) {
-				t.Fatalf("n=%d rounds=%d: percentilesNs lost or duplicated samples", len(window), rounds)
+			var recount latCounts
+			for _, d := range w.samples {
+				recount[latBucket(d)]++
+			}
+			if w.counts != recount {
+				t.Fatalf("n=%d cap=%d: bucket counts drifted from the ring", len(samples), capacity)
+			}
+			var want50, want99 int64
+			if len(w.samples) > 0 {
+				sorted := slices.Sorted(slices.Values(w.samples))
+				want50, want99 = nearestRankRef(sorted, 50), nearestRankRef(sorted, 99)
+			}
+			p50, p99 := w.counts.percentiles(len(w.samples))
+			if !withinAlpha(p50, want50) || !withinAlpha(p99, want99) {
+				t.Fatalf("n=%d cap=%d: percentiles %d/%d, sort reference %d/%d",
+					len(samples), capacity, p50, p99, want50, want99)
 			}
 		}
 	})
@@ -330,9 +372,9 @@ func TestStatsCountJobsThatRan(t *testing.T) {
 	}
 	// Only the job canceled mid-run is in the window and the rate.
 	five := (5 * time.Millisecond).Nanoseconds()
-	if s.LatencyTotalP50Ns != five || s.LatencyTotalP99Ns != five ||
-		s.LatencyRunP50Ns != five || s.LatencyRunP99Ns != five {
-		t.Fatalf("latency %+v, want 5ms everywhere (the queued cancel never ran)", s)
+	if !withinAlpha(s.LatencyTotalP50Ns, five) || !withinAlpha(s.LatencyTotalP99Ns, five) ||
+		!withinAlpha(s.LatencyRunP50Ns, five) || !withinAlpha(s.LatencyRunP99Ns, five) {
+		t.Fatalf("latency %+v, want 5ms within 1%% everywhere (the queued cancel never ran)", s)
 	}
 	if s.ThroughputJobsPerSec != 1 {
 		t.Fatalf("throughput %v jobs/s over 1s, want 1", s.ThroughputJobsPerSec)
@@ -390,5 +432,31 @@ func TestErrorTaxonomyLeafCases(t *testing.T) {
 	}
 	if subs, _ := st.watchStats(); subs != 1 {
 		t.Fatalf("watchStats counted %d subscribers, want 1", subs)
+	}
+}
+
+// BenchmarkStats times Service.Stats on a service whose workers are
+// not started, after 5,000 jobs of one tenant finished through its
+// store, so the latency windows and the tenant ring have all wrapped.
+// Its B/op and allocs/op count what one /v1/stats call allocates.
+func BenchmarkStats(b *testing.B) {
+	svc, err := newService(Config{Workers: 1, Queue: 8}, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Drain()
+	now := time.Now()
+	for i := 0; i < 5000; i++ {
+		j := svc.store.add(JobSpec{Kind: KindSweep, N: 3}, DefaultTenant, now)
+		started := now.Add(time.Duration(i) * time.Microsecond)
+		if _, ok := svc.store.claim(j.ID, started, nil); !ok {
+			b.Fatalf("claim %s failed", j.ID)
+		}
+		svc.store.finish(j.ID, ScenarioResult{UnitRoutes: 10, OK: true}, nil,
+			started.Add(time.Duration(1+i%97)*time.Microsecond))
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		svc.Stats()
 	}
 }

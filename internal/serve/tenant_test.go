@@ -171,3 +171,37 @@ func TestLoadTenantsFile(t *testing.T) {
 		t.Fatal("non-JSON registry loaded")
 	}
 }
+
+// FuzzLoadTenantsFile loads arbitrary bytes as a -tenants file. It
+// must never panic, and in a file it accepts every non-empty key
+// resolves to the tenant that declares it.
+func FuzzLoadTenantsFile(f *testing.F) {
+	f.Add([]byte(`{"require_key": true, "tenants": [{"name": "ci", "key": "key-ci", "weight": 4},` +
+		`{"name": "lab", "key": "key-lab", "rate_per_sec": 2.5, "burst": 10, "max_queued": 3}]}`))
+	f.Add([]byte(`{"tenants": [{"name": "anon", "key": "k", "rate_per_sec": 0.5}]}`))
+	f.Add([]byte(`{"tenants": [{"name": "a", "key": "k"}, {"name": "b", "key": "k"}]}`))
+	f.Add([]byte(`{"tenants": [{"key": "no-name"}]}`))
+	f.Add([]byte("nope"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "tenants.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tf, err := LoadTenantsFile(path)
+		if err != nil {
+			return
+		}
+		ts, err := newTenantSet(tf.Tenants, tf.RequireKey)
+		if err != nil {
+			t.Fatalf("accepted file does not build its registry: %v", err)
+		}
+		for _, c := range tf.Tenants {
+			if c.Key == "" {
+				continue
+			}
+			if got, err := ts.forKey(c.Key); err != nil || got.name != c.Name {
+				t.Fatalf("key %q resolves to %v (%v), want tenant %q", c.Key, got, err, c.Name)
+			}
+		}
+	})
+}
