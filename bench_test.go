@@ -1,5 +1,5 @@
 // Benchmarks regenerating every figure and table of the paper (one
-// benchmark per artifact; see DESIGN.md's per-experiment index).
+// benchmark per artifact; README.md lists the experiments).
 // Each benchmark executes the corresponding experiment end to end —
 // workload generation, simulation and table rendering — so
 // `go test -bench=. -benchmem` doubles as the full reproduction run.
@@ -7,12 +7,15 @@ package starmesh_test
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -157,9 +160,6 @@ func BenchmarkRankUnrank(b *testing.B) {
 	}
 }
 
-// Keep exptab linked for table-rendering benches.
-var _ = exptab.New
-
 func BenchmarkMultiDimShear(b *testing.B) { benchExperiment(b, "mdshear") }
 func BenchmarkUtilization(b *testing.B)   { benchExperiment(b, "utilization") }
 
@@ -169,7 +169,7 @@ func BenchmarkUtilization(b *testing.B)   { benchExperiment(b, "utilization") }
 // full mesh-unit-route sweep, every dimension and direction, under
 // (a) the pre-engine baseline (route cache disabled — the original
 // closure-per-PE role tests), (b) the engine's sequential executor,
-// and (c) the sharded parallel executor.
+// (c) the sharded parallel executor, and plan replay on either.
 
 const engineBenchN = 8
 
@@ -252,48 +252,118 @@ func BenchmarkEngineBatchPool(b *testing.B) {
 
 func BenchmarkEngineExperiment(b *testing.B) { benchExperiment(b, "engine") }
 
-// TestEngineBenchRecord measures the S_8 sweep under all three
-// closure-path execution modes plus the replay path's GOMAXPROCS
-// 1→8 scaling curve, checks the engine determinism contract at every
-// point, and emits the perf record. It writes BENCH_engine.json at
-// the repository root when BENCH_ENGINE_RECORD is set (CI's bench
-// job and the Makefile's bench target set it); otherwise the record
-// goes to a scratch directory and the test only checks parity.
+// engineRecord is the schema of BENCH_engine.json, the one S_8
+// engine record: the mesh-route sweep under the closure path
+// (baseline, sequential, parallel), the replay path with its
+// GOMAXPROCS scaling curve, replay against closure per sweep, and the
+// repeated single-sweep replays the regression gate compares.
+type engineRecord struct {
+	exptab.Header
+	N    int `json:"n"`
+	PEs  int `json:"pes"`
+	Reps int `json:"reps"`
+
+	// Closure path (plans off): the route cache and executors alone.
+	BaselineNs      int64   `json:"baseline_generic_ns"`
+	SequentialNs    int64   `json:"sequential_ns"`
+	ParallelNs      int64   `json:"parallel_ns"`
+	SpeedupEngine   float64 `json:"speedup_engine_vs_baseline"`
+	SpeedupParallel float64 `json:"speedup_parallel_vs_sequential"`
+
+	// Replay path (plans on, the production path), swept over
+	// GOMAXPROCS 1→8 on the parallel executor.
+	ReplaySequentialNs int64          `json:"replay_sequential_ns"`
+	ReplayScaling      []scalingPoint `json:"replay_scaling"`
+
+	// Compiled plans: the per-sweep time of sequential replay against
+	// the same sweep resolved through closures, and the plans cached.
+	ClosureSweepNs int64   `json:"closure_sweep_ns"`
+	ReplaySweepNs  int64   `json:"replay_sweep_ns"`
+	SpeedupReplay  float64 `json:"speedup_replay_vs_closure"`
+	PlansCached    int     `json:"plans_cached"`
+
+	// Regression samples: single-sweep replays, each after Reset,
+	// folded into the interval the next run's regression gate reads.
+	SamplesNs []int64                   `json:"samples_ns"`
+	SweepNs   exptab.Interval           `json:"sweep_ns"`
+	SweepsPS  exptab.ThroughputInterval `json:"sweeps_per_sec"`
+
+	Batch *workload.BatchResult `json:"batch"`
+}
+
+// scalingPoint is one point of the replay scaling curve: the sweep
+// under the parallel executor at Procs procs, and its speedup over
+// sequential replay.
+type scalingPoint struct {
+	Procs    int     `json:"procs"`
+	ReplayNs int64   `json:"replay_ns"`
+	Speedup  float64 `json:"speedup_vs_sequential"`
+}
+
+// TestEngineBenchRecord is the one S_8 engine harness. It measures
+// the sweep under the three closure-path execution modes, the replay
+// path's GOMAXPROCS 1→8 scaling curve and five single-sweep replays,
+// asserts the determinism contract at every point (closure ≡ parallel
+// ≡ generic baseline ≡ replay), and emits BENCH_engine.json. With
+// BENCH_DIR set (the Makefile's bench target) it writes the record
+// there and then enforces three gates; unset, it writes nothing and a
+// missed gate is logged as a warning:
 //
-// When BENCH_ENGINE_GATE is also set AND the host has ≥ 4 CPUs, the
-// test fails unless the parallel replay beats sequential replay by
-// ≥ 1.5x at 4 procs. The CPU-count guard keeps the gate meaningful:
-// GOMAXPROCS above the physical core count only time-slices, so a
-// single-core host can never show real scaling and silently skips.
+//   - parallel replay ≥ 1.5x sequential replay at 4 procs, on hosts
+//     with at least 4 CPUs (GOMAXPROCS above the core count only
+//     time-slices, so smaller hosts skip it);
+//   - plan replay no slower than closure resolution per sweep;
+//   - the interval regression rule against the committed
+//     BENCH_engine.json, read before anything is written.
 func TestEngineBenchRecord(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping S_8 engine measurement in -short mode")
 	}
+	baseline, err := readEngineRecord("BENCH_engine.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log strings.Builder
+
+	// Regression samples first, on the process's first S_8 machine: one
+	// warm-up sweep records the plans, then every timed sweep replays.
+	const samples = 5
+	sampled := starsim.New(engineBenchN)
+	workload.EngineSweep(sampled)
+	sampleNs := make([]int64, samples)
+	for i := range sampleNs {
+		sampled.Reset()
+		start := time.Now()
+		workload.EngineSweep(sampled)
+		sampleNs[i] = time.Since(start).Nanoseconds()
+	}
+
 	const reps = 2
-	// Each mode is measured as the best of three timed windows: the
-	// sweep is deterministic, so the windows differ only by scheduler
-	// and GC jitter, and the minimum is the honest cost.
+	// measure warms m, fingerprints one sweep (Stats and the W
+	// checksum) for the parity checks, and times the best of three
+	// windows of reps sweeps: the sweep is deterministic, so the
+	// windows differ only by scheduler and GC jitter, and the minimum
+	// is the honest cost.
 	measure := func(m *starsim.Machine, reps int) (time.Duration, simd.Stats, int64) {
 		workload.EngineSweep(m) // warm route tables, plans and registers
+		m.ResetStats()
+		workload.EngineSweep(m)
+		stats, sum := m.Stats(), workload.RegChecksum(m, "W")
 		best := time.Duration(0)
-		var stats simd.Stats
 		for try := 0; try < 3; try++ {
-			m.ResetStats()
 			start := time.Now()
 			for r := 0; r < reps; r++ {
 				workload.EngineSweep(m)
 			}
-			elapsed := time.Since(start)
-			stats = m.Stats()
-			if best == 0 || elapsed < best {
+			if elapsed := time.Since(start); best == 0 || elapsed < best {
 				best = elapsed
 			}
 		}
-		return best, stats, workload.RegChecksum(m, "W")
+		return best, stats, sum
 	}
 
 	// Closure path (plans off): the engine's route-cache and executor
-	// costs in isolation; BENCH_plans.json covers replay vs closure.
+	// costs in isolation.
 	base := starsim.New(engineBenchN, simd.WithPlans(false))
 	base.SetRouteCache(false)
 	baseTime, baseStats, baseSum := measure(base, reps)
@@ -321,11 +391,15 @@ func TestEngineBenchRecord(t *testing.T) {
 	const scalingMaxProcs = 8
 	const scalingReps = 8
 	replaySeqTime, replaySeqStats, replaySeqSum := measure(starsim.New(engineBenchN), scalingReps)
+	if replaySeqStats != seqStats || replaySeqSum != seqSum {
+		t.Fatalf("plan replay diverged from closure resolution on S_%d:\nclosure %+v sum %d\nreplay  %+v sum %d",
+			engineBenchN, seqStats, seqSum, replaySeqStats, replaySeqSum)
+	}
 	prevProcs := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prevProcs)
 	parReplay := starsim.New(engineBenchN, simd.WithExecutor(simd.Parallel(0)))
 	defer parReplay.Close()
-	curve := make([]workload.ScalingPoint, 0, scalingMaxProcs)
+	curve := make([]scalingPoint, 0, scalingMaxProcs)
 	for procs := 1; procs <= scalingMaxProcs; procs++ {
 		runtime.GOMAXPROCS(procs)
 		ptTime, ptStats, ptSum := measure(parReplay, scalingReps)
@@ -333,7 +407,7 @@ func TestEngineBenchRecord(t *testing.T) {
 			t.Fatalf("parallel replay diverged from sequential replay on S_%d at %d procs:\nseq %+v sum %d\npar %+v sum %d",
 				engineBenchN, procs, replaySeqStats, replaySeqSum, ptStats, ptSum)
 		}
-		curve = append(curve, workload.ScalingPoint{
+		curve = append(curve, scalingPoint{
 			Procs:    procs,
 			ReplayNs: ptTime.Nanoseconds(),
 			Speedup:  float64(replaySeqTime) / float64(ptTime),
@@ -341,25 +415,17 @@ func TestEngineBenchRecord(t *testing.T) {
 	}
 	runtime.GOMAXPROCS(prevProcs)
 	speedupAt4 := curve[3].Speedup
-	if os.Getenv("BENCH_ENGINE_GATE") != "" {
-		if runtime.NumCPU() < 4 {
-			t.Logf("BENCH_ENGINE_GATE set but host has %d CPUs; skipping the 4-proc speedup gate", runtime.NumCPU())
-		} else if speedupAt4 < 1.5 {
-			t.Fatalf("parallel replay at 4 procs is %.2fx sequential, below the 1.5x gate (sequential %v, 4-proc %v)",
-				speedupAt4, replaySeqTime, time.Duration(curve[3].ReplayNs))
-		}
-	}
 
 	batch := workload.RunBatch(context.Background(), workload.StandardBatch(5, 42, simd.WithPlans(false)), 0)
 	if len(batch.Errors) != 0 {
 		t.Fatalf("batch errors: %v", batch.Errors)
 	}
 
-	rec := workload.BenchRecord{
-		Benchmark:          fmt.Sprintf("engine-S%d-mesh-route-sweep", engineBenchN),
-		Timestamp:          time.Now().UTC().Format(time.RFC3339),
-		GoMaxProcs:         prevProcs,
-		HostCPUs:           runtime.NumCPU(),
+	closureSweep := seqTime / reps
+	replaySweep := replaySeqTime / scalingReps
+	interval := exptab.NewInterval(sampleNs)
+	rec := engineRecord{
+		Header:             exptab.Header{Benchmark: fmt.Sprintf("engine-S%d-mesh-route-sweep", engineBenchN)},
 		N:                  engineBenchN,
 		PEs:                int(perm.Factorial(engineBenchN)),
 		Reps:               reps,
@@ -370,97 +436,74 @@ func TestEngineBenchRecord(t *testing.T) {
 		SpeedupParallel:    speedupAt4,
 		ReplaySequentialNs: replaySeqTime.Nanoseconds(),
 		ReplayScaling:      curve,
+		ClosureSweepNs:     closureSweep.Nanoseconds(),
+		ReplaySweepNs:      replaySweep.Nanoseconds(),
+		SpeedupReplay:      float64(closureSweep) / float64(replaySweep),
+		PlansCached:        simd.SharedPlans.Len(),
+		SamplesNs:          sampleNs,
+		SweepNs:            interval,
+		SweepsPS:           interval.Throughput(),
 		Batch:              &batch,
 	}
-	path := filepath.Join(t.TempDir(), "BENCH_engine.json")
-	if os.Getenv("BENCH_ENGINE_RECORD") != "" {
-		path = "BENCH_engine.json"
-	}
-	if err := rec.WriteJSON(path); err != nil {
+	path, err := exptab.WriteRecord("BENCH_engine.json", &rec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("S_%d sweep ×%d: baseline %v, sequential %v (%.2fx), parallel %v; replay ×%d: sequential %v, 4-proc %.2fx (%d host CPUs) → %s",
+	fmt.Fprintf(&log, "S_%d sweep ×%d: baseline %v, sequential %v (%.2fx), parallel %v; replay ×%d: sequential %v, 4-proc %.2fx (%d host CPUs)\n",
 		engineBenchN, reps, baseTime, seqTime, rec.SpeedupEngine, parTime,
-		scalingReps, replaySeqTime, speedupAt4, rec.HostCPUs, path)
-	if os.Getenv("BENCH_ENGINE_RECORD") != "" {
+		scalingReps, replaySeqTime, speedupAt4, runtime.NumCPU())
+	fmt.Fprintf(&log, "per sweep: closure %v, replay %v (%.2fx); %d plans cached\n",
+		closureSweep, replaySweep, rec.SpeedupReplay, rec.PlansCached)
+	fmt.Fprintf(&log, "regression samples %v: sweeps/s [%.1f, %.1f, %.1f]\n",
+		sampleNs, rec.SweepsPS.Min, rec.SweepsPS.Median, rec.SweepsPS.Max)
+	if path != "" {
+		fmt.Fprintf(&log, "record written to %s\n", path)
+	}
+
+	var gates []error
+	if cpus := runtime.NumCPU(); cpus < 4 {
+		fmt.Fprintf(&log, "4-proc speedup gate skipped: it needs 4 CPUs, this host has %d\n", cpus)
+	} else {
+		gates = append(gates, exptab.Gate(&log, speedupAt4 >= 1.5,
+			"parallel replay at 4 procs is %.2fx sequential, below the 1.5x gate (sequential %v, 4-proc %v)",
+			speedupAt4, replaySeqTime, time.Duration(curve[3].ReplayNs)))
+	}
+	gates = append(gates, exptab.Gate(&log, replaySweep <= closureSweep,
+		"plan replay slower than closure resolution on the S_%d sweep: replay %v, closure %v per sweep",
+		engineBenchN, replaySweep, closureSweep))
+	regressed, armed, verdict := rec.SweepsPS.RegressionAgainst(baseline.SweepsPS)
+	fmt.Fprintf(&log, "regression vs committed BENCH_engine.json (%s): %s\n", baseline.Timestamp, verdict)
+	if armed {
+		gates = append(gates, exptab.Gate(&log, !regressed, "S_%d sweep throughput regressed: %s", engineBenchN, verdict))
+	}
+	t.Log(strings.TrimSpace(log.String()))
+	if path != "" {
 		exptab.StepSummary("### Engine bench (S_%d)\n"+
-			"engine speedup %.2fx vs baseline · parallel replay at 4 procs %.2fx (gate ≥ 1.5x, %d host CPUs)",
-			engineBenchN, rec.SpeedupEngine, speedupAt4, rec.HostCPUs)
+			"engine speedup %.2fx vs baseline · parallel replay at 4 procs %.2fx (gate ≥ 1.5x, %d host CPUs) · "+
+			"replay %.2fx vs closure · sweeps/s %.1f / %.1f / %.1f — %s",
+			engineBenchN, rec.SpeedupEngine, speedupAt4, rec.HostCPUs, rec.SpeedupReplay,
+			rec.SweepsPS.Min, rec.SweepsPS.Median, rec.SweepsPS.Max, verdict)
+	}
+	if err := errors.Join(gates...); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestPlanBenchRecord measures compiled route plans on the S_8 sweep,
-// asserts parity (bit-identical stats and registers) and the perf
-// gate — plan replay must not be slower than closure resolution — and
-// emits the perf record. It writes BENCH_plans.json at the
-// repository root when BENCH_PLANS_RECORD is set (CI's bench job and
-// the Makefile's bench-plans target set it, with GOMAXPROCS > 1);
-// otherwise the record goes to a scratch directory and the test only
-// checks parity and the gate.
-func TestPlanBenchRecord(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping S_8 plan measurement in -short mode")
+// readEngineRecord reads the committed engine record, the regression
+// gate's baseline; a missing file is an empty baseline.
+func readEngineRecord(path string) (engineRecord, error) {
+	var rec engineRecord
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return rec, nil
 	}
-	const reps = 2
-	measure := func(m *starsim.Machine) (time.Duration, simd.Stats, int64) {
-		workload.EngineSweep(m) // warm: records plans / builds route tables
-		m.ResetStats()
-		start := time.Now()
-		for r := 0; r < reps; r++ {
-			workload.EngineSweep(m)
-		}
-		return time.Since(start), m.Stats(), workload.RegChecksum(m, "W")
+	if err != nil {
+		return rec, err
 	}
-
-	closure := starsim.New(engineBenchN, simd.WithPlans(false))
-	closureTime, closureStats, closureSum := measure(closure)
-	replay := starsim.New(engineBenchN)
-	replayTime, replayStats, replaySum := measure(replay)
-
-	parityOK := closureStats == replayStats && closureSum == replaySum
-	if !parityOK {
-		t.Fatalf("plan replay diverged from closure resolution on S_%d:\nclosure %+v sum %d\nreplay  %+v sum %d",
-			engineBenchN, closureStats, closureSum, replayStats, replaySum)
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return rec, fmt.Errorf("bad engine record %s: %w", path, err)
 	}
-	if replayTime > closureTime {
-		// Hard perf gate only in the bench job (BENCH_PLANS_RECORD
-		// set): a timing assertion has no place in the tier-1 / race
-		// runs, where scheduler noise could fail an unrelated change.
-		msg := fmt.Sprintf("plan replay slower than closure resolution on the S_%d sweep: replay %v, closure %v",
-			engineBenchN, replayTime, closureTime)
-		if os.Getenv("BENCH_PLANS_RECORD") != "" {
-			t.Fatal(msg)
-		}
-		t.Log("WARNING: " + msg)
-	}
-
-	rec := workload.PlanBenchRecord{
-		Benchmark:     fmt.Sprintf("plans-S%d-mesh-route-sweep", engineBenchN),
-		Timestamp:     time.Now().UTC().Format(time.RFC3339),
-		GoMaxProcs:    runtime.GOMAXPROCS(0),
-		N:             engineBenchN,
-		PEs:           int(perm.Factorial(engineBenchN)),
-		Reps:          reps,
-		ClosureNs:     closureTime.Nanoseconds(),
-		ReplayNs:      replayTime.Nanoseconds(),
-		SpeedupReplay: float64(closureTime) / float64(replayTime),
-		ParityOK:      parityOK,
-		PlansCached:   simd.SharedPlans.Len(),
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_plans.json")
-	if os.Getenv("BENCH_PLANS_RECORD") != "" {
-		path = "BENCH_plans.json"
-	}
-	if err := rec.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("S_%d sweep ×%d: closure %v, replay %v (%.2fx) → %s",
-		engineBenchN, reps, closureTime, replayTime, rec.SpeedupReplay, path)
-	if os.Getenv("BENCH_PLANS_RECORD") != "" {
-		exptab.StepSummary("### Plans bench (S_%d)\n"+
-			"plan replay %.2fx vs closure · parity %t",
-			engineBenchN, rec.SpeedupReplay, parityOK)
-	}
+	return rec, nil
 }
 
 // Scaling sub-benchmarks: the O(n²) conversions and O(n) neighbor

@@ -1,5 +1,5 @@
 // Command experiments regenerates the paper's figures and tables and
-// the measurement experiments indexed in DESIGN.md.
+// the measurement experiments listed in README.md.
 //
 // Usage:
 //
@@ -8,9 +8,14 @@
 //	experiments -run all
 //	experiments -run sorting -engine parallel -workers 4
 //	experiments -run plans -plan=false   // closure-resolved baseline
-//	experiments -run serve               // job-service load, writes BENCH_serve.json
 //	experiments -run scenarios           // one demo run per registered scenario family
-//	experiments -run bench-compare       // interval bench gate, writes BENCH_compare*.json
+//	experiments -run serve               // job-service load, pooled vs build-per-job
+//	experiments -run tenants             // multi-tenant fairness under a hot tenant
+//	experiments -run cluster             // 3-node cluster vs one node, plus a drain
+//
+// The serve, tenants and cluster experiments write their BENCH_*.json
+// record into $BENCH_DIR and enforce their gates when it is set;
+// unset, they write nothing and a missed gate only prints a warning.
 package main
 
 import (

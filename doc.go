@@ -101,15 +101,14 @@
 // measured closed-loop throughput of pooling on vs off
 // (`make bench-serve` regenerates it).
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-versus-measured record of every figure and table;
-// cmd/experiments regenerates all of them (its -engine and -plan
-// flags select the execution engine and the plan layer; the engine
-// and plans experiments assert both are bit-identical to the
+// See README.md for the system inventory; cmd/experiments
+// regenerates every figure and table of the paper (its -engine and
+// -plan flags select the execution engine and the plan layer; the
+// engine and plans experiments assert both are bit-identical to the
 // sequential closure reference). BENCH_engine.json records the
-// engine's measured performance on an S_8 workload (including the
-// replay path's GOMAXPROCS scaling curve) and BENCH_plans.json the
-// plan layer's; `make bench` and `make bench-plans` regenerate them,
-// and docs/benchmarks.md documents every record's schema and CI
-// gate.
+// engine's measured performance on an S_8 workload (the closure and
+// replay paths, the replay path's GOMAXPROCS scaling curve and the
+// repeated sweeps the regression gate compares); `make bench`
+// regenerates it, and docs/benchmarks.md documents every record's
+// schema and CI gate.
 package starmesh

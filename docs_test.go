@@ -73,4 +73,12 @@ func TestDocsMentionCommittedRecords(t *testing.T) {
 			t.Errorf("docs/benchmarks.md does not document committed record %s", rec)
 		}
 	}
+	for _, rec := range benchRecordName.FindAllString(string(doc), -1) {
+		if _, err := os.Stat(rec); err != nil {
+			t.Errorf("docs/benchmarks.md names %s, which is not committed (%v)", rec, err)
+		}
+	}
 }
+
+// benchRecordName matches a bench record's file name.
+var benchRecordName = regexp.MustCompile(`BENCH_[A-Za-z0-9_]+\.json`)

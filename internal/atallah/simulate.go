@@ -13,7 +13,7 @@ import (
 // construction standing in for Atallah's theorem ([ATAL88]): U node
 // (u_1,…,u_d) is assigned to R node (⌊u_1·l_1/L⌋,…,⌊u_d·l_d/L⌋).
 //
-// Substitution note (see DESIGN.md): the paper only cites Atallah's
+// Substitution note: the paper only cites Atallah's
 // slowdown O((max_i l_i)/N^(1/d)) (refined by Theorem 8 with a 2d
 // factor); we build the natural proportional block mapping and
 // measure its load (compute slowdown) and dilation (communication

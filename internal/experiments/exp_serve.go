@@ -1,11 +1,10 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
-	"time"
 
 	"starmesh/internal/exptab"
 	"starmesh/internal/loadgen"
@@ -40,18 +39,18 @@ func serveSpecs() []serve.JobSpec {
 // ServeLoad measures the simulation job service end to end: a
 // closed-loop load generator drives the v1 HTTP API through the
 // typed client — submit with 429 backpressure honored, completion
-// observed over the watch stream — against two services, one with
-// per-shape machine pooling and one building a machine per job.
-// Parity is asserted before any timing is reported: every job
-// result, pooled and unpooled, must be bit-identical (unit routes,
-// conflicts, self-check) to a standalone workload run of the same
-// seed. A third measurement repeats the pooled run on the WAL-backed
-// durable store (a throwaway directory), isolating what durability
-// costs. The record lands in BENCH_serve.json (path overridable via
-// BENCH_SERVE_PATH); when BENCH_SERVE_GATE is set — CI's serve
-// load-smoke job sets it — the experiment fails if pooled throughput
-// falls below build-per-job or the WAL costs more than 10% of pooled
-// throughput. The service runs its own engine configuration
+// observed over the watch stream — against four services: per-shape
+// machine pooling, a machine built per job, pooling on the WAL-backed
+// durable store (a throwaway directory) and pooling without
+// instrumentation (NoObs). Parity is asserted before any timing is
+// reported: every job result in every mode must be bit-identical
+// (unit routes, conflicts, self-check) to a standalone workload run
+// of the same seed. With BENCH_DIR set the record lands in
+// BENCH_DIR/BENCH_serve.json and the experiment fails if pooled
+// throughput falls below build-per-job, the WAL costs more than 10%
+// of pooled throughput, or the observability layer more than 5% of
+// bare throughput; a /v1/metrics exposition that fails validation
+// fails it regardless. The service runs its own engine configuration
 // (sequential, plans on), so the -engine flag does not apply here.
 func ServeLoad(w io.Writer) error {
 	svcCfg := serve.Config{Workers: 0, Queue: 32}
@@ -68,8 +67,7 @@ func ServeLoad(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rec := loadgen.NewBenchRecord(svcCfg, load, cmp, runtime.GOMAXPROCS(0),
-		time.Now().UTC().Format(time.RFC3339))
+	rec := loadgen.NewBenchRecord(svcCfg, load, cmp)
 
 	t := exptab.New(fmt.Sprintf("Job service: closed-loop load, %d clients × %d jobs, %d spec shapes",
 		load.Clients, load.JobsPerClient, len(load.Specs)),
@@ -98,53 +96,42 @@ func ServeLoad(w io.Writer) error {
 	fmt.Fprintf(w, "observability overhead: %.1f%% of bare throughput   scheduler queue-wait p99: %.2fms\n",
 		100*rec.ObsOverheadFrac, float64(rec.PooledQueueWaitP99Ns)/1e6)
 
-	path := os.Getenv("BENCH_SERVE_PATH")
-	if path == "" {
-		path = "BENCH_serve.json"
-	}
-	if err := rec.WriteJSON(path); err != nil {
+	if err := writeRecord(w, "BENCH_serve.json", &rec); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "record written to %s\n", path)
 	exptab.StepSummary("### Serve load (closed loop)\n"+
 		"| mode | jobs/s |\n|---|---|\n| pooled | %.1f |\n| build-per-job | %.1f |\n| wal-durable | %.1f |\n| bare-noobs | %.1f |\n\n"+
 		"pooled speedup %.2fx · WAL overhead %.1f%% · obs overhead %.1f%% · parity %t",
 		rec.PooledThroughput, rec.UnpooledThroughput, rec.DurableThroughput, rec.BareThroughput,
 		rec.SpeedupPooled, 100*rec.WALOverheadFrac, 100*rec.ObsOverheadFrac, rec.ParityOK)
 
-	if rec.SpeedupPooled < 1 {
-		msg := fmt.Sprintf("pooled throughput (%.1f jobs/s) below build-per-job (%.1f jobs/s)",
-			rec.PooledThroughput, rec.UnpooledThroughput)
-		if os.Getenv("BENCH_SERVE_GATE") != "" {
-			return fmt.Errorf("serve: %s", msg)
-		}
-		fmt.Fprintf(w, "WARNING: %s on this host\n", msg)
+	return errors.Join(
+		exptab.Gate(w, rec.SpeedupPooled >= 1,
+			"serve: pooled throughput (%.1f jobs/s) below build-per-job (%.1f jobs/s)",
+			rec.PooledThroughput, rec.UnpooledThroughput),
+		// The durability budget: every transition is one buffered
+		// append on the submit/claim/finish path — it should be nearly
+		// free next to job execution.
+		exptab.Gate(w, rec.WALOverheadFrac <= walOverheadBudget,
+			"serve: wal overhead %.1f%% exceeds the %.0f%% budget (durable %.1f vs pooled %.1f jobs/s)",
+			100*rec.WALOverheadFrac, 100*walOverheadBudget, rec.DurableThroughput, rec.PooledThroughput),
+		// The observability budget: the instruments are lock-free
+		// atomics and the per-job trace is a handful of appends, so
+		// anything above it is a hot-path regression.
+		exptab.Gate(w, rec.ObsOverheadFrac <= obsOverheadBudget,
+			"serve: observability overhead %.1f%% exceeds the %.0f%% budget (pooled %.1f vs bare %.1f jobs/s)",
+			100*rec.ObsOverheadFrac, 100*obsOverheadBudget, rec.PooledThroughput, rec.BareThroughput),
+	)
+}
+
+// writeRecord writes a bench record under BENCH_DIR and says where;
+// with BENCH_DIR unset it writes nothing.
+func writeRecord(w io.Writer, name string, rec exptab.Record) error {
+	path, err := exptab.WriteRecord(name, rec)
+	if err != nil || path == "" {
+		return err
 	}
-	// The durability budget: the WAL must not cost more than 10% of
-	// pooled throughput (every transition is one buffered append on
-	// the submit/claim/finish path — it should be nearly free next to
-	// job execution).
-	if rec.WALOverheadFrac > walOverheadBudget {
-		msg := fmt.Sprintf("wal overhead %.1f%% exceeds the %.0f%% budget (durable %.1f vs pooled %.1f jobs/s)",
-			100*rec.WALOverheadFrac, 100*walOverheadBudget, rec.DurableThroughput, rec.PooledThroughput)
-		if os.Getenv("BENCH_SERVE_GATE") != "" {
-			return fmt.Errorf("serve: %s", msg)
-		}
-		fmt.Fprintf(w, "WARNING: %s on this host\n", msg)
-	}
-	// The observability budget: counters, histograms and trace appends
-	// must not cost more than 5% of bare (NoObs) throughput — the
-	// instruments are lock-free atomics and the per-job trace is a
-	// handful of appends, so anything above that is a hot-path
-	// regression.
-	if rec.ObsOverheadFrac > obsOverheadBudget {
-		msg := fmt.Sprintf("observability overhead %.1f%% exceeds the %.0f%% budget (pooled %.1f vs bare %.1f jobs/s)",
-			100*rec.ObsOverheadFrac, 100*obsOverheadBudget, rec.PooledThroughput, rec.BareThroughput)
-		if os.Getenv("BENCH_SERVE_GATE") != "" {
-			return fmt.Errorf("serve: %s", msg)
-		}
-		fmt.Fprintf(w, "WARNING: %s on this host\n", msg)
-	}
+	fmt.Fprintf(w, "record written to %s\n", path)
 	return nil
 }
 

@@ -1,10 +1,10 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"time"
 
@@ -32,11 +32,11 @@ const (
 // FIFO the hot backlog would stretch every light job's wait by the
 // hot tenant's queue share (~3-4x here); under DRR the light
 // tenants' wait grows only by the service-share shift (5/3) and
-// throughput splits by weight. The record lands in
-// BENCH_tenants.json (path overridable via BENCH_TENANTS_PATH);
-// when BENCH_TENANTS_GATE is set — CI's fairness job sets it — the
-// experiment fails if the wait ratio exceeds 2x or any share
-// deviates more than 15% from its weight.
+// throughput splits by weight. Every job's result is checked against
+// a standalone run of the spec. With BENCH_DIR set the record lands
+// in BENCH_DIR/BENCH_tenants.json and the experiment fails if the
+// wait ratio exceeds 2x or any share deviates more than 15% from its
+// weight.
 func TenantFairness(w io.Writer) error {
 	cfg := loadgen.FairnessConfig{
 		// Two workers, not GOMAXPROCS: the fairness ratios depend on
@@ -95,13 +95,11 @@ func TenantFairness(w io.Writer) error {
 		res.WaitRatio, tenantWaitRatioLimit)
 	fmt.Fprintf(w, "worst throughput-share deviation from weight: %.1f%% (limit %.0f%%)\n",
 		100*res.MaxShareErr, 100*tenantShareErrLimit)
+	fmt.Fprintf(w, "parity vs standalone runs: %t\n", res.ParityOK)
 
-	gated := os.Getenv("BENCH_TENANTS_GATE") != ""
 	rec := loadgen.TenantBenchRecord{
-		Benchmark:       "serve-multi-tenant-wfq-fairness",
+		Header:          exptab.Header{Benchmark: "serve-multi-tenant-wfq-fairness"},
 		API:             "v1-typed-client-api-key",
-		Timestamp:       time.Now().UTC().Format(time.RFC3339),
-		GoMaxProcs:      runtime.GOMAXPROCS(0),
 		Workers:         cfg.Workers,
 		Queue:           cfg.Queue,
 		Hot:             cfg.Hot,
@@ -110,18 +108,13 @@ func TenantFairness(w io.Writer) error {
 		Result:          res,
 		WaitRatioLimit:  tenantWaitRatioLimit,
 		ShareErrLimit:   tenantShareErrLimit,
-		GatesEnforced:   gated,
+		GatesEnforced:   exptab.BenchDir() != "",
 		WaitRatioOK:     res.WaitRatio <= tenantWaitRatioLimit,
 		ShareFairnessOK: res.MaxShareErr <= tenantShareErrLimit,
 	}
-	path := os.Getenv("BENCH_TENANTS_PATH")
-	if path == "" {
-		path = "BENCH_tenants.json"
-	}
-	if err := rec.WriteJSON(path); err != nil {
+	if err := writeRecord(w, "BENCH_tenants.json", &rec); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "record written to %s\n", path)
 
 	exptab.StepSummary("### Tenant fairness (WFQ)\n"+
 		"| metric | value | limit |\n|---|---|---|\n"+
@@ -131,22 +124,13 @@ func TenantFairness(w io.Writer) error {
 		res.WaitRatio, tenantWaitRatioLimit,
 		100*res.MaxShareErr, 100*tenantShareErrLimit, res.Contended.Jobs)
 
-	if !rec.WaitRatioOK {
-		msg := fmt.Sprintf("light-tenant p99 wait grew %.2fx under contention (limit %.1fx; solo %.2fms, contended %.2fms)",
+	return errors.Join(
+		exptab.Gate(w, rec.WaitRatioOK,
+			"tenants: light-tenant p99 wait grew %.2fx under contention (limit %.1fx; solo %.2fms, contended %.2fms)",
 			res.WaitRatio, tenantWaitRatioLimit,
-			float64(res.BaselineLightP99Ns)/1e6, float64(res.ContendedLightP99Ns)/1e6)
-		if gated {
-			return fmt.Errorf("tenants: %s", msg)
-		}
-		fmt.Fprintf(w, "WARNING: %s on this host\n", msg)
-	}
-	if !rec.ShareFairnessOK {
-		msg := fmt.Sprintf("throughput shares deviate %.1f%% from weights (limit %.0f%%)",
-			100*res.MaxShareErr, 100*tenantShareErrLimit)
-		if gated {
-			return fmt.Errorf("tenants: %s", msg)
-		}
-		fmt.Fprintf(w, "WARNING: %s on this host\n", msg)
-	}
-	return nil
+			float64(res.BaselineLightP99Ns)/1e6, float64(res.ContendedLightP99Ns)/1e6),
+		exptab.Gate(w, rec.ShareFairnessOK,
+			"tenants: throughput shares deviate %.1f%% from weights (limit %.0f%%)",
+			100*res.MaxShareErr, 100*tenantShareErrLimit),
+	)
 }

@@ -1,8 +1,7 @@
 // Package experiments regenerates every figure and table of the
-// paper plus the measurement experiments indexed in DESIGN.md
-// (E1–E18). Each experiment writes stable fixed-width tables; the
-// cmd/experiments binary selects them by id, and EXPERIMENTS.md
-// quotes their output.
+// paper plus the measurement experiments listed in README.md. Each
+// experiment writes stable fixed-width tables; the cmd/experiments
+// binary selects them by id.
 package experiments
 
 import (
@@ -47,7 +46,6 @@ func All() []exptab.Experiment {
 		{ID: "scenarios", Name: "Infrastructure: scenario registry smoke, one demo run per family", Run: ScenarioSmoke},
 		{ID: "tenants", Name: "Infrastructure: multi-tenant fairness, WFQ shares and light-tenant p99", Run: TenantFairness},
 		{ID: "cluster", Name: "Infrastructure: sharded cluster, 3-node scatter-gather vs single node", Run: ClusterLoad},
-		{ID: "bench-compare", Name: "Infrastructure: interval bench-regression gate (S_8 sweep reps)", Run: BenchCompare},
 	}
 }
 

@@ -9,18 +9,17 @@ package loadgen
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http/httptest"
-	"os"
-	"sort"
-	"sync"
+	"slices"
+	"strings"
 	"time"
 
 	"starmesh/client"
 	"starmesh/internal/cluster"
+	"starmesh/internal/exptab"
 	"starmesh/internal/serve"
-	"starmesh/internal/workload"
 )
 
 // ClusterLoadConfig shapes one cluster-vs-single comparison.
@@ -78,7 +77,7 @@ func (c *ClusterComparison) Speedup() float64 {
 // startCluster boots n services behind real listeners and wires them
 // into one cluster map. The caller must call stop (idempotent) —
 // and must not reuse the cluster after it.
-func startCluster(n int, cfg serve.Config) (cluster.Map, map[string]*serve.Service, func(), error) {
+func startCluster(n int, cfg serve.Config) (cluster.Map, func(), error) {
 	m := cluster.Map{}
 	services := make(map[string]*serve.Service, n)
 	var servers []*httptest.Server
@@ -96,7 +95,7 @@ func startCluster(n int, cfg serve.Config) (cluster.Map, map[string]*serve.Servi
 		svc, err := serve.NewService(cfg)
 		if err != nil {
 			stop()
-			return m, nil, nil, err
+			return m, nil, err
 		}
 		ts := httptest.NewServer(svc.Handler())
 		servers = append(servers, ts)
@@ -107,80 +106,10 @@ func startCluster(n int, cfg serve.Config) (cluster.Map, map[string]*serve.Servi
 	for name, svc := range services {
 		if err := svc.SetCluster(name, m); err != nil {
 			stop()
-			return m, nil, nil, err
+			return m, nil, err
 		}
 	}
-	return m, services, stop, nil
-}
-
-// runClusterLoad drives the routing client closed-loop, mirroring
-// RunLoad's accounting (throughput over wall clock, client-observed
-// latency percentiles, per-spec result map for the parity check).
-func runClusterLoad(cc *client.ClusterClient, clients, jobsPerClient int, specs []JobSpec) (LoadResult, error) {
-	type outcome struct {
-		job     Job
-		latency time.Duration
-		err     error
-	}
-	outcomes := make([]outcome, clients*jobsPerClient)
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for j := 0; j < jobsPerClient; j++ {
-				idx := c*jobsPerClient + j
-				spec := specs[idx%len(specs)]
-				var o outcome
-				t0 := time.Now()
-				var job Job
-				job, o.err = cc.Submit(ctx, spec)
-				if o.err == nil {
-					o.job, o.err = cc.Await(ctx, job.ID)
-				}
-				o.latency = time.Since(t0)
-				outcomes[idx] = o
-				if o.err != nil {
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	out := LoadResult{ElapsedNs: elapsed.Nanoseconds(), BySpec: make(map[string]ScenarioResult)}
-	var latencies []time.Duration
-	for _, o := range outcomes {
-		if o.err != nil {
-			return out, o.err
-		}
-		out.Jobs++
-		latencies = append(latencies, o.latency)
-		if o.job.Status != serve.StatusDone {
-			out.Failed++
-			continue
-		}
-		key := o.job.Spec.Name()
-		norm := *o.job.Result
-		norm.Name = ""
-		norm.ElapsedNs = 0
-		if prev, ok := out.BySpec[key]; ok {
-			if prev != norm {
-				return out, fmt.Errorf("loadgen: spec %s returned diverging results across the cluster: %+v vs %+v", key, prev, norm)
-			}
-		} else {
-			out.BySpec[key] = norm
-		}
-	}
-	if secs := elapsed.Seconds(); secs > 0 {
-		out.ThroughputJobsPerSec = float64(out.Jobs-out.Failed) / secs
-	}
-	out.LatencyP50Ns = percentile(latencies, 50).Nanoseconds()
-	out.LatencyP99Ns = percentile(latencies, 99).Nanoseconds()
-	return out, nil
+	return m, stop, nil
 }
 
 // RunClusterComparison measures the same closed-loop load against an
@@ -196,74 +125,45 @@ func RunClusterComparison(cfg ClusterLoadConfig) (ClusterComparison, error) {
 		return cmp, fmt.Errorf("loadgen: cluster config needs ≥2 nodes, clients, jobs per client and specs")
 	}
 	svcCfg := serve.Config{Workers: cfg.WorkersPerNode, Queue: cfg.Queue}
-
-	// Standalone references first: the parity oracle, and the shared
-	// plan-cache warmup every measured topology then inherits equally.
-	wants := make(map[string]ScenarioResult, len(cfg.Specs))
-	for _, spec := range cfg.Specs {
-		sc, err := workload.ScenarioFor(spec)
-		if err != nil {
-			return cmp, err
-		}
-		want, err := sc.Run(context.Background())
-		if err != nil {
-			return cmp, fmt.Errorf("standalone %s: %w", sc.Name, err)
-		}
-		want.Name = ""
-		want.ElapsedNs = 0
-		norm, err := spec.Normalized()
-		if err != nil {
-			return cmp, err
-		}
-		wants[norm.Name()] = want
-	}
-	checkParity := func(mode string, res LoadResult) error {
-		for name, want := range wants {
-			got, ok := res.BySpec[name]
-			if !ok {
-				return fmt.Errorf("loadgen: %s run never completed spec %s", mode, name)
-			}
-			if got != want {
-				return fmt.Errorf("loadgen: %s result for %s diverged from standalone run: %+v vs %+v", mode, name, got, want)
-			}
-		}
-		return nil
+	ref, err := newOracle(cfg.Specs)
+	if err != nil {
+		return cmp, err
 	}
 
-	measure := func(nodes int) (LoadResult, error) {
-		m, _, stop, err := startCluster(nodes, svcCfg)
+	// Both topologies sit behind the routing client, so both pay
+	// identical client and HTTP costs and the delta is purely the
+	// sharding.
+	measure := func(mode string, nodes int) (LoadResult, error) {
+		m, stop, err := startCluster(nodes, svcCfg)
 		if err != nil {
 			return LoadResult{}, err
 		}
 		defer stop()
-		cc, err := client.NewCluster(m)
+		r, err := drive(closedLoop{
+			clients: cfg.Clients,
+			dial: func(_ int, onRetry func()) (target, error) {
+				return client.NewCluster(m, pressure(onRetry)...)
+			},
+			specs: cfg.Specs,
+			jobs:  cfg.JobsPerClient,
+		})
 		if err != nil {
 			return LoadResult{}, err
 		}
-		return runClusterLoad(cc, cfg.Clients, cfg.JobsPerClient, cfg.Specs)
+		res, err := fold(r.outcomes, r.elapsed)
+		if err == nil {
+			err = ref.check(mode, res.BySpec)
+		}
+		return res, err
 	}
-
-	reps := cfg.Reps
-	if reps < 1 {
-		reps = 1
-	}
-	for r := 0; r < reps; r++ {
-		clusterRes, err := measure(cfg.Nodes)
+	for r := range max(cfg.Reps, 1) {
+		clusterRes, err := measure("cluster", cfg.Nodes)
 		if err != nil {
 			return cmp, fmt.Errorf("cluster run: %w", err)
 		}
-		if err := checkParity("cluster", clusterRes); err != nil {
-			return cmp, err
-		}
-		// The baseline is one node of the same build behind the same
-		// routing client, so both measurements pay identical client
-		// and HTTP costs and the delta is purely the sharding.
-		singleRes, err := measure(1)
+		singleRes, err := measure("single", 1)
 		if err != nil {
 			return cmp, fmt.Errorf("single-node run: %w", err)
-		}
-		if err := checkParity("single", singleRes); err != nil {
-			return cmp, err
 		}
 		if r == 0 || clusterRes.ThroughputJobsPerSec > cmp.Cluster.ThroughputJobsPerSec {
 			cmp.Cluster = clusterRes
@@ -293,86 +193,77 @@ func RunClusterComparison(cfg ClusterLoadConfig) (ClusterComparison, error) {
 		cmp.OwnerShapes[owner]++
 	}
 
-	migrated, drainOK, err := runDrainExercise(svcCfg, cfg)
+	migrated, err := runDrainExercise(svcCfg, cfg)
 	if err != nil {
 		return cmp, err
 	}
-	cmp.Migrated, cmp.DrainParityOK = migrated, drainOK
+	cmp.Migrated, cmp.DrainParityOK = migrated, true
 	return cmp, nil
 }
 
 // runDrainExercise queues a slow single-shape backlog on a fresh
 // cluster, drains the owning node while the backlog is still queued,
 // and verifies every migrated job completed on a survivor with a
-// result bit-identical to a standalone run of its spec.
-func runDrainExercise(svcCfg serve.Config, cfg ClusterLoadConfig) (int, bool, error) {
+// result bit-identical to a standalone run of its spec. It returns
+// how many jobs migrated.
+func runDrainExercise(svcCfg serve.Config, cfg ClusterLoadConfig) (int, error) {
 	backlog := cfg.DrainBacklog
 	if backlog < 1 {
 		backlog = 8
 	}
-	m, _, stop, err := startCluster(cfg.Nodes, svcCfg)
+	m, stop, err := startCluster(cfg.Nodes, svcCfg)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	defer stop()
 	cc, err := client.NewCluster(m)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	ctx := context.Background()
 	// One shape, one owner, ~hundreds of ms per job against a single
 	// worker: the backlog is still queued when the drain lands.
-	slow := JobSpec{Kind: serve.KindSweep, N: 8, Trials: 30}
 	var ids []string
 	for i := 0; i < backlog; i++ {
-		spec := slow
-		spec.Seed = int64(i + 1)
-		job, err := cc.Submit(ctx, spec)
+		job, err := cc.Submit(ctx, JobSpec{Kind: serve.KindSweep, N: 8, Trials: 30, Seed: int64(i + 1)})
 		if err != nil {
-			return 0, false, err
+			return 0, err
 		}
 		ids = append(ids, job.ID)
 	}
 	owner, _, _ := cluster.SplitID(ids[0])
 	migrated, err := cc.Drain(ctx, owner)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	if len(migrated) == 0 {
-		return 0, false, fmt.Errorf("loadgen: drain exercise migrated nothing — the backlog drained before the drain request landed")
+		return 0, fmt.Errorf("loadgen: drain exercise migrated nothing — the backlog drained before the drain request landed")
 	}
-	// The standalone reference for the one slow shape, computed once.
-	norm, err := slow.Normalized()
-	if err != nil {
-		return 0, false, err
-	}
+	outcomes := make([]outcome, 0, len(migrated))
+	specs := make([]JobSpec, 0, len(migrated))
 	for _, mj := range migrated {
-		node, _, _ := cluster.SplitID(mj.To)
-		if node == owner {
-			return 0, false, fmt.Errorf("loadgen: migrated job %s resubmitted to the drained node", mj.To)
+		if node, _, _ := cluster.SplitID(mj.To); node == owner {
+			return 0, fmt.Errorf("loadgen: migrated job %s resubmitted to the drained node", mj.To)
 		}
 		final, err := cc.Await(ctx, mj.To)
 		if err != nil {
-			return 0, false, err
+			return 0, err
 		}
 		if final.Status != serve.StatusDone || final.Result == nil {
-			return 0, false, fmt.Errorf("loadgen: migrated job %s ended %s (%s)", mj.To, final.Status, final.Error)
+			return 0, fmt.Errorf("loadgen: migrated job %s ended %s (%s)", mj.To, final.Status, final.Error)
 		}
-		ref := norm
-		ref.Seed = final.Spec.Seed
-		sc, err := workload.ScenarioFor(ref)
-		if err != nil {
-			return 0, false, err
-		}
-		want, err := sc.Run(ctx)
-		if err != nil {
-			return 0, false, err
-		}
-		if final.Result.UnitRoutes != want.UnitRoutes || final.Result.Conflicts != want.Conflicts || final.Result.OK != want.OK {
-			return len(migrated), false, fmt.Errorf("loadgen: migrated job %s diverged from standalone run: %+v vs %+v", mj.To, final.Result, want)
-		}
+		outcomes = append(outcomes, outcome{job: final})
+		specs = append(specs, final.Spec)
 	}
-	return len(migrated), true, nil
+	res, err := fold(outcomes, 0)
+	if err != nil {
+		return 0, err
+	}
+	ref, err := newOracle(specs)
+	if err != nil {
+		return 0, err
+	}
+	return len(migrated), ref.check("drain", res.BySpec)
 }
 
 // ClusterBenchRecord is the schema of BENCH_cluster.json: the same
@@ -380,10 +271,8 @@ func runDrainExercise(svcCfg serve.Config, cfg ClusterLoadConfig) (int, bool, er
 // parity asserted on both topologies and on every drain-migrated
 // job before any timing is reported.
 type ClusterBenchRecord struct {
-	Benchmark      string `json:"benchmark"`
+	exptab.Header
 	API            string `json:"api"`
-	Timestamp      string `json:"timestamp"`
-	GoMaxProcs     int    `json:"gomaxprocs"`
 	Nodes          int    `json:"nodes"`
 	WorkersPerNode int    `json:"workers_per_node"`
 	Queue          int    `json:"queue"`
@@ -405,7 +294,7 @@ type ClusterBenchRecord struct {
 	SingleP99Ns       int64   `json:"single_latency_p99_ns"`
 
 	// Speedup is the headline: cluster over single-node throughput,
-	// gated at ≥1.8x on 3 nodes by CI's cluster job.
+	// gated at ≥1.8x on 3 nodes on hosts with at least 4 CPUs.
 	Speedup float64 `json:"speedup_cluster_vs_single"`
 	// ShapeOwners records the frozen ring's shape→node assignment for
 	// the bench specs; OwnerShapes the per-node shape counts.
@@ -418,12 +307,10 @@ type ClusterBenchRecord struct {
 }
 
 // NewClusterBenchRecord folds a comparison into the record schema.
-func NewClusterBenchRecord(cfg ClusterLoadConfig, cmp ClusterComparison, gomaxprocs int, timestamp string) ClusterBenchRecord {
+func NewClusterBenchRecord(cfg ClusterLoadConfig, cmp ClusterComparison) ClusterBenchRecord {
 	return ClusterBenchRecord{
-		Benchmark:         "cluster-closed-loop-sharded-vs-single",
+		Header:            exptab.Header{Benchmark: "cluster-closed-loop-sharded-vs-single"},
 		API:               "v1-cluster-routing-client",
-		Timestamp:         timestamp,
-		GoMaxProcs:        gomaxprocs,
 		Nodes:             cfg.Nodes,
 		WorkersPerNode:    cfg.WorkersPerNode,
 		Queue:             cfg.Queue,
@@ -451,34 +338,13 @@ func NewClusterBenchRecord(cfg ClusterLoadConfig, cmp ClusterComparison, gomaxpr
 	}
 }
 
-// WriteJSON writes the record as indented JSON.
-func (r *ClusterBenchRecord) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // OwnerTable renders the shape→owner spread as "node:count" pairs,
 // sorted by node — the one-line balance summary the experiment
 // prints.
 func (c *ClusterComparison) OwnerTable() string {
-	nodes := make([]string, 0, len(c.OwnerShapes))
-	for n := range c.OwnerShapes {
-		nodes = append(nodes, n)
-	}
-	sort.Strings(nodes)
-	parts := make([]string, 0, len(nodes))
-	for _, n := range nodes {
+	parts := make([]string, 0, len(c.OwnerShapes))
+	for _, n := range slices.Sorted(maps.Keys(c.OwnerShapes)) {
 		parts = append(parts, fmt.Sprintf("%s:%d", n, c.OwnerShapes[n]))
 	}
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += " "
-		}
-		out += p
-	}
-	return out
+	return strings.Join(parts, " ")
 }

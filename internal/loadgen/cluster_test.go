@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"starmesh/internal/exptab"
 	"starmesh/internal/serve"
 )
 
@@ -54,12 +55,12 @@ func TestRunClusterComparison(t *testing.T) {
 		t.Fatalf("speedup %f", cmp.Speedup())
 	}
 
-	rec := NewClusterBenchRecord(cfg, cmp, 4, "2026-01-01T00:00:00Z")
+	rec := NewClusterBenchRecord(cfg, cmp)
 	if rec.Nodes != 3 || rec.Shapes != 4 || rec.Migrated != cmp.Migrated || !rec.DrainParityOK {
 		t.Fatalf("record: %+v", rec)
 	}
-	path := t.TempDir() + "/BENCH_cluster.json"
-	if err := rec.WriteJSON(path); err != nil {
+	t.Setenv("BENCH_DIR", t.TempDir())
+	if _, err := exptab.WriteRecord("BENCH_cluster.json", &rec); err != nil {
 		t.Fatal(err)
 	}
 }

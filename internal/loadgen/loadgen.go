@@ -1,6 +1,7 @@
-// Package loadgen is the closed-loop load generator and the
-// pooled / unpooled / WAL-durable comparison harness behind
-// BENCH_serve.json.
+// Package loadgen is the closed-loop load driver behind the serve,
+// tenants and cluster benches (BENCH_serve.json, BENCH_tenants.json,
+// BENCH_cluster.json), with the one standalone-reference oracle all
+// three check every job result against.
 // Every byte of traffic goes through the public typed client
 // (starmesh/client) against the /v1 routes — submission with 429
 // backpressure honored, completion observed over the watch stream —
@@ -11,16 +12,18 @@ package loadgen
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
 	"starmesh/client"
+	"starmesh/internal/exptab"
 	"starmesh/internal/obs"
 	"starmesh/internal/serve"
+	"starmesh/internal/simd"
 	"starmesh/internal/workload"
 )
 
@@ -31,7 +34,7 @@ type (
 	ScenarioResult = serve.ScenarioResult
 )
 
-// LoadConfig shapes one load run.
+// LoadConfig shapes one serve load run.
 type LoadConfig struct {
 	// Clients is the number of concurrent closed-loop clients.
 	Clients int
@@ -40,11 +43,8 @@ type LoadConfig struct {
 	// Specs are assigned round-robin across the job stream, so every
 	// spec runs repeatedly and on every mode.
 	Specs []JobSpec
-	// PollInterval is the 429 retry back-off (default 200 µs — the
-	// bench harness wants admission pressure, not idle waiting).
-	PollInterval time.Duration
 	// Reps is how many times RunComparison measures each mode,
-	// interleaved (pooled, unpooled, durable, pooled, …) so host
+	// interleaved (pooled, unpooled, durable, bare, pooled, …) so host
 	// drift hits every mode equally; the best rep per mode is kept —
 	// run-to-run noise on a busy host dwarfs the real deltas, and the
 	// fastest run is the closest estimate of each mode's true cost
@@ -59,7 +59,7 @@ type LoadResult struct {
 	Rejected  int   `json:"rejected_429"`
 	ElapsedNs int64 `json:"elapsed_ns"`
 	// ThroughputJobsPerSec is completed jobs over the run's wall
-	// clock, the headline number of the pooled-vs-unpooled record.
+	// clock, the headline number of every comparison.
 	ThroughputJobsPerSec float64 `json:"throughput_jobs_per_sec"`
 	// Client-observed latency percentiles (submit → terminal status,
 	// watch stream included).
@@ -71,9 +71,9 @@ type LoadResult struct {
 	// LatencyP99Ns which also includes execution and the watch stream.
 	// Zero when the service ran without metrics (NoObs).
 	QueueWaitP99Ns int64 `json:"queue_wait_p99_ns"`
-	// BySpec holds, per spec name, the result every job of that spec
-	// returned; RunLoad fails if two runs of one spec ever disagree
-	// (the service determinism contract).
+	// BySpec holds, per normalized spec name, the result every done
+	// job of that spec returned; the fold fails if two runs of one
+	// spec ever disagree (the service determinism contract).
 	BySpec map[string]ScenarioResult `json:"-"`
 }
 
@@ -101,135 +101,236 @@ func ScrapeQueueWaitP99(ctx context.Context, baseURL string) (time.Duration, err
 	return time.Duration(q * float64(time.Second)), nil
 }
 
-// RunLoad drives the API at baseURL closed-loop and reports
-// throughput, latency and per-spec results. Each client submits a
-// job through the typed client (which retries 429s, counted here —
-// that is the backpressure working), awaits the terminal status over
-// the watch stream, and moves on.
+// RunLoad drives the API at baseURL closed-loop with one typed
+// client per closed-loop client and folds the run.
 func RunLoad(baseURL string, cfg LoadConfig) (LoadResult, error) {
-	if cfg.Clients < 1 || cfg.JobsPerClient < 1 || len(cfg.Specs) == 0 {
-		return LoadResult{}, fmt.Errorf("loadgen: load config needs clients, jobs per client and specs")
+	r, err := drive(closedLoop{
+		clients: cfg.Clients,
+		dial: func(_ int, onRetry func()) (target, error) {
+			return client.New(baseURL, pressure(onRetry)...), nil
+		},
+		specs: cfg.Specs,
+		jobs:  cfg.JobsPerClient,
+	})
+	if err != nil {
+		return LoadResult{}, err
 	}
-	poll := cfg.PollInterval
-	if poll <= 0 {
-		poll = 200 * time.Microsecond
+	return fold(r.outcomes, r.elapsed)
+}
+
+// target is what one closed-loop client drives: *client.Client and
+// *client.ClusterClient both satisfy it.
+type target interface {
+	Submit(ctx context.Context, spec JobSpec) (Job, error)
+	Await(ctx context.Context, id string) (Job, error)
+}
+
+// outcome is one job as its closed-loop client saw it.
+type outcome struct {
+	client   int           // index of the client that ran the job
+	job      Job           // final server snapshot; its Spec is normalized
+	latency  time.Duration // submit → terminal status, watch stream included
+	rejected int           // 429 retries the submission took
+	finished time.Time     // when the client saw the terminal status
+}
+
+// closedLoop shapes one run of the driver. Exactly one of jobs and
+// until stops it.
+type closedLoop struct {
+	clients int
+	// dial builds client c's target. onRetry must be called once per
+	// 429 retry the target takes; pressure(onRetry) wires it into a
+	// typed client.
+	dial func(c int, onRetry func()) (target, error)
+	// Job j of client c runs specs[(c*jobs+j) % len(specs)], so every
+	// spec runs repeatedly and on every client.
+	specs []JobSpec
+	jobs  int           // count stop: each client completes this many jobs
+	until time.Duration // deadline stop: no client starts a job after this much of the run
+}
+
+// run is what the driver measured: every outcome, ordered by client
+// and then by job, and the run's wall clock.
+type run struct {
+	outcomes []outcome
+	start    time.Time
+	elapsed  time.Duration
+}
+
+// pollInterval is the 429 retry cadence: the benches want admission
+// pressure, not idle waiting.
+const pollInterval = 200 * time.Microsecond
+
+// pressure is the closed-loop retry policy of every bench client: a
+// 429 is retried forever (admission must eventually win), at
+// pollInterval rather than the server's 1s Retry-After hint, and
+// reported to onRetry.
+func pressure(onRetry func()) []client.Option {
+	return []client.Option{
+		client.WithMaxRetries(-1),
+		client.WithBackpressureHook(func(time.Duration) { onRetry() }),
+		client.WithSleep(func(ctx context.Context, _ time.Duration) error {
+			time.Sleep(pollInterval)
+			return ctx.Err()
+		}),
 	}
-	type outcome struct {
-		job      Job // final server snapshot; its Spec is normalized
-		latency  time.Duration
-		rejected int
-		err      error
+}
+
+// drive runs the closed loop: each client submits a job, awaits its
+// terminal status, and moves on until its stop condition holds. The
+// first error, in client order, ends the run.
+func drive(cfg closedLoop) (run, error) {
+	if cfg.clients < 1 || len(cfg.specs) == 0 || (cfg.jobs < 1) == (cfg.until <= 0) {
+		return run{}, fmt.Errorf("loadgen: a closed loop needs clients, specs and one stop: a job count or a deadline")
 	}
-	outcomes := make([]outcome, cfg.Clients*cfg.JobsPerClient)
+	perClient := make([][]outcome, cfg.clients)
+	errs := make([]error, cfg.clients)
 	ctx := context.Background()
-	var wg sync.WaitGroup
 	start := time.Now()
-	for c := 0; c < cfg.Clients; c++ {
+	deadline := start.Add(cfg.until)
+	var wg sync.WaitGroup
+	for c := range cfg.clients {
 		wg.Add(1)
-		go func(c int) {
+		go func() {
 			defer wg.Done()
 			rejected := 0
-			cl := client.New(baseURL,
-				client.WithMaxRetries(-1), // closed loop: admission must eventually win
-				client.WithBackpressureHook(func(time.Duration) { rejected++ }),
-				client.WithSleep(func(ctx context.Context, _ time.Duration) error {
-					// The bench keeps pressure on: ignore the server's
-					// 1s Retry-After hint and re-knock at poll cadence.
-					time.Sleep(poll)
-					return ctx.Err()
-				}))
-			for j := 0; j < cfg.JobsPerClient; j++ {
-				idx := c*cfg.JobsPerClient + j
-				spec := cfg.Specs[idx%len(cfg.Specs)]
-				var o outcome
-				before := rejected
+			t, err := cfg.dial(c, func() { rejected++ })
+			if err != nil {
+				errs[c] = fmt.Errorf("loadgen: client %d: %w", c, err)
+				return
+			}
+			for j := 0; cfg.jobs < 1 || j < cfg.jobs; j++ {
 				t0 := time.Now()
-				o.job, o.err = runOneJob(ctx, cl, spec)
-				o.latency = time.Since(t0)
-				o.rejected = rejected - before
-				outcomes[idx] = o
-				if o.err != nil {
+				if cfg.until > 0 && !t0.Before(deadline) {
 					return
 				}
+				before := rejected
+				job, err := t.Submit(ctx, cfg.specs[(c*cfg.jobs+j)%len(cfg.specs)])
+				if err == nil {
+					job, err = t.Await(ctx, job.ID)
+				}
+				if err == nil && job.Status == serve.StatusDone && job.Result == nil {
+					err = fmt.Errorf("job %s done without a result", job.ID)
+				}
+				if err != nil {
+					errs[c] = fmt.Errorf("loadgen: client %d: %w", c, err)
+					return
+				}
+				now := time.Now()
+				perClient[c] = append(perClient[c], outcome{
+					client: c, job: job, latency: now.Sub(t0),
+					rejected: rejected - before, finished: now,
+				})
 			}
-		}(c)
+		}()
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-
-	out := LoadResult{
-		ElapsedNs: elapsed.Nanoseconds(),
-		BySpec:    make(map[string]ScenarioResult),
-	}
-	var latencies []time.Duration
-	for _, o := range outcomes {
-		if o.err != nil {
-			return out, o.err
-		}
-		out.Jobs++
-		out.Rejected += o.rejected
-		latencies = append(latencies, o.latency)
-		if o.job.Status != serve.StatusDone {
-			out.Failed++
-			continue
-		}
-		// Key by the server's stored spec, which is the normalized
-		// form (defaults like dist="uniform" applied) — the same form
-		// RunComparison's parity reference is keyed by.
-		key := o.job.Spec.Name()
-		norm := *o.job.Result
-		norm.Name = ""
-		norm.ElapsedNs = 0
-		if prev, ok := out.BySpec[key]; ok {
-			if prev != norm {
-				return out, fmt.Errorf("loadgen: spec %s returned diverging results: %+v vs %+v", key, prev, norm)
-			}
-		} else {
-			out.BySpec[key] = norm
+	out := run{start: start, elapsed: time.Since(start), outcomes: slices.Concat(perClient...)}
+	for _, err := range errs {
+		if err != nil {
+			return out, err
 		}
 	}
-	if secs := elapsed.Seconds(); secs > 0 {
-		out.ThroughputJobsPerSec = float64(out.Jobs-out.Failed) / secs
-	}
-	out.LatencyP50Ns = percentile(latencies, 50).Nanoseconds()
-	out.LatencyP99Ns = percentile(latencies, 99).Nanoseconds()
 	return out, nil
 }
 
-// runOneJob submits one spec and awaits its terminal status over the
-// watch stream, returning the final server-side snapshot. A done job
-// always carries a Result.
-func runOneJob(ctx context.Context, cl *client.Client, spec JobSpec) (Job, error) {
-	job, err := cl.Submit(ctx, spec)
-	if err != nil {
-		return job, err
+// fold folds a run's outcomes into a LoadResult: counts, 429
+// retries, throughput and client-latency percentiles, and the
+// per-spec results. It fails if two jobs of one spec returned
+// different results — the service's determinism contract.
+func fold(outcomes []outcome, elapsed time.Duration) (LoadResult, error) {
+	res := LoadResult{
+		Jobs:      len(outcomes),
+		ElapsedNs: elapsed.Nanoseconds(),
+		BySpec:    make(map[string]ScenarioResult),
 	}
-	job, err = cl.Await(ctx, job.ID)
-	if err != nil {
-		return job, err
+	latencies := make([]time.Duration, 0, len(outcomes))
+	for _, o := range outcomes {
+		res.Rejected += o.rejected
+		latencies = append(latencies, o.latency)
+		if o.job.Status != serve.StatusDone {
+			res.Failed++
+			continue
+		}
+		// The server stores the normalized spec (defaults such as
+		// dist="uniform" applied), the form the oracle is keyed by.
+		key := o.job.Spec.Name()
+		got := *o.job.Result
+		got.Name, got.ElapsedNs = "", 0
+		if prev, ok := res.BySpec[key]; ok && prev != got {
+			return res, fmt.Errorf("loadgen: spec %s returned diverging results: %+v vs %+v", key, prev, got)
+		}
+		res.BySpec[key] = got
 	}
-	if job.Status == serve.StatusDone && job.Result == nil {
-		return job, fmt.Errorf("loadgen: job %s done without a result", job.ID)
+	if secs := elapsed.Seconds(); secs > 0 {
+		res.ThroughputJobsPerSec = float64(res.Jobs-res.Failed) / secs
 	}
-	return job, nil
+	p50, p99 := percentiles(latencies)
+	res.LatencyP50Ns, res.LatencyP99Ns = p50.Nanoseconds(), p99.Nanoseconds()
+	return res, nil
 }
 
-// percentile returns the nearest-rank p-th percentile.
-func percentile(samples []time.Duration, p int) time.Duration {
+// percentiles returns the exact nearest-rank p50 and p99 of samples
+// (the ceil(p·n/100)-th smallest), sorting samples in place.
+func percentiles(samples []time.Duration) (p50, p99 time.Duration) {
 	if len(samples) == 0 {
-		return 0
+		return 0, 0
 	}
-	sorted := append([]time.Duration(nil), samples...)
-	for i := 1; i < len(sorted); i++ { // insertion sort: samples are few
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
+	slices.Sort(samples)
+	rank := func(p int) time.Duration {
+		return samples[max((p*len(samples)+99)/100, 1)-1]
+	}
+	return rank(50), rank(99)
+}
+
+// oracle holds the standalone reference result of every bench spec,
+// keyed by normalized spec name: the parity reference of every run.
+type oracle map[string]ScenarioResult
+
+// newOracle runs every distinct spec standalone once. The benches
+// build it before any measured run, so it also warms the
+// process-wide SharedPlans cache and no measured mode pays plan
+// compilation another inherits (machine construction, route tables
+// and plan binding remain per-machine costs — the costs pooling
+// amortizes).
+func newOracle(specs []JobSpec, opts ...simd.Option) (oracle, error) {
+	want := make(oracle, len(specs))
+	for _, spec := range specs {
+		norm, err := spec.Normalized()
+		if err != nil {
+			return nil, err
+		}
+		if _, seen := want[norm.Name()]; seen {
+			continue // a spec's name determines its result; fold enforces that
+		}
+		sc, err := workload.ScenarioFor(norm, opts...)
+		if err != nil {
+			return nil, err
+		}
+		res, err := sc.Run(context.Background())
+		if err != nil {
+			return nil, fmt.Errorf("standalone %s: %w", sc.Name, err)
+		}
+		res.Name, res.ElapsedNs = "", 0
+		want[norm.Name()] = res
+	}
+	return want, nil
+}
+
+// check verifies a run's per-spec results: every reference spec
+// completed, bit-identical (unit routes, conflicts, self-check) to
+// its standalone run.
+func (o oracle) check(mode string, bySpec map[string]ScenarioResult) error {
+	for name, want := range o {
+		got, ok := bySpec[name]
+		if !ok {
+			return fmt.Errorf("loadgen: %s run never completed spec %s", mode, name)
+		}
+		if got != want {
+			return fmt.Errorf("loadgen: %s result for %s diverged from standalone run: %+v vs %+v", mode, name, got, want)
 		}
 	}
-	rank := (p*len(sorted) + 99) / 100
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
+	return nil
 }
 
 // Comparison is the pooled-vs-unpooled-vs-durable-vs-bare
@@ -258,9 +359,9 @@ type Comparison struct {
 	// UnpooledBuilds counts machine constructions in build-per-job
 	// mode (one per job touching a machine).
 	UnpooledBuilds int64 `json:"unpooled_builds"`
-	// ParityOK means every job result — pooled, unpooled and durable —
-	// was bit-identical (unit routes, conflicts, self-check) to a
-	// standalone workload run of the same spec.
+	// ParityOK means every job result — pooled, unpooled, durable and
+	// bare — was bit-identical (unit routes, conflicts, self-check) to
+	// a standalone run of the same spec.
 	ParityOK bool `json:"parity_ok"`
 }
 
@@ -285,143 +386,80 @@ func (c *Comparison) ObsOverheadFrac() float64 {
 	return 1 - c.Pooled.ThroughputJobsPerSec/c.Bare.ThroughputJobsPerSec
 }
 
-// RunComparison measures the same closed-loop load twice — per-shape
-// pooling on, then off — over a fresh in-process HTTP server each,
-// and verifies both modes reproduce standalone scenario results
-// exactly. The standalone runs happen first: they are the parity
-// reference, and they warm the process-wide SharedPlans cache so
-// neither measured mode pays one-time plan compilation the other
-// would inherit (machine construction, route tables and plan binding
-// remain per-machine costs — the costs pooling amortizes).
+// RunComparison measures the same closed-loop load in four modes —
+// pooled, build-per-job (NoPool), pooled on the WAL-durable store and
+// pooled without instrumentation (NoObs) — over a fresh in-process
+// HTTP server each, and checks every run against the oracle.
 func RunComparison(svcCfg serve.Config, load LoadConfig) (Comparison, error) {
 	var cmp Comparison
-
 	opts, err := svcCfg.EngineOptions()
 	if err != nil {
 		return cmp, err
 	}
-	wants := make(map[string]ScenarioResult, len(load.Specs))
-	for _, spec := range load.Specs {
-		sc, err := workload.ScenarioFor(spec, opts...)
-		if err != nil {
-			return cmp, err
-		}
-		want, err := sc.Run(context.Background())
-		if err != nil {
-			return cmp, fmt.Errorf("standalone %s: %w", sc.Name, err)
-		}
-		want.Name = ""
-		want.ElapsedNs = 0
-		norm, err := spec.Normalized()
-		if err != nil {
-			return cmp, err
-		}
-		wants[norm.Name()] = want
+	ref, err := newOracle(load.Specs, opts...)
+	if err != nil {
+		return cmp, err
 	}
 
-	measure := func(cfg serve.Config) (LoadResult, serve.Stats, error) {
+	measure := func(mode string, cfg serve.Config, wal bool) (LoadResult, serve.Stats, error) {
+		if wal {
+			// A throwaway directory, fresh per rep, so no rep pays
+			// recovery for the previous one.
+			dir, err := os.MkdirTemp("", "starmesh-bench-wal-")
+			if err != nil {
+				return LoadResult{}, serve.Stats{}, err
+			}
+			defer os.RemoveAll(dir)
+			cfg.StoreDir = dir
+		}
 		svc, err := serve.NewService(cfg)
 		if err != nil {
 			return LoadResult{}, serve.Stats{}, err
 		}
 		ts := httptest.NewServer(svc.Handler())
+		defer func() {
+			ts.Close()
+			svc.Drain()
+		}()
 		res, err := RunLoad(ts.URL, load)
 		if err == nil && !cfg.NoObs {
 			// The scrape happens after the run's clock stops, so it
 			// never perturbs the measurement it reports on.
-			p99, serr := ScrapeQueueWaitP99(context.Background(), ts.URL)
-			if serr != nil {
-				err = serr
-			} else {
-				res.QueueWaitP99Ns = p99.Nanoseconds()
-			}
+			var p99 time.Duration
+			p99, err = ScrapeQueueWaitP99(context.Background(), ts.URL)
+			res.QueueWaitP99Ns = p99.Nanoseconds()
 		}
-		stats := svc.Stats()
-		ts.Close()
-		svc.Drain()
-		return res, stats, err
-	}
-	// checkParity verifies one run against the standalone references;
-	// every rep of every mode goes through it, so a kept-or-discarded
-	// timing never hides a correctness divergence.
-	checkParity := func(mode string, res LoadResult) error {
-		for name, want := range wants {
-			got, ok := res.BySpec[name]
-			if !ok {
-				return fmt.Errorf("loadgen: %s run never completed spec %s", mode, name)
-			}
-			if got != want {
-				cmp.ParityOK = false
-				return fmt.Errorf("loadgen: %s result for %s diverged from standalone run: %+v vs %+v",
-					mode, name, got, want)
-			}
+		if err == nil {
+			err = ref.check(mode, res.BySpec)
 		}
-		return nil
+		return res, svc.Stats(), err
 	}
 
-	unpooledCfg := svcCfg
-	unpooledCfg.NoPool = true
-	reps := load.Reps
-	if reps < 1 {
-		reps = 1
-	}
+	unpooled, bare := svcCfg, svcCfg
+	unpooled.NoPool = true
+	bare.NoObs = true
 	var pooledStats, unpooledStats, durableStats serve.Stats
-	for r := 0; r < reps; r++ {
-		pooled, pStats, err := measure(svcCfg)
-		if err != nil {
-			return cmp, fmt.Errorf("pooled run: %w", err)
-		}
-		if err := checkParity("pooled", pooled); err != nil {
-			return cmp, err
-		}
-		unpooled, uStats, err := measure(unpooledCfg)
-		if err != nil {
-			return cmp, fmt.Errorf("unpooled run: %w", err)
-		}
-		if err := checkParity("unpooled", unpooled); err != nil {
-			return cmp, err
-		}
-		// The durable run is the pooled configuration plus the WAL (in
-		// a throwaway directory, fresh per rep so no rep pays recovery
-		// for the previous one), so the pooled-vs-durable delta
-		// isolates the logging cost.
-		walDir, err := os.MkdirTemp("", "starmesh-bench-wal-")
-		if err != nil {
-			return cmp, err
-		}
-		durableCfg := svcCfg
-		durableCfg.StoreDir = walDir
-		durable, dStats, err := measure(durableCfg)
-		os.RemoveAll(walDir)
-		if err != nil {
-			return cmp, fmt.Errorf("durable run: %w", err)
-		}
-		if err := checkParity("durable", durable); err != nil {
-			return cmp, err
-		}
-		// The bare run is the pooled configuration minus all
-		// instrumentation (NoObs): its delta against Pooled is the
-		// observability tax, gated by the serve experiment.
-		bareCfg := svcCfg
-		bareCfg.NoObs = true
-		bare, _, err := measure(bareCfg)
-		if err != nil {
-			return cmp, fmt.Errorf("bare run: %w", err)
-		}
-		if err := checkParity("bare", bare); err != nil {
-			return cmp, err
-		}
-		if r == 0 || pooled.ThroughputJobsPerSec > cmp.Pooled.ThroughputJobsPerSec {
-			cmp.Pooled, pooledStats = pooled, pStats
-		}
-		if r == 0 || unpooled.ThroughputJobsPerSec > cmp.Unpooled.ThroughputJobsPerSec {
-			cmp.Unpooled, unpooledStats = unpooled, uStats
-		}
-		if r == 0 || durable.ThroughputJobsPerSec > cmp.Durable.ThroughputJobsPerSec {
-			cmp.Durable, durableStats = durable, dStats
-		}
-		if r == 0 || bare.ThroughputJobsPerSec > cmp.Bare.ThroughputJobsPerSec {
-			cmp.Bare = bare
+	modes := []struct {
+		name  string
+		cfg   serve.Config
+		wal   bool
+		best  *LoadResult
+		stats *serve.Stats
+	}{
+		{"pooled", svcCfg, false, &cmp.Pooled, &pooledStats},
+		{"unpooled", unpooled, false, &cmp.Unpooled, &unpooledStats},
+		{"durable", svcCfg, true, &cmp.Durable, &durableStats},
+		{"bare", bare, false, &cmp.Bare, new(serve.Stats)},
+	}
+	for r := range max(load.Reps, 1) {
+		for _, m := range modes {
+			res, stats, err := measure(m.name, m.cfg, m.wal)
+			if err != nil {
+				return cmp, fmt.Errorf("%s run: %w", m.name, err)
+			}
+			if r == 0 || res.ThroughputJobsPerSec > m.best.ThroughputJobsPerSec {
+				*m.best, *m.stats = res, stats
+			}
 		}
 	}
 	cmp.DurableWALRecords = durableStats.Durability.WALRecords
@@ -439,14 +477,12 @@ func RunComparison(svcCfg serve.Config, load LoadConfig) (Comparison, error) {
 
 // BenchRecord is the schema of BENCH_serve.json: closed-loop service
 // throughput and latency with per-shape machine pooling on vs off,
-// with parity against standalone runs asserted before any timing is
-// reported. Since the v1 redesign the load flows through the typed
-// client (API field).
+// on the WAL-durable store and without instrumentation, with parity
+// against standalone runs asserted before any timing is reported.
+// The load flows through the typed client (API field).
 type BenchRecord struct {
-	Benchmark     string `json:"benchmark"`
+	exptab.Header
 	API           string `json:"api"`
-	Timestamp     string `json:"timestamp"`
-	GoMaxProcs    int    `json:"gomaxprocs"`
 	Workers       int    `json:"workers"`
 	Queue         int    `json:"queue"`
 	Engine        string `json:"engine"`
@@ -468,8 +504,8 @@ type BenchRecord struct {
 	UnpooledP99Ns      int64   `json:"unpooled_latency_p99_ns"`
 
 	// The durable (WAL-on, pooled) measurement and its overhead
-	// against the in-memory pooled run — the number the CI recovery
-	// job gates at 10%.
+	// against the in-memory pooled run — the number the serve
+	// experiment gates at 10%.
 	DurableJobs       int     `json:"durable_jobs"`
 	DurableNs         int64   `json:"durable_ns"`
 	DurableThroughput float64 `json:"durable_jobs_per_sec"`
@@ -500,13 +536,11 @@ type BenchRecord struct {
 // reported workers/queue/engine come from the config's effective
 // defaults, so the record always describes the configuration the
 // service actually ran.
-func NewBenchRecord(svcCfg serve.Config, load LoadConfig, cmp Comparison, gomaxprocs int, timestamp string) BenchRecord {
+func NewBenchRecord(svcCfg serve.Config, load LoadConfig, cmp Comparison) BenchRecord {
 	eff := svcCfg.Effective()
 	rec := BenchRecord{
-		Benchmark:          "serve-closed-loop-pooled-vs-unpooled-vs-durable",
+		Header:             exptab.Header{Benchmark: "serve-closed-loop-pooled-vs-unpooled-vs-durable"},
 		API:                "v1-typed-client-watch",
-		Timestamp:          timestamp,
-		GoMaxProcs:         gomaxprocs,
 		Workers:            eff.Workers,
 		Queue:              eff.Queue,
 		Engine:             eff.Engine,
@@ -548,13 +582,4 @@ func NewBenchRecord(svcCfg serve.Config, load LoadConfig, cmp Comparison, gomaxp
 		rec.SpeedupPooled = cmp.Pooled.ThroughputJobsPerSec / cmp.Unpooled.ThroughputJobsPerSec
 	}
 	return rec
-}
-
-// WriteJSON writes the record as indented JSON.
-func (r *BenchRecord) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

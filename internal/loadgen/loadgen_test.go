@@ -90,7 +90,7 @@ func TestRunComparisonParity(t *testing.T) {
 		t.Fatalf("unpooled run built %d machines, want one per job (16)", cmp.UnpooledBuilds)
 	}
 	rec := NewBenchRecord(serve.Config{Workers: 2},
-		LoadConfig{Clients: 2, JobsPerClient: 8, Specs: specs}, cmp, 2, "test")
+		LoadConfig{Clients: 2, JobsPerClient: 8, Specs: specs}, cmp)
 	if rec.PooledJobs != 16 || !rec.ParityOK || rec.Engine != "sequential" || !rec.Plans || rec.Queue != 64 {
 		t.Fatalf("bench record malformed: %+v", rec)
 	}

@@ -18,16 +18,13 @@
 package loadgen
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
 	"net/http/httptest"
-	"os"
 	"sort"
-	"sync"
 	"time"
 
 	"starmesh/client"
+	"starmesh/internal/exptab"
 	"starmesh/internal/serve"
 )
 
@@ -89,15 +86,19 @@ type PhaseResult struct {
 type FairnessResult struct {
 	Baseline  PhaseResult `json:"baseline"`
 	Contended PhaseResult `json:"contended"`
-	// BaselineLightP99Ns and ContendedLightP99Ns pool every light
-	// tenant's queue-wait samples per phase; WaitRatio is their
-	// quotient — the fairness headline the CI gate bounds.
+	// BaselineLightP99Ns and ContendedLightP99Ns are, per phase, the
+	// largest queue-wait p99 of any light tenant: the worst light
+	// tenant is what the fairness promise protects. WaitRatio is
+	// their quotient, the fairness headline the gate bounds.
 	BaselineLightP99Ns  int64   `json:"baseline_light_p99_ns"`
 	ContendedLightP99Ns int64   `json:"contended_light_p99_ns"`
 	WaitRatio           float64 `json:"wait_ratio"`
 	// MaxShareErr is the worst relative deviation of any tenant's
 	// contended throughput share from its weight share.
 	MaxShareErr float64 `json:"max_share_err"`
+	// ParityOK means every job of both phases returned a result
+	// bit-identical to a standalone run of the spec.
+	ParityOK bool `json:"parity_ok"`
 }
 
 // RunFairness measures WFQ fairness: a baseline phase with the light
@@ -123,24 +124,29 @@ func RunFairness(cfg FairnessConfig) (FairnessResult, error) {
 		})
 	}
 	svcCfg := serve.Config{Workers: cfg.Workers, Queue: cfg.Queue, Tenants: tenants}
+	ref, err := newOracle([]JobSpec{cfg.Spec})
+	if err != nil {
+		return out, err
+	}
 
-	baseline, err := runPhase(svcCfg, cfg, cfg.Lights)
+	baseline, err := runPhase(svcCfg, cfg, ref, cfg.Lights)
 	if err != nil {
 		return out, fmt.Errorf("baseline phase: %w", err)
 	}
-	contended, err := runPhase(svcCfg, cfg, append([]TenantClass{cfg.Hot}, cfg.Lights...))
+	contended, err := runPhase(svcCfg, cfg, ref, append([]TenantClass{cfg.Hot}, cfg.Lights...))
 	if err != nil {
 		return out, fmt.Errorf("contended phase: %w", err)
 	}
 	out.Baseline = baseline
 	out.Contended = contended
+	out.ParityOK = true
 
 	lightNames := make(map[string]bool, len(cfg.Lights))
 	for _, tc := range cfg.Lights {
 		lightNames[tc.Name] = true
 	}
-	out.BaselineLightP99Ns = pooledLightP99(baseline, lightNames)
-	out.ContendedLightP99Ns = pooledLightP99(contended, lightNames)
+	out.BaselineLightP99Ns = worstLightP99(baseline, lightNames)
+	out.ContendedLightP99Ns = worstLightP99(contended, lightNames)
 	if out.BaselineLightP99Ns > 0 {
 		out.WaitRatio = float64(out.ContendedLightP99Ns) / float64(out.BaselineLightP99Ns)
 	}
@@ -160,9 +166,10 @@ func RunFairness(cfg FairnessConfig) (FairnessResult, error) {
 }
 
 // runPhase drives the given tenant classes against a fresh service
-// for cfg.Phase and folds the per-job server-side queue waits into a
-// per-tenant result.
-func runPhase(svcCfg serve.Config, cfg FairnessConfig, classes []TenantClass) (PhaseResult, error) {
+// for cfg.Phase, checks every job against the oracle, and folds the
+// server-side queue waits of the jobs that finished after the warmup
+// into a per-tenant result.
+func runPhase(svcCfg serve.Config, cfg FairnessConfig, ref oracle, classes []TenantClass) (PhaseResult, error) {
 	svc, err := serve.NewService(svcCfg)
 	if err != nil {
 		return PhaseResult{}, err
@@ -173,56 +180,29 @@ func runPhase(svcCfg serve.Config, cfg FairnessConfig, classes []TenantClass) (P
 		svc.Drain()
 	}()
 
-	type sample struct {
-		tenant string
-		wait   time.Duration
-	}
-	var (
-		mu      sync.Mutex
-		samples []sample
-		runErr  error
-	)
-	ctx := context.Background()
-	start := time.Now()
-	deadline := start.Add(cfg.Phase)
-	warmUntil := start.Add(cfg.Warmup)
-	var wg sync.WaitGroup
+	var owner []TenantClass // client index → its tenant
 	for _, tc := range classes {
-		for c := 0; c < tc.Clients; c++ {
-			wg.Add(1)
-			go func(tc TenantClass) {
-				defer wg.Done()
-				cl := client.New(ts.URL,
-					client.WithAPIKey(tc.Key),
-					client.WithMaxRetries(-1),
-					client.WithSleep(func(ctx context.Context, _ time.Duration) error {
-						time.Sleep(200 * time.Microsecond)
-						return ctx.Err()
-					}))
-				for time.Now().Before(deadline) {
-					job, err := runOneJob(ctx, cl, cfg.Spec)
-					if err != nil {
-						mu.Lock()
-						if runErr == nil {
-							runErr = fmt.Errorf("tenant %s: %w", tc.Name, err)
-						}
-						mu.Unlock()
-						return
-					}
-					if time.Now().Before(warmUntil) {
-						continue
-					}
-					mu.Lock()
-					samples = append(samples, sample{tc.Name, time.Duration(job.WaitNs)})
-					mu.Unlock()
-				}
-			}(tc)
+		for range tc.Clients {
+			owner = append(owner, tc)
 		}
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if runErr != nil {
-		return PhaseResult{}, runErr
+	r, err := drive(closedLoop{
+		clients: len(owner),
+		dial: func(c int, onRetry func()) (target, error) {
+			return client.New(ts.URL, append(pressure(onRetry), client.WithAPIKey(owner[c].Key))...), nil
+		},
+		specs: []JobSpec{cfg.Spec},
+		until: cfg.Phase,
+	})
+	if err != nil {
+		return PhaseResult{}, err
+	}
+	all, err := fold(r.outcomes, r.elapsed)
+	if err == nil {
+		err = ref.check("tenants", all.BySpec)
+	}
+	if err != nil {
+		return PhaseResult{}, err
 	}
 
 	totalWeight := 0
@@ -230,18 +210,24 @@ func runPhase(svcCfg serve.Config, cfg FairnessConfig, classes []TenantClass) (P
 		totalWeight += tc.Weight
 	}
 	byTenant := make(map[string][]time.Duration, len(classes))
-	for _, s := range samples {
-		byTenant[s.tenant] = append(byTenant[s.tenant], s.wait)
+	res := PhaseResult{ElapsedNs: r.elapsed.Nanoseconds()}
+	for _, o := range r.outcomes {
+		if o.finished.Sub(r.start) < cfg.Warmup {
+			continue
+		}
+		name := owner[o.client].Name
+		byTenant[name] = append(byTenant[name], time.Duration(o.job.WaitNs))
+		res.Jobs++
 	}
-	res := PhaseResult{ElapsedNs: elapsed.Nanoseconds(), Jobs: len(samples)}
 	for _, tc := range classes {
 		waits := byTenant[tc.Name]
+		p50, p99 := percentiles(waits)
 		tr := TenantLoadResult{
 			Tenant: tc.Name, Weight: tc.Weight, Clients: tc.Clients,
 			Jobs:           len(waits),
 			WantShare:      float64(tc.Weight) / float64(totalWeight),
-			QueueWaitP50Ns: percentile(waits, 50).Nanoseconds(),
-			QueueWaitP99Ns: percentile(waits, 99).Nanoseconds(),
+			QueueWaitP50Ns: p50.Nanoseconds(),
+			QueueWaitP99Ns: p99.Nanoseconds(),
 		}
 		if res.Jobs > 0 {
 			tr.Share = float64(tr.Jobs) / float64(res.Jobs)
@@ -252,13 +238,9 @@ func runPhase(svcCfg serve.Config, cfg FairnessConfig, classes []TenantClass) (P
 	return res, nil
 }
 
-// pooledLightP99 is the p99 queue wait across every light tenant's
-// samples in one phase, weighted by sample count (pooling keeps the
-// estimate stable where a single light tenant's tail would be noisy).
-func pooledLightP99(ph PhaseResult, lights map[string]bool) int64 {
-	// Reconstruct an approximate pooled p99 from the per-tenant p99s
-	// is lossy; instead take the max per-tenant p99 among lights — the
-	// worst light tenant is what the fairness promise protects.
+// worstLightP99 is the largest queue-wait p99 among the light
+// tenants of one phase.
+func worstLightP99(ph PhaseResult, lights map[string]bool) int64 {
 	var worst int64
 	for _, tr := range ph.Tenants {
 		if lights[tr.Tenant] && tr.QueueWaitP99Ns > worst {
@@ -269,15 +251,13 @@ func pooledLightP99(ph PhaseResult, lights map[string]bool) int64 {
 }
 
 // TenantBenchRecord is the schema of BENCH_tenants.json: the
-// two-phase fairness measurement plus the gate inputs CI enforces
-// (light-tenant p99 wait ratio and weight-share fidelity).
+// two-phase fairness measurement plus the gate inputs (light-tenant
+// p99 wait ratio and weight-share fidelity).
 type TenantBenchRecord struct {
-	Benchmark  string `json:"benchmark"`
-	API        string `json:"api"`
-	Timestamp  string `json:"timestamp"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	Workers    int    `json:"workers"`
-	Queue      int    `json:"queue"`
+	exptab.Header
+	API     string `json:"api"`
+	Workers int    `json:"workers"`
+	Queue   int    `json:"queue"`
 
 	Hot    TenantClass   `json:"hot"`
 	Lights []TenantClass `json:"lights"`
@@ -292,13 +272,4 @@ type TenantBenchRecord struct {
 	GatesEnforced   bool    `json:"gates_enforced"`
 	WaitRatioOK     bool    `json:"wait_ratio_ok"`
 	ShareFairnessOK bool    `json:"share_fairness_ok"`
-}
-
-// WriteJSON writes the record as indented JSON.
-func (r *TenantBenchRecord) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -11,7 +11,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"net/http"
 	"sort"
 	"time"
@@ -131,11 +130,13 @@ func (s *Service) requestDrainExit() {
 // clustered GET /v1/stats presents. Counts, totals and throughput
 // sum; Pooling holds only if every node pools; Draining if any node
 // drains. Latency and queue-wait percentiles take the per-node
-// maximum — nodes keep samples, not sketches, so the honest merged
-// claim is the conservative bound. The per-tenant leaderboard merges
-// each tenant's window counts across nodes, then recomputes the 95%
-// Poisson throughput intervals from the merged counts (n ± 1.96·√n
-// over the window) and the simultaneous rank intervals from those —
+// maximum — a Stats carries each node's percentiles but not the
+// log-bucket counts behind them, and percentiles do not merge, so
+// the honest merged claim is the conservative bound. The per-tenant
+// leaderboard merges each tenant's window counts across nodes, then
+// recomputes the 95% Poisson throughput intervals from the merged
+// counts (n ± 1.96·√n over the window) and the simultaneous rank
+// intervals from those —
 // the same construction a single node uses, applied after the merge,
 // so rank uncertainty reflects cluster-wide counts rather than
 // averaging per-node ranks (which would be meaningless).
@@ -227,15 +228,8 @@ func MergeStats(per map[string]Stats, window time.Duration) Stats {
 		out.Pools = []PoolStats{}
 	}
 	rows := make([]TenantStats, 0, len(tenants))
-	secs := window.Seconds()
 	for _, t := range tenants {
-		if secs > 0 {
-			n := float64(t.Jobs)
-			margin := 1.96 * math.Sqrt(n)
-			t.ThroughputJobsPerSec = n / secs
-			t.ThroughputLo = math.Max(0, n-margin) / secs
-			t.ThroughputHi = (n + margin) / secs
-		}
+		t.setThroughput(window)
 		rows = append(rows, *t)
 	}
 	out.Tenants = RankTenantStats(rows)

@@ -143,7 +143,6 @@ const DefaultTenantWindow = 60 * time.Second
 func buildTenantStats(aggs map[string]*tenantAgg, window time.Duration,
 	weightOf func(string) int, depths map[string]int) []TenantStats {
 	rows := make([]TenantStats, 0, len(aggs))
-	secs := window.Seconds()
 	for name, agg := range aggs {
 		row := TenantStats{
 			Tenant:     name,
@@ -155,13 +154,7 @@ func buildTenantStats(aggs map[string]*tenantAgg, window time.Duration,
 			Conflicts:  agg.conflicts,
 		}
 		row.QueueWaitP50Ns, row.QueueWaitP99Ns = agg.waits.percentiles(agg.jobs)
-		if secs > 0 {
-			n := float64(agg.jobs)
-			margin := 1.96 * math.Sqrt(n)
-			row.ThroughputJobsPerSec = n / secs
-			row.ThroughputLo = math.Max(0, n-margin) / secs
-			row.ThroughputHi = (n + margin) / secs
-		}
+		row.setThroughput(window)
 		rows = append(rows, row)
 	}
 	for name := range depths {
@@ -170,6 +163,22 @@ func buildTenantStats(aggs map[string]*tenantAgg, window time.Duration,
 		}
 	}
 	return RankTenantStats(rows)
+}
+
+// setThroughput sets the row's throughput over the window from its
+// finish count n, with the 95% Poisson interval n ± 1.96·√n (floored
+// at zero) — the one interval construction, used by a single node
+// and again by MergeStats after it sums the counts.
+func (row *TenantStats) setThroughput(window time.Duration) {
+	secs := window.Seconds()
+	if secs <= 0 {
+		return
+	}
+	n := float64(row.Jobs)
+	margin := 1.96 * math.Sqrt(n)
+	row.ThroughputJobsPerSec = n / secs
+	row.ThroughputLo = math.Max(0, n-margin) / secs
+	row.ThroughputHi = (n + margin) / secs
 }
 
 // RankTenantStats orders leaderboard rows by point-estimate

@@ -9,10 +9,8 @@ package workload
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
 	"sync"
 	"time"
@@ -415,76 +413,4 @@ func RegChecksum(m *starsim.Machine, name string) int64 {
 		sum = sum*31 + v
 	}
 	return sum
-}
-
-// ScalingPoint is one entry of the GOMAXPROCS scaling curve: the S_8
-// replay sweep under the parallel executor limited to Procs procs,
-// and its speedup over the sequential replay of the same sweep.
-type ScalingPoint struct {
-	Procs    int     `json:"procs"`
-	ReplayNs int64   `json:"replay_ns"`
-	Speedup  float64 `json:"speedup_vs_sequential"`
-}
-
-// BenchRecord is the schema of BENCH_engine.json: the perf record
-// the engine benchmarks emit for an S_8-or-larger workload. The
-// closure-path fields (baseline/sequential/parallel, plans off)
-// isolate the engine's route-cache and executor costs; the replay
-// fields measure the production path (plans on, permutation replay
-// over the register banks) and carry the GOMAXPROCS 1→8 scaling
-// curve. HostCPUs qualifies the curve: a point at Procs beyond
-// HostCPUs only time-slices and cannot show real scaling, which is
-// why the CI speedup gate keys on the runner's CPU count.
-type BenchRecord struct {
-	Benchmark          string         `json:"benchmark"`
-	Timestamp          string         `json:"timestamp"`
-	GoMaxProcs         int            `json:"gomaxprocs"`
-	HostCPUs           int            `json:"host_cpus"`
-	N                  int            `json:"n"`
-	PEs                int            `json:"pes"`
-	Reps               int            `json:"reps"`
-	BaselineNs         int64          `json:"baseline_generic_ns"`
-	SequentialNs       int64          `json:"sequential_ns"`
-	ParallelNs         int64          `json:"parallel_ns"`
-	SpeedupEngine      float64        `json:"speedup_engine_vs_baseline"`
-	SpeedupParallel    float64        `json:"speedup_parallel_vs_sequential"`
-	ReplaySequentialNs int64          `json:"replay_sequential_ns,omitempty"`
-	ReplayScaling      []ScalingPoint `json:"replay_scaling,omitempty"`
-	Batch              *BatchResult   `json:"batch,omitempty"`
-}
-
-// WriteJSON writes the record as indented JSON.
-func (r *BenchRecord) WriteJSON(path string) error {
-	return writeJSON(r, path)
-}
-
-// PlanBenchRecord is the schema of BENCH_plans.json: the measured
-// effect of compiled route plans (replay vs closure resolution on
-// the S_8 mesh-route sweep), with parity asserted before any timing
-// is reported.
-type PlanBenchRecord struct {
-	Benchmark     string  `json:"benchmark"`
-	Timestamp     string  `json:"timestamp"`
-	GoMaxProcs    int     `json:"gomaxprocs"`
-	N             int     `json:"n"`
-	PEs           int     `json:"pes"`
-	Reps          int     `json:"reps"`
-	ClosureNs     int64   `json:"closure_ns"`
-	ReplayNs      int64   `json:"replay_ns"`
-	SpeedupReplay float64 `json:"speedup_replay_vs_closure"`
-	ParityOK      bool    `json:"parity_ok"`
-	PlansCached   int     `json:"plans_cached"`
-}
-
-// WriteJSON writes the record as indented JSON.
-func (r *PlanBenchRecord) WriteJSON(path string) error {
-	return writeJSON(r, path)
-}
-
-func writeJSON(v any, path string) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -2,11 +2,7 @@ package workload
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"os"
-	"path/filepath"
-	"reflect"
 	"testing"
 
 	"starmesh/internal/mesh"
@@ -85,43 +81,6 @@ func TestRunBatchCollectsErrors(t *testing.T) {
 	}
 	if res.Scenarios[0].Name != "broadcast-star-n3-src0" || !res.Scenarios[0].OK {
 		t.Errorf("healthy scenario result corrupted: %+v", res.Scenarios[0])
-	}
-}
-
-func TestBenchRecordWriteJSON(t *testing.T) {
-	rec := BenchRecord{
-		Benchmark:          "engine-test",
-		Timestamp:          "2026-01-01T00:00:00Z",
-		GoMaxProcs:         1,
-		N:                  8,
-		PEs:                40320,
-		Reps:               3,
-		BaselineNs:         300,
-		SequentialNs:       100,
-		ParallelNs:         100,
-		SpeedupEngine:      3.0,
-		SpeedupParallel:    1.0,
-		HostCPUs:           1,
-		ReplaySequentialNs: 90,
-		ReplayScaling: []ScalingPoint{
-			{Procs: 1, ReplayNs: 90, Speedup: 1.0},
-			{Procs: 2, ReplayNs: 50, Speedup: 1.8},
-		},
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_engine.json")
-	if err := rec.WriteJSON(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back BenchRecord
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, rec) {
-		t.Errorf("round trip: %+v != %+v", back, rec)
 	}
 }
 
