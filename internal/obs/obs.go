@@ -296,21 +296,6 @@ func (h Histogram) Count() uint64 {
 // Sum returns the sum of observed values.
 func (h Histogram) Sum() float64 { return math.Float64frombits(h.s.sum.Load()) }
 
-// Quantile estimates the q-th quantile (0 < q <= 1) of the observed
-// distribution by linear interpolation inside the owning bucket —
-// the honest percentile-interval discipline: the estimate is only as
-// precise as the bucket layout, and callers treating it as a point
-// value should report the bucket bounds alongside. Returns 0 with no
-// observations; observations beyond the last bucket clamp to its
-// upper bound.
-func (h Histogram) Quantile(q float64) float64 {
-	counts := make([]uint64, len(h.s.counts))
-	for i := range h.s.counts {
-		counts[i] = h.s.counts[i].Load()
-	}
-	return bucketQuantile(h.buckets, counts, q)
-}
-
 // bucketQuantile estimates a quantile from per-bucket (non-
 // cumulative) counts; counts has one extra entry for +Inf.
 func bucketQuantile(uppers []float64, counts []uint64, q float64) float64 {

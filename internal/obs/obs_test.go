@@ -47,19 +47,17 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 	if got := h.Sum(); math.Abs(got-3.6) > 1e-12 {
 		t.Fatalf("sum = %v, want 3.6", got)
 	}
-	// p50: rank 3 of 5 lands in the (0.1, 0.5] bucket (1 obs), so
-	// interpolation yields its upper bound.
-	if got := h.Quantile(0.5); got != 0.5 {
+	// The quantiles of the scraped bucket counts. p50: rank 3 of 5
+	// lands in the (0.1, 0.5] bucket (1 obs), so interpolation yields
+	// its upper bound.
+	s := r.Snapshot()[0].Series[0]
+	if got := bucketQuantile(s.Uppers, s.Buckets, 0.5); got != 0.5 {
 		t.Fatalf("p50 = %v, want 0.5", got)
 	}
-	// p100 lands in +Inf: clamps to last finite bound.
-	if got := h.Quantile(1); got != 1 {
-		t.Fatalf("p100 = %v, want clamp to 1", got)
-	}
-	if got := h.Quantile(0); got != 0 {
+	if got := bucketQuantile(s.Uppers, s.Buckets, 0); got != 0 {
 		t.Fatalf("q<=0 = %v, want 0", got)
 	}
-	if got := h.Quantile(1.5); got != 1 {
+	if got := bucketQuantile(s.Uppers, s.Buckets, 1.5); got != 1 {
 		t.Fatalf("q>1 = %v, want clamp to 1", got)
 	}
 }
@@ -71,16 +69,17 @@ func TestHistogramDefaultBuckets(t *testing.T) {
 	if got := h.Count(); got != 1 {
 		t.Fatalf("count = %d, want 1", got)
 	}
-	q := h.Quantile(0.99)
-	if q < 0.0025 || q > 0.005 {
+	s := r.Snapshot()[0].Series[0]
+	if q := bucketQuantile(s.Uppers, s.Buckets, 0.99); q < 0.0025 || q > 0.005 {
 		t.Fatalf("p99 = %v, want inside owning bucket (0.0025, 0.005]", q)
 	}
 }
 
 func TestEmptyHistogramQuantile(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat", "Latency.", []float64{1}).With()
-	if got := h.Quantile(0.99); got != 0 {
+	r.Histogram("lat", "Latency.", []float64{1}).With()
+	s := r.Snapshot()[0].Series[0]
+	if got := bucketQuantile(s.Uppers, s.Buckets, 0.99); got != 0 {
 		t.Fatalf("empty quantile = %v, want 0", got)
 	}
 }

@@ -135,7 +135,8 @@ func (s *Service) requestDrainExit() {
 // the honest merged claim is the conservative bound. The per-tenant
 // leaderboard merges each tenant's window counts across nodes, then
 // recomputes the 95% Poisson throughput intervals from the merged
-// counts (n ± 1.96·√n over the window) and the simultaneous rank
+// counts (n ± 1.96·√n over the requested window, even where a node's
+// TenantWindowNs reports a shorter span) and the simultaneous rank
 // intervals from those —
 // the same construction a single node uses, applied after the merge,
 // so rank uncertainty reflects cluster-wide counts rather than

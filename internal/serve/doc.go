@@ -95,10 +95,10 @@
 //
 // Every percentile in Stats — job latency over the most recent
 // finishes, each tenant's queue wait over the window — is read from
-// log-bucket counts kept beside the samples (DDSketch's logarithmic
-// mapping at α = 1%), not selected from a copy of them: it lies
-// within 1% of the exact nearest-rank value over the same window,
-// plus ½ ns of rounding.
+// log-bucket counts (DDSketch's logarithmic mapping at α = 1%) of
+// one ring of the last 4096 finishes, which also bounds the
+// leaderboard: it lies within 1% of the exact nearest-rank value over
+// the same finishes, plus ½ ns of rounding.
 //
 // # The v1 contract
 //

@@ -17,7 +17,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"slices"
 	"strconv"
 	"time"
 	"unicode/utf8"
@@ -163,30 +162,7 @@ func appendSnapshot(b []byte, s *walSnapshot) []byte {
 		}
 		b = append(b, ']')
 	}
-	b = append(b, `,"counts":`...)
-	if s.Counts == nil {
-		b = append(b, "null"...)
-	} else {
-		// encoding/json writes map keys in sorted order.
-		var stack [8]Status
-		keys := stack[:0]
-		for k := range s.Counts {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		b = append(b, '{')
-		for i, k := range keys {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendString(b, string(k))
-			b = strconv.AppendInt(append(b, ':'), int64(s.Counts[k]), 10)
-		}
-		b = append(b, '}')
-	}
 	b = appendIntField(b, `,"finished":`, s.Finished)
-	b = appendIntField(b, `,"unit_routes":`, s.UnitRoutes)
-	b = appendIntField(b, `,"conflicts":`, s.Conflicts)
 	if len(s.ByKind) > 0 {
 		b = append(b, `,"by_kind":[`...)
 		for i := range s.ByKind {
@@ -204,28 +180,10 @@ func appendSnapshot(b []byte, s *walSnapshot) []byte {
 		}
 		b = append(b, ']')
 	}
-	if len(s.LatTotal) > 0 {
-		b = appendInts(append(b, `,"lat_total_ns":`...), s.LatTotal)
-	}
-	if len(s.LatRun) > 0 {
-		b = appendInts(append(b, `,"lat_run_ns":`...), s.LatRun)
-	}
 	if s.WatchDrops != 0 {
 		b = appendIntField(b, `,"watch_drops":`, s.WatchDrops)
 	}
 	return append(b, '}')
-}
-
-// appendInts appends a non-nil []int64 as a JSON array.
-func appendInts(b []byte, vs []int64) []byte {
-	b = append(b, '[')
-	for i, v := range vs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, v, 10)
-	}
-	return append(b, ']')
 }
 
 // appendStringField appends key (the literal up to and including the

@@ -304,3 +304,63 @@ func TestHealthzReportsDurability(t *testing.T) {
 		t.Fatalf("stats durability wrong: %+v", st.Durability)
 	}
 }
+
+// TestRecoveryRestoresFinishWindow reopens a durable service twice
+// after two tenants finished jobs on it: the first open replays the
+// log, the second loads the boot snapshot the first wrote, with an
+// empty log. Both must publish the latency percentiles and the
+// leaderboard rows of the service before the restart. A job whose
+// requested cancel recovery honors stays out of both: it never
+// finished a run.
+func TestRecoveryRestoresFinishWindow(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *Service {
+		t.Helper()
+		svc, err := newService(Config{Workers: 1, Queue: 8, StoreDir: dir}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc
+	}
+	svc := open()
+	now := time.Now()
+	outcomes := []error{nil, nil, errAny, nil, context.Canceled}
+	for i, tenant := range []string{"a", "b", "a", "b", "a"} {
+		created := now.Add(time.Duration(i-len(outcomes)) * time.Second)
+		j := svc.store.add(JobSpec{Kind: KindSweep, N: 3}, tenant, created)
+		started := created.Add(time.Duration(i+1) * time.Millisecond)
+		if _, ok := svc.store.claim(j.ID, started, nil); !ok {
+			t.Fatalf("claim %s failed", j.ID)
+		}
+		svc.store.finish(j.ID, ScenarioResult{UnitRoutes: 10 * (i + 1), Conflicts: i, OK: true}, outcomes[i],
+			started.Add(time.Duration(3*i+2)*time.Millisecond))
+	}
+	held := svc.store.add(JobSpec{Kind: KindSweep, N: 3}, "b", now)
+	if _, ok := svc.store.claim(held.ID, now, nil); !ok {
+		t.Fatalf("claim %s failed", held.ID)
+	}
+	if _, err := svc.Cancel(held.ID); err != nil {
+		t.Fatal(err)
+	}
+	want := svc.StatsWindow(time.Hour)
+	svc.Drain()
+
+	for reopen := 1; reopen <= 2; reopen++ {
+		svc = open()
+		got, dur := svc.StatsWindow(time.Hour), svc.Durability()
+		svc.Drain()
+		if reopen == 1 && dur.CanceledAtRecovery != 1 {
+			t.Fatalf("first open: recovery counts %+v, want the held job canceled", dur)
+		}
+		if reopen == 2 && dur.ReplayedRecords != 0 {
+			t.Fatalf("second open replayed %d records, want the boot snapshot alone", dur.ReplayedRecords)
+		}
+		if got.LatencyTotalP50Ns != want.LatencyTotalP50Ns || got.LatencyTotalP99Ns != want.LatencyTotalP99Ns ||
+			got.LatencyRunP50Ns != want.LatencyRunP50Ns || got.LatencyRunP99Ns != want.LatencyRunP99Ns {
+			t.Fatalf("open %d: latency drifted across the restart:\nbefore %+v\nafter  %+v", reopen, want, got)
+		}
+		if !reflect.DeepEqual(got.Tenants, want.Tenants) {
+			t.Fatalf("open %d: leaderboard drifted across the restart:\nbefore %+v\nafter  %+v", reopen, want.Tenants, got.Tenants)
+		}
+	}
+}

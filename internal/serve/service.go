@@ -489,10 +489,9 @@ func (s *Service) StatsWindow(window time.Duration) Stats {
 	st.Draining = s.draining
 	s.mu.Unlock()
 	st.Pools = s.pools.stats()
-	now := time.Now()
-	st.TenantWindowNs = window.Nanoseconds()
-	st.Tenants = buildTenantStats(s.store.tenantWindow(now, window), window,
-		s.tenants.weightOf, s.sched.depths())
+	aggs, span := s.store.tenantWindow(time.Now(), window)
+	st.TenantWindowNs = span.Nanoseconds()
+	st.Tenants = buildTenantStats(aggs, span, s.tenants.weightOf, s.sched.depths())
 	return st
 }
 

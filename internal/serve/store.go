@@ -94,38 +94,64 @@ func (j *Job) snapshot() Job {
 }
 
 // Retention bounds. The service is long-running, so the store keeps
-// a bounded window of job records and latency samples: once more
-// than maxRetainedJobs are held, the oldest terminal jobs are
-// evicted (their ids then answer 404 — the aggregate counters stay
-// cumulative), and the percentile window holds the most recent
-// maxLatencySamples finishes. Variables rather than constants so
-// tests can shrink them.
+// a bounded window of job records and finishes: once more than
+// maxRetainedJobs are held, the oldest terminal jobs are evicted
+// (their ids then answer 404 — the per-kind totals stay cumulative),
+// and the finish window holds the most recent maxLatencySamples
+// finishes. Variables rather than constants so tests can shrink them.
 var (
 	maxRetainedJobs   = 4096
 	maxLatencySamples = 4096
 )
 
-// latWindow is a fixed-capacity ring of the most recent latency
-// samples, with their log-bucket counts kept beside them: add moves
-// the counts with every append and eviction, so percentiles read
-// the counts and never copy the samples. The ring itself stays:
-// eviction needs the exact sample to know which bucket it left, and
-// snapshots persist it.
-type latWindow struct {
-	samples []time.Duration
-	next    int
-	counts  latCounts
+// finishEvent is one job that reached a terminal status from running,
+// reduced to what /v1/stats reads: when, whose, the work it did and
+// the log buckets of its total, run and queue-wait times.
+type finishEvent struct {
+	at                time.Time
+	tenant            string
+	done              bool
+	routes, conflicts int64
+	total, run, wait  uint16
 }
 
-func (w *latWindow) add(d time.Duration) {
-	w.counts[latBucket(d)]++
-	if len(w.samples) < maxLatencySamples {
-		w.samples = append(w.samples, d)
+// finishWindow is a fixed-capacity ring of the most recent finishes,
+// the one window behind the /v1/stats latency percentiles and the
+// per-tenant leaderboard (tenantstats.go). add moves the total and
+// run bucket counts with every append and eviction, so percentiles
+// read the counts and never walk the ring.
+type finishWindow struct {
+	events     []finishEvent
+	next       int // the oldest event, once the ring is full
+	total, run latCounts
+}
+
+// add records a job that just reached a terminal status from running.
+// The times come from WaitNs and RunNs, which the job record persists
+// exactly, so a finish refolded at recovery lands in the same buckets.
+func (w *finishWindow) add(j *Job) {
+	ev := finishEvent{
+		at:     j.Finished,
+		tenant: j.Tenant,
+		done:   j.Status == StatusDone,
+		total:  latBucket(time.Duration(j.WaitNs + j.RunNs)),
+		run:    latBucket(time.Duration(j.RunNs)),
+		wait:   latBucket(time.Duration(j.WaitNs)),
+	}
+	if ev.done && j.Result != nil {
+		ev.routes, ev.conflicts = int64(j.Result.UnitRoutes), int64(j.Result.Conflicts)
+	}
+	w.total[ev.total]++
+	w.run[ev.run]++
+	if len(w.events) < maxLatencySamples {
+		w.events = append(w.events, ev)
 		return
 	}
-	w.counts[latBucket(w.samples[w.next])]--
-	w.samples[w.next] = d
-	w.next = (w.next + 1) % len(w.samples)
+	old := &w.events[w.next]
+	w.total[old.total]--
+	w.run[old.run]--
+	*old = ev
+	w.next = (w.next + 1) % len(w.events)
 }
 
 // Log-bucket percentiles, after DDSketch's logarithmic mapping
@@ -158,11 +184,11 @@ var (
 type latCounts [latBuckets]uint32
 
 // latBucket maps a duration to its log bucket.
-func latBucket(d time.Duration) int {
+func latBucket(d time.Duration) uint16 {
 	if d <= 0 {
 		return 0
 	}
-	return min(int(math.Ceil(math.Log(float64(d))/latLogGamma))+1, latBuckets-1)
+	return uint16(min(int(math.Ceil(math.Log(float64(d))/latLogGamma))+1, latBuckets-1))
 }
 
 // percentiles returns the nearest-rank p50 and p99 of the n counted
@@ -233,14 +259,10 @@ type store struct {
 	// close the channels.
 	watchers map[string][]chan Job
 
-	counts     map[Status]int // cumulative, unaffected by eviction
-	finished   int64          // terminal from running (done, failed or canceled mid-run), cumulative
-	unitRoutes int64
-	conflicts  int64
-	byKind     map[string]*KindStats // cumulative per scenario kind
-	latTotal   latWindow             // created→finished of jobs that finished from running
-	latRun     latWindow             // started→finished
-	tenantWin  tenantEventRing       // recent finish events, for windowed leaderboards
+	queued, running int                   // live jobs; terminal ones are counted in byKind
+	finished        int64                 // terminal from running (done, failed or canceled mid-run), cumulative
+	byKind          map[string]*KindStats // cumulative per scenario kind, unaffected by eviction
+	window          finishWindow          // the most recent finishes from running
 }
 
 // watchBuffer bounds a subscriber channel. A job makes at most a
@@ -369,9 +391,20 @@ func (st *store) add(spec JobSpec, tenant string, now time.Time) Job {
 	appendTrace(j, now, TraceSubmitted, "tenant="+tenant)
 	st.jobs[j.ID] = j
 	st.order = append(st.order, j.ID)
-	st.counts[StatusQueued]++
+	st.queued++
 	st.log(opSubmit, j)
 	return j.snapshot()
+}
+
+// countLive moves the live count of status by delta; terminal
+// statuses are counted per kind instead. Caller holds st.mu.
+func (st *store) countLive(status Status, delta int) {
+	switch status {
+	case StatusQueued:
+		st.queued += delta
+	case StatusRunning:
+		st.running += delta
+	}
 }
 
 // remove forgets a job that never made it into the queue (admission
@@ -380,7 +413,7 @@ func (st *store) remove(id string) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if j, ok := st.jobs[id]; ok {
-		st.counts[j.Status]--
+		st.countLive(j.Status, -1)
 		delete(st.jobs, id)
 		if n := len(st.order); n > 0 && st.order[n-1] == id {
 			st.order = st.order[:n-1]
@@ -477,10 +510,10 @@ func (st *store) claim(id string, now time.Time, cancel context.CancelFunc) (Job
 	if !ok || j.Status != StatusQueued {
 		return JobSpec{}, false
 	}
-	st.counts[j.Status]--
+	st.queued--
+	st.running++
 	j.Status = StatusRunning
 	j.Started = now
-	st.counts[StatusRunning]++
 	appendTrace(j, now, TraceClaimed, "")
 	if cancel != nil {
 		st.cancels[id] = cancel
@@ -507,9 +540,9 @@ func (st *store) finish(id string, res workload.ScenarioResult, err error, now t
 		return false
 	}
 	delete(st.cancels, id)
+	st.running--
 	if j.preempting && jobCanceled(err) && !j.CancelRequested {
-		st.counts[j.Status]--
-		st.counts[StatusQueued]++
+		st.queued++
 		j.Status = StatusQueued
 		j.Started = time.Time{}
 		j.preempting = false
@@ -525,7 +558,6 @@ func (st *store) finish(id string, res workload.ScenarioResult, err error, now t
 	// A preempt that lost the race to completion (or to a real
 	// cancel): fall through to the normal terminal transition.
 	j.preempting = false
-	st.counts[j.Status]--
 	j.Finished = now
 	j.WaitNs = j.Started.Sub(j.Created).Nanoseconds()
 	j.RunNs = j.Finished.Sub(j.Started).Nanoseconds()
@@ -561,34 +593,35 @@ func (st *store) finish(id string, res workload.ScenarioResult, err error, now t
 }
 
 // foldFinished folds a job that just reached a terminal status from
-// running into the aggregates: status counts, per-kind totals, the
-// cumulative unit-route/conflict counters and the latency windows.
-// Shared by the live finish path and WAL replay, so recovered
-// aggregates cannot drift from live ones. Caller holds st.mu; j's
-// terminal fields are already set.
+// running into the aggregates: per-kind totals, the finished count
+// and the finish window. Shared by the live finish path and WAL
+// replay, so recovered aggregates cannot drift from live ones. Caller
+// holds st.mu; j's terminal fields are already set.
 func (st *store) foldFinished(j *Job) {
-	kind, ok := st.byKind[j.Spec.Kind]
-	if !ok {
-		kind = &KindStats{Kind: j.Spec.Kind}
-		st.byKind[j.Spec.Kind] = kind
-	}
+	kind := st.kindStats(j.Spec.Kind)
 	switch j.Status {
 	case StatusCanceled:
 		kind.Canceled++
 	case StatusFailed:
 		kind.Failed++
 	default: // done
-		st.unitRoutes += int64(j.Result.UnitRoutes)
-		st.conflicts += int64(j.Result.Conflicts)
 		kind.Done++
 		kind.UnitRoutes += int64(j.Result.UnitRoutes)
 		kind.Conflicts += int64(j.Result.Conflicts)
 	}
-	st.counts[j.Status]++
 	st.finished++
-	st.latTotal.add(j.Finished.Sub(j.Created))
-	st.latRun.add(j.Finished.Sub(j.Started))
-	st.tenantWin.add(j)
+	st.window.add(j)
+}
+
+// kindStats returns the totals of one scenario kind, created on first
+// use. Caller holds st.mu.
+func (st *store) kindStats(kind string) *KindStats {
+	k, ok := st.byKind[kind]
+	if !ok {
+		k = &KindStats{Kind: kind}
+		st.byKind[kind] = k
+	}
+	return k
 }
 
 // cancel aborts a job. Queued jobs transition to canceled
@@ -606,11 +639,11 @@ func (st *store) cancel(id string, now time.Time) (Job, error) {
 	}
 	switch j.Status {
 	case StatusQueued:
-		st.counts[j.Status]--
+		st.queued--
 		j.Status = StatusCanceled
 		j.Finished = now
 		appendTrace(j, now, string(StatusCanceled), "canceled while queued")
-		st.foldCanceledQueued(j)
+		st.kindStats(j.Spec.Kind).Canceled++
 		st.log(opCancel, j)
 		if st.onFinish != nil {
 			st.onFinish(StatusCanceled, j.Tenant, j.Spec.Kind, 0, false)
@@ -635,7 +668,7 @@ func (st *store) cancel(id string, now time.Time) (Job, error) {
 
 // migrate transitions a queued job to locally-terminal canceled with
 // the migration marker, for drain-with-migration. It reuses cancel's
-// aggregates fold and WAL op (the logged snapshot carries the
+// per-kind count and WAL op (the logged snapshot carries the
 // "migrated" error, so replay and live state agree) and publishes to
 // watchers — a local watch stream ends here; the routing client's
 // cluster watcher re-attaches to the resubmitted job. false means the
@@ -647,12 +680,12 @@ func (st *store) migrate(id string, now time.Time) (Job, bool) {
 	if !ok || j.Status != StatusQueued {
 		return Job{}, false
 	}
-	st.counts[StatusQueued]--
+	st.queued--
 	j.Status = StatusCanceled
 	j.Finished = now
 	j.Error = MigratedError
 	appendTrace(j, now, TraceMigrated, "queued job handed off at drain")
-	st.foldCanceledQueued(j)
+	st.kindStats(j.Spec.Kind).Canceled++
 	st.log(opCancel, j)
 	if st.onFinish != nil {
 		st.onFinish(StatusCanceled, j.Tenant, j.Spec.Kind, 0, false)
@@ -661,19 +694,6 @@ func (st *store) migrate(id string, now time.Time) (Job, bool) {
 	snap := j.snapshot()
 	st.evict()
 	return snap, true
-}
-
-// foldCanceledQueued folds a job canceled straight out of the queue
-// into the aggregates (status count + per-kind canceled; no latency
-// samples — the job never ran). Shared with WAL replay. Caller holds
-// st.mu.
-func (st *store) foldCanceledQueued(j *Job) {
-	st.counts[StatusCanceled]++
-	if kind, ok := st.byKind[j.Spec.Kind]; ok {
-		kind.Canceled++
-	} else {
-		st.byKind[j.Spec.Kind] = &KindStats{Kind: j.Spec.Kind, Canceled: 1}
-	}
 }
 
 // cancelAllRunning fires the context cancel of every running job —
@@ -731,7 +751,7 @@ type Stats struct {
 	LatencyRunP99Ns   int64 `json:"latency_run_p99_ns"`
 
 	// ThroughputJobsPerSec counts every job that reached a terminal
-	// status from running (the same jobs as the latency window, but
+	// status from running (the same jobs as the finish window, but
 	// cumulative) over the service uptime.
 	ThroughputJobsPerSec float64 `json:"throughput_jobs_per_sec"`
 
@@ -742,8 +762,12 @@ type Stats struct {
 
 	Pools []PoolStats `json:"pools"`
 
-	// TenantWindowNs is the trailing window the per-tenant leaderboard
-	// below covers (default 60s; GET /v1/stats?window= overrides).
+	// TenantWindowNs is how far back the per-tenant leaderboard below
+	// reaches: the requested trailing window (default 60s; GET
+	// /v1/stats?window= overrides), or the shorter span of the last
+	// maxLatencySamples (4096) finishes when they all fall inside it,
+	// since the leaderboard folds at most those. Throughputs are over
+	// this span.
 	TenantWindowNs int64 `json:"tenant_window_ns,omitempty"`
 	// Tenants is the windowed per-tenant leaderboard, ranked by
 	// throughput, with Poisson rank-confidence bounds (see
@@ -752,29 +776,28 @@ type Stats struct {
 	Tenants []TenantStats `json:"tenants,omitempty"`
 }
 
-// aggregate computes the store's part of Stats. The latency
-// percentiles are read from the windows' bucket counts under the
-// store lock: one pass over each window's counts, no copy.
+// aggregate computes the store's part of Stats. The terminal status
+// counts and the work totals are sums over the per-kind table, and
+// the latency percentiles are read from the finish window's bucket
+// counts under the store lock: one pass over each count array, no
+// copy.
 func (st *store) aggregate(uptime time.Duration) Stats {
 	st.mu.Lock()
-	s := Stats{
-		Queued:     st.counts[StatusQueued],
-		Running:    st.counts[StatusRunning],
-		Done:       st.counts[StatusDone],
-		Failed:     st.counts[StatusFailed],
-		Canceled:   st.counts[StatusCanceled],
-		UnitRoutes: st.unitRoutes,
-		Conflicts:  st.conflicts,
-		WatchDrops: st.watchDrops,
-	}
+	s := Stats{Queued: st.queued, Running: st.running, WatchDrops: st.watchDrops}
 	for _, k := range st.byKind {
 		s.Kinds = append(s.Kinds, *k)
+		s.Done += int(k.Done)
+		s.Failed += int(k.Failed)
+		s.Canceled += int(k.Canceled)
+		s.UnitRoutes += k.UnitRoutes
+		s.Conflicts += k.Conflicts
 	}
 	if secs := uptime.Seconds(); secs > 0 {
 		s.ThroughputJobsPerSec = float64(st.finished) / secs
 	}
-	s.LatencyTotalP50Ns, s.LatencyTotalP99Ns = st.latTotal.counts.percentiles(len(st.latTotal.samples))
-	s.LatencyRunP50Ns, s.LatencyRunP99Ns = st.latRun.counts.percentiles(len(st.latRun.samples))
+	n := len(st.window.events)
+	s.LatencyTotalP50Ns, s.LatencyTotalP99Ns = st.window.total.percentiles(n)
+	s.LatencyRunP50Ns, s.LatencyRunP99Ns = st.window.run.percentiles(n)
 	st.mu.Unlock()
 
 	sort.Slice(s.Kinds, func(i, j int) bool { return s.Kinds[i].Kind < s.Kinds[j].Kind })

@@ -72,9 +72,9 @@ func TestStoreEvictsOldTerminalJobsKeepsAggregates(t *testing.T) {
 	if len(jobs) != retained || jobs[0].ID != ids[len(ids)-1] {
 		t.Fatalf("list wrong after eviction: %d jobs, first %s", len(jobs), jobs[0].ID)
 	}
-	// The latency window is bounded too.
-	if n := len(st.latTotal.samples); n > maxLatencySamples {
-		t.Fatalf("latency window holds %d samples, bound is %d", n, maxLatencySamples)
+	// The finish window is bounded too.
+	if n := len(st.window.events); n > maxLatencySamples {
+		t.Fatalf("finish window holds %d events, bound is %d", n, maxLatencySamples)
 	}
 	if stats.LatencyTotalP50Ns == 0 || stats.ThroughputJobsPerSec != 10 {
 		t.Fatalf("windowed aggregates wrong: %+v", stats)
@@ -85,19 +85,21 @@ func TestLatWindowWrapsToRecentSamples(t *testing.T) {
 	oldLat := maxLatencySamples
 	maxLatencySamples = 4
 	defer func() { maxLatencySamples = oldLat }()
-	var w latWindow
+	var w finishWindow
 	for i := 1; i <= 10; i++ {
-		w.add(time.Duration(i))
+		w.add(&Job{RunNs: int64(i)})
 	}
-	if len(w.samples) != 4 {
-		t.Fatalf("window holds %d samples, want 4", len(w.samples))
+	if len(w.events) != 4 {
+		t.Fatalf("window holds %d events, want 4", len(w.events))
 	}
-	sum := time.Duration(0)
-	for _, d := range w.samples {
-		sum += d
+	// 7..10 ns land in four distinct buckets, so the counts name the
+	// samples the ring kept.
+	var want latCounts
+	for i := 7; i <= 10; i++ {
+		want[latBucket(time.Duration(i))]++
 	}
-	if sum != 7+8+9+10 {
-		t.Fatalf("window holds %v, want the most recent four", w.samples)
+	if w.run != want || w.total != want {
+		t.Fatal("window counts do not hold the most recent four samples")
 	}
 }
 
@@ -188,9 +190,9 @@ func withinAlpha(got, exact int64) bool {
 // TestStatsPercentilesExact pins the nearest-rank percentiles that
 // /v1/stats reports — the p-th percentile of n samples is the
 // ceil(p·n/100)-th smallest, published within 1% — through the
-// store's latency windows and the tenant leaderboard, which share one
-// bucket type. Aggregation reads the counts: the window itself keeps
-// its insertion order.
+// store's finish window, which the latency percentiles and the tenant
+// leaderboard share. Aggregation reads the counts: the window itself
+// keeps its insertion order.
 func TestStatsPercentilesExact(t *testing.T) {
 	ms := func(v ...int) []time.Duration {
 		out := make([]time.Duration, len(v))
@@ -237,23 +239,24 @@ func TestStatsPercentilesExact(t *testing.T) {
 	for _, c := range cases {
 		st := memStore(t)
 		for _, d := range c.samples {
-			st.latTotal.add(d)
-			st.latRun.add(d / 2)
-			winEvent(st, "t", now, StatusDone, d, 1)
+			// total d, run and queue wait d/2 each
+			st.window.add(&Job{Tenant: "t", Status: StatusDone, Finished: now,
+				WaitNs: (d / 2).Nanoseconds(), RunNs: (d / 2).Nanoseconds()})
 		}
-		window := slices.Clone(st.latTotal.samples)
+		window := slices.Clone(st.window.events)
 		s := st.aggregate(time.Second)
 		if !withinAlpha(s.LatencyTotalP50Ns, c.p50.Nanoseconds()) || !withinAlpha(s.LatencyTotalP99Ns, c.p99.Nanoseconds()) ||
 			!withinAlpha(s.LatencyRunP50Ns, (c.p50/2).Nanoseconds()) || !withinAlpha(s.LatencyRunP99Ns, (c.p99/2).Nanoseconds()) {
 			t.Fatalf("%s: store percentiles %+v, want p50 %v p99 %v (run halved) within 1%%", c.name, s, c.p50, c.p99)
 		}
-		if !slices.Equal(st.latTotal.samples, window) {
-			t.Fatalf("%s: aggregate reordered the live latency window", c.name)
+		if !slices.Equal(st.window.events, window) {
+			t.Fatalf("%s: aggregate reordered the live finish window", c.name)
 		}
-		rows := buildTenantStats(st.tenantWindow(now, time.Second), time.Second, func(string) int { return 1 }, nil)
-		if !withinAlpha(rows[0].QueueWaitP50Ns, c.p50.Nanoseconds()) || !withinAlpha(rows[0].QueueWaitP99Ns, c.p99.Nanoseconds()) {
+		aggs, span := st.tenantWindow(now, time.Second)
+		rows := buildTenantStats(aggs, span, func(string) int { return 1 }, nil)
+		if !withinAlpha(rows[0].QueueWaitP50Ns, (c.p50/2).Nanoseconds()) || !withinAlpha(rows[0].QueueWaitP99Ns, (c.p99/2).Nanoseconds()) {
 			t.Fatalf("%s: tenant wait percentiles %d/%d, want %v/%v within 1%%",
-				c.name, rows[0].QueueWaitP50Ns, rows[0].QueueWaitP99Ns, c.p50, c.p99)
+				c.name, rows[0].QueueWaitP50Ns, rows[0].QueueWaitP99Ns, c.p50/2, c.p99/2)
 		}
 	}
 }
@@ -292,14 +295,15 @@ func encodeWindow(v []int) []byte {
 }
 
 // FuzzPercentilesNs checks the log-bucket percentiles behind /v1/stats
-// against the sort-based reference on generated windows: the samples
-// go through a latWindow at the default capacity and at one a third
-// of their number, so the ring wraps and evicts. After the adds the
-// bucket counts must equal a recount of the ring, and both
-// percentiles must lie within α of the reference over the samples
-// the ring kept. The seeds cover the small sizes, both sides of the
-// 4096-sample window, heavy ties, and all-equal, sorted, reversed and
-// organ-pipe windows.
+// against the sort-based reference on generated windows: each sample
+// d goes into a finishWindow as a job with run time d and queue wait
+// d (total 2d), at the default capacity and at one a third of their
+// number, so the ring wraps and evicts. After the adds the total and
+// run counts must equal a recount of the bucket indices the ring
+// stores, and every percentile must lie within α of the reference
+// over the samples the ring kept. The seeds cover the small sizes,
+// both sides of the 4096-sample window, heavy ties, and all-equal,
+// sorted, reversed and organ-pipe windows.
 func FuzzPercentilesNs(f *testing.F) {
 	gen := func(n int, at func(i int) int) []byte {
 		v := make([]int, n)
@@ -324,26 +328,30 @@ func FuzzPercentilesNs(f *testing.F) {
 		defer func() { maxLatencySamples = defaultCap }()
 		for _, capacity := range []int{defaultCap, len(samples)/3 + 1} {
 			maxLatencySamples = capacity
-			var w latWindow
+			var w finishWindow
 			for _, d := range samples {
-				w.add(d)
+				w.add(&Job{WaitNs: int64(d), RunNs: int64(d)})
 			}
-			var recount latCounts
-			for _, d := range w.samples {
-				recount[latBucket(d)]++
+			var total, run latCounts
+			for _, ev := range w.events {
+				total[ev.total]++
+				run[ev.run]++
 			}
-			if w.counts != recount {
+			if w.total != total || w.run != run {
 				t.Fatalf("n=%d cap=%d: bucket counts drifted from the ring", len(samples), capacity)
 			}
+			kept := samples[len(samples)-len(w.events):]
 			var want50, want99 int64
-			if len(w.samples) > 0 {
-				sorted := slices.Sorted(slices.Values(w.samples))
+			if len(kept) > 0 {
+				sorted := slices.Sorted(slices.Values(kept))
 				want50, want99 = nearestRankRef(sorted, 50), nearestRankRef(sorted, 99)
 			}
-			p50, p99 := w.counts.percentiles(len(w.samples))
-			if !withinAlpha(p50, want50) || !withinAlpha(p99, want99) {
-				t.Fatalf("n=%d cap=%d: percentiles %d/%d, sort reference %d/%d",
-					len(samples), capacity, p50, p99, want50, want99)
+			p50, p99 := w.run.percentiles(len(w.events))
+			t50, t99 := w.total.percentiles(len(w.events))
+			if !withinAlpha(p50, want50) || !withinAlpha(p99, want99) ||
+				!withinAlpha(t50, 2*want50) || !withinAlpha(t99, 2*want99) {
+				t.Fatalf("n=%d cap=%d: run %d/%d, total %d/%d, sort reference %d/%d and twice that",
+					len(samples), capacity, p50, p99, t50, t99, want50, want99)
 			}
 		}
 	})
@@ -437,7 +445,7 @@ func TestErrorTaxonomyLeafCases(t *testing.T) {
 
 // BenchmarkStats times Service.Stats on a service whose workers are
 // not started, after 5,000 jobs of one tenant finished through its
-// store, so the latency windows and the tenant ring have all wrapped.
+// store, so the finish window has wrapped.
 // Its B/op and allocs/op count what one /v1/stats call allocates.
 func BenchmarkStats(b *testing.B) {
 	svc, err := newService(Config{Workers: 1, Queue: 8}, false)

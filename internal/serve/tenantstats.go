@@ -1,11 +1,14 @@
-// Windowed per-tenant leaderboards: the store keeps a bounded ring
-// of recent finish events (who, when, how long it waited, how much
-// work it did), and /v1/stats aggregates the trailing window into a
-// throughput-ranked table per tenant. Ranks from short windows are
-// noisy, so each row also carries a 95% Poisson interval on its
-// throughput and the range of ranks consistent with those intervals:
-// two tenants whose intervals overlap cannot be confidently ordered,
-// and their rank ranges say so.
+// Windowed per-tenant leaderboards: /v1/stats folds the finishes of
+// a trailing window, read from the store's finish window (store.go),
+// into a throughput-ranked table per tenant. A recovered store
+// refolds the finishes of the jobs it retained at their original
+// finish times (wal.go), so its leaderboard matches the one before
+// the restart, less the finishes of jobs evicted before it. Ranks
+// from short windows are noisy, so each row also carries a 95%
+// Poisson interval on its throughput and the range of ranks
+// consistent with those intervals: two tenants whose intervals
+// overlap cannot be confidently ordered, and their rank ranges say
+// so.
 package serve
 
 import (
@@ -13,44 +16,6 @@ import (
 	"sort"
 	"time"
 )
-
-// tenantEvent is one finished job, reduced to what the leaderboard
-// needs.
-type tenantEvent struct {
-	at        time.Time
-	tenant    string
-	status    Status
-	wait      int // latBucket of the queue wait
-	routes    int64
-	conflicts int64
-}
-
-// tenantEventRing is a fixed-capacity ring of the most recent finish
-// events (capacity maxLatencySamples, like the latency windows).
-// Events replayed from the WAL re-enter with their original finish
-// times, so a recovered service's window matches what it would have
-// been — up to snapshot compaction, which drops pre-snapshot events
-// (the window is a trailing view, not an archive).
-type tenantEventRing struct {
-	events []tenantEvent
-	next   int
-}
-
-// add records a job that just reached a terminal state from running.
-// Caller holds the store lock.
-func (r *tenantEventRing) add(j *Job) {
-	ev := tenantEvent{at: j.Finished, tenant: j.Tenant, status: j.Status, wait: latBucket(time.Duration(j.WaitNs))}
-	if j.Status == StatusDone && j.Result != nil {
-		ev.routes = int64(j.Result.UnitRoutes)
-		ev.conflicts = int64(j.Result.Conflicts)
-	}
-	if len(r.events) < maxLatencySamples {
-		r.events = append(r.events, ev)
-		return
-	}
-	r.events[r.next] = ev
-	r.next = (r.next + 1) % len(r.events)
-}
 
 // tenantAgg is one tenant's slice of the trailing window.
 type tenantAgg struct {
@@ -62,17 +27,26 @@ type tenantAgg struct {
 	waits     latCounts // queue waits, jobs of them
 }
 
-// tenantWindow folds the events of the trailing window per tenant,
+// tenantWindow folds the finishes of the trailing window per tenant,
 // with no allocation per event. Runs of one tenant reuse its
-// aggregate without a map lookup.
-func (st *store) tenantWindow(now time.Time, window time.Duration) map[string]*tenantAgg {
+// aggregate without a map lookup. It also returns the span the fold
+// covers: the window or, when the ring is full and its oldest finish
+// lies inside the window, the shorter span back to that finish — the
+// window then saw more finishes than the ring kept.
+func (st *store) tenantWindow(now time.Time, window time.Duration) (map[string]*tenantAgg, time.Duration) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	cutoff := now.Add(-window)
+	w := &st.window
+	if len(w.events) >= maxLatencySamples {
+		if span := now.Sub(w.events[w.next].at); span > 0 && span < window {
+			window = span
+		}
+	}
 	out := make(map[string]*tenantAgg)
 	var agg *tenantAgg
-	for i := range st.tenantWin.events {
-		ev := &st.tenantWin.events[i]
+	for i := range w.events {
+		ev := &w.events[i]
 		if ev.at.Before(cutoff) {
 			continue
 		}
@@ -83,14 +57,14 @@ func (st *store) tenantWindow(now time.Time, window time.Duration) map[string]*t
 			}
 		}
 		agg.jobs++
-		if ev.status == StatusDone {
+		if ev.done {
 			agg.done++
 			agg.routes += ev.routes
 			agg.conflicts += ev.conflicts
 		}
 		agg.waits[ev.wait]++
 	}
-	return out
+	return out, window
 }
 
 // TenantStats is one row of the windowed per-tenant leaderboard.

@@ -11,13 +11,14 @@ import (
 	"starmesh/internal/workload"
 )
 
-// winEvent pushes one synthetic finish event into the store's ring.
+// winEvent pushes one synthetic finish event into the store's finish
+// window.
 func winEvent(st *store, tenant string, at time.Time, status Status, wait time.Duration, routes int) {
 	j := &Job{Tenant: tenant, Status: status, Finished: at, WaitNs: wait.Nanoseconds()}
 	if status == StatusDone {
 		j.Result = &workload.ScenarioResult{UnitRoutes: routes, Conflicts: 1}
 	}
-	st.tenantWin.add(j)
+	st.window.add(j)
 }
 
 func TestTenantWindowCutoffAndAggregation(t *testing.T) {
@@ -30,7 +31,7 @@ func TestTenantWindowCutoffAndAggregation(t *testing.T) {
 	winEvent(st, "a", now.Add(-2*time.Second), StatusCanceled, 8*time.Millisecond, 0)
 	winEvent(st, "b", now.Add(-time.Second), StatusDone, time.Millisecond, 7)
 
-	aggs := st.tenantWindow(now, 10*time.Second)
+	aggs, _ := st.tenantWindow(now, 10*time.Second)
 	a, b := aggs["a"], aggs["b"]
 	if a == nil || b == nil || len(aggs) != 2 {
 		t.Fatalf("window aggregation %+v", aggs)
@@ -59,12 +60,12 @@ func TestTenantEventRingBounded(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		winEvent(st, "t", now.Add(time.Duration(i)*time.Second), StatusDone, 0, 1)
 	}
-	if len(st.tenantWin.events) != 4 {
-		t.Fatalf("ring grew to %d, want capacity 4", len(st.tenantWin.events))
+	if len(st.window.events) != 4 {
+		t.Fatalf("ring grew to %d, want capacity 4", len(st.window.events))
 	}
 	// The two oldest events were overwritten: a window covering
 	// everything still sees only the newest four.
-	aggs := st.tenantWindow(now.Add(6*time.Second), time.Hour)
+	aggs, _ := st.tenantWindow(now.Add(6*time.Second), time.Hour)
 	if aggs["t"].jobs != 4 {
 		t.Fatalf("ring retained %d events, want the newest 4", aggs["t"].jobs)
 	}
@@ -115,5 +116,47 @@ func TestBuildTenantStatsRankIntervals(t *testing.T) {
 	}
 	if rows[0].Tenant != "a" || rows[0].Rank != 1 || rows[1].Rank != 2 {
 		t.Fatalf("point-estimate order wrong: %+v", rows)
+	}
+}
+
+// TestTenantThroughputBeyondRingCapacity finishes 10,000 jobs spread
+// evenly over 10 s, 1,000 jobs/s, so the 4096-event finish window
+// wraps. At the default 60 s window and at a 10 s one, the
+// leaderboard must publish the span the ring covers, about 4.1 s, as
+// tenant_window_ns, and a throughput interval holding the true 1,000
+// jobs/s — not the ring's 4096 finishes spread over the whole window.
+func TestTenantThroughputBeyondRingCapacity(t *testing.T) {
+	svc, err := newService(Config{Workers: 1, Queue: 8}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Drain()
+	// The finishes end two seconds from now, well past the time the
+	// loop takes; the stats are read once that time comes, so the
+	// ring's span ends at the last finish.
+	end := time.Now().Add(2 * time.Second)
+	const jobs = 10000
+	for i := range jobs {
+		at := end.Add(time.Duration(i-jobs+1) * time.Millisecond)
+		j := svc.store.add(JobSpec{Kind: KindSweep, N: 3}, "t", at)
+		if _, ok := svc.store.claim(j.ID, at, nil); !ok {
+			t.Fatalf("claim %s failed", j.ID)
+		}
+		svc.store.finish(j.ID, ScenarioResult{OK: true}, nil, at)
+	}
+	time.Sleep(time.Until(end))
+	for _, window := range []time.Duration{DefaultTenantWindow, 10 * time.Second} {
+		s := svc.StatsWindow(window)
+		if len(s.Tenants) != 1 {
+			t.Fatalf("window %v: leaderboard %+v, want one row", window, s.Tenants)
+		}
+		row, span := s.Tenants[0], time.Duration(s.TenantWindowNs)
+		if row.Jobs != maxLatencySamples || row.ThroughputLo > 1000 || row.ThroughputHi < 1000 {
+			t.Fatalf("window %v: %d jobs at %.1f jobs/s in [%.1f, %.1f], want 4096 jobs and an interval holding 1000",
+				window, row.Jobs, row.ThroughputJobsPerSec, row.ThroughputLo, row.ThroughputHi)
+		}
+		if span < 4095*time.Millisecond || span > 4200*time.Millisecond {
+			t.Fatalf("window %v: tenant_window_ns %v, want the ring's span of about 4.1s", window, span)
+		}
 	}
 }

@@ -41,6 +41,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"starmesh/internal/faultfs"
@@ -150,16 +151,15 @@ type walSnapshot struct {
 	// Jobs are the retained jobs in admission order (evicted jobs are
 	// gone — the cumulative counters below remember them). A snapshot
 	// being written points at the store's live jobs: it is built and
-	// encoded under the store lock.
-	Jobs       []*Job         `json:"jobs"`
-	Counts     map[Status]int `json:"counts"`
-	Finished   int64          `json:"finished"`
-	UnitRoutes int64          `json:"unit_routes"`
-	Conflicts  int64          `json:"conflicts"`
-	ByKind     []KindStats    `json:"by_kind,omitempty"`
-	LatTotal   []int64        `json:"lat_total_ns,omitempty"`
-	LatRun     []int64        `json:"lat_run_ns,omitempty"`
-	WatchDrops int64          `json:"watch_drops,omitempty"`
+	// encoded under the store lock. The live status counts and the
+	// finish window are rebuilt from them at load, so the snapshot
+	// stores neither. Older snapshots also hold "counts",
+	// "unit_routes", "conflicts", "lat_total_ns" and "lat_run_ns";
+	// decoding ignores them.
+	Jobs       []*Job      `json:"jobs"`
+	Finished   int64       `json:"finished"`
+	ByKind     []KindStats `json:"by_kind,omitempty"`
+	WatchDrops int64       `json:"watch_drops,omitempty"`
 }
 
 // minCompactBytes is the log size below which the store never
@@ -210,7 +210,6 @@ type walLog struct {
 func openStore(dir string, open faultfs.OpenFunc) (*store, error) {
 	st := &store{
 		jobs:     make(map[string]*Job),
-		counts:   make(map[Status]int),
 		byKind:   make(map[string]*KindStats),
 		cancels:  make(map[string]context.CancelFunc),
 		watchers: make(map[string][]chan Job),
@@ -302,31 +301,33 @@ func openStore(dir string, open faultfs.OpenFunc) (*store, error) {
 	return st, nil
 }
 
-// installSnapshot loads a decoded snapshot into the store.
+// installSnapshot loads a decoded snapshot into the store. It counts
+// the live jobs, and refolds into the finish window, in finish order,
+// the retained jobs that finished from running: terminal ones that
+// were claimed, except those recovery canceled, which never finished
+// a run.
 func (st *store) installSnapshot(snap *walSnapshot) error {
 	st.next = snap.Next
+	var ran []*Job
 	for i, j := range snap.Jobs {
 		if j == nil {
 			return fmt.Errorf("job %d is null", i)
 		}
 		st.jobs[j.ID] = j
 		st.order = append(st.order, j.ID)
+		st.countLive(j.Status, 1)
+		if j.Status.Terminal() && !j.Started.IsZero() && j.Error != recoveryCanceledError {
+			ran = append(ran, j)
+		}
 	}
-	for status, n := range snap.Counts {
-		st.counts[status] = n
+	slices.SortStableFunc(ran, func(a, b *Job) int { return a.Finished.Compare(b.Finished) })
+	for _, j := range ran {
+		st.window.add(j)
 	}
 	st.finished = snap.Finished
-	st.unitRoutes = snap.UnitRoutes
-	st.conflicts = snap.Conflicts
 	for i := range snap.ByKind {
 		k := snap.ByKind[i]
 		st.byKind[k.Kind] = &k
-	}
-	for _, ns := range snap.LatTotal {
-		st.latTotal.add(time.Duration(ns))
-	}
-	for _, ns := range snap.LatRun {
-		st.latRun.add(time.Duration(ns))
 	}
 	st.watchDrops = snap.WatchDrops
 	st.wal.lsn = snap.LSN
@@ -347,7 +348,7 @@ func (st *store) apply(rec *walRecord) {
 		j := rec.Job
 		st.jobs[id] = &j
 		st.order = append(st.order, id)
-		st.counts[StatusQueued]++
+		st.queued++
 		if seq := seqOf(id); seq > st.next {
 			st.next = seq
 		}
@@ -356,15 +357,15 @@ func (st *store) apply(rec *walRecord) {
 		if !ok || j.Status != StatusQueued {
 			return
 		}
-		st.counts[StatusQueued]--
+		st.queued--
+		st.running++
 		*j = rec.Job
-		st.counts[StatusRunning]++
 	case opFinish:
 		j, ok := st.jobs[id]
 		if !ok || j.Status != StatusRunning {
 			return
 		}
-		st.counts[StatusRunning]--
+		st.running--
 		*j = rec.Job
 		st.foldFinished(j)
 		st.evict()
@@ -373,9 +374,9 @@ func (st *store) apply(rec *walRecord) {
 		if !ok || j.Status != StatusQueued {
 			return
 		}
-		st.counts[StatusQueued]--
+		st.queued--
 		*j = rec.Job
-		st.foldCanceledQueued(j)
+		st.kindStats(j.Spec.Kind).Canceled++
 		st.evict()
 	case opCancelReq:
 		if j, ok := st.jobs[id]; ok && j.Status == StatusRunning {
@@ -391,21 +392,25 @@ func (st *store) apply(rec *walRecord) {
 		if !ok || j.Status != StatusRunning {
 			return
 		}
-		st.counts[StatusRunning]--
+		st.running--
+		st.queued++
 		*j = rec.Job
-		st.counts[StatusQueued]++
 	case opRemove:
 		j, ok := st.jobs[id]
 		if !ok {
 			return
 		}
-		st.counts[j.Status]--
+		st.countLive(j.Status, -1)
 		delete(st.jobs, id)
 		if n := len(st.order); n > 0 && st.order[n-1] == id {
 			st.order = st.order[:n-1]
 		}
 	}
 }
+
+// recoveryCanceledError is the error of a running job that recovery
+// finalized as canceled because its cancellation had been requested.
+const recoveryCanceledError = "canceled: cancellation requested before the service restarted"
 
 // recoverInterrupted settles the jobs a crash left non-terminal.
 // Walks admission order, so re-admission preserves it.
@@ -421,15 +426,15 @@ func (st *store) recoverInterrupted(now time.Time) {
 			w.recovered = append(w.recovered, j.ID)
 			w.dur.RecoveredQueued++
 		case StatusRunning:
-			st.counts[StatusRunning]--
+			st.running--
 			if j.CancelRequested {
 				// The cancel was accepted before the crash; honoring it
 				// beats re-executing work nobody wants.
 				j.Status = StatusCanceled
 				j.Finished = now
-				j.Error = "canceled: cancellation requested before the service restarted"
+				j.Error = recoveryCanceledError
 				appendTrace(j, now, string(StatusCanceled), "finalized at recovery")
-				st.foldCanceledQueued(j)
+				st.kindStats(j.Spec.Kind).Canceled++
 				w.dur.CanceledAtRecovery++
 			} else {
 				// Back to the queue for deterministic re-execution: the
@@ -444,7 +449,7 @@ func (st *store) recoverInterrupted(now time.Time) {
 					j.Trace = j.Trace[:1]
 				}
 				appendTrace(j, now, TraceRecovered, "re-queued for deterministic re-execution")
-				st.counts[StatusQueued]++
+				st.queued++
 				w.recovered = append(w.recovered, j.ID)
 				w.dur.ReexecutedRunning++
 			}
@@ -507,12 +512,7 @@ func (st *store) buildSnapshot(now time.Time) walSnapshot {
 		LSN:        st.wal.lsn,
 		Next:       st.next,
 		Jobs:       make([]*Job, 0, len(st.order)-st.front),
-		Counts:     make(map[Status]int, len(st.counts)),
 		Finished:   st.finished,
-		UnitRoutes: st.unitRoutes,
-		Conflicts:  st.conflicts,
-		LatTotal:   windowNs(&st.latTotal),
-		LatRun:     windowNs(&st.latRun),
 		WatchDrops: st.watchDrops,
 	}
 	for i := st.front; i < len(st.order); i++ {
@@ -520,22 +520,10 @@ func (st *store) buildSnapshot(now time.Time) walSnapshot {
 			snap.Jobs = append(snap.Jobs, j)
 		}
 	}
-	for status, n := range st.counts {
-		snap.Counts[status] = n
-	}
 	for _, k := range st.byKind {
 		snap.ByKind = append(snap.ByKind, *k)
 	}
 	return snap
-}
-
-// windowNs flattens a latency ring into insertion order.
-func windowNs(w *latWindow) []int64 {
-	out := make([]int64, 0, len(w.samples))
-	for i := 0; i < len(w.samples); i++ {
-		out = append(out, w.samples[(w.next+i)%len(w.samples)].Nanoseconds())
-	}
-	return out
 }
 
 // snapshotLocked writes the store state to the snapshot file (tmp +

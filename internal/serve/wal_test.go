@@ -621,3 +621,100 @@ func FuzzWALReplay(f *testing.F) {
 		}
 	})
 }
+
+// oldSnapshot is the snapshot format that also stored the live status
+// counts, the unit-route and conflict totals and both latency
+// windows, field for field in the order it wrote them.
+type oldSnapshot struct {
+	TakenAt    time.Time      `json:"taken_at"`
+	LSN        uint64         `json:"lsn"`
+	Next       int            `json:"next"`
+	Jobs       []*Job         `json:"jobs"`
+	Counts     map[Status]int `json:"counts"`
+	Finished   int64          `json:"finished"`
+	UnitRoutes int64          `json:"unit_routes"`
+	Conflicts  int64          `json:"conflicts"`
+	ByKind     []KindStats    `json:"by_kind,omitempty"`
+	LatTotal   []int64        `json:"lat_total_ns,omitempty"`
+	LatRun     []int64        `json:"lat_run_ns,omitempty"`
+	WatchDrops int64          `json:"watch_drops,omitempty"`
+}
+
+// TestRecoveryLoadsOldSnapshotFormat opens a snapshot in the older
+// format, whose five extra fields the store now derives from the jobs
+// and the per-kind table: the status counts, per-kind totals, unit
+// routes, conflicts and latency percentiles must come back as the
+// store that wrote it held them.
+func TestRecoveryLoadsOldSnapshotFormat(t *testing.T) {
+	dir := t.TempDir()
+	ds := openDurable(t, dir, nil)
+	now := time.Now()
+	var ids []string
+	for _, spec := range []JobSpec{{Kind: KindSweep, N: 3}, {Kind: KindSort, N: 3}, {Kind: KindSweep, N: 4},
+		{Kind: KindSort, N: 4}, {Kind: KindSweep, N: 3}, {Kind: KindShear, Rows: 4, Cols: 4}} {
+		ids = append(ids, ds.add(spec, DefaultTenant, now).ID)
+	}
+	// Done, failed and canceled mid-run, with distinct latencies.
+	for i, err := range []error{nil, errAny, context.Canceled} {
+		if _, ok := ds.claim(ids[i], now.Add(time.Millisecond), nil); !ok {
+			t.Fatalf("claim %s failed", ids[i])
+		}
+		ds.finish(ids[i], ScenarioResult{UnitRoutes: 7 + i, Conflicts: 1 + i, OK: true}, err,
+			now.Add(time.Duration(2+3*i)*time.Millisecond))
+	}
+	// Canceled from the queue; still queued; running with a requested
+	// cancel, which the reopen below finalizes.
+	if _, err := ds.cancel(ids[3], now); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ds.claim(ids[5], now, nil); !ok {
+		t.Fatalf("claim %s failed", ids[5])
+	}
+	if _, err := ds.cancel(ids[5], now); err != nil {
+		t.Fatal(err)
+	}
+	ds.close()
+	ds = openDurable(t, dir, nil)
+	want := ds.aggregate(time.Second)
+	ds.mu.Lock()
+	snap := ds.buildSnapshot(now)
+	old := oldSnapshot{
+		TakenAt: snap.TakenAt, LSN: snap.LSN, Next: snap.Next, Jobs: snap.Jobs,
+		Counts: map[Status]int{StatusQueued: want.Queued, StatusRunning: want.Running,
+			StatusDone: want.Done, StatusFailed: want.Failed, StatusCanceled: want.Canceled},
+		Finished: snap.Finished, UnitRoutes: want.UnitRoutes, Conflicts: want.Conflicts,
+		ByKind: snap.ByKind, WatchDrops: snap.WatchDrops,
+	}
+	for _, id := range ids[:3] {
+		j := ds.jobs[id]
+		old.LatTotal = append(old.LatTotal, j.Finished.Sub(j.Created).Nanoseconds())
+		old.LatRun = append(old.LatRun, j.RunNs)
+	}
+	payload, err := json.Marshal(&old)
+	ds.mu.Unlock()
+	ds.close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapFileName), frame(payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ds = openDurable(t, dir, nil)
+	defer ds.close()
+	got := ds.aggregate(time.Second)
+	if got.Queued != want.Queued || got.Running != want.Running || got.Done != want.Done ||
+		got.Failed != want.Failed || got.Canceled != want.Canceled ||
+		got.UnitRoutes != want.UnitRoutes || got.Conflicts != want.Conflicts ||
+		!reflect.DeepEqual(got.Kinds, want.Kinds) {
+		t.Fatalf("old snapshot loaded other totals:\nwrote %+v\nread  %+v", want, got)
+	}
+	if got.LatencyTotalP50Ns != want.LatencyTotalP50Ns || got.LatencyTotalP99Ns != want.LatencyTotalP99Ns ||
+		got.LatencyRunP50Ns != want.LatencyRunP50Ns || got.LatencyRunP99Ns != want.LatencyRunP99Ns {
+		t.Fatalf("old snapshot loaded other latencies:\nwrote %+v\nread  %+v", want, got)
+	}
+	if want.Queued != 1 || want.Canceled != 3 || want.Done != 1 || want.Failed != 1 {
+		t.Fatalf("the store that wrote the snapshot holds %+v, want 1 queued, 1 done, 1 failed, 3 canceled", want)
+	}
+}
