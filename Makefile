@@ -52,12 +52,11 @@ BENCH = BENCH_DIR=$(CURDIR)
 ## Gates: parallel replay ≥ 1.5x sequential replay at 4 procs; plan
 ## replay no slower than closure per sweep; the regression rule
 ## against the committed record (fails only when the fresh sweeps/s
-## interval lies wholly below 0.5 × the committed one). Then the
-## plans parity experiment on the parallel engine and one pass over
-## every benchmark.
+## interval lies wholly below 0.5 × the committed one). Then one pass
+## over every benchmark. The executors' parity on generated schedules
+## is FuzzExecutorsAgree's job (fuzz-short).
 bench:
 	$(BENCH) $(GO) test -v -run '^TestEngineBenchRecord$$' -count=1 .
-	GOMAXPROCS=2 $(GO) run ./cmd/experiments -run plans -engine parallel
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
 ## bench-serve: the job-service load smoke. Starts the service
@@ -109,7 +108,11 @@ perfbench-check:
 ## job-record codec, checked against encoding/json both ways, WAL
 ## replay of arbitrary checksummed records and snapshots, the job-spec
 ## request decoder and the -tenants file loader; in internal/cluster
-## the compound pagination cursor and the -peers flag parser.
+## the compound pagination cursor and the -peers flag parser; in the
+## root package the executor differential, which runs generated
+## unit-route schedules on star, mesh and hypercube machines under the
+## closure, replay, parallel and generic star paths and requires
+## bit-identical results.
 ## Minimization is capped at 100 runs per input: the latency window
 ## target's inputs run to 10 kB, and minimizing each new interesting
 ## one for the default 60s would eat the whole budget. A failing input
@@ -127,6 +130,7 @@ fuzz-short:
 	$(FUZZ) -fuzz='^FuzzLoadTenantsFile$$' ./internal/serve
 	$(FUZZ) -fuzz='^FuzzDecodeCursor$$' ./internal/cluster
 	$(FUZZ) -fuzz='^FuzzParsePeers$$' ./internal/cluster
+	$(FUZZ) -fuzz='^FuzzExecutorsAgree$$' .
 
 ## lint: gofmt divergence fails the build; vet and staticcheck catch
 ## the rest.

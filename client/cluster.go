@@ -1,6 +1,6 @@
 // The cluster routing client: N serve nodes presented as one typed
 // client. Ownership is client-side — the consistent-hash ring over
-// the cluster map assigns every spec's (topology, engine) shape to
+// the cluster map assigns every spec's topology shape to
 // one node, submits go straight to the owner, and reads route by the
 // node prefix of the cluster job id ("node/localid"), so no request
 // ever takes a second hop and no directory service exists. Reads

@@ -6,8 +6,7 @@
 //	experiments -list
 //	experiments -run fig7
 //	experiments -run all
-//	experiments -run sorting -engine parallel -workers 4
-//	experiments -run plans -plan=false   // closure-resolved baseline
+//	experiments -run plans               // plan replay vs closure resolution, bit-identical
 //	experiments -run scenarios           // one demo run per registered scenario family
 //	experiments -run serve               // job-service load, pooled vs build-per-job
 //	experiments -run tenants             // multi-tenant fairness under a hot tenant
@@ -24,25 +23,12 @@ import (
 	"os"
 
 	"starmesh/internal/experiments"
-	"starmesh/internal/serve"
 )
 
 func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	run := flag.String("run", "all", "experiment id to run, or 'all'")
-	engine := flag.String("engine", "sequential", "execution engine: sequential or parallel (bit-identical results)")
-	workers := flag.Int("workers", 0, "parallel engine worker count (0 = GOMAXPROCS)")
-	plan := flag.Bool("plan", true, "compiled route plans: record each pure schedule once, replay dense tables (bit-identical results)")
 	flag.Parse()
-
-	opts, err := serve.Config{Engine: *engine, EngineWorkers: *workers, NoPlans: !*plan}.EngineOptions()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(2)
-	}
-	if len(opts) > 0 {
-		experiments.SetEngine(opts...)
-	}
 
 	if *list {
 		for _, e := range experiments.All() {

@@ -12,7 +12,6 @@ import (
 	"os"
 	"strings"
 
-	"starmesh/internal/serve"
 	"starmesh/internal/workload"
 )
 
@@ -33,17 +32,9 @@ func cmdScenarios(args []string) {
 
 func cmdRun(args []string) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	engine := fs.String("engine", "sequential", "execution engine: sequential or parallel")
-	workers := fs.Int("workers", 0, "parallel engine worker count (0 = GOMAXPROCS)")
-	plan := fs.Bool("plan", true, "compiled route plans")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		fatalf("run needs exactly one JSON job spec (try: starmesh run '{\"kind\":\"sweep\",\"n\":5}')")
-	}
-
-	opts, err := serve.Config{Engine: *engine, EngineWorkers: *workers, NoPlans: !*plan}.EngineOptions()
-	if err != nil {
-		fatalf("%v", err)
 	}
 
 	var spec workload.Spec
@@ -52,7 +43,7 @@ func cmdRun(args []string) {
 	if err := dec.Decode(&spec); err != nil {
 		fatalf("bad job spec: %v", err)
 	}
-	sc, err := workload.ScenarioFor(spec, opts...)
+	sc, err := workload.ScenarioFor(spec)
 	if err != nil {
 		fatalf("%v", err)
 	}

@@ -25,10 +25,6 @@ func cmdServe(args []string) {
 	addr := fs.String("addr", ":8080", "HTTP listen address")
 	workers := fs.Int("workers", 0, "concurrent job executors (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 64, "admission queue depth (full queue returns 429)")
-	pool := fs.Bool("pool", true, "per-shape machine pooling (false builds a machine per job)")
-	engine := fs.String("engine", "sequential", "execution engine: sequential or parallel")
-	engineWorkers := fs.Int("engine-workers", 0, "parallel engine worker count (0 = GOMAXPROCS)")
-	plan := fs.Bool("plan", true, "compiled route plans on the job machines")
 	drainGrace := fs.Duration("drain-grace", 5*time.Second,
 		"graceful-drain deadline: admitted jobs get this long after SIGINT/SIGTERM before running ones are canceled at their next checkpoint")
 	storeDir := fs.String("store-dir", "",
@@ -62,17 +58,13 @@ func cmdServe(args []string) {
 	}
 
 	svc, err := serve.NewService(serve.Config{
-		Workers:       *workers,
-		Queue:         *queue,
-		NoPool:        !*pool,
-		Engine:        *engine,
-		EngineWorkers: *engineWorkers,
-		NoPlans:       !*plan,
-		DrainGrace:    *drainGrace,
-		StoreDir:      *storeDir,
-		Tenants:       tenantsFile.Tenants,
-		RequireKey:    tenantsFile.RequireKey,
-		Logger:        log,
+		Workers:    *workers,
+		Queue:      *queue,
+		DrainGrace: *drainGrace,
+		StoreDir:   *storeDir,
+		Tenants:    tenantsFile.Tenants,
+		RequireKey: tenantsFile.RequireKey,
+		Logger:     log,
 	})
 	if err != nil {
 		fatalf("%v", err)
@@ -93,8 +85,7 @@ func cmdServe(args []string) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	log.Info("job service starting",
-		"addr", *addr, "workers", *workers, "queue", *queue, "pool", *pool,
-		"engine", *engine, "plan", *plan, "store", storeKind(*storeDir),
+		"addr", *addr, "workers", *workers, "queue", *queue, "store", storeKind(*storeDir),
 		"tenants", len(tenantsFile.Tenants), "require_key", tenantsFile.RequireKey)
 	if dur := svc.Durability(); dur.Store == "wal" &&
 		(dur.RecoveredQueued > 0 || dur.ReexecutedRunning > 0 || dur.CanceledAtRecovery > 0) {

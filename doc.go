@@ -91,10 +91,10 @@
 // it. Graceful drain honors the caller's deadline
 // (Service.Shutdown), canceling stragglers at their checkpoints. The pools amortize everything
 // expensive about a machine — topology tables, Lemma-3 route
-// tables, the embedding's vertex map, compiled-plan binding, engine
-// worker pools — across jobs of the same (topology, engine) shape:
-// a machine is checked out, runs one job, is Reset (registers and
-// stats zeroed, amortized state kept) and parked for the next job.
+// tables, the embedding's vertex map, compiled-plan binding — across
+// jobs of the same topology shape: a machine is checked out, runs one
+// job, is Reset (registers and stats zeroed, amortized state kept)
+// and parked for the next job.
 // Pooled results are bit-identical to building a fresh machine per
 // job, because both paths run the same workload runners; the serve
 // experiment asserts that parity and BENCH_serve.json records the
@@ -102,13 +102,12 @@
 // (`make bench-serve` regenerates it).
 //
 // See README.md for the system inventory; cmd/experiments
-// regenerates every figure and table of the paper (its -engine and
-// -plan flags select the execution engine and the plan layer; the
-// engine and plans experiments assert both are bit-identical to the
-// sequential closure reference). BENCH_engine.json records the
-// engine's measured performance on an S_8 workload (the closure and
-// replay paths, the replay path's GOMAXPROCS scaling curve and the
-// repeated sweeps the regression gate compares); `make bench`
-// regenerates it, and docs/benchmarks.md documents every record's
-// schema and CI gate.
+// regenerates every figure and table of the paper (the engine and
+// plans experiments assert that the parallel executor and plan replay
+// are bit-identical to the sequential closure reference).
+// BENCH_engine.json records the engine's measured performance on an
+// S_8 workload (the closure and replay paths, the replay path's
+// GOMAXPROCS scaling curve and the repeated sweeps the regression gate
+// compares); `make bench` regenerates it, and docs/benchmarks.md
+// documents every record's schema and CI gate.
 package starmesh

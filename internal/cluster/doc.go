@@ -6,8 +6,8 @@
 //
 //   - Ring: a consistent-hash ring over the member nodes, with
 //     virtual nodes for uniformity and per-node weights. Ownership is
-//     keyed by the machine-pool shape (the (topology, engine) pool
-//     key from workload.Spec.Shape), so every job of one shape lands
+//     keyed by the machine-pool shape (the topology key from
+//     workload.Spec.Shape), so every job of one shape lands
 //     on one node and its machine pool amortizes across the whole
 //     cluster's traffic for that shape. The hash is FNV-64a — a fixed
 //     function, so every process that sees the same member list

@@ -79,12 +79,12 @@ func Sorting(w io.Writer) error {
 		N := dn.Order()
 		keys := workload.Keys(workload.Uniform, N, int64(n))
 
-		mm := meshsim.New(dn, machineOpts()...)
+		mm := meshsim.New(dn)
 		mm.AddReg("K")
 		mm.Set("K", func(pe int) int64 { return keys[pe] })
 		rm := sorting.SnakeSortMesh(mm, "K")
 
-		sm := starsim.New(n, machineOpts()...)
+		sm := starsim.New(n)
 		sm.AddReg("K")
 		meshID := make([]int, sm.Size())
 		for pe := range meshID {
@@ -102,7 +102,7 @@ func Sorting(w io.Writer) error {
 
 		// The same sort on a SIMD-A star machine: §4's extra O(n)
 		// factor, measured.
-		smA := starsim.New(n, machineOpts()...)
+		smA := starsim.New(n)
 		smA.AddReg("K")
 		smA.Set("K", func(pe int) int64 { return keys[meshID[pe]] })
 		ra := sorting.SnakeSortStarModelA(smA, "K", meshID)
@@ -116,7 +116,7 @@ func Sorting(w io.Writer) error {
 		// 1 D_n route = <=3 star routes).
 		f := atallah.Factorize(n, 2)
 		r := f.RectMesh()
-		rmach := meshsim.New(r, machineOpts()...)
+		rmach := meshsim.New(r)
 		rmach.AddReg("K")
 		rmach.Set("K", func(pe int) int64 { return keys[pe%N] })
 		rr := sorting.ShearSort2D(rmach, "K")
@@ -129,7 +129,7 @@ func Sorting(w io.Writer) error {
 		// to half the PEs, which is exactly the §5 point about
 		// divide-and-conquer sorters on non-power-of-two meshes.
 		d := cubesim.MinDimFor(int64(N))
-		cm := cubesim.New(d, machineOpts()...)
+		cm := cubesim.New(d)
 		cm.AddReg("K")
 		maxKey := int64(0)
 		for _, k := range keys {

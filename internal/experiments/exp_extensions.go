@@ -54,13 +54,13 @@ func Collectives(w io.Writer) error {
 		dn := mesh.D(n)
 		vals := workload.Keys(workload.Uniform, dn.Order(), int64(n))
 		for _, r := range runs {
-			mm := meshsim.New(mesh.New(dn.Sizes()...), machineOpts()...)
+			mm := meshsim.New(mesh.New(dn.Sizes()...))
 			mm.AddReg("K")
 			ms := meshops.NewMeshStepper(mm)
 			load(ms, vals)
 			meshRoutes := r.run(ms)
 
-			sm := starsim.New(n, machineOpts()...)
+			sm := starsim.New(n)
 			sm.AddReg("K")
 			ss := meshops.NewStarStepper(sm)
 			load(ss, vals)

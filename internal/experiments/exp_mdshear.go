@@ -22,7 +22,7 @@ func MultiDimShear(w io.Writer) error {
 		"mesh", "dims", "initial-inv", "per-round", "sorted", "rounds")
 	shapes := [][]int{{8, 8}, {16, 16}, {3, 3, 3}, {4, 4, 4}, {2, 3, 4}, {2, 3, 4, 5}, {3, 3, 3, 3}}
 	for _, sizes := range shapes {
-		m := meshsim.New(mesh.New(sizes...), machineOpts()...)
+		m := meshsim.New(mesh.New(sizes...))
 		m.AddReg("K")
 		keys := workload.Keys(workload.Uniform, m.M.Order(), 77)
 		m.Set("K", func(pe int) int64 { return keys[pe] })
@@ -55,7 +55,7 @@ func Utilization(w io.Writer) error {
 	t := exptab.New("Generator (link) utilization during snake sort on S_n",
 		"n", "routes", "per-generator transmissions g_0..g_{n-2}", "max/min")
 	for _, n := range []int{4, 5} {
-		sm := starsim.New(n, machineOpts()...)
+		sm := starsim.New(n)
 		sm.AddReg("K")
 		keys := workload.Keys(workload.Uniform, sm.Size(), int64(n))
 		meshID := make([]int, sm.Size())

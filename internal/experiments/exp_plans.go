@@ -22,9 +22,7 @@ import (
 // sweep — recording cost excluded, so the timing isolates replay vs
 // closure resolution.
 func planSweep(n int, plans bool) (simd.Stats, []int64, int64, time.Duration) {
-	// machineOpts first so the -engine flag applies; the plans toggle
-	// under test overrides any -plan setting.
-	m := starsim.New(n, append(machineOpts(), simd.WithPlans(plans))...)
+	m := starsim.New(n, simd.WithPlans(plans))
 	workload.EngineSweep(m) // warm: records plans / builds route tables
 	m.ResetStats()
 	start := time.Now()
@@ -68,7 +66,7 @@ func PlansParity(w io.Writer) error {
 	// messages per route. Conflict counts and the first-message-wins
 	// delivery must survive compilation.
 	conflictRun := func(plans bool) (simd.Stats, []int64) {
-		m := meshsim.New(mesh.New(16), append(machineOpts(), simd.WithPlans(plans))...)
+		m := meshsim.New(mesh.New(16), simd.WithPlans(plans))
 		m.AddReg("V")
 		m.AddReg("W")
 		m.Set("V", func(pe int) int64 { return int64(pe + 1) })
@@ -106,10 +104,9 @@ func PlansParity(w io.Writer) error {
 	// Cross-machine reuse: record the sweep's plans on one machine,
 	// then run a second machine of the same shape that replays them
 	// from the shared cache.
-	planOn := append(machineOpts(), simd.WithPlans(true))
-	recorder := starsim.New(5, planOn...)
+	recorder := starsim.New(5, simd.WithPlans(true))
 	workload.EngineSweep(recorder)
-	replayer := starsim.New(5, planOn...)
+	replayer := starsim.New(5, simd.WithPlans(true))
 	workload.EngineSweep(replayer)
 	if recorder.Stats() != replayer.Stats() ||
 		workload.RegChecksum(recorder, "W") != workload.RegChecksum(replayer, "W") {

@@ -19,7 +19,7 @@ func ScenarioSmoke(w io.Writer) error {
 	t := exptab.New(fmt.Sprintf("Scenario registry: %d families, demo spec each", len(workload.Kinds())),
 		"kind", "name", "shape", "unit-routes", "conflicts", "ok")
 	for _, spec := range workload.DemoSpecs() {
-		sc, err := workload.ScenarioFor(spec, engineOpts...)
+		sc, err := workload.ScenarioFor(spec)
 		if err != nil {
 			return fmt.Errorf("scenario %s: %w", spec.Kind, err)
 		}

@@ -50,8 +50,8 @@ func serveSpecs() []serve.JobSpec {
 // throughput falls below build-per-job, the WAL costs more than 10%
 // of pooled throughput, or the observability layer more than 5% of
 // bare throughput; a /v1/metrics exposition that fails validation
-// fails it regardless. The service runs its own engine configuration
-// (sequential, plans on), so the -engine flag does not apply here.
+// fails it regardless. Every mode builds its job machines with the
+// simd defaults (sequential executor, plans on).
 func ServeLoad(w io.Writer) error {
 	svcCfg := serve.Config{Workers: 0, Queue: 32}
 	load := loadgen.LoadConfig{

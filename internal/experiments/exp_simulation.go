@@ -26,7 +26,7 @@ func Theorem6UnitRoute(w io.Writer) error {
 		dn := mesh.D(n)
 		for k := 1; k <= n-1; k++ {
 			for _, dir := range []int{+1, -1} {
-				m := starsim.New(n, machineOpts()...)
+				m := starsim.New(n)
 				m.AddReg("V")
 				m.AddReg("W")
 				m.Set("V", func(pe int) int64 { return int64(pe) })
@@ -42,7 +42,7 @@ func Theorem6UnitRoute(w io.Writer) error {
 						ok = false
 					}
 				}
-				ma := starsim.New(n, machineOpts()...)
+				ma := starsim.New(n)
 				ma.AddReg("V")
 				ma.AddReg("W")
 				ma.Set("V", func(pe int) int64 { return int64(pe) })
@@ -118,7 +118,7 @@ func Broadcast(w io.Writer) error {
 		}
 		viaMesh := "-"
 		if n <= 6 {
-			sm := starsim.New(n, machineOpts()...)
+			sm := starsim.New(n)
 			sm.AddReg("K")
 			st := meshops.NewStarStepper(sm)
 			sm.Reg("K")[st.PEOf(0)] = 1

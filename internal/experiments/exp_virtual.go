@@ -18,7 +18,7 @@ func Virtualization(w io.Writer) error {
 	t := exptab.New("Virtualization: D_{n+1} on S_n (n+1 virtual nodes per PE)",
 		"n", "virtual-nodes", "physical-PEs", "dim", "routes", "bound 3(n+1)", "data-ok")
 	for _, n := range []int{3, 4, 5} {
-		vm := virtual.New(n, machineOpts()...)
+		vm := virtual.New(n)
 		vm.AddReg("A")
 		vm.AddReg("B")
 		keys := workload.Keys(workload.Uniform, vm.Big.Order(), int64(n))
@@ -54,7 +54,7 @@ func Virtualization(w io.Writer) error {
 	t2 := exptab.New("\nVirtual snake sort: (n+1)! keys on n! PEs",
 		"n", "keys", "PEs", "physical-routes", "sorted")
 	for _, n := range []int{3, 4} {
-		vm := virtual.New(n, machineOpts()...)
+		vm := virtual.New(n)
 		vm.AddReg("K")
 		keys := workload.Keys(workload.Uniform, vm.Big.Order(), 7)
 		vm.Set("K", func(bigID int) int64 { return keys[bigID] })

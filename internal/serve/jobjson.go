@@ -162,7 +162,6 @@ func appendSnapshot(b []byte, s *walSnapshot) []byte {
 		}
 		b = append(b, ']')
 	}
-	b = appendIntField(b, `,"finished":`, s.Finished)
 	if len(s.ByKind) > 0 {
 		b = append(b, `,"by_kind":[`...)
 		for i := range s.ByKind {

@@ -151,7 +151,7 @@ func sampleJobs(t testing.TB, zone *time.Location) []Job {
 	}
 	st.finish(ids[2], ScenarioResult{UnitRoutes: 42, Conflicts: 3, OK: true}, nil, tick())
 	st.finish(ids[3], ScenarioResult{}, errors.New("bad <input> & \u2028 \"quoted\"\n"), tick())
-	if victim, ok := st.requestPreempt(9, tick()); !ok || victim != ids[4] {
+	if victim, ok := st.requestPreempt(9, 1); !ok || victim != ids[4] {
 		t.Fatalf("preempt picked %q, %v", victim, ok)
 	}
 	st.finish(ids[4], ScenarioResult{UnitRoutes: 5}, context.Canceled, tick())
@@ -221,7 +221,7 @@ func TestWALRecordsMatchEncodingJSON(t *testing.T) {
 	ds.claim(a.ID, now, func() {})
 	logged(opClaim, a.ID)
 	ds.trace(a.ID, now, TraceMachineReady, "shape=star:4 reused") // no record of its own
-	ds.requestPreempt(5, now)
+	ds.requestPreempt(5, 1)
 	ds.finish(a.ID, ScenarioResult{UnitRoutes: 3}, context.Canceled, now)
 	logged(opPreempt, a.ID)
 	ds.claim(a.ID, now, func() {})

@@ -2,10 +2,11 @@
 // GET /v1/metrics, in one place. Hot-path instruments (histograms,
 // the counters the scheduler bumps per job) are resolved to their
 // series once here; state another subsystem already tracks (queue
-// depth, pool counters, watch subscriptions, WAL durability) bridges
-// in through CollectFunc closures sampled at scrape time, costing
-// those subsystems nothing between scrapes. docs/observability.md is
-// the rendered catalog of everything registered here.
+// depth, running jobs, pool counters, watch subscriptions, WAL
+// durability) bridges in through CollectFunc closures sampled at
+// scrape time, costing those subsystems nothing between scrapes.
+// docs/observability.md is the rendered catalog of everything
+// registered here.
 package serve
 
 import (
@@ -29,7 +30,6 @@ type serveMetrics struct {
 	reg *obs.Registry
 
 	// Scheduler.
-	jobsRunning      obs.Gauge
 	jobsAdmitted     *obs.CounterVec // kind
 	jobsRejected     *obs.CounterVec // reason
 	jobsFinished     *obs.CounterVec // status, kind, tenant
@@ -86,8 +86,9 @@ func newServeMetrics(s *Service) *serveMetrics {
 	m := &serveMetrics{reg: r}
 
 	// Scheduler.
-	m.jobsRunning = r.Gauge("starmesh_jobs_running",
-		"Jobs currently executing on a worker.").With()
+	r.CollectFunc("starmesh_jobs_running",
+		"Jobs currently executing on a worker.", obs.TypeGauge, nil,
+		func() []obs.Sample { return []obs.Sample{{Value: float64(s.store.runningCount())}} })
 	m.jobsAdmitted = r.Counter("starmesh_jobs_admitted_total",
 		"Jobs admitted to the queue, by scenario kind.", "kind")
 	m.jobsRejected = r.Counter("starmesh_jobs_rejected_total",

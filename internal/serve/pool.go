@@ -61,7 +61,7 @@ func (p *pool) checkout() (r workload.Resource, built bool, err error) {
 // checkin returns a machine after a job. Pooled machines are Reset —
 // the satellite contract: registers and stats really are cleared
 // before the next job — and parked; unpooled (or post-drain) ones
-// are closed, releasing their engine worker goroutines.
+// are closed.
 func (p *pool) checkin(r workload.Resource) {
 	if p.pooled {
 		r.Reset()

@@ -7,6 +7,7 @@ package serve
 
 import (
 	"context"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -153,31 +154,31 @@ func TestRequestPreemptSelection(t *testing.T) {
 
 	// Priority 1 sees the two priority-0 sweeps; the tie breaks to
 	// the one that started later.
-	if id, ok := st.requestPreempt(1, now); !ok || id != lowNew {
+	if id, ok := st.requestPreempt(1, 1); !ok || id != lowNew {
 		t.Fatalf("first victim = %q, %t; want the most recently started %q", id, ok, lowNew)
 	}
 	if ctxLowNew.Err() == nil {
 		t.Fatal("victim's run context was not canceled")
 	}
-	if id, ok := st.requestPreempt(1, now); !ok || id != lowOld {
+	if id, ok := st.requestPreempt(1, 1); !ok || id != lowOld {
 		t.Fatalf("second victim = %q, %t; want %q", id, ok, lowOld)
 	}
 	if ctxLowOld.Err() == nil {
 		t.Fatal("second victim's run context was not canceled")
 	}
 	// Nothing below priority 1 is left running.
-	if id, ok := st.requestPreempt(1, now); ok {
+	if id, ok := st.requestPreempt(1, 1); ok {
 		t.Fatalf("priority 1 found a third victim %q", id)
 	}
 	// Priority 9 reaches the priority-2 sweep — but never the sort,
 	// which is not preemptible no matter the priority gap.
-	if id, ok := st.requestPreempt(9, now); !ok || id != mid {
+	if id, ok := st.requestPreempt(9, 1); !ok || id != mid {
 		t.Fatalf("priority-9 victim = %q, %t; want %q", id, ok, mid)
 	}
 	if ctxMid.Err() == nil {
 		t.Fatal("mid victim's run context was not canceled")
 	}
-	if id, ok := st.requestPreempt(9, now); ok {
+	if id, ok := st.requestPreempt(9, 1); ok {
 		t.Fatalf("non-sweep selected as victim: %q", id)
 	}
 	if ctxSort.Err() != nil {
@@ -190,7 +191,7 @@ func TestRequestPreemptSelection(t *testing.T) {
 	if _, err := st.cancel(crID, now.Add(41*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	if id, ok := st.requestPreempt(9, now); ok {
+	if id, ok := st.requestPreempt(9, 1); ok {
 		t.Fatalf("cancel-requested job selected as victim: %q", id)
 	}
 }
@@ -241,7 +242,7 @@ func TestPreemptRequeueSurvivesCrash(t *testing.T) {
 	if _, ok := svc.store.claim(victim.ID, now, cancel); !ok {
 		t.Fatal("claim failed")
 	}
-	if id, ok := svc.store.requestPreempt(5, now); !ok || id != victim.ID {
+	if id, ok := svc.store.requestPreempt(5, 1); !ok || id != victim.ID {
 		t.Fatalf("requestPreempt = %q, %t", id, ok)
 	}
 	// The checkpoint abort: the runner surfaces context.Canceled with
@@ -273,6 +274,41 @@ func TestPreemptRequeueSurvivesCrash(t *testing.T) {
 	got.Name, got.ElapsedNs = "", 0
 	if want := standaloneResult(t, spec); got != want {
 		t.Fatalf("recovered victim diverged from standalone run: %+v != %+v", got, want)
+	}
+}
+
+// TestJobsRunningGaugeAfterPreempt drives a preempt round trip by
+// hand — claim, preempt, checkpoint abort and requeue, reclaim,
+// finish — and requires the starmesh_jobs_running scrape to read 0
+// afterwards, as the store's running count does.
+func TestJobsRunningGaugeAfterPreempt(t *testing.T) {
+	svc, err := newService(Config{Workers: 1, Queue: 8}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Drain()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	victim := submitOrDie(t, svc, JobSpec{Kind: KindSweep, N: 4, Trials: 60})
+	now := time.Now()
+	if _, ok := svc.store.claim(victim.ID, now, func() {}); !ok {
+		t.Fatal("claim failed")
+	}
+	if id, ok := svc.store.requestPreempt(5, 1); !ok || id != victim.ID {
+		t.Fatalf("requestPreempt = %q, %t", id, ok)
+	}
+	if !svc.store.finish(victim.ID, ScenarioResult{UnitRoutes: 17}, context.Canceled, now) {
+		t.Fatal("preempt checkpoint did not requeue")
+	}
+	if _, ok := svc.store.claim(victim.ID, now, func() {}); !ok {
+		t.Fatal("reclaim failed")
+	}
+	svc.store.finish(victim.ID, ScenarioResult{UnitRoutes: 40, OK: true}, nil, now)
+	if st := svc.Stats(); st.Running != 0 || st.Done != 1 {
+		t.Fatalf("stats after the round trip: running %d, done %d", st.Running, st.Done)
+	}
+	if v, ok := scrapeMetrics(t, ts.URL).Value("starmesh_jobs_running", nil); !ok || v != 0 {
+		t.Fatalf("jobs_running = %v, %t after a preempt round trip; want 0", v, ok)
 	}
 }
 

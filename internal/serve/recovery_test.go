@@ -364,3 +364,48 @@ func TestRecoveryRestoresFinishWindow(t *testing.T) {
 		}
 	}
 }
+
+// TestThroughputCountsOnlyThisProcess restarts a durable service
+// after it finished jobs: the restarted process has run nothing, so
+// its throughput reads 0 while the recovered totals still count
+// every finish. Its first own finish makes the throughput positive.
+func TestThroughputCountsOnlyThisProcess(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *Service {
+		t.Helper()
+		svc, err := newService(Config{Workers: 1, Queue: 8, StoreDir: dir}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return svc
+	}
+	runOne := func(svc *Service) {
+		t.Helper()
+		now := time.Now()
+		j := svc.store.add(JobSpec{Kind: KindSweep, N: 3}, DefaultTenant, now)
+		if _, ok := svc.store.claim(j.ID, now, nil); !ok {
+			t.Fatalf("claim %s failed", j.ID)
+		}
+		svc.store.finish(j.ID, ScenarioResult{UnitRoutes: 5, OK: true}, nil, now.Add(time.Millisecond))
+	}
+	const finished = 5
+	svc := open()
+	for range finished {
+		runOne(svc)
+	}
+	if st := svc.Stats(); st.Done != finished || st.ThroughputJobsPerSec <= 0 {
+		t.Fatalf("before the restart: done %d, %v jobs/s", st.Done, st.ThroughputJobsPerSec)
+	}
+	svc.Drain()
+
+	svc = open()
+	defer svc.Drain()
+	if st := svc.Stats(); st.Done != finished || st.ThroughputJobsPerSec != 0 {
+		t.Fatalf("after the restart: done %d, %v jobs/s; want %d done at 0 jobs/s",
+			st.Done, st.ThroughputJobsPerSec, finished)
+	}
+	runOne(svc)
+	if st := svc.Stats(); st.Done != finished+1 || st.ThroughputJobsPerSec <= 0 {
+		t.Fatalf("after one new finish: done %d, %v jobs/s", st.Done, st.ThroughputJobsPerSec)
+	}
+}

@@ -20,8 +20,8 @@ import (
 )
 
 // Config shapes a Service. The zero value is a working default:
-// GOMAXPROCS workers, a 64-deep queue, pooling on, the sequential
-// engine with plans enabled.
+// GOMAXPROCS workers, a 64-deep queue, pooling on. Every job machine
+// is built with the options EngineOptions returns.
 type Config struct {
 	// Workers is the number of concurrent job executors (0 =
 	// GOMAXPROCS).
@@ -33,14 +33,6 @@ type Config struct {
 	// NoPool disables per-shape machine pooling: every job builds a
 	// fresh machine and closes it (the measured baseline).
 	NoPool bool `json:"no_pool"`
-	// Engine selects the execution engine of the job machines:
-	// "sequential" (default) or "parallel".
-	Engine string `json:"engine"`
-	// EngineWorkers is the parallel engine's worker count (0 =
-	// GOMAXPROCS).
-	EngineWorkers int `json:"engine_workers"`
-	// NoPlans disables compiled route plans on the job machines.
-	NoPlans bool `json:"no_plans"`
 	// DrainGrace bounds how long ListenAndServe waits for admitted
 	// jobs after shutdown begins before canceling the running ones at
 	// their next checkpoint (0 = 5s). Callers driving Shutdown
@@ -80,9 +72,6 @@ func (c Config) withDefaults() Config {
 	if c.Queue <= 0 {
 		c.Queue = 64
 	}
-	if c.Engine == "" {
-		c.Engine = "sequential"
-	}
 	if c.DrainGrace <= 0 {
 		c.DrainGrace = 5 * time.Second
 	}
@@ -94,24 +83,12 @@ func (c Config) withDefaults() Config {
 // record must describe the real configuration.
 func (c Config) Effective() Config { return c.withDefaults() }
 
-// EngineOptions maps the config to simd machine options — the one
-// engine-name parser, shared by the service, the CLIs and the load
-// harness, which builds its standalone parity references with exactly
-// the service's engine.
-func (c Config) EngineOptions() ([]simd.Option, error) {
-	var opts []simd.Option
-	switch c.Engine {
-	case "", "sequential", "seq":
-	case "parallel", "par":
-		opts = append(opts, simd.WithExecutor(simd.Parallel(c.EngineWorkers)))
-	default:
-		return nil, fmt.Errorf("serve: unknown engine %q (want sequential or parallel)", c.Engine)
-	}
-	if c.NoPlans {
-		opts = append(opts, simd.WithPlans(false))
-	}
-	return opts, nil
-}
+// EngineOptions returns the simd options every job machine is built
+// with: none, so the simd defaults hold (the sequential executor,
+// compiled route plans on). The load harness builds its standalone
+// parity references with exactly these options. The error is always
+// nil.
+func (c Config) EngineOptions() ([]simd.Option, error) { return nil, nil }
 
 // Service is a running simulation job service.
 type Service struct {
@@ -125,11 +102,6 @@ type Service struct {
 	sched   *wfq
 	tenants *tenantSet
 	start   time.Time
-
-	// running counts claimed-and-executing jobs — the preemption
-	// trigger's "are all workers busy" signal, maintained by runJob
-	// without taking any lock.
-	running atomic.Int64
 
 	// Observability: nil met/reg under Config.NoObs — every
 	// instrumentation point nil-checks, so the disabled path costs one
@@ -170,10 +142,7 @@ func NewService(cfg Config) (*Service, error) {
 // service to observe queued state deterministically.
 func newService(cfg Config, startWorkers bool) (*Service, error) {
 	eff := cfg.withDefaults()
-	opts, err := eff.EngineOptions()
-	if err != nil {
-		return nil, err
-	}
+	opts, _ := eff.EngineOptions() // never fails
 	tenants, err := newTenantSet(eff.Tenants, eff.RequireKey)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
@@ -215,13 +184,11 @@ func newService(cfg Config, startWorkers bool) (*Service, error) {
 		met := s.met
 		st.setHooks(
 			func(tenant, kind string, wait time.Duration) {
-				met.jobsRunning.Add(1)
 				met.queueWaitSeconds.Observe(wait.Seconds())
 				met.tenantQueueWait(tenant).Observe(wait.Seconds())
 			},
 			func(status Status, tenant, kind string, run time.Duration, ran bool) {
 				if ran {
-					met.jobsRunning.Add(-1)
 					met.jobRunSeconds.With(kind).Observe(run.Seconds())
 				}
 				met.finished(status, kind, tenant).Inc()
@@ -319,10 +286,10 @@ func (s *Service) enqueue(job Job, force bool) error {
 // Only fires when every worker is busy — with free workers the new
 // job gets picked up anyway.
 func (s *Service) maybePreempt(priority int) {
-	if priority <= 0 || s.running.Load() < int64(s.workers) {
+	if priority <= 0 {
 		return
 	}
-	if id, ok := s.store.requestPreempt(priority, time.Now()); ok {
+	if id, ok := s.store.requestPreempt(priority, s.workers); ok {
 		if s.met != nil {
 			s.met.tenantPreempts.With().Inc()
 		}
@@ -534,10 +501,9 @@ func (s *Service) beginDrain() {
 
 // Drain gracefully shuts the service down: admission stops
 // (ErrDraining), every already-admitted job runs to completion, the
-// workers exit, and the machine pools close — releasing every
-// engine's worker goroutines. Drain blocks until all of that is done
-// and is safe to call from multiple goroutines; later calls wait for
-// the first. Shutdown is Drain with a deadline.
+// workers exit, and the machine pools close. Drain blocks until all
+// of that is done and is safe to call from multiple goroutines; later
+// calls wait for the first. Shutdown is Drain with a deadline.
 func (s *Service) Drain() { _ = s.Shutdown(context.Background()) }
 
 // Shutdown drains the service, honoring the caller's deadline: when
@@ -607,12 +573,10 @@ func (s *Service) runJob(id string) {
 	if !ok {
 		return // canceled while queued
 	}
-	s.running.Add(1)
 	log := s.logWith(ctx)
 	log.Debug("job claimed", "kind", spec.Kind, "shape", spec.Shape())
 	res, err := s.execute(ctx, id, spec)
 	requeued := s.store.finish(id, res, err, time.Now())
-	s.running.Add(-1)
 	if requeued {
 		// Preempted at its checkpoint: back into its tenant's queue
 		// (forced — a requeue must never bounce off capacity). The

@@ -262,40 +262,3 @@ func TestInvalidSpecsRejected(t *testing.T) {
 	}
 	svc.Drain()
 }
-
-func TestBadEngineConfigRejected(t *testing.T) {
-	if _, err := NewService(Config{Engine: "quantum"}); err == nil {
-		t.Fatal("unknown engine accepted")
-	}
-}
-
-func TestParallelEngineServiceMatchesSequential(t *testing.T) {
-	results := func(engine string) []Job {
-		svc, err := NewService(Config{Workers: 2, Engine: engine, EngineWorkers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer svc.Drain()
-		var jobs []Job
-		for _, spec := range testSpecs() {
-			j, err := svc.Submit(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			jobs = append(jobs, j)
-		}
-		out := make([]Job, len(jobs))
-		for i, j := range jobs {
-			out[i] = waitTerminal(t, svc, j.ID)
-		}
-		return out
-	}
-	seq := results("sequential")
-	par := results("parallel")
-	for i := range seq {
-		s, p := seq[i].Result, par[i].Result
-		if s == nil || p == nil || s.UnitRoutes != p.UnitRoutes || s.Conflicts != p.Conflicts || s.OK != p.OK {
-			t.Fatalf("parallel engine diverged for %+v: %+v != %+v", seq[i].Spec, p, s)
-		}
-	}
-}

@@ -260,7 +260,7 @@ type store struct {
 	watchers map[string][]chan Job
 
 	queued, running int                   // live jobs; terminal ones are counted in byKind
-	finished        int64                 // terminal from running (done, failed or canceled mid-run), cumulative
+	finished        int64                 // finishes from running that this process ran; replay does not count
 	byKind          map[string]*KindStats // cumulative per scenario kind, unaffected by eviction
 	window          finishWindow          // the most recent finishes from running
 }
@@ -583,6 +583,7 @@ func (st *store) finish(id string, res workload.ScenarioResult, err error, now t
 	}
 	appendTrace(j, now, string(j.Status), j.Error)
 	st.foldFinished(j)
+	st.finished++
 	st.log(opFinish, j)
 	if st.onFinish != nil {
 		st.onFinish(j.Status, j.Tenant, j.Spec.Kind, now.Sub(j.Started), true)
@@ -593,10 +594,10 @@ func (st *store) finish(id string, res workload.ScenarioResult, err error, now t
 }
 
 // foldFinished folds a job that just reached a terminal status from
-// running into the aggregates: per-kind totals, the finished count
-// and the finish window. Shared by the live finish path and WAL
-// replay, so recovered aggregates cannot drift from live ones. Caller
-// holds st.mu; j's terminal fields are already set.
+// running into the aggregates: per-kind totals and the finish window.
+// Shared by the live finish path and WAL replay, so recovered
+// aggregates cannot drift from live ones. Caller holds st.mu; j's
+// terminal fields are already set.
 func (st *store) foldFinished(j *Job) {
 	kind := st.kindStats(j.Spec.Kind)
 	switch j.Status {
@@ -609,7 +610,6 @@ func (st *store) foldFinished(j *Job) {
 		kind.UnitRoutes += int64(j.Result.UnitRoutes)
 		kind.Conflicts += int64(j.Result.Conflicts)
 	}
-	st.finished++
 	st.window.add(j)
 }
 
@@ -750,9 +750,10 @@ type Stats struct {
 	LatencyRunP50Ns   int64 `json:"latency_run_p50_ns"`
 	LatencyRunP99Ns   int64 `json:"latency_run_p99_ns"`
 
-	// ThroughputJobsPerSec counts every job that reached a terminal
-	// status from running (the same jobs as the finish window, but
-	// cumulative) over the service uptime.
+	// ThroughputJobsPerSec counts the jobs this process ran to a
+	// terminal status (done, failed or canceled mid-run) since this
+	// process started, over its uptime. Finishes recovered from a
+	// durable store's snapshot or log are not counted.
 	ThroughputJobsPerSec float64 `json:"throughput_jobs_per_sec"`
 
 	Workers  int  `json:"workers"`
@@ -824,13 +825,18 @@ func (st *store) setHooks(onClaim func(string, string, time.Duration), onFinish 
 // requestPreempt picks and cancels the best preemption victim: a
 // running, preemptible (multi-trial sweep — the long-running class
 // with per-unit-route checkpoints) job of strictly lower priority,
-// with no cancel or preempt already in flight. Among candidates the
-// lowest priority loses; ties break to the most recently started
-// (least sunk work discarded). The victim's checkpoint abort then
-// requeues it via finish's preempting path.
-func (st *store) requestPreempt(priority int, now time.Time) (string, bool) {
+// with no cancel or preempt already in flight. It picks none while
+// fewer than workers jobs run: a free worker takes the new job
+// anyway. Among candidates the lowest priority loses; ties break to
+// the most recently started (least sunk work discarded). The
+// victim's checkpoint abort then requeues it via finish's preempting
+// path.
+func (st *store) requestPreempt(priority, workers int) (string, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if st.running < workers {
+		return "", false
+	}
 	var victim *Job
 	for id := range st.cancels {
 		j, ok := st.jobs[id]
@@ -861,6 +867,14 @@ func (st *store) requestPreempt(priority int, now time.Time) (string, bool) {
 // completion once claimed.
 func preemptible(spec JobSpec) bool {
 	return spec.Kind == workload.KindSweep && spec.Trials > 1
+}
+
+// runningCount samples the number of jobs executing on a worker for
+// the metrics layer.
+func (st *store) runningCount() int {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.running
 }
 
 // watchStats samples the live watch-subscription state for the

@@ -205,16 +205,13 @@ func TestListenAndServeLifecycle(t *testing.T) {
 
 func TestConfigEffectiveAndEngineOptions(t *testing.T) {
 	eff := Config{}.Effective()
-	if eff.Workers <= 0 || eff.Queue != 64 || eff.Engine != "sequential" || eff.DrainGrace != 5*time.Second {
+	if eff.Workers <= 0 || eff.Queue != 64 || eff.DrainGrace != 5*time.Second {
 		t.Fatalf("effective defaults wrong: %+v", eff)
 	}
-	if opts, err := (Config{Engine: "parallel"}).EngineOptions(); err != nil || len(opts) == 0 {
-		t.Fatalf("parallel engine options: %v %v", opts, err)
-	}
-	for _, engine := range []string{"quantum", "parallel-spawn", "spawn"} {
-		if _, err := (Config{Engine: engine}).EngineOptions(); err == nil {
-			t.Fatalf("unknown engine %q accepted", engine)
-		}
+	// Job machines take the simd defaults: the sequential executor
+	// with compiled route plans on.
+	if opts, err := (Config{}).EngineOptions(); err != nil || len(opts) != 0 {
+		t.Fatalf("engine options: %v %v; want none", opts, err)
 	}
 }
 

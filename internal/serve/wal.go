@@ -149,15 +149,14 @@ type walSnapshot struct {
 	LSN     uint64    `json:"lsn"`
 	Next    int       `json:"next"`
 	// Jobs are the retained jobs in admission order (evicted jobs are
-	// gone — the cumulative counters below remember them). A snapshot
+	// gone — the per-kind totals below remember them). A snapshot
 	// being written points at the store's live jobs: it is built and
 	// encoded under the store lock. The live status counts and the
 	// finish window are rebuilt from them at load, so the snapshot
-	// stores neither. Older snapshots also hold "counts",
+	// stores neither. Older snapshots also hold "counts", "finished",
 	// "unit_routes", "conflicts", "lat_total_ns" and "lat_run_ns";
 	// decoding ignores them.
 	Jobs       []*Job      `json:"jobs"`
-	Finished   int64       `json:"finished"`
 	ByKind     []KindStats `json:"by_kind,omitempty"`
 	WatchDrops int64       `json:"watch_drops,omitempty"`
 }
@@ -324,7 +323,6 @@ func (st *store) installSnapshot(snap *walSnapshot) error {
 	for _, j := range ran {
 		st.window.add(j)
 	}
-	st.finished = snap.Finished
 	for i := range snap.ByKind {
 		k := snap.ByKind[i]
 		st.byKind[k.Kind] = &k
@@ -512,7 +510,6 @@ func (st *store) buildSnapshot(now time.Time) walSnapshot {
 		LSN:        st.wal.lsn,
 		Next:       st.next,
 		Jobs:       make([]*Job, 0, len(st.order)-st.front),
-		Finished:   st.finished,
 		WatchDrops: st.watchDrops,
 	}
 	for i := st.front; i < len(st.order); i++ {

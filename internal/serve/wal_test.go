@@ -561,7 +561,7 @@ func FuzzWALReplay(f *testing.F) {
 	}
 	a := ds.add(JobSpec{Kind: KindSweep, N: 4, Trials: 2}, DefaultTenant, now)
 	ds.claim(a.ID, now, func() {})
-	ds.requestPreempt(5, now)
+	ds.requestPreempt(5, 1)
 	ds.finish(a.ID, ScenarioResult{UnitRoutes: 3}, context.Canceled, now)
 	ds.claim(a.ID, now, func() {})
 	ds.cancel(a.ID, now)
@@ -623,8 +623,8 @@ func FuzzWALReplay(f *testing.F) {
 }
 
 // oldSnapshot is the snapshot format that also stored the live status
-// counts, the unit-route and conflict totals and both latency
-// windows, field for field in the order it wrote them.
+// counts, the finished count, the unit-route and conflict totals and
+// both latency windows, field for field in the order it wrote them.
 type oldSnapshot struct {
 	TakenAt    time.Time      `json:"taken_at"`
 	LSN        uint64         `json:"lsn"`
@@ -641,10 +641,11 @@ type oldSnapshot struct {
 }
 
 // TestRecoveryLoadsOldSnapshotFormat opens a snapshot in the older
-// format, whose five extra fields the store now derives from the jobs
-// and the per-kind table: the status counts, per-kind totals, unit
-// routes, conflicts and latency percentiles must come back as the
-// store that wrote it held them.
+// format, whose extra fields the store now derives from the jobs and
+// the per-kind table or no longer keeps: the status counts, per-kind
+// totals, unit routes, conflicts and latency percentiles must come
+// back as the store that wrote it held them, and its finished count
+// must not enter this process's throughput.
 func TestRecoveryLoadsOldSnapshotFormat(t *testing.T) {
 	dir := t.TempDir()
 	ds := openDurable(t, dir, nil)
@@ -682,7 +683,7 @@ func TestRecoveryLoadsOldSnapshotFormat(t *testing.T) {
 		TakenAt: snap.TakenAt, LSN: snap.LSN, Next: snap.Next, Jobs: snap.Jobs,
 		Counts: map[Status]int{StatusQueued: want.Queued, StatusRunning: want.Running,
 			StatusDone: want.Done, StatusFailed: want.Failed, StatusCanceled: want.Canceled},
-		Finished: snap.Finished, UnitRoutes: want.UnitRoutes, Conflicts: want.Conflicts,
+		Finished: 3, UnitRoutes: want.UnitRoutes, Conflicts: want.Conflicts,
 		ByKind: snap.ByKind, WatchDrops: snap.WatchDrops,
 	}
 	for _, id := range ids[:3] {
@@ -713,6 +714,9 @@ func TestRecoveryLoadsOldSnapshotFormat(t *testing.T) {
 	if got.LatencyTotalP50Ns != want.LatencyTotalP50Ns || got.LatencyTotalP99Ns != want.LatencyTotalP99Ns ||
 		got.LatencyRunP50Ns != want.LatencyRunP50Ns || got.LatencyRunP99Ns != want.LatencyRunP99Ns {
 		t.Fatalf("old snapshot loaded other latencies:\nwrote %+v\nread  %+v", want, got)
+	}
+	if got.ThroughputJobsPerSec != 0 {
+		t.Fatalf("old snapshot's finished count read as this process's throughput: %v jobs/s", got.ThroughputJobsPerSec)
 	}
 	if want.Queued != 1 || want.Canceled != 3 || want.Done != 1 || want.Failed != 1 {
 		t.Fatalf("the store that wrote the snapshot holds %+v, want 1 queued, 1 done, 1 failed, 3 canceled", want)

@@ -117,10 +117,10 @@ func (s Spec) Normalized() (Spec, error) {
 }
 
 // Shape is the machine-pool key of the spec: specs with equal shapes
-// run on interchangeable resources. The engine configuration is
-// process-wide, so it is not part of the key. Unknown kinds shape to
-// "invalid" (they never pass Normalized, so no pool is ever built
-// for them).
+// run on interchangeable resources. Every job machine is built with
+// the same options, so the key is the topology alone. Unknown kinds
+// shape to "invalid" (they never pass Normalized, so no pool is ever
+// built for them).
 func (s Spec) Shape() string {
 	f, err := FamilyOf(s.Kind)
 	if err != nil {

@@ -12,9 +12,9 @@ import (
 // scheduler with backpressure and cancellation (queued AND running —
 // every runner carries cooperative checkpoints), executed on
 // per-shape machine pools that amortize topology construction, route
-// tables, compiled plans and engine worker pools across jobs of the
-// same (topology, engine) shape, and recorded in an in-memory store
-// with p50/p99 latency and unit-route aggregation. The facade
+// tables and compiled plans across jobs of the same topology shape,
+// and recorded in an in-memory store with p50/p99 latency and
+// unit-route aggregation. The facade
 // re-exports the service types; `starmesh serve` runs the versioned
 // v1 HTTP API, and the public typed client (package starmesh/client)
 // is the supported way to drive it remotely.
