@@ -71,6 +71,10 @@ type Machine struct {
 	// machines of the same shape).
 	urPlans map[urKey]*simd.Plan
 	cePlans map[ceKey]*simd.Plan
+	// ceRoles memoizes, per (dim, phase), each PE's compare-exchange
+	// role (ceLow, ceHigh or 0): a function of the mesh shape alone,
+	// so it survives Reset.
+	ceRoles map[ceRoleKey][]int8
 }
 
 // urKey identifies a unit-route schedule; ceKey a compare-exchange
@@ -83,6 +87,14 @@ type ceKey struct {
 	key        string
 	dim, phase int
 }
+type ceRoleKey struct{ dim, phase int }
+
+// The compare-exchange roles: a low PE pairs with its c+1 neighbor,
+// a high PE with its c-1 neighbor.
+const (
+	ceLow int8 = 1 + iota
+	ceHigh
+)
 
 // ceTmpReg is the compare-exchange scratch register name.
 const ceTmpReg = "__ce_tmp"
@@ -95,6 +107,7 @@ func New(m *mesh.Mesh, opts ...simd.Option) *Machine {
 		M:       m,
 		urPlans: make(map[urKey]*simd.Plan),
 		cePlans: make(map[ceKey]*simd.Plan),
+		ceRoles: make(map[ceRoleKey][]int8),
 	}
 	mm.AddReg(ceTmpReg)
 	mm.ceTmp = mm.Reg(ceTmpReg)
@@ -128,18 +141,12 @@ func (m *Machine) UnitRoute(src, dst string, dim, dir int) {
 // once and replayed — ascending only shapes the local combine.
 func (m *Machine) CompareExchange(key string, dim, phase int, ascending func(pe int) bool) {
 	const tmp = ceTmpReg
-	isLow := func(pe int) bool {
-		return m.M.Coord(pe, dim)%2 == phase && m.M.Step(pe, dim, +1) != -1
-	}
-	isHigh := func(pe int) bool {
-		c := m.M.Coord(pe, dim)
-		return c > 0 && (c-1)%2 == phase
-	}
+	roles := m.ceRolesFor(dim, phase)
 	// Lows send keys up; highs send keys down. After both routes each
 	// paired PE holds its partner's key in tmp.
 	routes := func() {
-		m.RouteA(key, tmp, Port(dim, +1), isLow)
-		m.RouteA(key, tmp, Port(dim, -1), isHigh)
+		m.RouteA(key, tmp, Port(dim, +1), func(pe int) bool { return roles[pe] == ceLow })
+		m.RouteA(key, tmp, Port(dim, -1), func(pe int) bool { return roles[pe] == ceHigh })
 	}
 	if !m.PlansEnabled() {
 		routes()
@@ -153,10 +160,10 @@ func (m *Machine) CompareExchange(key string, dim, phase int, ascending func(pe 
 	t := m.ceTmp
 	m.Apply(func(pe int) {
 		var keepMin bool
-		switch {
-		case isLow(pe):
+		switch roles[pe] {
+		case ceLow:
 			keepMin = ascending == nil || ascending(pe)
-		case isHigh(pe):
+		case ceHigh:
 			keepMin = !(ascending == nil || ascending(pe))
 		default:
 			return
@@ -171,4 +178,27 @@ func (m *Machine) CompareExchange(key string, dim, phase int, ascending func(pe 
 			}
 		}
 	})
+}
+
+// ceRolesFor returns (building on first use) the compare-exchange
+// role of every PE along dim in phase: low where the coordinate c
+// has c%2 == phase and a c+1 neighbor, high where c > 0 and
+// (c-1)%2 == phase.
+func (m *Machine) ceRolesFor(dim, phase int) []int8 {
+	rk := ceRoleKey{dim: dim, phase: phase}
+	if roles, ok := m.ceRoles[rk]; ok {
+		return roles
+	}
+	roles := make([]int8, m.Size())
+	for pe := range roles {
+		c := m.M.Coord(pe, dim)
+		switch {
+		case c%2 == phase && m.M.Step(pe, dim, +1) != -1:
+			roles[pe] = ceLow
+		case c > 0 && (c-1)%2 == phase:
+			roles[pe] = ceHigh
+		}
+	}
+	m.ceRoles[rk] = roles
+	return roles
 }

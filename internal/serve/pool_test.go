@@ -5,7 +5,7 @@ import (
 	"errors"
 	"testing"
 
-	"starmesh/internal/starsim"
+	"starmesh/internal/simd"
 	"starmesh/internal/workload"
 )
 
@@ -53,7 +53,12 @@ func TestPoolReusesAndResetsMachines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := r1.(*starsim.Machine)
+	// The star resource embeds its *starsim.Machine, so the machine's
+	// stats and registers are reachable through it.
+	sm := r1.(interface {
+		Stats() simd.Stats
+		Reg(name string) []int64
+	})
 	if sm.Stats().UnitRoutes == 0 {
 		t.Fatal("job left no stats on the machine")
 	}

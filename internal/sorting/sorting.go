@@ -23,6 +23,7 @@ import (
 	"hash/fnv"
 
 	"starmesh/internal/mesh"
+	"starmesh/internal/meshops"
 	"starmesh/internal/meshsim"
 	"starmesh/internal/simd"
 	"starmesh/internal/starsim"
@@ -40,8 +41,9 @@ type Result struct {
 // nondecreasing along the snake order of its mesh.
 func IsSortedBySnake(m *mesh.Mesh, key []int64) bool {
 	prev := int64(0)
+	coords := make([]int, 0, m.Dims())
 	for s := 0; s < m.Order(); s++ {
-		v := key[m.SnakeIDAt(s)]
+		v := key[m.ID(m.SnakeCoords(coords[:0], s))]
 		if s > 0 && v < prev {
 			return false
 		}
@@ -162,42 +164,6 @@ func shearSort2D(m *meshsim.Machine, key string, stop func() error) (Result, err
 	}, nil
 }
 
-// snakePlan precomputes, for every node of a mesh, its snake index
-// and the (dim, dir) of the snake step to the next snake position.
-type snakePlan struct {
-	m     *mesh.Mesh
-	index []int // node id -> snake index
-	dim   []int // node id -> dim of step to snake successor (-1 at end)
-	dir   []int
-}
-
-func newSnakePlan(m *mesh.Mesh) *snakePlan {
-	p := &snakePlan{
-		m:     m,
-		index: make([]int, m.Order()),
-		dim:   make([]int, m.Order()),
-		dir:   make([]int, m.Order()),
-	}
-	prev := -1
-	for s := 0; s < m.Order(); s++ {
-		id := m.SnakeIDAt(s)
-		p.index[id] = s
-		p.dim[id] = -1
-		if prev != -1 {
-			for j := 0; j < m.Dims(); j++ {
-				switch m.Coord(id, j) - m.Coord(prev, j) {
-				case 1:
-					p.dim[prev], p.dir[prev] = j, +1
-				case -1:
-					p.dim[prev], p.dir[prev] = j, -1
-				}
-			}
-		}
-		prev = id
-	}
-	return p
-}
-
 // exchanger abstracts "move register src one masked step along
 // (dim,dir) into dst" over the two machines, so SnakeSort runs
 // unchanged on a mesh (1 route per step) and on a star via the
@@ -258,32 +224,109 @@ func (e starExchanger) maskedStep(src, dst string, dim, dir int, mask func(int) 
 	e.sm.MaskedMeshUnitRoute(src, dst, dim+1, dir, starMask)
 }
 
-// snakeSort runs odd-even transposition over the snake order using
-// masked directional steps. meshOf maps PE ids to mesh ids. stop
-// (when non-nil) is consulted once per phase — the cooperative
+// The role of a PE in one odd-even transposition phase: the low end
+// of a snake pair keeps the smaller key, the high end the larger.
+const (
+	roleNone int8 = iota
+	roleLow
+	roleHigh
+)
+
+// snakeTmp is the snake sort's scratch register.
+const snakeTmp = "__snake_tmp"
+
+// snakeTables holds everything the phases of a snake sort depend on
+// besides the keys: the snake plan, each PE's role per phase parity,
+// the schedule tag and the memoized route block of each (key
+// register, parity). All of it is a function of the exchanger (the
+// machine, its SIMD model and its vertex map), so a machine that
+// keeps its tables sorts again without rebuilding any of it.
+type snakeTables struct {
+	e      exchanger
+	plan   *meshops.SnakePlan
+	meshOf func(pe int) int
+	role   [2][]int8 // [parity][pe]
+	tag    string
+	blocks map[blockKey]*simd.Plan
+	keys   []int64 // gather scratch of the sortedness check
+}
+
+// blockKey identifies one memoized route block of a snakeTables.
+type blockKey struct {
+	key string
+	par int
+}
+
+func newSnakeTables(e exchanger, meshOf func(pe int) int) *snakeTables {
+	m := e.theMesh()
+	t := &snakeTables{
+		e:      e,
+		plan:   meshops.NewSnakePlan(m),
+		meshOf: meshOf,
+		tag:    e.planTag(),
+		blocks: make(map[blockKey]*simd.Plan),
+		keys:   make([]int64, m.Order()),
+	}
+	size := e.machine().Size()
+	for par := range t.role {
+		role := make([]int8, size)
+		for pe := range role {
+			id := meshOf(pe)
+			s := t.plan.Index[id]
+			switch {
+			case t.isLow(id, par):
+				role[pe] = roleLow
+			case s > 0 && t.isLow(t.plan.IDAt[s-1], par):
+				role[pe] = roleHigh
+			}
+		}
+		t.role[par] = role
+	}
+	return t
+}
+
+// isLow reports whether mesh node id starts a compare-exchange pair
+// in phases of parity par: an even (or odd) snake position that has
+// a successor.
+func (t *snakeTables) isLow(id, par int) bool {
+	return t.plan.Index[id]%2 == par && t.plan.Dim[id] != -1
+}
+
+// routeBlock moves every pair's keys across in phases of parity par:
+// each (dim,dir) class of snake steps is one masked route in each
+// direction. It depends only on the tables, never on the keys.
+func (t *snakeTables) routeBlock(key string, par int) {
+	p := t.plan
+	m := p.M
+	for j := 0; j < m.Dims(); j++ {
+		for _, dir := range []int{+1, -1} {
+			low := func(id int) bool {
+				return t.isLow(id, par) && p.Dim[id] == j && p.Dir[id] == dir
+			}
+			high := func(id int) bool {
+				s := p.Index[id]
+				return s > 0 && low(p.IDAt[s-1])
+			}
+			if !anyMesh(m, low) {
+				continue
+			}
+			t.e.maskedStep(key, snakeTmp, j, dir, low)
+			t.e.maskedStep(key, snakeTmp, j, -dir, high)
+		}
+	}
+}
+
+// sort runs odd-even transposition over the snake order. stop (when
+// non-nil) is consulted once per phase — the cooperative
 // cancellation checkpoint; a non-nil return aborts the sort at the
 // phase boundary with the partial cost.
-func snakeSort(e exchanger, key string, meshOf func(pe int) int, stop func() error) (Result, error) {
-	m := e.theMesh()
-	plan := newSnakePlan(m)
-	mach := e.machine()
-	const tmp = "__snake_tmp"
-	mach.EnsureReg(tmp)
-	n := m.Order()
+func (t *snakeTables) sort(key string, stop func() error) (Result, error) {
+	mach := t.e.machine()
+	mach.EnsureReg(snakeTmp)
+	n := t.plan.M.Order()
 	before := mach.Stats()
-	// Register slices hoisted out of the phase loop (the map lookups
-	// would otherwise run n times).
 	k := mach.Reg(key)
-	t := mach.Reg(tmp)
-	// The route block of a phase depends only on the phase's parity,
-	// so the whole odd-even transposition replays two compiled
-	// schedules: record parity 0 and 1 once, replay them for the
-	// remaining n-2 phases (and across machines of the same shape via
-	// the shared plan cache).
-	var phaseKeys [2]string
-	for par := range phaseKeys {
-		phaseKeys[par] = fmt.Sprintf("snakephase:%s:%s:%d", e.planTag(), key, par)
-	}
+	tmp := mach.Reg(snakeTmp)
 	for phase := 0; phase < n; phase++ {
 		if stop != nil {
 			if err := stop(); err != nil {
@@ -295,68 +338,40 @@ func snakeSort(e exchanger, key string, meshOf func(pe int) int, stop func() err
 				}, err
 			}
 		}
-		lowMask := func(meshID int) bool {
-			s := plan.index[meshID]
-			return s%2 == phase%2 && plan.dim[meshID] != -1
-		}
-		highMask := func(meshID int) bool {
-			s := plan.index[meshID]
-			if s == 0 {
-				return false
-			}
-			prev := m.SnakeIDAt(s - 1)
-			return lowMask(prev)
-		}
-		// Each (dim,dir) class of snake steps is one masked route in
-		// each direction.
-		routeBlock := func() {
-			for j := 0; j < m.Dims(); j++ {
-				for _, dir := range []int{+1, -1} {
-					dirMaskLow := func(meshID int) bool {
-						return lowMask(meshID) && plan.dim[meshID] == j && plan.dir[meshID] == dir
-					}
-					dirMaskHigh := func(meshID int) bool {
-						s := plan.index[meshID]
-						if s == 0 {
-							return false
-						}
-						return dirMaskLow(m.SnakeIDAt(s - 1))
-					}
-					if !anyMesh(m, dirMaskLow) {
-						continue
-					}
-					e.maskedStep(key, tmp, j, dir, dirMaskLow)
-					e.maskedStep(key, tmp, j, -dir, dirMaskHigh)
-				}
-			}
-		}
-		if mach.PlansEnabled() {
-			mach.RunPlanned(simd.SharedPlans, phaseKeys[phase%2], routeBlock)
-		} else {
-			routeBlock()
-		}
+		// The route block of a phase depends only on the phase's
+		// parity, so the whole odd-even transposition replays two
+		// compiled schedules: record parity 0 and 1 once, replay them
+		// for the remaining phases (and across machines of the same
+		// shape via the shared plan cache).
+		par := phase % 2
+		simd.RunMemoized(mach, simd.SharedPlans, t.blocks, blockKey{key: key, par: par},
+			func() string { return fmt.Sprintf("snakephase:%s:%s:%d", t.tag, key, par) },
+			func() { t.routeBlock(key, par) })
 		// Local compare: lows keep min, highs keep max.
-		for pe := range k {
-			id := meshOf(pe)
-			if lowMask(id) {
-				if t[pe] < k[pe] {
-					k[pe] = t[pe]
+		for pe, r := range t.role[par] {
+			switch r {
+			case roleLow:
+				if tmp[pe] < k[pe] {
+					k[pe] = tmp[pe]
 				}
-			} else if highMask(id) {
-				if t[pe] > k[pe] {
-					k[pe] = t[pe]
+			case roleHigh:
+				if tmp[pe] > k[pe] {
+					k[pe] = tmp[pe]
 				}
 			}
 		}
 	}
 	after := mach.Stats()
 	// Gather keys in mesh-id order for the sortedness check.
-	keys := make([]int64, n)
-	for pe := 0; pe < mach.Size(); pe++ {
-		keys[meshOf(pe)] = k[pe]
+	for pe := range k {
+		t.keys[t.meshOf(pe)] = k[pe]
+	}
+	sorted := true
+	for s := 1; s < n && sorted; s++ {
+		sorted = t.keys[t.plan.IDAt[s-1]] <= t.keys[t.plan.IDAt[s]]
 	}
 	return Result{
-		Sorted:     IsSortedBySnake(m, keys),
+		Sorted:     sorted,
 		Phases:     n,
 		UnitRoutes: after.UnitRoutes - before.UnitRoutes,
 		Conflicts:  after.ReceiveConflicts - before.ReceiveConflicts,
@@ -375,8 +390,36 @@ func anyMesh(m *mesh.Mesh, pred func(int) bool) bool {
 // SnakeSortMesh sorts register key on the mesh machine into snake
 // order via odd-even transposition over the snake.
 func SnakeSortMesh(m *meshsim.Machine, key string) Result {
-	res, _ := snakeSort(meshExchanger{mm: m}, key, func(pe int) int { return pe }, nil)
+	res, _ := newSnakeTables(meshExchanger{mm: m}, func(pe int) int { return pe }).sort(key, nil)
 	return res
+}
+
+// StarSort is the snake sort of one star machine under one vertex
+// map, with its tables built once: the snake plan, the per-parity
+// roles, the phase keys and the memoized route blocks. A machine that
+// keeps its StarSort sorts again without rebuilding any of them.
+type StarSort struct{ t *snakeTables }
+
+// NewStarSort builds the snake-sort tables of star machine sm, whose
+// PE pe hosts mesh node meshID[pe] (i.e. core.UnmapID for the
+// paper's embedding).
+func NewStarSort(sm *starsim.Machine, meshID []int) *StarSort {
+	return &StarSort{t: newStarTables(sm, meshID, false)}
+}
+
+// Sort is SnakeSortStarCtx on the machine and vertex map s was built
+// for.
+func (s *StarSort) Sort(ctx context.Context, key string) (Result, error) {
+	return s.t.sort(key, ctx.Err)
+}
+
+// newStarTables builds the snake tables of a star machine. The
+// Lemma-3 route tables are built first, outside any recording, so the
+// first recording of a route block is pure and cached.
+func newStarTables(sm *starsim.Machine, meshID []int, modelA bool) *snakeTables {
+	sm.BuildRouteTables()
+	e := starExchanger{sm: sm, dn: mesh.D(sm.N), meshID: meshID, modelA: modelA}
+	return newSnakeTables(e, func(pe int) int { return meshID[pe] })
 }
 
 // SnakeSortStar sorts register key on the star machine: the mesh
@@ -394,9 +437,7 @@ func SnakeSortStar(sm *starsim.Machine, key string, meshID []int) Result {
 // the sort stops at the next phase boundary and returns the partial
 // cost with ctx's error (Sorted false).
 func SnakeSortStarCtx(ctx context.Context, sm *starsim.Machine, key string, meshID []int) (Result, error) {
-	dn := mesh.D(sm.N)
-	e := starExchanger{sm: sm, dn: dn, meshID: meshID}
-	return snakeSort(e, key, func(pe int) int { return meshID[pe] }, ctx.Err)
+	return NewStarSort(sm, meshID).Sort(ctx, key)
 }
 
 // SnakeSortStarModelA is SnakeSortStar on a SIMD-A star machine:
@@ -404,8 +445,6 @@ func SnakeSortStarCtx(ctx context.Context, sm *starsim.Machine, key string, mesh
 // rounds, quantifying the §4 remark that SIMD-A results carry an
 // extra O(n) factor.
 func SnakeSortStarModelA(sm *starsim.Machine, key string, meshID []int) Result {
-	dn := mesh.D(sm.N)
-	e := starExchanger{sm: sm, dn: dn, meshID: meshID, modelA: true}
-	res, _ := snakeSort(e, key, func(pe int) int { return meshID[pe] }, nil)
+	res, _ := newStarTables(sm, meshID, true).sort(key, nil)
 	return res
 }

@@ -71,6 +71,20 @@ func (t *Topo) Ports() int { return t.n - 1 }
 // Neighbor implements simd.Topology.
 func (t *Topo) Neighbor(pe, port int) int { return int(t.table[pe][port]) }
 
+// Order returns n!, the number of vertices, so that a Topo serves as
+// a graphalg.Graph over the same ids as star.Graph.
+func (t *Topo) Order() int { return len(t.table) }
+
+// AppendNeighbors lists the neighbours of v in generator order, the
+// order star.Graph.AppendNeighbors uses, from the table instead of by
+// unranking v.
+func (t *Topo) AppendNeighbors(buf []int, v int) []int {
+	for _, w := range t.table[v] {
+		buf = append(buf, int(w))
+	}
+	return buf
+}
+
 // PlanKey implements simd.PlanKeyer: every S_n has the same shape,
 // so compiled route plans are shared across machines of equal n.
 func (t *Topo) PlanKey() string { return fmt.Sprintf("star:%d", t.n) }
@@ -199,6 +213,20 @@ func (m *Machine) routeTableFor(k, dir int) *routeTable {
 	})
 	m.tables[idx] = t
 	return t
+}
+
+// BuildRouteTables builds every (k, dir) Lemma-3 route table not
+// built yet. Masked unit routes build them lazily through Apply, which
+// marks a plan under recording impure, so callers that record masked
+// routes into a plan build the tables first.
+func (m *Machine) BuildRouteTables() {
+	if m.noCache {
+		return
+	}
+	for k := 1; k < m.N; k++ {
+		m.routeTableFor(k, +1)
+		m.routeTableFor(k, -1)
+	}
 }
 
 // MeshIDs returns, indexed by star PE id, the mesh node of D_n that

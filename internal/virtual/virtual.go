@@ -46,8 +46,29 @@ type Machine struct {
 	pe    []int
 	bigAt []int
 	snake *meshops.SnakePlan // snake order of D_{n+1}
-	regs  map[string]*vreg
+	// role[par][slot·n! + pe] is the odd-even role (roleLow, roleHigh
+	// or 0) of the virtual node in slot of PE pe, in the snake sort's
+	// phases of parity par.
+	role [2][]int8
+	// blocks memoizes the star routes of one snake-sort phase per
+	// (key register, parity).
+	blocks map[blockKey]*simd.Plan
+	regs   map[string]*vreg
 }
+
+// blockKey identifies the memoized star routes of one snake-sort
+// phase.
+type blockKey struct {
+	key string
+	par int
+}
+
+// The odd-even roles of the snake sort: the low end of a snake pair
+// keeps the smaller key, the high end the larger.
+const (
+	roleLow int8 = 1 + iota
+	roleHigh
+)
 
 // vreg is a virtual register's n+1 physical slot registers.
 type vreg struct {
@@ -61,14 +82,15 @@ func New(n int, opts ...simd.Option) *Machine {
 	sm := starsim.New(n, opts...)
 	big := mesh.D(n + 1)
 	m := &Machine{
-		SM:    sm,
-		N:     n,
-		Slots: n + 1,
-		Big:   big,
-		pe:    make([]int, big.Order()),
-		bigAt: make([]int, big.Order()),
-		snake: meshops.NewSnakePlan(big),
-		regs:  make(map[string]*vreg),
+		SM:     sm,
+		N:      n,
+		Slots:  n + 1,
+		Big:    big,
+		pe:     make([]int, big.Order()),
+		bigAt:  make([]int, big.Order()),
+		snake:  meshops.NewSnakePlan(big),
+		blocks: make(map[blockKey]*simd.Plan),
+		regs:   make(map[string]*vreg),
 	}
 	// D_{n+1}'s last dimension has stride n!, so bigID = slot·n! + the
 	// id of its D_n coordinates, which the paper's map places on PE pe.
@@ -81,7 +103,27 @@ func New(n int, opts ...simd.Option) *Machine {
 			m.bigAt[slot*size+pe] = bigID
 		}
 	}
+	for par := range m.role {
+		role := make([]int8, len(m.bigAt))
+		for i, bigID := range m.bigAt {
+			s := m.snake.Index[bigID]
+			switch {
+			case m.isLow(bigID, par):
+				role[i] = roleLow
+			case s > 0 && m.isLow(m.snake.IDAt[s-1], par):
+				role[i] = roleHigh
+			}
+		}
+		m.role[par] = role
+	}
 	return m
+}
+
+// isLow reports whether virtual node bigID starts a compare-exchange
+// pair in snake-sort phases of parity par: an even (or odd) snake
+// position that has a successor.
+func (m *Machine) isLow(bigID, par int) bool {
+	return m.snake.Index[bigID]%2 == par && m.snake.Dim[bigID] != -1
 }
 
 // Close releases the underlying star machine's worker pool.
@@ -241,55 +283,42 @@ func (m *Machine) SnakeSort(key string) (sorted bool, routes int) {
 // On cancellation it returns the partial route count with ctx's
 // error (sorted false).
 func (m *Machine) SnakeSortCtx(ctx context.Context, key string) (sorted bool, routes int, err error) {
-	plan := m.snake
-	index, idAt, stepDim, stepDir := plan.Index, plan.IDAt, plan.Dim, plan.Dir
+	idAt := m.snake.IDAt
 	N := len(idAt)
 	const tmp = "__vsnake_tmp"
 	m.EnsureReg(tmp)
 	keys, tmps := m.reg(key), m.reg(tmp)
+	size := m.SM.Size()
+	// The recorded star routes are masked; their route tables must
+	// exist before the first recording, or it is impure.
+	m.SM.BuildRouteTables()
 	before := m.SM.Stats().UnitRoutes
 	for phase := 0; phase < N; phase++ {
 		if err := ctx.Err(); err != nil {
 			return false, m.SM.Stats().UnitRoutes - before, err
 		}
-		isLow := func(bigID int) bool {
-			return index[bigID]%2 == phase%2 && stepDim[bigID] != -1
-		}
-		isHigh := func(bigID int) bool {
-			s := index[bigID]
-			return s > 0 && isLow(idAt[s-1])
-		}
-		for j := 0; j < m.Big.Dims(); j++ {
-			for _, dir := range []int{+1, -1} {
-				jj, dd := j, dir
-				lowMask := func(bigID int) bool {
-					return isLow(bigID) && stepDim[bigID] == jj && stepDir[bigID] == dd
-				}
-				highMask := func(bigID int) bool {
-					s := index[bigID]
-					return s > 0 && lowMask(idAt[s-1])
-				}
-				any := false
-				for bigID := 0; bigID < N && !any; bigID++ {
-					any = lowMask(bigID)
-				}
-				if !any {
-					continue
-				}
-				m.MaskedUnitRoute(key, tmp, jj+1, dd, lowMask)
-				m.MaskedUnitRoute(key, tmp, jj+1, -dd, highMask)
-			}
-		}
-		for bigID := 0; bigID < N; bigID++ {
-			k, t := m.cell(keys, bigID), *m.cell(tmps, bigID)
-			switch {
-			case isLow(bigID):
-				if t < *k {
-					*k = t
-				}
-			case isHigh(bigID):
-				if t > *k {
-					*k = t
+		par := phase % 2
+		// The star routes of a phase (dimensions 1..n-1) depend only
+		// on its parity: record them once per (key, parity), replay
+		// them after. The new dimension's slot shuffle writes register
+		// banks directly, which a plan cannot record, so it runs after
+		// the block, as it did last in the dimension loop.
+		simd.RunMemoized(m.SM.Machine, simd.SharedPlans, m.blocks, blockKey{key: key, par: par},
+			func() string { return fmt.Sprintf("vsnake:%s:%d", key, par) },
+			func() { m.phaseRoutes(key, tmp, par, 0, m.N-1) })
+		m.phaseRoutes(key, tmp, par, m.N-1, m.N)
+		for slot := 0; slot < m.Slots; slot++ {
+			k, t := keys.banks[slot], tmps.banks[slot]
+			for pe, r := range m.role[par][slot*size : (slot+1)*size] {
+				switch r {
+				case roleLow:
+					if t[pe] < k[pe] {
+						k[pe] = t[pe]
+					}
+				case roleHigh:
+					if t[pe] > k[pe] {
+						k[pe] = t[pe]
+					}
 				}
 			}
 		}
@@ -305,4 +334,32 @@ func (m *Machine) SnakeSortCtx(ctx context.Context, key string) (sorted bool, ro
 		prevVal = v
 	}
 	return sorted, routes, nil
+}
+
+// phaseRoutes moves the keys of every snake pair whose step runs
+// along a D_{n+1} dimension index in [from, to) across, in phases of
+// parity par: one masked unit route per (dimension, direction) class
+// in each direction.
+func (m *Machine) phaseRoutes(key, tmp string, par, from, to int) {
+	index, idAt, stepDim, stepDir := m.snake.Index, m.snake.IDAt, m.snake.Dim, m.snake.Dir
+	for j := from; j < to; j++ {
+		for _, dir := range []int{+1, -1} {
+			lowMask := func(bigID int) bool {
+				return m.isLow(bigID, par) && stepDim[bigID] == j && stepDir[bigID] == dir
+			}
+			highMask := func(bigID int) bool {
+				s := index[bigID]
+				return s > 0 && lowMask(idAt[s-1])
+			}
+			any := false
+			for bigID := 0; bigID < len(idAt) && !any; bigID++ {
+				any = lowMask(bigID)
+			}
+			if !any {
+				continue
+			}
+			m.MaskedUnitRoute(key, tmp, j+1, dir, lowMask)
+			m.MaskedUnitRoute(key, tmp, j+1, -dir, highMask)
+		}
+	}
 }

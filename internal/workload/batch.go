@@ -15,10 +15,10 @@ import (
 	"sync"
 	"time"
 
+	"starmesh/internal/graphalg"
 	"starmesh/internal/meshsim"
 	"starmesh/internal/simd"
 	"starmesh/internal/sorting"
-	"starmesh/internal/star"
 	"starmesh/internal/starsim"
 )
 
@@ -127,10 +127,16 @@ func canceledPartial(ctx context.Context, res ScenarioResult) (ScenarioResult, e
 // machine through the paper's embedding. The sort checks ctx once
 // per odd-even transposition phase.
 func RunSortOn(ctx context.Context, sm *starsim.Machine, d Dist, rng *rand.Rand) (ScenarioResult, error) {
+	return runSort(ctx, sm, sorting.NewStarSort(sm, sm.MeshIDs()), d, rng)
+}
+
+// runSort is RunSortOn with the machine's snake-sort tables supplied
+// by the caller (a pooled resource keeps them across jobs).
+func runSort(ctx context.Context, sm *starsim.Machine, ss *sorting.StarSort, d Dist, rng *rand.Rand) (ScenarioResult, error) {
 	keys := KeysRand(d, sm.Size(), rng)
 	sm.EnsureReg("K")
 	sm.Set("K", func(pe int) int64 { return keys[pe] })
-	res, err := sorting.SnakeSortStarCtx(ctx, sm, "K", sm.MeshIDs())
+	res, err := ss.Sort(ctx, "K")
 	if err != nil {
 		return canceledPartial(ctx, ScenarioResult{
 			UnitRoutes: res.UnitRoutes,
@@ -239,31 +245,41 @@ func RunSweepOn(ctx context.Context, sm *starsim.Machine, trials int) (ScenarioR
 
 // RunFaultRouteOn routes the given number of random source/target
 // pairs through the star graph while avoiding random fault sets of
-// the given size (at most n-2, so a path always exists). The
-// reported unit routes are the total hops across all pairs; ctx is
-// checked once per pair.
-func RunFaultRouteOn(ctx context.Context, g *star.Graph, faults, pairs int, rng *rand.Rand) (ScenarioResult, error) {
+// the given size (at most n-2, so a path always exists): a
+// breadth-first search over the graph with the faulty vertices
+// deleted. The reported unit routes are the total hops across all
+// pairs; ctx is checked once per pair.
+func RunFaultRouteOn(ctx context.Context, g starGraph, faults, pairs int, rng *rand.Rand) (ScenarioResult, error) {
 	if faults > g.N()-2 {
 		return ScenarioResult{}, fmt.Errorf("faults %d exceed the survivable n-2 = %d", faults, g.N()-2)
 	}
+	order := g.Order()
 	hops := 0
+	faulty := make([]bool, order)
+	holes := make([]int, 0, faults)
 	for i := 0; i < pairs; i++ {
 		if ctx.Err() != nil {
 			return canceledPartial(ctx, ScenarioResult{UnitRoutes: hops})
 		}
-		faulty := make(map[int]bool, faults)
-		for len(faulty) < faults {
-			faulty[rng.Intn(g.Order())] = true
+		for _, h := range holes {
+			faulty[h] = false
 		}
-		src := rng.Intn(g.Order())
+		holes = holes[:0]
+		for len(holes) < faults {
+			if v := rng.Intn(order); !faulty[v] {
+				faulty[v] = true
+				holes = append(holes, v)
+			}
+		}
+		src := rng.Intn(order)
 		for faulty[src] {
-			src = rng.Intn(g.Order())
+			src = rng.Intn(order)
 		}
-		dst := rng.Intn(g.Order())
+		dst := rng.Intn(order)
 		for faulty[dst] {
-			dst = rng.Intn(g.Order())
+			dst = rng.Intn(order)
 		}
-		path := g.RouteAvoiding(g.Node(src), g.Node(dst), faulty)
+		path := graphalg.BFSPath(graphalg.WithoutVertices(g, faulty), src, dst)
 		if path == nil {
 			return ScenarioResult{}, fmt.Errorf("no healthy route from %d to %d around %d faults", src, dst, faults)
 		}

@@ -12,17 +12,54 @@ import (
 	"starmesh/internal/mesh"
 	"starmesh/internal/meshsim"
 	"starmesh/internal/simd"
-	"starmesh/internal/star"
+	"starmesh/internal/sorting"
 	"starmesh/internal/starsim"
 	"starmesh/internal/virtual"
 )
 
-// graphResource adapts the stateless *star.Graph to the pool
-// contract; pooling it amortizes the O(n!·n) node table.
-type graphResource struct{ g *star.Graph }
+// starMachine is the pooled resource of the star:N families: the
+// star machine plus the shape tables its families build on first use.
+// The tables depend only on n (and d), never on a job's keys, so they
+// survive Reset and a reused machine never rebuilds them.
+type starMachine struct {
+	*starsim.Machine
+	// rects[d] holds embedrect's grouped realization for d; pipeline's
+	// first phase shares it.
+	rects []*rectTables
+	// sorter holds the snake sort's tables under the paper's vertex
+	// map; pipeline's second phase shares it.
+	sorter *sorting.StarSort
+}
 
-func (graphResource) Reset() {}
-func (graphResource) Close() {}
+func newStarMachine(sm *starsim.Machine) *starMachine {
+	return &starMachine{Machine: sm, rects: make([]*rectTables, sm.N)}
+}
+
+// rect returns (building on first use) the embedrect tables for d,
+// 1 ≤ d ≤ n-1.
+func (s *starMachine) rect(d int) *rectTables {
+	if s.rects[d] == nil {
+		s.rects[d] = newRectTables(s.Machine, d)
+	}
+	return s.rects[d]
+}
+
+// sort returns (building on first use) the snake-sort tables.
+func (s *starMachine) sort() *sorting.StarSort {
+	if s.sorter == nil {
+		s.sorter = sorting.NewStarSort(s.Machine, s.MeshIDs())
+	}
+	return s.sorter
+}
+
+// graphResource is the pooled resource of the stargraph:N families:
+// the O(n!·n) neighbour table of S_n, built once by the star machine's
+// own construction (starsim.NewTopo), so a pooled BFS reads
+// neighbours instead of unranking and re-ranking permutations.
+type graphResource struct{ *starsim.Topo }
+
+func (*graphResource) Reset() {}
+func (*graphResource) Close() {}
 
 // starN validates the star parameter of a spec.
 func starN(s Spec) error {
@@ -55,8 +92,12 @@ func mustDist(name string) Dist {
 
 // buildStar, buildStarGraph: the shared constructors of the
 // star-shaped pools.
-func buildStar(s Spec, opts ...simd.Option) Resource   { return starsim.New(s.N, opts...) }
-func buildStarGraph(s Spec, _ ...simd.Option) Resource { return graphResource{g: star.New(s.N)} }
+func buildStar(s Spec, opts ...simd.Option) Resource {
+	return newStarMachine(starsim.New(s.N, opts...))
+}
+func buildStarGraph(s Spec, _ ...simd.Option) Resource {
+	return &graphResource{Topo: starsim.NewTopo(s.N)}
+}
 
 func starShape(s Spec) string      { return fmt.Sprintf("star:%d", s.N) }
 func starGraphShape(s Spec) string { return fmt.Sprintf("stargraph:%d", s.N) }
@@ -79,7 +120,8 @@ func builtinRegistry() *Registry {
 		Shape: starShape,
 		Build: buildStar,
 		Run: func(ctx context.Context, s Spec, r Resource) (ScenarioResult, error) {
-			return RunSortOn(ctx, r.(*starsim.Machine), mustDist(s.Dist), NewRand(s.Seed))
+			sm := r.(*starMachine)
+			return runSort(ctx, sm.Machine, sm.sort(), mustDist(s.Dist), NewRand(s.Seed))
 		},
 		Name: func(s Spec) string {
 			return fmt.Sprintf("sort-star-n%d-%s-seed%d", s.N, s.Dist, s.Seed)
@@ -130,7 +172,7 @@ func builtinRegistry() *Registry {
 		Shape: starShape,
 		Build: buildStar,
 		Run: func(ctx context.Context, s Spec, r Resource) (ScenarioResult, error) {
-			return RunBroadcastOn(ctx, r.(*starsim.Machine), s.Source)
+			return RunBroadcastOn(ctx, r.(*starMachine).Machine, s.Source)
 		},
 		Name: func(s Spec) string {
 			return fmt.Sprintf("broadcast-star-n%d-src%d", s.N, s.Source)
@@ -159,7 +201,7 @@ func builtinRegistry() *Registry {
 		Shape: starShape,
 		Build: buildStar,
 		Run: func(ctx context.Context, s Spec, r Resource) (ScenarioResult, error) {
-			return RunSweepOn(ctx, r.(*starsim.Machine), s.Trials)
+			return RunSweepOn(ctx, r.(*starMachine).Machine, s.Trials)
 		},
 		Name: func(s Spec) string { return fmt.Sprintf("sweep-star-n%d-t%d", s.N, s.Trials) },
 		Demo: func() Spec { return Spec{Kind: KindSweep, N: 4} },
@@ -189,7 +231,7 @@ func builtinRegistry() *Registry {
 		Shape: starGraphShape,
 		Build: buildStarGraph,
 		Run: func(ctx context.Context, s Spec, r Resource) (ScenarioResult, error) {
-			return RunFaultRouteOn(ctx, r.(graphResource).g, s.Faults, s.Pairs, NewRand(s.Seed))
+			return RunFaultRouteOn(ctx, r.(*graphResource).Topo, s.Faults, s.Pairs, NewRand(s.Seed))
 		},
 		Name: func(s Spec) string {
 			return fmt.Sprintf("faultroute-star-n%d-f%d-p%d-seed%d", s.N, s.Faults, s.Pairs, s.Seed)
@@ -218,7 +260,8 @@ func builtinRegistry() *Registry {
 		Shape: starShape,
 		Build: buildStar,
 		Run: func(ctx context.Context, s Spec, r Resource) (ScenarioResult, error) {
-			return RunEmbedRectOn(ctx, r.(*starsim.Machine), s.D)
+			sm := r.(*starMachine)
+			return runEmbedRect(ctx, sm.Machine, sm.rect(s.D))
 		},
 		Name: func(s Spec) string { return fmt.Sprintf("embedrect-star-n%d-d%d", s.N, s.D) },
 		Demo: func() Spec { return Spec{Kind: KindEmbedRect, N: 5, D: 2} },
@@ -304,7 +347,7 @@ func builtinRegistry() *Registry {
 		Shape: starGraphShape,
 		Build: buildStarGraph,
 		Run: func(ctx context.Context, s Spec, r Resource) (ScenarioResult, error) {
-			return RunDiagnosticsOn(ctx, r.(graphResource).g, s.Holes, s.Trials, NewRand(s.Seed))
+			return RunDiagnosticsOn(ctx, r.(*graphResource).Topo, s.Holes, s.Trials, NewRand(s.Seed))
 		},
 		Name: func(s Spec) string {
 			return fmt.Sprintf("diagnostics-star-n%d-h%d-t%d-seed%d", s.N, s.Holes, s.Trials, s.Seed)
@@ -336,7 +379,7 @@ func builtinRegistry() *Registry {
 		Shape: starShape,
 		Build: buildStar,
 		Run: func(ctx context.Context, s Spec, r Resource) (ScenarioResult, error) {
-			return RunPipelineOn(ctx, r.(*starsim.Machine), s.D, mustDist(s.Dist), s.Source, NewRand(s.Seed))
+			return runPipeline(ctx, r.(*starMachine), s.D, mustDist(s.Dist), s.Source, NewRand(s.Seed))
 		},
 		Name: func(s Spec) string {
 			return fmt.Sprintf("pipeline-star-n%d-d%d-%s-seed%d-src%d", s.N, s.D, s.Dist, s.Seed, s.Source)

@@ -18,7 +18,7 @@ import (
 	"starmesh/internal/meshops"
 	"starmesh/internal/perm"
 	"starmesh/internal/permroute"
-	"starmesh/internal/star"
+	"starmesh/internal/simd"
 	"starmesh/internal/starsim"
 	"starmesh/internal/virtual"
 )
@@ -36,21 +36,56 @@ func RunEmbedRectOn(ctx context.Context, sm *starsim.Machine, d int) (ScenarioRe
 	if d < 1 || d > n-1 {
 		return ScenarioResult{}, fmt.Errorf("embedrect needs d in [1,%d] for S_%d, got %d", n-1, n, d)
 	}
-	g := atallah.NewGrouped(atallah.Factorize(n, d))
-	plan := meshops.NewGroupedPlan(g)
-	st := meshops.NewStarStepper(sm)
+	return runEmbedRect(ctx, sm, newRectTables(sm, d))
+}
+
+// rectTables is what an embedrect run on one star machine depends on
+// for one d: the grouped realization, its step plan, the star stepper,
+// each PE's rectangular node id and the memoized grouped steps. All
+// of it is a function of (n, d) under the paper's vertex map.
+type rectTables struct {
+	d     int
+	g     *atallah.Grouped
+	plan  *meshops.GroupedPlan
+	st    meshops.Stepper
+	rID   []int32 // PE → rectangular node id
+	steps map[rectStep]*simd.Plan
+}
+
+// rectStep identifies one grouped step of the embedrect sweep.
+type rectStep struct{ t, dir int }
+
+func newRectTables(sm *starsim.Machine, d int) *rectTables {
+	g := atallah.NewGrouped(atallah.Factorize(sm.N, d))
+	rt := &rectTables{
+		d:     d,
+		g:     g,
+		plan:  meshops.NewGroupedPlan(g),
+		st:    meshops.NewStarStepper(sm),
+		rID:   make([]int32, sm.Size()),
+		steps: make(map[rectStep]*simd.Plan),
+	}
+	for pe := range rt.rID {
+		rt.rID[pe] = int32(g.ToR(rt.st.MeshOf(pe)))
+	}
+	// A grouped step is a set of masked routes; build the route tables
+	// they read now, so recording one never builds them.
+	sm.BuildRouteTables()
+	return rt
+}
+
+// runEmbedRect runs the embedrect sweep on sm with its tables. Each
+// grouped step's routes depend only on (n, d, t, dir), so each is
+// recorded once and replayed as a compiled plan.
+func runEmbedRect(ctx context.Context, sm *starsim.Machine, rt *rectTables) (ScenarioResult, error) {
 	sm.EnsureReg("V")
 	sm.EnsureReg("W")
 	// V holds each PE's rectangular node id; after a grouped step
 	// along (t, dir), every node with a neighbor in direction -dir
 	// must hold that neighbor's id in W.
-	rID := make([]int, sm.Size())
-	for pe := 0; pe < sm.Size(); pe++ {
-		rID[pe] = g.ToR(st.MeshOf(pe))
-	}
-	sm.Set("V", func(pe int) int64 { return int64(rID[pe]) })
+	sm.Set("V", func(pe int) int64 { return int64(rt.rID[pe]) })
 	before := sm.Stats()
-	for t := 0; t < d; t++ {
+	for t := 0; t < rt.d; t++ {
 		for _, dir := range []int{+1, -1} {
 			if ctx.Err() != nil {
 				after := sm.Stats()
@@ -59,14 +94,16 @@ func RunEmbedRectOn(ctx context.Context, sm *starsim.Machine, d int) (ScenarioRe
 					Conflicts:  after.ReceiveConflicts - before.ReceiveConflicts,
 				})
 			}
-			meshops.GroupedStep(st, plan, "V", "W", t, dir)
+			simd.RunMemoized(sm.Machine, simd.SharedPlans, rt.steps, rectStep{t: t, dir: dir},
+				func() string { return fmt.Sprintf("grouped:d=%d:%d:%d:V:W", rt.d, t, dir) },
+				func() { meshops.GroupedStep(rt.st, rt.plan, "V", "W", t, dir) })
 			w := sm.Reg("W")
 			for pe := range w {
-				from := g.R.Step(rID[pe], t, -dir)
+				from := rt.g.R.Step(int(rt.rID[pe]), t, -dir)
 				if from != -1 && w[pe] != int64(from) {
 					return ScenarioResult{}, fmt.Errorf(
 						"embedrect: grouped step t=%d dir=%+d delivered %d to rect node %d, want %d",
-						t, dir, w[pe], rID[pe], from)
+						t, dir, w[pe], rt.rID[pe], from)
 				}
 			}
 		}
@@ -153,6 +190,16 @@ func RunVirtualOn(ctx context.Context, vm *virtual.Machine, d Dist, rng *rand.Ra
 	}, nil
 }
 
+// starGraph is what the graph families read of S_n: n, and each
+// vertex's neighbours in generator order. star.Graph computes the
+// neighbours from the permutations; the pooled stargraph:N resource
+// reads them from starsim.Topo's table. Both list the same ids in the
+// same order, so a run gives the same result on either.
+type starGraph interface {
+	graphalg.Graph
+	N() int
+}
+
 // RunDiagnosticsOn sweeps random vertex-hole patterns over the star
 // graph: each trial deletes the given number of random vertices and
 // measures, from a random surviving probe, how much of the machine
@@ -161,7 +208,7 @@ func RunVirtualOn(ctx context.Context, vm *virtual.Machine, d Dist, rng *rand.Ra
 // disconnected trial is counted in Conflicts and fails the
 // self-check. UnitRoutes reports the summed measured eccentricities
 // (the fault-degraded diameter observations).
-func RunDiagnosticsOn(ctx context.Context, g *star.Graph, holes, trials int, rng *rand.Rand) (ScenarioResult, error) {
+func RunDiagnosticsOn(ctx context.Context, g starGraph, holes, trials int, rng *rand.Rand) (ScenarioResult, error) {
 	if holes > g.N()-2 {
 		return ScenarioResult{}, fmt.Errorf("diagnostics: %d holes exceed the survivable n-2 = %d", holes, g.N()-2)
 	}
@@ -208,10 +255,19 @@ func RunDiagnosticsOn(ctx context.Context, g *star.Graph, holes, trials int, rng
 // pool-reuse story inside a single job: three workloads, one machine
 // construction.
 func RunPipelineOn(ctx context.Context, sm *starsim.Machine, d int, dist Dist, source int, rng *rand.Rand) (ScenarioResult, error) {
+	if d < 1 || d > sm.N-1 {
+		return ScenarioResult{}, fmt.Errorf("pipeline needs d in [1,%d] for S_%d, got %d", sm.N-1, sm.N, d)
+	}
+	return runPipeline(ctx, newStarMachine(sm), d, dist, source, rng)
+}
+
+// runPipeline is RunPipelineOn on a pooled star resource, whose
+// embedrect and sort tables the first two phases reuse.
+func runPipeline(ctx context.Context, sm *starMachine, d int, dist Dist, source int, rng *rand.Rand) (ScenarioResult, error) {
 	phases := []func() (ScenarioResult, error){
-		func() (ScenarioResult, error) { return RunEmbedRectOn(ctx, sm, d) },
-		func() (ScenarioResult, error) { return RunSortOn(ctx, sm, dist, rng) },
-		func() (ScenarioResult, error) { return RunBroadcastOn(ctx, sm, source) },
+		func() (ScenarioResult, error) { return runEmbedRect(ctx, sm.Machine, sm.rect(d)) },
+		func() (ScenarioResult, error) { return runSort(ctx, sm.Machine, sm.sort(), dist, rng) },
+		func() (ScenarioResult, error) { return RunBroadcastOn(ctx, sm.Machine, source) },
 	}
 	var total ScenarioResult
 	total.OK = true
