@@ -108,11 +108,14 @@ perfbench-check:
 ## job-record codec, checked against encoding/json both ways, WAL
 ## replay of arbitrary checksummed records and snapshots, the job-spec
 ## request decoder and the -tenants file loader; in internal/cluster
-## the compound pagination cursor and the -peers flag parser; in the
-## root package the executor differential, which runs generated
-## unit-route schedules on star, mesh and hypercube machines under the
-## closure, replay, parallel and generic star paths and requires
-## bit-identical results.
+## the compound pagination cursor and the -peers flag parser; in
+## internal/workload the pooled-machine differential, which runs
+## generated job sequences sharing one pool shape back to back on one
+## reset resource, with plans on and off, and requires every result to
+## equal a standalone run; in the root package the executor
+## differential, which runs generated unit-route schedules on star,
+## mesh and hypercube machines under the closure, replay, parallel and
+## generic star paths and requires bit-identical results.
 ## Minimization is capped at 100 runs per input: the latency window
 ## target's inputs run to 10 kB, and minimizing each new interesting
 ## one for the default 60s would eat the whole budget. A failing input
@@ -130,6 +133,7 @@ fuzz-short:
 	$(FUZZ) -fuzz='^FuzzLoadTenantsFile$$' ./internal/serve
 	$(FUZZ) -fuzz='^FuzzDecodeCursor$$' ./internal/cluster
 	$(FUZZ) -fuzz='^FuzzParsePeers$$' ./internal/cluster
+	$(FUZZ) -fuzz='^FuzzPooledRunsAgree$$' ./internal/workload
 	$(FUZZ) -fuzz='^FuzzExecutorsAgree$$' .
 
 ## lint: gofmt divergence fails the build; vet and staticcheck catch

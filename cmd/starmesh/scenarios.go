@@ -7,6 +7,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -31,27 +32,13 @@ func cmdScenarios(args []string) {
 }
 
 func cmdRun(args []string) {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		fatalf("run needs exactly one JSON job spec (try: starmesh run '{\"kind\":\"sweep\",\"n\":5}')")
+	res, err := runSpec(args)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
 	}
-
-	var spec workload.Spec
-	dec := json.NewDecoder(strings.NewReader(fs.Arg(0)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		fatalf("bad job spec: %v", err)
-	}
-	sc, err := workload.ScenarioFor(spec)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	res, err := sc.Run(context.Background())
-	if err != nil {
-		fatalf("%s: %v", sc.Name, err)
-	}
-	res.Name = sc.Name
 	out, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
 		fatalf("%v", err)
@@ -60,4 +47,32 @@ func cmdRun(args []string) {
 	if !res.OK {
 		os.Exit(1)
 	}
+}
+
+// runSpec parses the run subcommand's arguments, one JSON job spec,
+// and runs it standalone through workload.RunBatch, the runner that
+// times scenarios, so the result carries its elapsed_ns.
+func runSpec(args []string) (workload.ScenarioResult, error) {
+	fs := flag.NewFlagSet("run", flag.ContinueOnError)
+	if err := fs.Parse(args); err != nil {
+		return workload.ScenarioResult{}, err
+	}
+	if fs.NArg() != 1 {
+		return workload.ScenarioResult{}, errors.New(`run needs exactly one JSON job spec (try: starmesh run '{"kind":"sweep","n":5}')`)
+	}
+	var spec workload.Spec
+	dec := json.NewDecoder(strings.NewReader(fs.Arg(0)))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return workload.ScenarioResult{}, fmt.Errorf("bad job spec: %w", err)
+	}
+	sc, err := workload.ScenarioFor(spec)
+	if err != nil {
+		return workload.ScenarioResult{}, err
+	}
+	batch := workload.RunBatch(context.Background(), []workload.Scenario{sc}, 1)
+	if len(batch.Errors) > 0 {
+		return batch.Scenarios[0], errors.New(batch.Errors[0])
+	}
+	return batch.Scenarios[0], nil
 }

@@ -94,7 +94,12 @@
 // tables, the embedding's vertex map, compiled-plan binding — across
 // jobs of the same topology shape: a machine is checked out, runs one
 // job, is Reset (registers and stats zeroed, amortized state kept)
-// and parked for the next job.
+// and parked for the next job. Each family's shape tables stay with
+// the machine as well: embedrect's grouped realization per d and the
+// snake sort's tables on star:N, shear's compare-exchange roles on
+// mesh:RxC, the virtual sort's roles on virtual:N and the neighbour
+// table of S_n on stargraph:N. Every phase whose routes depend only
+// on the shape replays as a compiled plan.
 // Pooled results are bit-identical to building a fresh machine per
 // job, because both paths run the same workload runners; the serve
 // experiment asserts that parity and BENCH_serve.json records the

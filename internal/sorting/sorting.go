@@ -224,11 +224,11 @@ func (e starExchanger) maskedStep(src, dst string, dim, dir int, mask func(int) 
 	e.sm.MaskedMeshUnitRoute(src, dst, dim+1, dir, starMask)
 }
 
-// The role of a PE in one odd-even transposition phase: the low end
-// of a snake pair keeps the smaller key, the high end the larger.
+// The role of a PE in one odd-even transposition phase (0: none):
+// the low end of a snake pair keeps the smaller key, the high end the
+// larger.
 const (
-	roleNone int8 = iota
-	roleLow
+	roleLow int8 = 1 + iota
 	roleHigh
 )
 

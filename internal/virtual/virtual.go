@@ -14,11 +14,13 @@
 //
 // The placement is table-driven: New derives every virtual node's
 // (pe, slot) and its inverse from the star machine's cached vertex
-// map (starsim.Machine.MeshIDs), and the snake plan of D_{n+1} once.
-// Slot register names and banks are memoized on first use. All of
-// these depend only on n and on registers that never move, so they
-// survive Reset and a pooled machine never rebuilds them; Locate,
-// Get, Put, Set and every mask test are table lookups.
+// map (starsim.Machine.MeshIDs), the snake plan of D_{n+1} and each
+// virtual node's odd-even role per phase parity once. Slot register
+// names and banks are memoized on first use, and so are the star
+// routes of a snake-sort phase, one compiled plan per (key register,
+// parity). All of these depend only on n and on registers that never
+// move, so they survive Reset and a pooled machine never rebuilds
+// them; Locate, Get, Put, Set and every mask test are table lookups.
 //
 // The equivalence tests check bit-identical behaviour against a real
 // (n+1)!-PE mesh machine.

@@ -17,8 +17,9 @@ import (
 
 // Resource is anything a scenario runs on and a machine pool can
 // manage: reset between runs, closed when the pool drains. The SIMD
-// machines satisfy it through simd.Machine; stateless kinds use
-// graph or null resources.
+// machines satisfy it through simd.Machine (the star families wrap
+// theirs with the shape tables they keep); the graph families use the
+// neighbour table of S_n, and permroute a null resource.
 type Resource interface {
 	Reset()
 	Close()
