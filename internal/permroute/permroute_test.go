@@ -1,6 +1,7 @@
 package permroute
 
 import (
+	"math/rand"
 	"testing"
 
 	"starmesh/internal/perm"
@@ -116,9 +117,13 @@ func TestNextHopDecreasesDistance(t *testing.T) {
 		if p.Equal(dst) {
 			return true
 		}
-		next := nextHop(p, dst)
+		cur, dinv := make([]uint8, 5), make([]uint8, 5)
+		for i := range p {
+			cur[i], dinv[dst[i]] = uint8(p[i]), uint8(i)
+		}
+		next := p.SwapPositions(len(p)-1, hop(cur, dinv))
 		if star.Distance(next, dst) != star.Distance(p, dst)-1 {
-			t.Fatalf("nextHop not greedy-optimal at %v -> %v", p, dst)
+			t.Fatalf("hop not greedy-optimal at %v -> %v", p, dst)
 		}
 		return true
 	})
@@ -157,4 +162,138 @@ func TestRouteValiantDeterministic(t *testing.T) {
 	if a != b {
 		t.Fatalf("valiant not deterministic: %+v vs %+v", a, b)
 	}
+}
+
+// TestRouteMatchesReference runs Route and RouteValiant against the
+// permutation-based router they replaced (referenceRoute below) on
+// random destination bijections: every field of the result must be
+// equal.
+func TestRouteMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{3, 4, 5} {
+		order := int(perm.Factorial(n))
+		for trial := 0; trial < 12; trial++ {
+			dest := rng.Perm(order)
+			if got, want := Route(n, dest), referenceRoute(n, dest); got != want {
+				t.Fatalf("n=%d trial %d: Route %+v, reference %+v", n, trial, got, want)
+			}
+			seed := rng.Int63()
+			if got, want := RouteValiant(n, dest, seed), referenceRouteValiant(n, dest, seed); got != want {
+				t.Fatalf("n=%d trial %d: RouteValiant %+v, reference %+v", n, trial, got, want)
+			}
+		}
+	}
+}
+
+// referenceRoute is Route as it was first written, over perm.Perm
+// values: a clone per message, a link map per step and a new
+// permutation per hop. It is the oracle of TestRouteMatchesReference.
+func referenceRoute(n int, dest []int) Result {
+	type message struct {
+		cur, dst perm.Perm
+		done     bool
+	}
+	order := int(perm.Factorial(n))
+	msgs := make([]message, order)
+	res := Result{Messages: order}
+	perm.All(n, func(p perm.Perm) bool {
+		id := int(p.Rank())
+		msgs[id] = message{cur: p.Clone(), dst: perm.Unrank(n, int64(dest[id]))}
+		if d := star.Distance(p, msgs[id].dst); d > res.MaxDist {
+			res.MaxDist = d
+		}
+		return true
+	})
+	remaining := 0
+	for i := range msgs {
+		if msgs[i].cur.Equal(msgs[i].dst) {
+			msgs[i].done = true
+		} else {
+			remaining++
+		}
+	}
+	if remaining == 0 {
+		return res
+	}
+	queue := make(map[int64]int)
+	for step := 1; ; step++ {
+		usedLink := make(map[[2]int64]bool)
+		for k := range queue {
+			delete(queue, k)
+		}
+		for i := range msgs {
+			m := &msgs[i]
+			if m.done {
+				continue
+			}
+			next := referenceNextHop(m.cur, m.dst)
+			link := [2]int64{m.cur.Rank(), next.Rank()}
+			if usedLink[link] {
+				continue
+			}
+			usedLink[link] = true
+			m.cur = next
+			res.TotalHops++
+			if m.cur.Equal(m.dst) {
+				m.done = true
+				remaining--
+			}
+		}
+		for i := range msgs {
+			if !msgs[i].done {
+				queue[msgs[i].cur.Rank()]++
+			}
+		}
+		for _, q := range queue {
+			if q > res.MaxQueue {
+				res.MaxQueue = q
+			}
+		}
+		if remaining == 0 {
+			res.Steps = step
+			break
+		}
+	}
+	res.AvgDist = float64(res.TotalHops) / float64(res.Messages)
+	res.Stretch = float64(res.Steps) / float64(maxInt(res.MaxDist, 1))
+	return res
+}
+
+func referenceNextHop(cur, dst perm.Perm) perm.Perm {
+	front := len(cur) - 1
+	target := dst.Inverse()[cur[front]]
+	if target != front {
+		return cur.SwapPositions(front, target)
+	}
+	i := 0
+	for cur[i] == dst[i] {
+		i++
+	}
+	return cur.SwapPositions(front, i)
+}
+
+func referenceRouteValiant(n int, dest []int, seed int64) Result {
+	order := int(perm.Factorial(n))
+	sigma := RandomDest(order, seed)
+	phase1 := referenceRoute(n, sigma)
+	dest2 := make([]int, order)
+	for i, s := range sigma {
+		dest2[s] = dest[i]
+	}
+	phase2 := referenceRoute(n, dest2)
+	combined := Result{
+		Steps:     phase1.Steps + phase2.Steps,
+		TotalHops: phase1.TotalHops + phase2.TotalHops,
+		Messages:  order,
+		MaxQueue:  max(phase1.MaxQueue, phase2.MaxQueue),
+	}
+	perm.All(n, func(p perm.Perm) bool {
+		if d := star.Distance(p, perm.Unrank(n, int64(dest[p.Rank()]))); d > combined.MaxDist {
+			combined.MaxDist = d
+		}
+		return true
+	})
+	combined.AvgDist = float64(combined.TotalHops) / float64(combined.Messages)
+	combined.Stretch = float64(combined.Steps) / float64(maxInt(combined.MaxDist, 1))
+	return combined
 }
