@@ -56,6 +56,18 @@ type Machine struct {
 	// (key register, parity).
 	blocks map[blockKey]*simd.Plan
 	regs   map[string]*vreg
+	// classes[par][j][d] selects the snake pairs of parity par whose
+	// step runs along dimension index j, upward for d = 0 and
+	// downward for d = 1.
+	classes [2][][2]pairClass
+}
+
+// pairClass is one (parity, dimension, direction) class of snake
+// pairs: the masks that select their low and their high ends, and
+// whether the class has any pair at all.
+type pairClass struct {
+	low, high func(bigID int) bool
+	some      bool
 }
 
 // blockKey identifies the memoized star routes of one snake-sort
@@ -117,8 +129,33 @@ func New(n int, opts ...simd.Option) *Machine {
 			}
 		}
 		m.role[par] = role
+		m.classes[par] = make([][2]pairClass, n)
+		for j := range m.classes[par] {
+			for d, dir := range [2]int{+1, -1} {
+				m.classes[par][j][d] = m.newPairClass(par, j, dir)
+			}
+		}
 	}
 	return m
+}
+
+// newPairClass builds the masks of the snake pairs of parity par whose
+// step runs along dimension index j in direction dir.
+func (m *Machine) newPairClass(par, j, dir int) pairClass {
+	index, idAt, stepDim, stepDir := m.snake.Index, m.snake.IDAt, m.snake.Dim, m.snake.Dir
+	c := pairClass{
+		low: func(bigID int) bool {
+			return m.isLow(bigID, par) && stepDim[bigID] == j && stepDir[bigID] == dir
+		},
+	}
+	c.high = func(bigID int) bool {
+		s := index[bigID]
+		return s > 0 && c.low(idAt[s-1])
+	}
+	for bigID := 0; bigID < len(idAt) && !c.some; bigID++ {
+		c.some = c.low(bigID)
+	}
+	return c
 }
 
 // isLow reports whether virtual node bigID starts a compare-exchange
@@ -343,25 +380,14 @@ func (m *Machine) SnakeSortCtx(ctx context.Context, key string) (sorted bool, ro
 // parity par: one masked unit route per (dimension, direction) class
 // in each direction.
 func (m *Machine) phaseRoutes(key, tmp string, par, from, to int) {
-	index, idAt, stepDim, stepDir := m.snake.Index, m.snake.IDAt, m.snake.Dim, m.snake.Dir
 	for j := from; j < to; j++ {
-		for _, dir := range []int{+1, -1} {
-			lowMask := func(bigID int) bool {
-				return m.isLow(bigID, par) && stepDim[bigID] == j && stepDir[bigID] == dir
-			}
-			highMask := func(bigID int) bool {
-				s := index[bigID]
-				return s > 0 && lowMask(idAt[s-1])
-			}
-			any := false
-			for bigID := 0; bigID < len(idAt) && !any; bigID++ {
-				any = lowMask(bigID)
-			}
-			if !any {
+		for d, dir := range [2]int{+1, -1} {
+			c := &m.classes[par][j][d]
+			if !c.some {
 				continue
 			}
-			m.MaskedUnitRoute(key, tmp, j+1, dir, lowMask)
-			m.MaskedUnitRoute(key, tmp, j+1, -dir, highMask)
+			m.MaskedUnitRoute(key, tmp, j+1, dir, c.low)
+			m.MaskedUnitRoute(key, tmp, j+1, -dir, c.high)
 		}
 	}
 }
