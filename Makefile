@@ -105,9 +105,13 @@ perfbench-check:
 ## coordinate conversions and neighbor and rank maps in internal/core;
 ## in internal/serve the /v1/stats log-bucket latency window, checked
 ## against a sort-based reference and a recount of its ring, the
-## job-record codec, checked against encoding/json both ways, WAL
-## replay of arbitrary checksummed records and snapshots, the job-spec
-## request decoder and the -tenants file loader; in internal/cluster
+## job-record codec, checked against encoding/json both ways (with
+## DecodeJob and the typed client's spec and batch request bodies),
+## WAL replay of arbitrary checksummed records and snapshots, the
+## job-spec and batch request decoder of POST /v1/jobs and
+## /v1/jobs:batch, checked against the json.Decoder with
+## DisallowUnknownFields it stands in for, and the -tenants file
+## loader; in internal/cluster
 ## the compound pagination cursor and the -peers flag parser; in
 ## internal/workload the pooled-machine differential, which runs
 ## generated job sequences sharing one pool shape back to back on one

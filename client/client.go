@@ -26,6 +26,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 	"time"
 
 	"starmesh/internal/serve"
@@ -130,7 +131,12 @@ func New(baseURL string, opts ...Option) *Client {
 // responses are retried per the client's retry policy.
 func (c *Client) Submit(ctx context.Context, spec JobSpec) (Job, error) {
 	var job Job
-	err := c.doRetry(ctx, http.MethodPost, "/v1/jobs", spec, &job)
+	body, err := serve.AppendJSON(nil, &spec)
+	if err != nil {
+		return job, err
+	}
+	err = c.doRetry(ctx, http.MethodPost, "/v1/jobs", body,
+		func(data []byte) error { return serve.DecodeJob(data, &job) })
 	return job, err
 }
 
@@ -140,14 +146,19 @@ func (c *Client) Submit(ctx context.Context, spec JobSpec) (Job, error) {
 // each offending index.
 func (c *Client) SubmitBatch(ctx context.Context, specs []JobSpec) ([]Job, error) {
 	var resp serve.BatchResponse
-	err := c.doRetry(ctx, http.MethodPost, "/v1/jobs:batch", serve.BatchRequest{Specs: specs}, &resp)
+	body, err := serve.AppendJSON(nil, &serve.BatchRequest{Specs: specs})
+	if err != nil {
+		return nil, err
+	}
+	err = c.doRetry(ctx, http.MethodPost, "/v1/jobs:batch", body, decodeInto(&resp))
 	return resp.Jobs, err
 }
 
 // Get returns a job snapshot by id.
 func (c *Client) Get(ctx context.Context, id string) (Job, error) {
 	var job Job
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id), nil, &job)
+	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id), nil,
+		func(data []byte) error { return serve.DecodeJob(data, &job) })
 	return job, err
 }
 
@@ -180,7 +191,7 @@ func (c *Client) List(ctx context.Context, opts ListOptions) (JobPage, error) {
 		path += "?" + q.Encode()
 	}
 	var page JobPage
-	err := c.do(ctx, http.MethodGet, path, nil, &page)
+	err := c.do(ctx, http.MethodGet, path, nil, decodeInto(&page))
 	return page, err
 }
 
@@ -208,7 +219,8 @@ func (c *Client) ListAll(ctx context.Context, opts ListOptions) ([]Job, error) {
 // (IsTerminal).
 func (c *Client) Cancel(ctx context.Context, id string) (Job, error) {
 	var job Job
-	err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+url.PathEscape(id), nil, &job)
+	err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+url.PathEscape(id), nil,
+		func(data []byte) error { return serve.DecodeJob(data, &job) })
 	return job, err
 }
 
@@ -253,7 +265,7 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 // Stats returns the aggregated service view.
 func (c *Client) Stats(ctx context.Context) (Stats, error) {
 	var st Stats
-	err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &st)
+	err := c.do(ctx, http.MethodGet, "/v1/stats", nil, decodeInto(&st))
 	return st, err
 }
 
@@ -263,7 +275,7 @@ func (c *Client) Stats(ctx context.Context) (Stats, error) {
 // "down" (error only) from "draining" (both).
 func (c *Client) Healthz(ctx context.Context) (Health, error) {
 	var h Health
-	err := c.do(ctx, http.MethodGet, "/v1/healthz", nil, &h)
+	err := c.do(ctx, http.MethodGet, "/v1/healthz", nil, decodeInto(&h))
 	if err != nil {
 		if api := AsAPIError(err); api != nil && api.Status == http.StatusServiceUnavailable {
 			// The 503 body is the Health document itself, not an error
@@ -303,17 +315,17 @@ func (c *Client) Await(ctx context.Context, id string) (Job, error) {
 	}
 }
 
-// do issues one request; body (when non-nil) is sent as JSON and the
-// response decoded into out, a zero value, by serve.DecodeJSON.
-// Non-2xx responses become *APIError.
-func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
+// do issues one request, sending body (when non-nil) as its JSON
+// body, and hands a 2xx response's body to decode (when non-nil).
+// The response is read into a recycled buffer that is valid only
+// until decode returns: the decoders, like apiErrorFrom, copy out
+// what they keep. The request body is never recycled, since net/http
+// may still read it after Do returns. Non-2xx responses become
+// *APIError.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, decode func(data []byte) error) error {
 	var rd io.Reader
 	if body != nil {
-		data, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rd = bytes.NewReader(data)
+		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
@@ -330,26 +342,47 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
+	buf := responseBufs.Get().(*bytes.Buffer)
+	defer putResponseBuf(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		return err
 	}
 	if resp.StatusCode/100 != 2 {
-		return apiErrorFrom(resp, data)
+		return apiErrorFrom(resp, buf.Bytes())
 	}
-	if out == nil {
+	if decode == nil {
 		return nil
 	}
-	return serve.DecodeJSON(data, out)
+	return decode(buf.Bytes())
+}
+
+// decodeInto returns a decode function for do that reads a response
+// into v, a pointer to a zero value, with serve.DecodeJSON.
+func decodeInto(v any) func(data []byte) error {
+	return func(data []byte) error { return serve.DecodeJSON(data, v) }
+}
+
+// responseBufs recycles do's response buffers. A buffer that grew past
+// maxPooledResponse (a long listing) is left to the collector rather
+// than pinned in the pool.
+var responseBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledResponse = 1 << 20
+
+func putResponseBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledResponse {
+		responseBufs.Put(buf)
+	}
 }
 
 // doRetry is do with the 429 retry loop: sleep per Retry-After (or
 // exponential backoff), up to maxRetries additional attempts
 // (negative = unbounded).
-func (c *Client) doRetry(ctx context.Context, method, path string, body, out any) error {
+func (c *Client) doRetry(ctx context.Context, method, path string, body []byte, decode func(data []byte) error) error {
 	delay := c.backoff
 	for attempt := 0; ; attempt++ {
-		err := c.do(ctx, method, path, body, out)
+		err := c.do(ctx, method, path, body, decode)
 		api := AsAPIError(err)
 		if api == nil || api.Status != http.StatusTooManyRequests {
 			return err

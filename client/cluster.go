@@ -54,7 +54,7 @@ type ClusterClient struct {
 func DialCluster(ctx context.Context, anyNodeURL string, opts ...Option) (*ClusterClient, error) {
 	boot := New(anyNodeURL, opts...)
 	var info ClusterInfo
-	if err := boot.do(ctx, "GET", "/v1/cluster", nil, &info); err != nil {
+	if err := boot.do(ctx, "GET", "/v1/cluster", nil, decodeInto(&info)); err != nil {
 		return nil, fmt.Errorf("client: cluster bootstrap from %s: %w", anyNodeURL, err)
 	}
 	return NewCluster(info.Map, opts...)
@@ -321,7 +321,7 @@ func (cc *ClusterClient) StatsWindow(ctx context.Context, window time.Duration) 
 		go func(name string, c *Client) {
 			defer wg.Done()
 			var st Stats
-			err := c.do(ctx, "GET", path, nil, &st)
+			err := c.do(ctx, "GET", path, nil, decodeInto(&st))
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
@@ -472,7 +472,7 @@ func (cc *ClusterClient) Drain(ctx context.Context, node string) ([]MigratedJob,
 		return nil, fmt.Errorf("client: unknown node %q", node)
 	}
 	var resp serve.DrainResponse
-	if err := c.do(ctx, "POST", "/v1/drain", nil, &resp); err != nil {
+	if err := c.do(ctx, "POST", "/v1/drain", nil, decodeInto(&resp)); err != nil {
 		return nil, fmt.Errorf("client: drain %s: %w", node, err)
 	}
 	survivors := m.Without(node)

@@ -3,10 +3,19 @@
 // state first, then every status transition — and ends the stream
 // after the terminal one. Each line is one compact job value written
 // by the service's job codec; the Watcher reads it whole and decodes
-// it with serve.DecodeJSON. The server sends the terminal line in the
-// same write as the end of the body, so a caller that stops reading
-// at it (Await does) finds the body at EOF, and the connection goes
-// back to the keep-alive pool.
+// it with serve.DecodeJob, which reads the codec's form straight into
+// a Job on the caller's stack and shares the strings of closed sets
+// (statuses, trace events, kinds). The server sends the terminal line
+// in the same write as the end of the body, so a caller that stops
+// reading at it (Await does) finds the body at EOF, and the
+// connection goes back to the keep-alive pool.
+//
+// The 4 KiB line reader is recycled: a Watcher takes one from a pool
+// on its first connect, resets it onto the body of every reconnect (so
+// a new stream never sees bytes a torn one left buffered), and Close
+// gives it back, once. A Watcher is not safe for concurrent use: call
+// Close from the goroutine that calls Next, and cancel the Watch
+// context to interrupt a blocked Next.
 //
 // A watch is long-lived, so the stream can die mid-flight for
 // transient reasons (connection reset, proxy idle timeout, a node
@@ -23,9 +32,11 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/url"
+	"sync"
 	"time"
 
 	"starmesh/internal/serve"
@@ -40,7 +51,7 @@ type Watcher struct {
 	ctx  context.Context
 	id   string
 	body io.ReadCloser
-	rd   *bufio.Reader
+	rd   *bufio.Reader // from lineReaders; nil once Close gave it back
 	last Job
 	seen bool
 	// stalls counts consecutive reconnects that delivered no snapshot
@@ -81,12 +92,26 @@ func (w *Watcher) connect() error {
 		return apiErrorFrom(resp, data)
 	}
 	w.body = resp.Body
-	w.rd = bufio.NewReader(resp.Body)
+	if w.rd == nil {
+		w.rd = lineReaders.Get().(*bufio.Reader)
+	}
+	w.rd.Reset(resp.Body)
 	return nil
 }
 
+// lineReaders recycles the Watchers' line readers.
+var lineReaders = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
+
+// errWatcherClosed is what reading a closed Watcher's stream fails
+// with. Next treats it as any broken stream: io.EOF after a terminal
+// snapshot, otherwise a reconnect.
+var errWatcherClosed = errors.New("client: read on a closed watcher")
+
 // read decodes the stream's next snapshot line.
 func (w *Watcher) read() (Job, error) {
+	if w.rd == nil {
+		return Job{}, errWatcherClosed
+	}
 	for {
 		line, err := w.rd.ReadSlice('\n')
 		if err == bufio.ErrBufferFull {
@@ -108,7 +133,7 @@ func (w *Watcher) read() (Job, error) {
 		// A final line may lack its newline; a torn one fails to
 		// decode.
 		var j Job
-		if derr := serve.DecodeJSON(line, &j); derr != nil {
+		if derr := serve.DecodeJob(line, &j); derr != nil {
 			if err == nil || err == io.EOF {
 				err = derr
 			}
@@ -214,5 +239,13 @@ func newerSnapshot(j, last Job) bool {
 	return j.CancelRequested && !last.CancelRequested
 }
 
-// Close tears the stream down. Safe after EOF.
-func (w *Watcher) Close() error { return w.body.Close() }
+// Close tears the stream down and gives the line reader back. Safe
+// after EOF and more than once.
+func (w *Watcher) Close() error {
+	if rd := w.rd; rd != nil {
+		w.rd = nil
+		rd.Reset(nil)
+		lineReaders.Put(rd)
+	}
+	return w.body.Close()
+}

@@ -19,11 +19,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -96,23 +100,23 @@ func (w *statusWriter) Flush() {
 
 // instrument wraps one route with the observability middleware:
 // a request id (generated or propagated from X-Request-Id, echoed
-// back, threaded through the context for logging), the per-route
+// back, and carried by the request's log line), the per-route
 // request counter and latency histogram labeled by route pattern,
-// the in-flight gauge, and a structured log line per request.
+// the in-flight gauge, and a structured log line per request, built
+// only when the logger keeps its level.
 func (s *Service) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		reqID := r.Header.Get("X-Request-Id")
 		if reqID == "" {
-			reqID = fmt.Sprintf("req-%06d", nextRequestID.Add(1))
+			reqID = seqID("req-", nextRequestID.Add(1))
 		}
 		w.Header().Set("X-Request-Id", reqID)
-		ctx := WithRequestID(r.Context(), reqID)
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
 		if s.met != nil {
 			s.met.httpInFlight.Add(1)
 		}
-		h(sw, r.WithContext(ctx))
+		h(sw, r)
 		elapsed := time.Since(start)
 		if sw.status == 0 {
 			sw.status = http.StatusOK
@@ -121,15 +125,16 @@ func (s *Service) instrument(route string, h http.HandlerFunc) http.HandlerFunc 
 			s.met.httpInFlight.Add(-1)
 			s.met.observeHTTP(route, r.Method, sw.status, elapsed)
 		}
-		log := s.logWith(ctx)
-		attrs := []any{"method", r.Method, "route", route, "status", sw.status, "dur_ms", elapsed.Milliseconds()}
+		level := slog.LevelDebug
 		switch {
 		case sw.status >= 500:
-			log.Error("http request", attrs...)
+			level = slog.LevelError
 		case sw.status >= 400:
-			log.Warn("http request", attrs...)
-		default:
-			log.Debug("http request", attrs...)
+			level = slog.LevelWarn
+		}
+		if s.logs(level) {
+			s.log.With("request_id", reqID).Log(context.Background(), level, "http request",
+				"method", r.Method, "route", route, "status", sw.status, "dur_ms", elapsed.Milliseconds())
 		}
 	}
 }
@@ -151,9 +156,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := decodeRequest(r.Body, r.ContentLength, &spec); err != nil {
 		writeErrorCode(w, CodeInvalidArgument, fmt.Sprintf("bad job spec: %v", err), nil)
 		return
 	}
@@ -162,7 +165,39 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, job)
+	writeJob(w, http.StatusAccepted, &job)
+}
+
+// maxCanonicalRequest bounds the request bodies decodeRequest reads
+// whole to try the codec on: a spec is under 300 bytes, and the
+// service's default queue holds 64.
+const maxCanonicalRequest = 32 << 10
+
+// decodeRequest decodes a request body into v, a *JobSpec or a
+// *BatchRequest, with the result of a json.Decoder with
+// DisallowUnknownFields reading the same body. size is the body's
+// declared length (-1 when unknown). A body of known length up to
+// maxCanonicalRequest is read whole and, when it holds the codec's
+// canonical form (what the typed client sends), decoded without
+// reflection. Any other body goes to the json.Decoder, which sees the
+// bytes it would have seen alone: the prefix already read, then the
+// rest of the body. A longer body, or one of unknown length, is not
+// read ahead of the decoder.
+func decodeRequest(body io.Reader, size int64, v any) error {
+	var prefix []byte
+	if 0 <= size && size <= maxCanonicalRequest {
+		bp := bodyBufs.Get().(*[]byte)
+		defer bodyBufs.Put(bp)
+		*bp = slices.Grow((*bp)[:0], int(size))
+		n, _ := io.ReadFull(body, (*bp)[:size])
+		prefix = (*bp)[:n]
+		if int64(n) == size && decodeCanonical(prefix, v) {
+			return nil
+		}
+	}
+	dec := json.NewDecoder(io.MultiReader(bytes.NewReader(prefix), body))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // BatchRequest is the POST /v1/jobs:batch body.
@@ -178,9 +213,7 @@ type BatchResponse struct {
 
 func (s *Service) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeRequest(r.Body, r.ContentLength, &req); err != nil {
 		writeErrorCode(w, CodeInvalidArgument, fmt.Sprintf("bad batch request: %v", err), nil)
 		return
 	}
@@ -225,7 +258,7 @@ func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, ErrNotFound)
 		return
 	}
-	writeJSON(w, http.StatusOK, job)
+	writeJob(w, http.StatusOK, &job)
 }
 
 func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -234,7 +267,7 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, job)
+	writeJob(w, http.StatusOK, &job)
 }
 
 // handleWatch streams a job's status transitions as newline-delimited
@@ -257,9 +290,11 @@ func (s *Service) handleWatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	var line []byte // reused by every line of the stream
+	bp := bodyBufs.Get().(*[]byte)
+	defer bodyBufs.Put(bp)
 	emit := func(j Job) bool {
-		line = append(appendJob(line[:0], &j), '\n')
+		line := append(appendJob((*bp)[:0], &j), '\n')
+		*bp = line // every line of the stream reuses the grown buffer
 		if _, err := w.Write(line); err != nil {
 			return false
 		}
@@ -322,33 +357,44 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, h)
 }
 
-// writeJSON writes v as a compact JSON body ending in a newline. Job,
+// writeJSON writes v as a compact JSON body ending in a newline.
 // JobPage and BatchResponse bodies go through the job codec
 // (jobjson.go), the rest through encoding/json; both write the same
-// bytes json.Encoder would.
+// bytes json.Encoder would. Job bodies take writeJob, which does not
+// box the job.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	switch v := v.(type) {
+	case JobPage:
+		writeBody(w, status, func(b []byte) []byte { return appendJobPage(b, &v) })
+	case BatchResponse:
+		writeBody(w, status, func(b []byte) []byte {
+			return append(appendJobs(append(b, `{"jobs":`...), v.Jobs), '}')
+		})
+	default:
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(status)
+		_ = json.NewEncoder(w).Encode(v)
+	}
+}
+
+// writeJob writes j as writeJSON would.
+func writeJob(w http.ResponseWriter, status int, j *Job) {
+	writeBody(w, status, func(b []byte) []byte { return appendJob(b, j) })
+}
+
+// writeBody writes the JSON body that appendBody appends, and a
+// newline, from a recycled buffer.
+func writeBody(w http.ResponseWriter, status int, appendBody func(b []byte) []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	bp := bodyBufs.Get().(*[]byte)
 	defer bodyBufs.Put(bp)
-	b := (*bp)[:0]
-	switch v := v.(type) {
-	case Job:
-		b = appendJob(b, &v)
-	case JobPage:
-		b = appendJobPage(b, &v)
-	case BatchResponse:
-		b = append(appendJobs(append(b, `{"jobs":`...), v.Jobs), '}')
-	default:
-		_ = json.NewEncoder(w).Encode(v)
-		return
-	}
-	*bp = append(b, '\n')
+	*bp = append(appendBody((*bp)[:0]), '\n')
 	_, _ = w.Write(*bp)
 }
 
-// bodyBufs recycles writeJSON's body buffers across requests, as
-// encoding/json recycles its own.
+// bodyBufs recycles the buffers of response bodies, watch lines and
+// request bodies across requests, as encoding/json recycles its own.
 var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // writeError maps a service error through the taxonomy — the single

@@ -1,17 +1,21 @@
 // The job-record codec: hand-written JSON for the record the service
 // writes most. Every job body (Job, JobPage, BatchResponse), every
 // watch-stream line, every WAL record and every snapshot is encoded
-// here, and the typed client decodes every response through
-// DecodeJSON.
+// here, and so is every spec and batch request body the typed client
+// sends (AppendJSON); the client decodes every response through
+// DecodeJob or DecodeJSON, and the submit handlers decode the
+// client's request bodies through decodeCanonical.
 //
 // The encoder allocates nothing and writes exactly the bytes
 // encoding/json writes for the same value: field order, omitempty and
 // omitzero, HTML-safe string escaping and RFC 3339 times. So bodies,
 // streams and stores it writes are interchangeable with ones
 // encoding/json wrote. The decoder reads the canonical form the
-// encoder writes and hands every other input to json.Unmarshal.
-// encoding/json stays the reference for both halves: the tests and
-// FuzzJobCodec compare them byte for byte and value for value.
+// encoder writes and hands every other input to encoding/json:
+// json.Unmarshal, or for a request body the json.Decoder with
+// DisallowUnknownFields (decodeRequest). encoding/json stays the
+// reference for both halves: the tests, FuzzJobCodec and
+// FuzzSpecDecode compare them byte for byte and value for value.
 package serve
 
 import (
@@ -20,6 +24,8 @@ import (
 	"strconv"
 	"time"
 	"unicode/utf8"
+
+	"starmesh/internal/workload"
 )
 
 // appendJob appends j as json.Marshal writes it.
@@ -104,6 +110,38 @@ func appendSpec(b []byte, s *JobSpec) []byte {
 	b = appendOmitInt(b, `,"holes":`, int64(s.Holes))
 	b = appendOmitInt(b, `,"trials":`, int64(s.Trials))
 	b = appendOmitInt(b, `,"priority":`, int64(s.Priority))
+	return append(b, '}')
+}
+
+// AppendJSON appends v as json.Marshal writes it. A *JobSpec or a
+// *BatchRequest, the request bodies the typed client sends, goes
+// through the codec; any other value through json.Marshal.
+func AppendJSON(b []byte, v any) ([]byte, error) {
+	switch v := v.(type) {
+	case *JobSpec:
+		return appendSpec(b, v), nil
+	case *BatchRequest:
+		return appendBatchRequest(b, v), nil
+	}
+	data, err := json.Marshal(v)
+	return append(b, data...), err
+}
+
+// appendBatchRequest appends r as json.Marshal writes it.
+func appendBatchRequest(b []byte, r *BatchRequest) []byte {
+	b = append(b, `{"specs":`...)
+	if r.Specs == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i := range r.Specs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendSpec(b, &r.Specs[i])
+		}
+		b = append(b, ']')
+	}
 	return append(b, '}')
 }
 
@@ -297,9 +335,25 @@ func DecodeJSON(data []byte, v any) error {
 	return json.Unmarshal(data, v)
 }
 
+// DecodeJob is DecodeJSON for one job, without boxing j: j does not
+// escape, so a caller's Job can live on its stack. Only the
+// json.Unmarshal fallback decodes into a heap copy, which it then
+// copies to *j.
+func DecodeJob(data []byte, j *Job) error {
+	d := jobDecoder{data: data}
+	if d.job(j) && d.end() {
+		return nil
+	}
+	*j = Job{}
+	v := new(Job)
+	err := json.Unmarshal(data, v)
+	*j = *v
+	return err
+}
+
 // decodeCanonical is DecodeJSON's fast path. It reports false, with
 // *v reset to its zero value, when data is not in the canonical form
-// or v is not a job type.
+// or v is not a type the codec reads.
 func decodeCanonical(data []byte, v any) bool {
 	d := jobDecoder{data: data}
 	switch v := v.(type) {
@@ -328,6 +382,18 @@ func decodeCanonical(data []byte, v any) bool {
 			return true
 		}
 		*v = BatchResponse{}
+	case *JobSpec:
+		if d.spec(v) && d.end() {
+			return true
+		}
+		*v = JobSpec{}
+	case *BatchRequest:
+		if d.object(func(key []byte) bool {
+			return string(key) == "specs" && d.specs(&v.Specs)
+		}) && d.end() {
+			return true
+		}
+		*v = BatchRequest{}
 	}
 	return false
 }
@@ -428,6 +494,43 @@ func (d *jobDecoder) str(p *string) bool {
 	return ok
 }
 
+// sym is str for a field whose values come from a closed set: a value
+// in the set shares the set's string instead of allocating a copy.
+func (d *jobDecoder) sym(p *string) bool {
+	s, ok := d.plain()
+	if ok {
+		if v, known := symbols[string(s)]; known {
+			*p = v
+		} else {
+			*p = string(s)
+		}
+	}
+	return ok
+}
+
+// symbols holds the closed sets a job's strings come from: statuses,
+// trace events, kinds, key distributions, permutation patterns and
+// the default tenant.
+var symbols = func() map[string]string {
+	m := map[string]string{DefaultTenant: DefaultTenant}
+	for _, s := range []string{
+		string(StatusQueued), string(StatusRunning), string(StatusDone), string(StatusFailed), string(StatusCanceled),
+		TraceSubmitted, TraceClaimed, TraceMachineReady, TraceCancelRequested, TraceRecovered, TraceMigrated, TracePreempted,
+	} {
+		m[s] = s
+	}
+	for _, s := range workload.Kinds() {
+		m[s] = s
+	}
+	for _, d := range workload.Dists {
+		m[d.Name] = d.Name
+	}
+	for _, s := range workload.PermPatterns {
+		m[s] = s
+	}
+	return m
+}()
+
 // integer reads a JSON integer that fits in bits signed bits.
 func (d *jobDecoder) integer(bits int) (int64, bool) {
 	i := d.i
@@ -499,6 +602,18 @@ func (d *jobDecoder) jobs(p *[]Job) bool {
 	})
 }
 
+// specs reads a spec array, as jobs reads a job array.
+func (d *jobDecoder) specs(p *[]JobSpec) bool {
+	if *p != nil {
+		return false
+	}
+	*p = []JobSpec{}
+	return d.array(func() bool {
+		*p = append(*p, JobSpec{})
+		return d.spec(&(*p)[len(*p)-1])
+	})
+}
+
 func (d *jobDecoder) job(j *Job) bool {
 	return d.object(func(key []byte) bool {
 		switch string(key) {
@@ -507,11 +622,11 @@ func (d *jobDecoder) job(j *Job) bool {
 		case "spec":
 			return d.spec(&j.Spec)
 		case "tenant":
-			return d.str(&j.Tenant)
+			return d.sym(&j.Tenant)
 		case "shape":
 			return d.str(&j.Shape)
 		case "status":
-			return d.str((*string)(&j.Status))
+			return d.sym((*string)(&j.Status))
 		case "result":
 			// A repeated result merges into the first, as jobs above.
 			if j.Result != nil {
@@ -556,7 +671,7 @@ func (d *jobDecoder) spec(s *JobSpec) bool {
 	return d.object(func(key []byte) bool {
 		switch string(key) {
 		case "kind":
-			return d.str(&s.Kind)
+			return d.sym(&s.Kind)
 		case "n":
 			return d.int(&s.N)
 		case "rows":
@@ -564,7 +679,7 @@ func (d *jobDecoder) spec(s *JobSpec) bool {
 		case "cols":
 			return d.int(&s.Cols)
 		case "dist":
-			return d.str(&s.Dist)
+			return d.sym(&s.Dist)
 		case "seed":
 			return d.int64(&s.Seed)
 		case "source":
@@ -576,7 +691,7 @@ func (d *jobDecoder) spec(s *JobSpec) bool {
 		case "d":
 			return d.int(&s.D)
 		case "pattern":
-			return d.str(&s.Pattern)
+			return d.sym(&s.Pattern)
 		case "holes":
 			return d.int(&s.Holes)
 		case "trials":
@@ -610,7 +725,7 @@ func (d *jobDecoder) event(ev *TraceEvent) bool {
 	return d.object(func(key []byte) bool {
 		switch string(key) {
 		case "event":
-			return d.str(&ev.Event)
+			return d.sym(&ev.Event)
 		case "at":
 			return d.time(&ev.At)
 		case "dur_ns":

@@ -391,25 +391,35 @@ func TestJobBodiesMatchEncoder(t *testing.T) {
 	requireSameBytes(t, "canceled watch line", line, encoded(job(watched)))
 }
 
-// checkDecode requires DecodeJSON to give json.Unmarshal's value and
-// error for every target its fast path serves.
+// checkDecode requires DecodeJSON, for every target its fast path
+// serves, and DecodeJob to give json.Unmarshal's value and error.
 func checkDecode(t *testing.T, data []byte) {
 	t.Helper()
 	checkDecodeAs[Job](t, data)
 	checkDecodeAs[JobPage](t, data)
 	checkDecodeAs[BatchResponse](t, data)
+	checkDecodeAs[JobSpec](t, data)
+	checkDecodeAs[BatchRequest](t, data)
+	checkDecoder(t, "DecodeJob", data, DecodeJob)
 }
 
 func checkDecodeAs[T any](t *testing.T, data []byte) {
 	t.Helper()
+	checkDecoder(t, "DecodeJSON", data, func(data []byte, v *T) error { return DecodeJSON(data, v) })
+}
+
+// checkDecoder requires decode to give json.Unmarshal's value and
+// error.
+func checkDecoder[T any](t *testing.T, name string, data []byte, decode func([]byte, *T) error) {
+	t.Helper()
 	var got, want T
-	gerr := DecodeJSON(data, &got)
+	gerr := decode(data, &got)
 	werr := json.Unmarshal(data, &want)
 	if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
-		t.Fatalf("DecodeJSON(%q) into %T: error %v, json.Unmarshal: %v", data, &got, gerr, werr)
+		t.Fatalf("%s(%q) into %T: error %v, json.Unmarshal: %v", name, data, &got, gerr, werr)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("DecodeJSON(%q) into %T:\ngot  %+v\njson %+v", data, &got, got, want)
+		t.Fatalf("%s(%q) into %T:\ngot  %+v\njson %+v", name, data, &got, got, want)
 	}
 }
 
@@ -469,12 +479,28 @@ func (r *fuzzReader) time() time.Time {
 		fuzzZones[int(sel)%len(fuzzZones)])
 }
 
+func (r *fuzzReader) spec() JobSpec {
+	return JobSpec{Kind: r.str(), N: r.int(), Rows: r.int(), Cols: r.int(), Dist: r.str(),
+		Seed: r.int64(), Source: r.int(), Faults: r.int(), Pairs: r.int(), D: r.int(),
+		Pattern: r.str(), Holes: r.int(), Trials: r.int(), Priority: r.int()}
+}
+
+// batch returns a batch request with nil, empty or up to two specs.
+func (r *fuzzReader) batch() BatchRequest {
+	var req BatchRequest
+	if n := r.byte() % 4; n > 0 {
+		req.Specs = []JobSpec{}
+		for range n - 1 {
+			req.Specs = append(req.Specs, r.spec())
+		}
+	}
+	return req
+}
+
 func (r *fuzzReader) job() Job {
 	j := Job{
-		ID: r.str(),
-		Spec: JobSpec{Kind: r.str(), N: r.int(), Rows: r.int(), Cols: r.int(), Dist: r.str(),
-			Seed: r.int64(), Source: r.int(), Faults: r.int(), Pairs: r.int(), D: r.int(),
-			Pattern: r.str(), Holes: r.int(), Trials: r.int(), Priority: r.int()},
+		ID:     r.str(),
+		Spec:   r.spec(),
 		Tenant: r.str(), Shape: r.str(), Status: Status(r.str()), Error: r.str(),
 		CancelRequested: r.byte()%2 == 1, Preemptions: r.int(),
 		Created: r.time(), Started: r.time(), Finished: r.time(),
@@ -490,9 +516,11 @@ func (r *fuzzReader) job() Job {
 }
 
 // FuzzJobCodec checks both halves of the codec against encoding/json.
-// The fuzz bytes are decoded as they are into a Job, a JobPage and a
-// BatchResponse; then they build a Job, whose encoding must be
-// json.Marshal's and must decode back like json.Unmarshal.
+// The fuzz bytes are decoded as they are by DecodeJSON into every type
+// it reads and by DecodeJob; then they build a Job, whose encoding
+// must be json.Marshal's and must decode back like json.Unmarshal, and
+// a spec and a batch request, whose AppendJSON bodies (the ones the
+// typed client sends) must be json.Marshal's too.
 func FuzzJobCodec(f *testing.F) {
 	jobs := sampleJobs(f, indiaZone)
 	for i := range jobs {
@@ -535,6 +563,11 @@ func FuzzJobCodec(f *testing.F) {
 		`{"jobs":[]}`,
 		`{}`,
 		`[1,2]`,
+		`{"kind":"sort","n":4,"dist":"reversed","seed":5}`,
+		`{"specs":[{"kind":"sweep","n":3},{"kind":"sweep","n":4}]}`,
+		`{"specs":null}`,
+		`{"specs":[]}`,
+		`{"specs":[{"kind":"sweep"}],"specs":[{"n":4}]}`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -549,8 +582,22 @@ func FuzzJobCodec(f *testing.F) {
 		got := appendJob(nil, &j)
 		requireSameBytes(t, "job", got, want)
 		checkDecode(t, got)
+		for _, body := range []any{&j.Spec, ptr(r.batch())} {
+			want, err := json.Marshal(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := AppendJSON(nil, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameBytes(t, "request body", got, want)
+			checkDecode(t, got)
+		}
 	})
 }
+
+func ptr[T any](v T) *T { return &v }
 
 // BenchmarkJobCodec times one done job through the codec and through
 // encoding/json, each way. Its times are UTC, as on a host whose local

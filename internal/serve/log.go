@@ -1,10 +1,12 @@
-// Structured logging: the service logs through log/slog, with
-// request IDs and job IDs threaded through context so every line of
-// a request's or job's life carries the same correlating attributes.
-// The Service never writes to a default logger on its own — Config
-// .Logger selects the destination, and a nil logger discards, which
-// keeps library consumers (tests, benches) quiet by default; cmd
-// wires a real handler from -log-level / -log-format.
+// Structured logging: the service logs through log/slog, and every
+// line of a request's or a job's life carries the same correlating
+// attribute, request_id on the request line and job_id on the job
+// lines. The Service never writes to a default logger on its own —
+// Config.Logger selects the destination, and a nil logger discards,
+// which keeps library consumers (tests, benches) quiet by default;
+// cmd wires a real handler from -log-level / -log-format. A line's
+// attributes are built only when the logger keeps its level, so the
+// discard default costs a level check per line.
 package serve
 
 import (
@@ -12,46 +14,12 @@ import (
 	"log/slog"
 )
 
-type ctxKey int
-
-const (
-	ctxKeyRequestID ctxKey = iota
-	ctxKeyJobID
-)
-
-// WithRequestID returns a context carrying the request's correlation
-// id (set by the HTTP middleware, echoed in the X-Request-Id header).
-func WithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, ctxKeyRequestID, id)
+// logs reports whether the service logger keeps lines at level.
+func (s *Service) logs(level slog.Level) bool {
+	return s.log.Enabled(context.Background(), level)
 }
 
-// RequestIDFrom extracts the request id ("" when absent).
-func RequestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(ctxKeyRequestID).(string)
-	return id
-}
-
-// WithJobID returns a context carrying the job id a worker is
-// executing (set by runJob around the whole execution).
-func WithJobID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, ctxKeyJobID, id)
-}
-
-// JobIDFrom extracts the job id ("" when absent).
-func JobIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(ctxKeyJobID).(string)
-	return id
-}
-
-// logWith returns the service logger with the context's correlation
-// ids attached as attributes.
-func (s *Service) logWith(ctx context.Context) *slog.Logger {
-	log := s.log
-	if id := RequestIDFrom(ctx); id != "" {
-		log = log.With("request_id", id)
-	}
-	if id := JobIDFrom(ctx); id != "" {
-		log = log.With("job_id", id)
-	}
-	return log
+// jobLog returns the service logger with a job's correlating id.
+func (s *Service) jobLog(id string) *slog.Logger {
+	return s.log.With("job_id", id)
 }

@@ -568,13 +568,14 @@ func (s *Service) worker() {
 func (s *Service) runJob(id string) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
-	ctx = WithJobID(ctx, id)
 	spec, ok := s.store.claim(id, time.Now(), cancel)
 	if !ok {
 		return // canceled while queued
 	}
-	log := s.logWith(ctx)
-	log.Debug("job claimed", "kind", spec.Kind, "shape", spec.Shape())
+	debug := s.logs(slog.LevelDebug)
+	if debug {
+		s.jobLog(id).Debug("job claimed", "kind", spec.Kind, "shape", spec.Shape())
+	}
 	res, err := s.execute(ctx, id, spec)
 	requeued := s.store.finish(id, res, err, time.Now())
 	if requeued {
@@ -584,16 +585,21 @@ func (s *Service) runJob(id string) {
 		// result is bit-identical to an uninterrupted run.
 		if job, ok := s.store.get(id); ok {
 			_ = s.enqueue(job, true)
-			log.Info("job preempted and requeued", "kind", spec.Kind, "tenant", job.Tenant,
+			s.jobLog(id).Info("job preempted and requeued", "kind", spec.Kind, "tenant", job.Tenant,
 				"preemptions", job.Preemptions)
 		}
 		return
 	}
+	// The finish line reads the job's status back from the store: only
+	// when it will be written.
+	if !debug && (err == nil || !s.logs(slog.LevelInfo)) {
+		return
+	}
 	if done, ok := s.store.get(id); ok {
 		if err != nil {
-			log.Info("job finished", "kind", spec.Kind, "status", string(done.Status), "error", err)
+			s.jobLog(id).Info("job finished", "kind", spec.Kind, "status", string(done.Status), "error", err)
 		} else {
-			log.Debug("job finished", "kind", spec.Kind, "status", string(done.Status),
+			s.jobLog(id).Debug("job finished", "kind", spec.Kind, "status", string(done.Status),
 				"unit_routes", res.UnitRoutes, "conflicts", res.Conflicts)
 		}
 	}

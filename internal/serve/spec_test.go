@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -115,26 +116,41 @@ func TestNormalizedFillsDefaults(t *testing.T) {
 	}
 }
 
-// FuzzSpecDecode decodes arbitrary bytes exactly as POST /v1/jobs
-// does — a json.Decoder with DisallowUnknownFields into a JobSpec —
-// and normalizes the result. Nothing may panic, and an accepted spec
-// is a fixed point: it normalizes to itself, with the same Shape and
-// Name. Seeded with every registry family's demo spec.
+// FuzzSpecDecode decodes arbitrary bytes as POST /v1/jobs and POST
+// /v1/jobs:batch do, through decodeRequest, and compares the result
+// with the reference decodeRequest documents: a json.Decoder with
+// DisallowUnknownFields reading the same bytes. Both must accept or
+// reject alike, with the same error, and give equal values, whether
+// the declared length lets decodeRequest try the codec or a length
+// longer than the body (a short body) sends it to the json.Decoder.
+// Then an accepted spec must normalize without panicking, to a fixed
+// point with the same Shape and Name. Seeded with every registry
+// family's demo spec, alone and as a batch.
 func FuzzSpecDecode(f *testing.F) {
+	var demos []JobSpec
 	for _, fam := range workload.Builtin.Families() {
+		demos = append(demos, fam.Demo())
 		seed, err := json.Marshal(fam.Demo())
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(seed)
 	}
+	batch, err := json.Marshal(BatchRequest{Specs: demos})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(batch)
 	f.Add([]byte(`{"kind":"sweep","n":4,"trials":3,"priority":9}`))
 	f.Add([]byte(`{"kind":"sweep","n":4,"bogus":1}`))
+	f.Add([]byte(`{"kind":"sweep","n":4}` + "\n"))
+	f.Add([]byte(`{"kind":"sweep","n":4} {"kind":"sort"}`))
+	f.Add([]byte(`{"KIND":"sweep","n":4}`))
+	f.Add([]byte(`{"specs":[{"kind":"sweep"}],"specs":[{"n":4}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var spec JobSpec
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		checkRequestDecode[BatchRequest](t, data)
+		spec, err := checkRequestDecode[JobSpec](t, data)
+		if err != nil {
 			return
 		}
 		norm, err := spec.Normalized()
@@ -152,4 +168,26 @@ func FuzzSpecDecode(f *testing.F) {
 			t.Fatalf("shape/name unstable: %q/%q then %q/%q", norm.Shape(), norm.Name(), again.Shape(), again.Name())
 		}
 	})
+}
+
+// checkRequestDecode requires decodeRequest to decode data into a T as
+// its reference does, for the body's true length and for a longer
+// declared one, and returns the reference's value and error.
+func checkRequestDecode[T any](t *testing.T, data []byte) (T, error) {
+	t.Helper()
+	var want T
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	werr := dec.Decode(&want)
+	for _, size := range []int64{int64(len(data)), int64(len(data)) + 1} {
+		var got T
+		gerr := decodeRequest(bytes.NewReader(data), size, &got)
+		if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
+			t.Fatalf("decodeRequest(%q, size %d) into %T: error %v, json.Decoder: %v", data, size, &got, gerr, werr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("decodeRequest(%q, size %d) into %T:\ngot  %+v\njson %+v", data, size, &got, got, want)
+		}
+	}
+	return want, werr
 }

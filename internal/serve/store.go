@@ -335,6 +335,14 @@ func (st *store) watch(id string) (Job, <-chan Job, func(), error) {
 	return snap, ch, stop, nil
 }
 
+// seqID formats a sequence number as fmt.Sprintf(prefix+"%06d", n)
+// does for n ≥ 0: the job ids and the generated request ids.
+func seqID(prefix string, n int64) string {
+	var buf [20]byte
+	digits := strconv.AppendInt(buf[:0], n, 10)
+	return prefix + "000000"[:max(6-len(digits), 0)] + string(digits)
+}
+
 // seqOf extracts a job id's admission sequence number (the pagination
 // cursor's currency); malformed ids order first.
 func seqOf(id string) int {
@@ -381,12 +389,15 @@ func (st *store) add(spec JobSpec, tenant string, now time.Time) Job {
 	defer st.mu.Unlock()
 	st.next++
 	j := &Job{
-		ID:      fmt.Sprintf("job-%06d", st.next),
+		ID:      seqID("job-", int64(st.next)),
 		Spec:    spec,
 		Tenant:  tenant,
 		Shape:   spec.Shape(),
 		Status:  StatusQueued,
 		Created: now,
+		// Room for the usual submitted, claimed, machine_ready and
+		// terminal events.
+		Trace: make([]TraceEvent, 0, 4),
 	}
 	appendTrace(j, now, TraceSubmitted, "tenant="+tenant)
 	st.jobs[j.ID] = j

@@ -8,6 +8,7 @@ package workload
 import (
 	"context"
 	"fmt"
+	"math/rand"
 
 	"starmesh/internal/mesh"
 	"starmesh/internal/meshsim"
@@ -121,7 +122,9 @@ func builtinRegistry() *Registry {
 		Build: buildStar,
 		Run: func(ctx context.Context, s Spec, r Resource) (ScenarioResult, error) {
 			sm := r.(*starMachine)
-			return runSort(ctx, sm.Machine, sm.sort(), mustDist(s.Dist), NewRand(s.Seed))
+			return withRand(s.Seed, func(rng *rand.Rand) (ScenarioResult, error) {
+				return runSort(ctx, sm.Machine, sm.sort(), mustDist(s.Dist), rng)
+			})
 		},
 		Name: func(s Spec) string {
 			return fmt.Sprintf("sort-star-n%d-%s-seed%d", s.N, s.Dist, s.Seed)
@@ -146,7 +149,9 @@ func builtinRegistry() *Registry {
 			return meshsim.New(mesh.New(s.Rows, s.Cols), opts...)
 		},
 		Run: func(ctx context.Context, s Spec, r Resource) (ScenarioResult, error) {
-			return RunShearOn(ctx, r.(*meshsim.Machine), mustDist(s.Dist), NewRand(s.Seed))
+			return withRand(s.Seed, func(rng *rand.Rand) (ScenarioResult, error) {
+				return RunShearOn(ctx, r.(*meshsim.Machine), mustDist(s.Dist), rng)
+			})
 		},
 		Name: func(s Spec) string {
 			return fmt.Sprintf("shear-mesh-%dx%d-%s-seed%d", s.Rows, s.Cols, s.Dist, s.Seed)
@@ -231,7 +236,9 @@ func builtinRegistry() *Registry {
 		Shape: starGraphShape,
 		Build: buildStarGraph,
 		Run: func(ctx context.Context, s Spec, r Resource) (ScenarioResult, error) {
-			return RunFaultRouteOn(ctx, r.(*graphResource).Topo, s.Faults, s.Pairs, NewRand(s.Seed))
+			return withRand(s.Seed, func(rng *rand.Rand) (ScenarioResult, error) {
+				return RunFaultRouteOn(ctx, r.(*graphResource).Topo, s.Faults, s.Pairs, rng)
+			})
 		},
 		Name: func(s Spec) string {
 			return fmt.Sprintf("faultroute-star-n%d-f%d-p%d-seed%d", s.N, s.Faults, s.Pairs, s.Seed)
@@ -315,7 +322,9 @@ func builtinRegistry() *Registry {
 		Shape: func(s Spec) string { return fmt.Sprintf("virtual:%d", s.N) },
 		Build: func(s Spec, opts ...simd.Option) Resource { return virtual.New(s.N, opts...) },
 		Run: func(ctx context.Context, s Spec, r Resource) (ScenarioResult, error) {
-			return RunVirtualOn(ctx, r.(*virtual.Machine), mustDist(s.Dist), NewRand(s.Seed))
+			return withRand(s.Seed, func(rng *rand.Rand) (ScenarioResult, error) {
+				return RunVirtualOn(ctx, r.(*virtual.Machine), mustDist(s.Dist), rng)
+			})
 		},
 		Name: func(s Spec) string {
 			return fmt.Sprintf("virtual-star-n%d-%s-seed%d", s.N, s.Dist, s.Seed)
@@ -347,7 +356,9 @@ func builtinRegistry() *Registry {
 		Shape: starGraphShape,
 		Build: buildStarGraph,
 		Run: func(ctx context.Context, s Spec, r Resource) (ScenarioResult, error) {
-			return RunDiagnosticsOn(ctx, r.(*graphResource).Topo, s.Holes, s.Trials, NewRand(s.Seed))
+			return withRand(s.Seed, func(rng *rand.Rand) (ScenarioResult, error) {
+				return RunDiagnosticsOn(ctx, r.(*graphResource).Topo, s.Holes, s.Trials, rng)
+			})
 		},
 		Name: func(s Spec) string {
 			return fmt.Sprintf("diagnostics-star-n%d-h%d-t%d-seed%d", s.N, s.Holes, s.Trials, s.Seed)
@@ -379,7 +390,9 @@ func builtinRegistry() *Registry {
 		Shape: starShape,
 		Build: buildStar,
 		Run: func(ctx context.Context, s Spec, r Resource) (ScenarioResult, error) {
-			return runPipeline(ctx, r.(*starMachine), s.D, mustDist(s.Dist), s.Source, NewRand(s.Seed))
+			return withRand(s.Seed, func(rng *rand.Rand) (ScenarioResult, error) {
+				return runPipeline(ctx, r.(*starMachine), s.D, mustDist(s.Dist), s.Source, rng)
+			})
 		},
 		Name: func(s Spec) string {
 			return fmt.Sprintf("pipeline-star-n%d-d%d-%s-seed%d-src%d", s.N, s.D, s.Dist, s.Seed, s.Source)

@@ -10,6 +10,7 @@ package workload
 
 import (
 	"math/rand"
+	"sync"
 
 	"starmesh/internal/perm"
 )
@@ -20,6 +21,21 @@ import (
 func NewRand(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
+
+// withRand calls run with NewRand(seed)'s stream, drawn from a pool of
+// recycled ones, and takes the stream back when run returns: run must
+// not keep it. Seed restores exactly the state NewSource builds, so a
+// recycled stream draws what a fresh one would, and a pool miss just
+// builds one.
+func withRand(seed int64, run func(rng *rand.Rand) (ScenarioResult, error)) (ScenarioResult, error) {
+	rng := rands.Get().(*rand.Rand)
+	defer rands.Put(rng)
+	rng.Seed(seed)
+	return run(rng)
+}
+
+// rands recycles withRand's streams: each holds a 4.9 KB source.
+var rands = sync.Pool{New: func() any { return NewRand(0) }}
 
 // Dist selects a key distribution.
 type Dist int
