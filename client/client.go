@@ -131,11 +131,7 @@ func New(baseURL string, opts ...Option) *Client {
 // responses are retried per the client's retry policy.
 func (c *Client) Submit(ctx context.Context, spec JobSpec) (Job, error) {
 	var job Job
-	body, err := serve.AppendJSON(nil, &spec)
-	if err != nil {
-		return job, err
-	}
-	err = c.doRetry(ctx, http.MethodPost, "/v1/jobs", body,
+	err := c.doRetry(ctx, http.MethodPost, "/v1/jobs", serve.AppendSpec(nil, &spec),
 		func(data []byte) error { return serve.DecodeJob(data, &job) })
 	return job, err
 }
@@ -146,11 +142,8 @@ func (c *Client) Submit(ctx context.Context, spec JobSpec) (Job, error) {
 // each offending index.
 func (c *Client) SubmitBatch(ctx context.Context, specs []JobSpec) ([]Job, error) {
 	var resp serve.BatchResponse
-	body, err := serve.AppendJSON(nil, &serve.BatchRequest{Specs: specs})
-	if err != nil {
-		return nil, err
-	}
-	err = c.doRetry(ctx, http.MethodPost, "/v1/jobs:batch", body, decodeInto(&resp))
+	err := c.doRetry(ctx, http.MethodPost, "/v1/jobs:batch",
+		serve.AppendBatchRequest(nil, &serve.BatchRequest{Specs: specs}), decodeInto(&resp))
 	return resp.Jobs, err
 }
 

@@ -53,10 +53,7 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 
 	// A canonical spec body of closed-set strings decodes with none.
-	body, err := AppendJSON(nil, &JobSpec{Kind: KindSort, N: 5, Dist: "reversed", Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := AppendSpec(nil, &JobSpec{Kind: KindSort, N: 5, Dist: "reversed", Seed: 42})
 	var spec JobSpec
 	rd := bytes.NewReader(body)
 	if n := testing.AllocsPerRun(100, func() {

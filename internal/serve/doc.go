@@ -131,8 +131,9 @@
 // The public typed client (starmesh/client) is the supported caller:
 // the CLI's remote subcommands and the load generator
 // (internal/loadgen, behind BENCH_serve.json) contain no hand-rolled
-// HTTP. It writes its spec and batch request bodies with AppendJSON
-// (the codec's bytes, which the submit handlers decode without
+// HTTP. It writes its spec and batch request bodies with AppendSpec
+// and AppendBatchRequest (the codec's bytes, which the submit
+// handlers decode without
 // reflection) and reads every response into a recycled buffer: job
 // bodies and watch lines through DecodeJob, which fills a Job on the
 // caller's stack, the rest through DecodeJSON. Both read the codec's

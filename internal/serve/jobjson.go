@@ -2,7 +2,8 @@
 // writes most. Every job body (Job, JobPage, BatchResponse), every
 // watch-stream line, every WAL record and every snapshot is encoded
 // here, and so is every spec and batch request body the typed client
-// sends (AppendJSON); the client decodes every response through
+// sends (AppendSpec, AppendBatchRequest); the client decodes every
+// response through
 // DecodeJob or DecodeJSON, and the submit handlers decode the
 // client's request bodies through decodeCanonical.
 //
@@ -31,7 +32,7 @@ import (
 // appendJob appends j as json.Marshal writes it.
 func appendJob(b []byte, j *Job) []byte {
 	b = appendStringField(b, `{"id":`, j.ID)
-	b = appendSpec(append(b, `,"spec":`...), &j.Spec)
+	b = AppendSpec(append(b, `,"spec":`...), &j.Spec)
 	if j.Tenant != "" {
 		b = appendStringField(b, `,"tenant":`, j.Tenant)
 	}
@@ -89,9 +90,10 @@ func appendJob(b []byte, j *Job) []byte {
 	return append(b, '}')
 }
 
-// appendSpec appends s as json.Marshal writes it: kind, then every
-// non-zero parameter.
-func appendSpec(b []byte, s *JobSpec) []byte {
+// AppendSpec appends s as json.Marshal writes it: kind, then every
+// non-zero parameter. It writes the body of the typed client's
+// submit.
+func AppendSpec(b []byte, s *JobSpec) []byte {
 	b = appendStringField(b, `{"kind":`, s.Kind)
 	b = appendOmitInt(b, `,"n":`, int64(s.N))
 	b = appendOmitInt(b, `,"rows":`, int64(s.Rows))
@@ -113,22 +115,9 @@ func appendSpec(b []byte, s *JobSpec) []byte {
 	return append(b, '}')
 }
 
-// AppendJSON appends v as json.Marshal writes it. A *JobSpec or a
-// *BatchRequest, the request bodies the typed client sends, goes
-// through the codec; any other value through json.Marshal.
-func AppendJSON(b []byte, v any) ([]byte, error) {
-	switch v := v.(type) {
-	case *JobSpec:
-		return appendSpec(b, v), nil
-	case *BatchRequest:
-		return appendBatchRequest(b, v), nil
-	}
-	data, err := json.Marshal(v)
-	return append(b, data...), err
-}
-
-// appendBatchRequest appends r as json.Marshal writes it.
-func appendBatchRequest(b []byte, r *BatchRequest) []byte {
+// AppendBatchRequest appends r as json.Marshal writes it: the body of
+// the typed client's batch submit.
+func AppendBatchRequest(b []byte, r *BatchRequest) []byte {
 	b = append(b, `{"specs":`...)
 	if r.Specs == nil {
 		b = append(b, "null"...)
@@ -138,7 +127,7 @@ func appendBatchRequest(b []byte, r *BatchRequest) []byte {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendSpec(b, &r.Specs[i])
+			b = AppendSpec(b, &r.Specs[i])
 		}
 		b = append(b, ']')
 	}

@@ -519,8 +519,8 @@ func (r *fuzzReader) job() Job {
 // The fuzz bytes are decoded as they are by DecodeJSON into every type
 // it reads and by DecodeJob; then they build a Job, whose encoding
 // must be json.Marshal's and must decode back like json.Unmarshal, and
-// a spec and a batch request, whose AppendJSON bodies (the ones the
-// typed client sends) must be json.Marshal's too.
+// a spec and a batch request, whose bodies (the ones the typed client
+// sends) must be json.Marshal's too.
 func FuzzJobCodec(f *testing.F) {
 	jobs := sampleJobs(f, indiaZone)
 	for i := range jobs {
@@ -582,22 +582,20 @@ func FuzzJobCodec(f *testing.F) {
 		got := appendJob(nil, &j)
 		requireSameBytes(t, "job", got, want)
 		checkDecode(t, got)
-		for _, body := range []any{&j.Spec, ptr(r.batch())} {
-			want, err := json.Marshal(body)
+		spec, batch := r.spec(), r.batch()
+		for _, body := range []struct {
+			v   any
+			got []byte
+		}{{&spec, AppendSpec(nil, &spec)}, {&batch, AppendBatchRequest(nil, &batch)}} {
+			want, err := json.Marshal(body.v)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := AppendJSON(nil, body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameBytes(t, "request body", got, want)
-			checkDecode(t, got)
+			requireSameBytes(t, "request body", body.got, want)
+			checkDecode(t, body.got)
 		}
 	})
 }
-
-func ptr[T any](v T) *T { return &v }
 
 // BenchmarkJobCodec times one done job through the codec and through
 // encoding/json, each way. Its times are UTC, as on a host whose local

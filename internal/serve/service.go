@@ -590,15 +590,15 @@ func (s *Service) runJob(id string) {
 		}
 		return
 	}
-	// The finish line reads the job's status back from the store: only
-	// when it will be written.
-	if !debug && (err == nil || !s.logs(slog.LevelInfo)) {
-		return
-	}
-	if done, ok := s.store.get(id); ok {
-		if err != nil {
+	// The finish line reads the job's status back from the store, so
+	// only a line the logger keeps pays for the copy.
+	switch {
+	case err != nil && s.logs(slog.LevelInfo):
+		if done, ok := s.store.get(id); ok {
 			s.jobLog(id).Info("job finished", "kind", spec.Kind, "status", string(done.Status), "error", err)
-		} else {
+		}
+	case err == nil && debug:
+		if done, ok := s.store.get(id); ok {
 			s.jobLog(id).Debug("job finished", "kind", spec.Kind, "status", string(done.Status),
 				"unit_routes", res.UnitRoutes, "conflicts", res.Conflicts)
 		}
