@@ -333,7 +333,6 @@ func DecodeJob(data []byte, j *Job) error {
 	if d.job(j) && d.end() {
 		return nil
 	}
-	*j = Job{}
 	v := new(Job)
 	err := json.Unmarshal(data, v)
 	*j = *v
