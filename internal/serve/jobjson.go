@@ -2,10 +2,9 @@
 // writes most. Every job body (Job, JobPage, BatchResponse), every
 // watch-stream line, every WAL record and every snapshot is encoded
 // here, and so is every spec and batch request body the typed client
-// sends (AppendSpec, AppendBatchRequest); the client decodes every
-// response through
-// DecodeJob or DecodeJSON, and the submit handlers decode the
-// client's request bodies through decodeCanonical.
+// sends (AppendSpec, AppendBatchRequest). The client decodes every
+// response through DecodeJob or DecodeJSON, and the submit handlers
+// decode its request bodies through decodeCanonical.
 //
 // The encoder allocates nothing and writes exactly the bytes
 // encoding/json writes for the same value: field order, omitempty and
