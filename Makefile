@@ -46,15 +46,13 @@ race-recovery:
 BENCH = BENCH_DIR=$(CURDIR)
 
 ## bench: the S_8 engine record (BENCH_engine.json) from
-## TestEngineBenchRecord — closure path, replay path with its
-## GOMAXPROCS 1→8 scaling curve, replay vs closure per sweep, and
-## five single-sweep replays — with parity asserted at every point.
-## Gates: parallel replay ≥ 1.5x sequential replay at 4 procs; plan
-## replay no slower than closure per sweep; the regression rule
-## against the committed record (fails only when the fresh sweeps/s
-## interval lies wholly below 0.5 × the committed one). Then one pass
-## over every benchmark. The executors' parity on generated schedules
-## is FuzzExecutorsAgree's job (fuzz-short).
+## TestEngineBenchRecord — closure path, replay vs closure per sweep,
+## and five single-sweep replays — with parity asserted at every
+## point. Gates: plan replay no slower than closure per sweep; the
+## regression rule against the committed record (fails only when the
+## fresh sweeps/s interval lies wholly below 0.5 × the committed
+## one). Then one pass over every benchmark. The route paths' parity
+## on generated schedules is FuzzExecutorsAgree's job (fuzz-short).
 bench:
 	$(BENCH) $(GO) test -v -run '^TestEngineBenchRecord$$' -count=1 .
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
@@ -116,10 +114,10 @@ perfbench-check:
 ## internal/workload the pooled-machine differential, which runs
 ## generated job sequences sharing one pool shape back to back on one
 ## reset resource, with plans on and off, and requires every result to
-## equal a standalone run; in the root package the executor
+## equal a standalone run; in the root package the route-path
 ## differential, which runs generated unit-route schedules on star,
-## mesh and hypercube machines under the closure, replay, parallel and
-## generic star paths and requires bit-identical results.
+## mesh and hypercube machines along the closure, replay and generic
+## star paths and requires bit-identical results.
 ## Minimization is capped at 100 runs per input: the latency window
 ## target's inputs run to 10 kB, and minimizing each new interesting
 ## one for the default 60s would eat the whole budget. A failing input

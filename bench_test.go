@@ -14,7 +14,6 @@ import (
 	"io/fs"
 	"math/rand"
 	"os"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -163,13 +162,13 @@ func BenchmarkRankUnrank(b *testing.B) {
 func BenchmarkMultiDimShear(b *testing.B) { benchExperiment(b, "mdshear") }
 func BenchmarkUtilization(b *testing.B)   { benchExperiment(b, "utilization") }
 
-// --- Execution engine: parallel sharded executor & route cache ----
+// --- Execution engine: route cache and plan replay ----------------
 //
 // The S_8 workload (40,320 PEs) that BENCH_engine.json records: a
 // full mesh-unit-route sweep, every dimension and direction, under
 // (a) the pre-engine baseline (route cache disabled — the original
-// closure-per-PE role tests), (b) the engine's sequential executor,
-// (c) the sharded parallel executor, and plan replay on either.
+// closure-per-PE role tests), (b) closure resolution through the
+// route cache, and (c) plan replay.
 
 const engineBenchN = 8
 
@@ -193,33 +192,11 @@ func BenchmarkEngineSweepS8Sequential(b *testing.B) {
 	}
 }
 
-func BenchmarkEngineSweepS8Parallel(b *testing.B) {
-	m := starsim.New(engineBenchN, simd.WithExecutor(simd.Parallel(0)), simd.WithPlans(false))
-	defer m.Close()
-	workload.EngineSweep(m)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		workload.EngineSweep(m)
-	}
-}
-
 // Plan replay on the same sweep: the route schedule is compiled on
 // the warm-up pass and replayed as dense delivery tables afterwards.
 func BenchmarkEngineSweepS8Replay(b *testing.B) {
 	m := starsim.New(engineBenchN)
 	workload.EngineSweep(m) // records the plans
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		workload.EngineSweep(m)
-	}
-}
-
-func BenchmarkEngineSweepS8ReplayParallel(b *testing.B) {
-	m := starsim.New(engineBenchN, simd.WithExecutor(simd.Parallel(0)))
-	defer m.Close()
-	workload.EngineSweep(m)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -237,46 +214,25 @@ func BenchmarkEngineBatch(b *testing.B) {
 	}
 }
 
-// Parallel execution on a multi-worker batch: each scenario machine
-// runs the sharded executor with two workers parked on its persistent
-// pool.
-func BenchmarkEngineBatchPool(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res := workload.RunBatch(context.Background(), workload.StandardBatch(5, 42, simd.WithExecutor(simd.Parallel(2))), 0)
-		if len(res.Errors) != 0 {
-			b.Fatalf("batch errors: %v", res.Errors)
-		}
-	}
-}
-
-func BenchmarkEngineExperiment(b *testing.B) { benchExperiment(b, "engine") }
-
 // engineRecord is the schema of BENCH_engine.json, the one S_8
 // engine record: the mesh-route sweep under the closure path
-// (baseline, sequential, parallel), the replay path with its
-// GOMAXPROCS scaling curve, replay against closure per sweep, and the
-// repeated single-sweep replays the regression gate compares.
+// (generic baseline and route cache), replay against closure per
+// sweep, and the repeated single-sweep replays the regression gate
+// compares.
 type engineRecord struct {
 	exptab.Header
 	N    int `json:"n"`
 	PEs  int `json:"pes"`
 	Reps int `json:"reps"`
 
-	// Closure path (plans off): the route cache and executors alone.
-	BaselineNs      int64   `json:"baseline_generic_ns"`
-	SequentialNs    int64   `json:"sequential_ns"`
-	ParallelNs      int64   `json:"parallel_ns"`
-	SpeedupEngine   float64 `json:"speedup_engine_vs_baseline"`
-	SpeedupParallel float64 `json:"speedup_parallel_vs_sequential"`
+	// Closure path (plans off): the route cache alone.
+	BaselineNs    int64   `json:"baseline_generic_ns"`
+	SequentialNs  int64   `json:"sequential_ns"`
+	SpeedupEngine float64 `json:"speedup_engine_vs_baseline"`
 
-	// Replay path (plans on, the production path), swept over
-	// GOMAXPROCS 1→8 on the parallel executor.
-	ReplaySequentialNs int64          `json:"replay_sequential_ns"`
-	ReplayScaling      []scalingPoint `json:"replay_scaling"`
-
-	// Compiled plans: the per-sweep time of sequential replay against
-	// the same sweep resolved through closures, and the plans cached.
+	// Compiled plans (the production path): the per-sweep time of
+	// replay against the same sweep resolved through closures, and
+	// the plans cached.
 	ClosureSweepNs int64   `json:"closure_sweep_ns"`
 	ReplaySweepNs  int64   `json:"replay_sweep_ns"`
 	SpeedupReplay  float64 `json:"speedup_replay_vs_closure"`
@@ -291,27 +247,14 @@ type engineRecord struct {
 	Batch *workload.BatchResult `json:"batch"`
 }
 
-// scalingPoint is one point of the replay scaling curve: the sweep
-// under the parallel executor at Procs procs, and its speedup over
-// sequential replay.
-type scalingPoint struct {
-	Procs    int     `json:"procs"`
-	ReplayNs int64   `json:"replay_ns"`
-	Speedup  float64 `json:"speedup_vs_sequential"`
-}
-
 // TestEngineBenchRecord is the one S_8 engine harness. It measures
-// the sweep under the three closure-path execution modes, the replay
-// path's GOMAXPROCS 1→8 scaling curve and five single-sweep replays,
-// asserts the determinism contract at every point (closure ≡ parallel
-// ≡ generic baseline ≡ replay), and emits BENCH_engine.json. With
-// BENCH_DIR set (the Makefile's bench target) it writes the record
-// there and then enforces three gates; unset, it writes nothing and a
-// missed gate is logged as a warning:
+// the sweep under the two closure-path modes, plan replay and five
+// single-sweep replays, asserts the determinism contract at every
+// point (route cache ≡ generic baseline ≡ replay), and emits
+// BENCH_engine.json. With BENCH_DIR set (the Makefile's bench target)
+// it writes the record there and then enforces two gates; unset, it
+// writes nothing and a missed gate is logged as a warning:
 //
-//   - parallel replay ≥ 1.5x sequential replay at 4 procs, on hosts
-//     with at least 4 CPUs (GOMAXPROCS above the core count only
-//     time-slices, so smaller hosts skip it);
 //   - plan replay no slower than closure resolution per sweep;
 //   - the interval regression rule against the committed
 //     BENCH_engine.json, read before anything is written.
@@ -366,59 +309,26 @@ func TestEngineBenchRecord(t *testing.T) {
 		return best, stats, sum
 	}
 
-	// Closure path (plans off): the engine's route-cache and executor
-	// costs in isolation.
+	// Closure path (plans off): the route cache's cost in isolation.
 	base := starsim.New(engineBenchN, simd.WithPlans(false))
 	base.SetRouteCache(false)
 	baseTime, baseStats, baseSum := measure(base, reps)
 	seqTime, seqStats, seqSum := measure(starsim.New(engineBenchN, simd.WithPlans(false)), reps)
-	par := starsim.New(engineBenchN, simd.WithExecutor(simd.Parallel(0)), simd.WithPlans(false))
-	defer par.Close()
-	parTime, parStats, parSum := measure(par, reps)
 
-	if seqStats != parStats || seqSum != parSum {
-		t.Fatalf("parallel executor diverged from sequential on S_%d:\nseq %+v sum %d\npar %+v sum %d",
-			engineBenchN, seqStats, seqSum, parStats, parSum)
-	}
 	if seqStats != baseStats || seqSum != baseSum {
 		t.Fatalf("route cache diverged from the generic baseline on S_%d:\nbase %+v sum %d\nseq %+v sum %d",
 			engineBenchN, baseStats, baseSum, seqStats, seqSum)
 	}
 
-	// Replay path (plans on — the production path): sequential replay
-	// as the scaling reference, then the parallel executor swept
-	// GOMAXPROCS 1→8 on one warmed machine. Parallel(0) resolves its
-	// worker count per route, so mutating GOMAXPROCS between points
-	// reuses the same machine, plans and banks. More reps than the
-	// closure path: replay is ~10x faster per sweep, so extra reps buy
-	// noise reduction cheaply.
-	const scalingMaxProcs = 8
-	const scalingReps = 8
-	replaySeqTime, replaySeqStats, replaySeqSum := measure(starsim.New(engineBenchN), scalingReps)
-	if replaySeqStats != seqStats || replaySeqSum != seqSum {
+	// Replay path (plans on — the production path). More reps than
+	// the closure path: replay is ~10x faster per sweep, so extra reps
+	// buy noise reduction cheaply.
+	const replayReps = 8
+	replayTime, replayStats, replaySum := measure(starsim.New(engineBenchN), replayReps)
+	if replayStats != seqStats || replaySum != seqSum {
 		t.Fatalf("plan replay diverged from closure resolution on S_%d:\nclosure %+v sum %d\nreplay  %+v sum %d",
-			engineBenchN, seqStats, seqSum, replaySeqStats, replaySeqSum)
+			engineBenchN, seqStats, seqSum, replayStats, replaySum)
 	}
-	prevProcs := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prevProcs)
-	parReplay := starsim.New(engineBenchN, simd.WithExecutor(simd.Parallel(0)))
-	defer parReplay.Close()
-	curve := make([]scalingPoint, 0, scalingMaxProcs)
-	for procs := 1; procs <= scalingMaxProcs; procs++ {
-		runtime.GOMAXPROCS(procs)
-		ptTime, ptStats, ptSum := measure(parReplay, scalingReps)
-		if ptStats != replaySeqStats || ptSum != replaySeqSum {
-			t.Fatalf("parallel replay diverged from sequential replay on S_%d at %d procs:\nseq %+v sum %d\npar %+v sum %d",
-				engineBenchN, procs, replaySeqStats, replaySeqSum, ptStats, ptSum)
-		}
-		curve = append(curve, scalingPoint{
-			Procs:    procs,
-			ReplayNs: ptTime.Nanoseconds(),
-			Speedup:  float64(replaySeqTime) / float64(ptTime),
-		})
-	}
-	runtime.GOMAXPROCS(prevProcs)
-	speedupAt4 := curve[3].Speedup
 
 	batch := workload.RunBatch(context.Background(), workload.StandardBatch(5, 42, simd.WithPlans(false)), 0)
 	if len(batch.Errors) != 0 {
@@ -426,36 +336,31 @@ func TestEngineBenchRecord(t *testing.T) {
 	}
 
 	closureSweep := seqTime / reps
-	replaySweep := replaySeqTime / scalingReps
+	replaySweep := replayTime / replayReps
 	interval := exptab.NewInterval(sampleNs)
 	rec := engineRecord{
-		Header:             exptab.Header{Benchmark: fmt.Sprintf("engine-S%d-mesh-route-sweep", engineBenchN)},
-		N:                  engineBenchN,
-		PEs:                int(perm.Factorial(engineBenchN)),
-		Reps:               reps,
-		BaselineNs:         baseTime.Nanoseconds(),
-		SequentialNs:       seqTime.Nanoseconds(),
-		ParallelNs:         parTime.Nanoseconds(),
-		SpeedupEngine:      float64(baseTime) / float64(seqTime),
-		SpeedupParallel:    speedupAt4,
-		ReplaySequentialNs: replaySeqTime.Nanoseconds(),
-		ReplayScaling:      curve,
-		ClosureSweepNs:     closureSweep.Nanoseconds(),
-		ReplaySweepNs:      replaySweep.Nanoseconds(),
-		SpeedupReplay:      float64(closureSweep) / float64(replaySweep),
-		PlansCached:        simd.SharedPlans.Len(),
-		SamplesNs:          sampleNs,
-		SweepNs:            interval,
-		SweepsPS:           interval.Throughput(),
-		Batch:              &batch,
+		Header:         exptab.Header{Benchmark: fmt.Sprintf("engine-S%d-mesh-route-sweep", engineBenchN)},
+		N:              engineBenchN,
+		PEs:            int(perm.Factorial(engineBenchN)),
+		Reps:           reps,
+		BaselineNs:     baseTime.Nanoseconds(),
+		SequentialNs:   seqTime.Nanoseconds(),
+		SpeedupEngine:  float64(baseTime) / float64(seqTime),
+		ClosureSweepNs: closureSweep.Nanoseconds(),
+		ReplaySweepNs:  replaySweep.Nanoseconds(),
+		SpeedupReplay:  float64(closureSweep) / float64(replaySweep),
+		PlansCached:    simd.SharedPlans.Len(),
+		SamplesNs:      sampleNs,
+		SweepNs:        interval,
+		SweepsPS:       interval.Throughput(),
+		Batch:          &batch,
 	}
 	path, err := exptab.WriteRecord("BENCH_engine.json", &rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(&log, "S_%d sweep ×%d: baseline %v, sequential %v (%.2fx), parallel %v; replay ×%d: sequential %v, 4-proc %.2fx (%d host CPUs)\n",
-		engineBenchN, reps, baseTime, seqTime, rec.SpeedupEngine, parTime,
-		scalingReps, replaySeqTime, speedupAt4, runtime.NumCPU())
+	fmt.Fprintf(&log, "S_%d sweep ×%d: baseline %v, route cache %v (%.2fx); replay ×%d: %v\n",
+		engineBenchN, reps, baseTime, seqTime, rec.SpeedupEngine, replayReps, replayTime)
 	fmt.Fprintf(&log, "per sweep: closure %v, replay %v (%.2fx); %d plans cached\n",
 		closureSweep, replaySweep, rec.SpeedupReplay, rec.PlansCached)
 	fmt.Fprintf(&log, "regression samples %v: sweeps/s [%.1f, %.1f, %.1f]\n",
@@ -465,13 +370,6 @@ func TestEngineBenchRecord(t *testing.T) {
 	}
 
 	var gates []error
-	if cpus := runtime.NumCPU(); cpus < 4 {
-		fmt.Fprintf(&log, "4-proc speedup gate skipped: it needs 4 CPUs, this host has %d\n", cpus)
-	} else {
-		gates = append(gates, exptab.Gate(&log, speedupAt4 >= 1.5,
-			"parallel replay at 4 procs is %.2fx sequential, below the 1.5x gate (sequential %v, 4-proc %v)",
-			speedupAt4, replaySeqTime, time.Duration(curve[3].ReplayNs)))
-	}
 	gates = append(gates, exptab.Gate(&log, replaySweep <= closureSweep,
 		"plan replay slower than closure resolution on the S_%d sweep: replay %v, closure %v per sweep",
 		engineBenchN, replaySweep, closureSweep))
@@ -483,9 +381,8 @@ func TestEngineBenchRecord(t *testing.T) {
 	t.Log(strings.TrimSpace(log.String()))
 	if path != "" {
 		exptab.StepSummary("### Engine bench (S_%d)\n"+
-			"engine speedup %.2fx vs baseline · parallel replay at 4 procs %.2fx (gate ≥ 1.5x, %d host CPUs) · "+
-			"replay %.2fx vs closure · sweeps/s %.1f / %.1f / %.1f — %s",
-			engineBenchN, rec.SpeedupEngine, speedupAt4, rec.HostCPUs, rec.SpeedupReplay,
+			"engine speedup %.2fx vs baseline · replay %.2fx vs closure · sweeps/s %.1f / %.1f / %.1f — %s",
+			engineBenchN, rec.SpeedupEngine, rec.SpeedupReplay,
 			rec.SweepsPS.Min, rec.SweepsPS.Median, rec.SweepsPS.Max, verdict)
 	}
 	if err := errors.Join(gates...); err != nil {

@@ -21,17 +21,11 @@
 //     routing, diameter and broadcast, and
 //   - SIMD machine simulators for both the mesh and the star
 //     (NewMeshMachine, NewStarMachine) that count unit routes, the
-//     paper's complexity measure, and
-//   - engine options (SequentialEngine, ParallelEngine) selecting
-//     the execution strategy of every machine: the parallel engine
-//     shards each unit route across a persistent per-machine worker
-//     pool and merges per-shard results deterministically, so its
-//     Stats, register contents and conflict diagnostics are
-//     bit-identical to the sequential reference. Register state
-//     lives in flat cache-line-aligned banks whose slices stay
-//     stable across growth and Reset, so parallel shards partition
-//     the PE range without false sharing and hot loops hoist
-//     register slices once (docs/architecture.md walks the layers).
+//     paper's complexity measure. Each unit route is one pass over
+//     the senders in ascending PE order, first message wins. Register
+//     state lives in flat cache-line-aligned banks whose slices stay
+//     stable across growth and Reset, so hot loops hoist register
+//     slices once (docs/architecture.md walks the layers).
 //
 // # Plans
 //
@@ -48,9 +42,6 @@
 // recordable schedule consists of unit routes whose port/mask
 // functions depend only on the topology; schedules that run
 // Set/Apply while recording are marked impure and never replayed.
-// Machines running a parallel engine own a lazily started worker
-// pool reused across routes — release it with Close when a machine
-// is done (garbage collection also reclaims it).
 //
 // # Scenario registry
 //
@@ -107,12 +98,11 @@
 // (`make bench-serve` regenerates it).
 //
 // See README.md for the system inventory; cmd/experiments
-// regenerates every figure and table of the paper (the engine and
-// plans experiments assert that the parallel executor and plan replay
-// are bit-identical to the sequential closure reference).
-// BENCH_engine.json records the engine's measured performance on an
-// S_8 workload (the closure and replay paths, the replay path's
-// GOMAXPROCS scaling curve and the repeated sweeps the regression gate
-// compares); `make bench` regenerates it, and docs/benchmarks.md
-// documents every record's schema and CI gate.
+// regenerates every figure and table of the paper (the plans
+// experiment asserts that plan replay is bit-identical to closure
+// resolution). BENCH_engine.json records the engine's measured
+// performance on an S_8 workload (the closure and replay paths and
+// the repeated sweeps the regression gate compares); `make bench`
+// regenerates it, and docs/benchmarks.md documents every record's
+// schema and CI gate.
 package starmesh

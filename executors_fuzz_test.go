@@ -1,8 +1,9 @@
-// Differential fuzzing of the SIMD executors. The paper's cost
-// measure is the unit-route count, and every executor and plan
-// setting must reproduce it bit for bit, so one generated schedule
-// run under each of them must leave the same Stats, PortUses and
-// registers behind.
+// Differential fuzzing of the SIMD machines' route paths. The
+// paper's cost measure is the unit-route count, and closure
+// resolution, plan replay and the star machine's generic role tests
+// must reproduce it bit for bit, so one generated schedule run along
+// each of them must leave the same Stats, PortUses and registers
+// behind.
 package starmesh_test
 
 import (
@@ -20,24 +21,21 @@ import (
 
 // FuzzExecutorsAgree decodes a unit-route schedule on a star (S_4 …
 // S_7), mesh (up to 4096 PEs, 1 to 3 dimensions) or hypercube (up to
-// Q_12) machine and runs it five ways: the closure path (plans off)
-// and plan replay, each on the sequential and on the parallel
-// executor, and — on the star machine — the generic role-test path
-// that bypasses the Lemma-3 route tables (SetRouteCache(false)). A
-// replay variant runs the schedule twice with a Reset between and
-// keeps the second run, which replays every step the first one
-// recorded. Every variant must match the sequential closure run
-// exactly. The largest machines route past 2048 deliveries per step,
-// so the parallel executor's sharded delivery and replay paths run
-// too.
+// Q_12) machine and runs it along three paths: closure resolution
+// (plans off), plan replay, and — on the star machine — the generic
+// role-test path that bypasses the Lemma-3 route tables
+// (SetRouteCache(false)). The replay run executes the schedule twice
+// with a Reset between and keeps the second run, which replays every
+// step the first one recorded. Every path must match the closure run
+// exactly.
 //
-// Input layout: family (star, mesh, hypercube), parallel workers
-// (2–4), the machine's shape (star n, hypercube dimension, or mesh
-// dimension count and two bytes per side), two bytes of register
-// seed, then six bytes per step: kind, source and destination
-// register (they may alias), dimension or port, direction, and a byte
-// that sets a compare-exchange's phase and mask and salts the step's
-// pure pseudo-random ports, mask or broadcast source.
+// Input layout: family (star, mesh, hypercube), the machine's shape
+// (star n, hypercube dimension, or mesh dimension count and two bytes
+// per side), two bytes of register seed, then six bytes per step:
+// kind, source and destination register (they may alias), dimension
+// or port, direction, and a byte that sets a compare-exchange's phase
+// and mask and salts the step's pure pseudo-random ports, mask or
+// broadcast source.
 func FuzzExecutorsAgree(f *testing.F) {
 	for _, seed := range executorSeeds() {
 		f.Add(seed)
@@ -45,12 +43,9 @@ func FuzzExecutorsAgree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := decodeSchedule(data)
 		cache := simd.NewPlanCache()
-		par := simd.WithExecutor(simd.Parallel(s.workers))
 		variants := []execVariant{
 			{name: "closure", opts: []simd.Option{simd.WithPlans(false)}},
-			{name: "parallel closure", opts: []simd.Option{simd.WithPlans(false), par}},
 			{name: "replay", opts: []simd.Option{simd.WithPlans(true)}, replay: true},
-			{name: "parallel replay", opts: []simd.Option{simd.WithPlans(true), par}, replay: true},
 		}
 		if s.family == familyStar {
 			variants = append(variants, execVariant{name: "generic", opts: []simd.Option{simd.WithPlans(false)}, generic: true})
@@ -59,7 +54,7 @@ func FuzzExecutorsAgree(f *testing.F) {
 		for _, v := range variants[1:] {
 			got := s.run(cache, v)
 			if diff := got.diff(ref); diff != "" {
-				t.Fatalf("%s: %s run diverged from the sequential closure run: %s", s, v.name, diff)
+				t.Fatalf("%s: %s run diverged from the closure run: %s", s, v.name, diff)
 			}
 		}
 	})
@@ -78,12 +73,12 @@ func executorSeeds() [][]byte {
 		}
 		return b
 	}
-	header := func(family, workers byte, shape ...byte) []byte {
-		return append([]byte{family, workers}, append(shape, 0x5a, 0xc3)...)
+	header := func(family byte, shape ...byte) []byte {
+		return append([]byte{family}, append(shape, 0x5a, 0xc3)...)
 	}
 	var seeds [][]byte
 	for n := byte(0); n < 4; n++ {
-		seeds = append(seeds, append(header(familyStar, n, n), steps(starKinds)...))
+		seeds = append(seeds, append(header(familyStar, n), steps(starKinds)...))
 	}
 	for _, shape := range [][]byte{
 		{0, 0x0f, 0xfe},          // a line of 4096
@@ -91,10 +86,10 @@ func executorSeeds() [][]byte {
 		{2, 0, 14, 0, 14, 0, 14}, // 16 x 16 x 16
 		{1, 0, 1, 0, 3},          // 3 x 5
 	} {
-		seeds = append(seeds, append(header(familyMesh, 1, shape...), steps(meshKinds)...))
+		seeds = append(seeds, append(header(familyMesh, shape...), steps(meshKinds)...))
 	}
 	for _, d := range []byte{2, 11} {
-		seeds = append(seeds, append(header(familyCube, 2, d), steps(cubeKinds)...))
+		seeds = append(seeds, append(header(familyCube, d), steps(cubeKinds)...))
 	}
 	return seeds
 }
@@ -121,12 +116,11 @@ var fuzzRegs = [...]string{"A", "B", "C"}
 
 // schedule is a decoded fuzz input.
 type schedule struct {
-	family  int
-	n       int   // star S_n or hypercube Q_n
-	sides   []int // mesh
-	workers int
-	seed    uint64
-	steps   []step
+	family int
+	n      int   // star S_n or hypercube Q_n
+	sides  []int // mesh
+	seed   uint64
+	steps  []step
 }
 
 // step is one schedule step. dim selects the dimension, port or bit;
@@ -155,7 +149,7 @@ func (r *byteReader) next() int {
 
 func decodeSchedule(data []byte) schedule {
 	r := byteReader(data)
-	s := schedule{family: r.next() % 3, workers: 2 + r.next()%3}
+	s := schedule{family: r.next() % 3}
 	kinds := starKinds
 	switch s.family {
 	case familyStar:
@@ -192,7 +186,7 @@ func (s schedule) String() string {
 	}
 }
 
-// execVariant is one way to run a schedule.
+// execVariant is one path to run a schedule along.
 type execVariant struct {
 	name    string
 	opts    []simd.Option
@@ -204,7 +198,6 @@ type execVariant struct {
 // returns the state the (last) run left.
 func (s schedule) run(cache *simd.PlanCache, v execVariant) runResult {
 	m, do := s.machine(cache, v)
-	defer m.Close()
 	runs := 1
 	if v.replay {
 		runs = 2

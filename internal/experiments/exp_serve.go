@@ -51,7 +51,7 @@ func serveSpecs() []serve.JobSpec {
 // of pooled throughput, or the observability layer more than 5% of
 // bare throughput; a /v1/metrics exposition that fails validation
 // fails it regardless. Every mode builds its job machines with the
-// simd defaults (sequential executor, plans on).
+// simd defaults (plans on).
 func ServeLoad(w io.Writer) error {
 	svcCfg := serve.Config{Workers: 0, Queue: 32}
 	load := loadgen.LoadConfig{

@@ -40,7 +40,6 @@ func All() []exptab.Experiment {
 		{ID: "mdshear", Name: "Section 5: naive d-dimensional shearsort (conjecture test)", Run: MultiDimShear},
 		{ID: "virtual", Name: "Extension: D_{n+1} on S_n via processor virtualization", Run: Virtualization},
 		{ID: "utilization", Name: "Extension: generator utilization under embedded-mesh traffic", Run: Utilization},
-		{ID: "engine", Name: "Infrastructure: parallel execution engine parity and speedup", Run: EngineParity},
 		{ID: "plans", Name: "Infrastructure: compiled route plans parity and speedup", Run: PlansParity},
 		{ID: "serve", Name: "Infrastructure: job service load, pooled vs build-per-job", Run: ServeLoad},
 		{ID: "scenarios", Name: "Infrastructure: scenario registry smoke, one demo run per family", Run: ScenarioSmoke},

@@ -84,10 +84,9 @@ func (c Config) withDefaults() Config {
 func (c Config) Effective() Config { return c.withDefaults() }
 
 // EngineOptions returns the simd options every job machine is built
-// with: none, so the simd defaults hold (the sequential executor,
-// compiled route plans on). The load harness builds its standalone
-// parity references with exactly these options. The error is always
-// nil.
+// with: none, so the simd defaults hold (compiled route plans on).
+// The load harness builds its standalone parity references with
+// exactly these options. The error is always nil.
 func (c Config) EngineOptions() ([]simd.Option, error) { return nil, nil }
 
 // Service is a running simulation job service.

@@ -208,8 +208,7 @@ func TestConfigEffectiveAndEngineOptions(t *testing.T) {
 	if eff.Workers <= 0 || eff.Queue != 64 || eff.DrainGrace != 5*time.Second {
 		t.Fatalf("effective defaults wrong: %+v", eff)
 	}
-	// Job machines take the simd defaults: the sequential executor
-	// with compiled route plans on.
+	// Job machines take the simd defaults: compiled route plans on.
 	if opts, err := (Config{}).EngineOptions(); err != nil || len(opts) != 0 {
 		t.Fatalf("engine options: %v %v; want none", opts, err)
 	}

@@ -7,8 +7,7 @@
 //
 //   - one slot per register, stride = PE count rounded up to a whole
 //     number of 64-byte cache lines, so no two registers ever share a
-//     line and sharded writers on aligned PE ranges never false-share
-//     across a register boundary;
+//     line;
 //   - slots are handed out as three-index subslices (cap == len), so
 //     an accidental append can never bleed into the neighboring slot;
 //   - arenas are chunked, never reallocated: registers declared after
@@ -30,7 +29,7 @@ import "unsafe"
 const (
 	cacheLineBytes = 64
 	// cacheLineWords is the number of int64 register words per cache
-	// line — the alignment quantum of slots and shard boundaries.
+	// line — the alignment quantum of slots.
 	cacheLineWords = cacheLineBytes / 8
 	// bankChunkRegs is how many register slots one arena chunk holds;
 	// machines declaring more registers grow by whole chunks.

@@ -122,88 +122,3 @@ func TestBankResetPreservesCapacity(t *testing.T) {
 		}
 	}
 }
-
-// TestShardedRoutePostPanicClear: a parallel route that panics leaves
-// the touched scratch dirty mid-flight; the next sharded route must
-// detect this (touchedClean == false) and full-clear before resolving
-// conflicts, or stale marks would fabricate receive conflicts. The
-// machine is big enough that the route takes the sharded delivery
-// path (n > parDeliverMin).
-func TestShardedRoutePostPanicClear(t *testing.T) {
-	const n = 3 * parDeliverMin
-	m := New(ring{n}, WithExecutor(Parallel(4)))
-	defer m.Close()
-	m.AddReg("A")
-	m.AddReg("B")
-	m.Set("A", func(pe int) int64 { return int64(pe) })
-
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("poisoned route did not panic")
-			}
-		}()
-		m.RouteB("A", "B", func(pe int) int {
-			if pe == n/2 {
-				panic("poisoned port function")
-			}
-			return 0
-		})
-	}()
-
-	// Full ring shift: exactly n messages, zero conflicts — any stale
-	// touched mark from the panicked route would surface here as a
-	// phantom conflict (first-message-wins drops the delivery).
-	if c := m.RouteA("A", "B", 0, nil); c != 0 {
-		t.Fatalf("route after panic reported %d phantom conflicts", c)
-	}
-	for pe := 0; pe < n; pe++ {
-		want := int64((pe - 1 + n) % n)
-		if got := m.Reg("B")[pe]; got != want {
-			t.Fatalf("post-panic route delivered B[%d] = %d, want %d", pe, got, want)
-		}
-	}
-}
-
-// TestShardedReplayLargeStepParity drives the sharded replay path
-// (pair count above parReplayMin) with enough procs that the aligned
-// shard boundaries actually split the table, and checks bit-identical
-// results against sequential replay — including after a Reset, which
-// must leave bound plans intact.
-func TestShardedReplayLargeStepParity(t *testing.T) {
-	const n = 3 * parReplayMin
-	topo := keyedRing{ring{n}}
-
-	rec := New(topo)
-	rec.AddReg("A")
-	rec.AddReg("B")
-	plan := rec.Record(func() {
-		rec.RouteA("A", "B", 0, nil)
-		rec.RouteA("B", "A", 1, nil) // reverse shift, distinct src/dst pattern
-	})
-
-	run := func(m *Machine) ([]int64, []int64, Stats) {
-		m.EnsureReg("A")
-		m.Set("A", func(pe int) int64 { return int64(pe*7 + 3) })
-		m.Replay(plan)
-		m.Reset()
-		m.Set("A", func(pe int) int64 { return int64(pe * 11) })
-		m.Replay(plan)
-		return m.Reg("A"), m.Reg("B"), m.Stats()
-	}
-
-	seqA, seqB, seqStats := run(New(topo))
-	par := New(topo, WithExecutor(Parallel(4)))
-	defer par.Close()
-	parA, parB, parStats := run(par)
-
-	if seqStats != parStats {
-		t.Fatalf("sharded replay stats diverged:\nseq %+v\npar %+v", seqStats, parStats)
-	}
-	for pe := 0; pe < n; pe++ {
-		if seqA[pe] != parA[pe] || seqB[pe] != parB[pe] {
-			t.Fatalf("sharded replay diverged at PE %d: seq (%d, %d) par (%d, %d)",
-				pe, seqA[pe], seqB[pe], parA[pe], parB[pe])
-		}
-	}
-}

@@ -17,7 +17,7 @@
 // the same unit route), which Lemma 5 proves never happen for the
 // embedding's unit-route schedule.
 //
-// The package is organized in four layers; docs/architecture.md at
+// The package is organized in three layers; docs/architecture.md at
 // the repository root walks the full stack from here up to the HTTP
 // service.
 //
@@ -46,28 +46,26 @@
 //   - Cheap Reset. Zeroing is a linear clear() per chunk — one memset
 //     pass over the arena, not a pointer chase over a map.
 //
-// # Executors (engine.go, pool.go)
+// # Unit routes and per-PE instructions (simd.go)
 //
-// An Executor carries out the per-PE work: Sequential() is the
-// reference (one ascending pass, the semantic ground truth);
-// Parallel(w) shards the PE range over a persistent per-machine
-// worker pool. The parallel route keeps its conflict scan sequential in
-// ascending sender order — exactly the sequential executor's order —
-// so first-message-wins delivery, Stats, PortUses, register contents
-// and conflict diagnostics are bit-identical to Sequential() for pure
-// per-PE functions. Winning deliveries land in destination-range
-// buckets (the sharded dirty list): each delivery shard owns a
-// contiguous, cache-line-aligned slice of the destination space, so
-// concurrent writers never false-share the destination register or
-// the touched scratch.
+// A unit route is one pass over the senders in ascending PE order
+// (Machine.deliver): each sender's port resolves to a receiver, the
+// first message to a receiver wins and every later one counts as a
+// receive conflict, and winners are staged in the inbox before any
+// destination is written, so a route whose source and destination
+// registers alias behaves as a simultaneous shift. Only the
+// receivers a route touched are reset afterwards; a route that
+// panics mid-pass leaves the scratch marked dirty, and the next
+// route clears it in full. Set, SetMasked and Apply run their
+// function once per PE in the same ascending order.
 //
 // # Plans: record once, replay as a permutation (plan.go)
 //
 // Workloads repeat the same unit-route schedule thousands of times.
 // Record captures a schedule's routes into planSteps; Replay
 // re-executes them without closure dispatch, Neighbor calls or map
-// lookups. A compiled step is a permutation-apply table: parallel
-// arrays tos/froms sorted by ascending destination (legal because
+// lookups. A compiled step is a permutation-apply table: the arrays
+// tos/froms sorted by ascending destination (legal because
 // destinations are distinct within a step — conflicts were resolved
 // at record time), so the replay inner loop
 //
@@ -79,16 +77,13 @@
 // handful of copy() calls — near-memcpy. Plans bind to a machine
 // once (bindPlan), resolving register names to bank handles; the
 // bank's stability invariant is what keeps those handles valid
-// forever after. Parallel replay splits the pair range on
-// destination-cache-line-aligned boundaries, so shards never
-// false-share, and reuses the same pool as routes.
+// forever after.
 //
 // Replay invariants, enforced by the parity tests:
 //
 //   - A recorded run and every replay of it are bit-identical: same
 //     registers, Stats, PortUses and conflict counts (recording
 //     executes through the same execStep code replay uses).
-//   - Sequential and parallel replay are bit-identical.
 //   - Replays read every source before writing any destination
 //     (aliased src/dst steps stage through the inbox).
 //   - Only pure schedules replay: Set/SetMasked/Apply during a

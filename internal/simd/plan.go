@@ -55,14 +55,13 @@ type PlanKeyer interface{ PlanKey() string }
 // planStep is one compiled unit route, stored as a permutation-apply
 // table: dst[tos[i]] := src[froms[i]] for every i. Only the winning
 // deliveries are kept (first message wins, resolved in ascending
-// sender order exactly like the sequential executor); conflicting and
-// silent senders are folded into the precomputed counters. After
-// recording, the table is sorted by ascending destination — legal
-// because destinations are distinct within a step — so replay writes
-// stream through the destination register in address order, and
-// parallel shards split on cache-line-aligned destination boundaries
-// that can never false-share. ports is carried per delivery only for
-// Validate and diagnostics; the hot loop never reads it.
+// sender order exactly like Machine.deliver); conflicting and silent
+// senders are folded into the precomputed counters. After recording,
+// the table is sorted by ascending destination — legal because
+// destinations are distinct within a step — so replay writes stream
+// through the destination register in address order. ports is
+// carried per delivery only for Validate and diagnostics; the hot
+// loop never reads it.
 type planStep struct {
 	src, dst  int // indices into Plan.regs
 	modelA    bool
@@ -75,20 +74,13 @@ type planStep struct {
 	// runs where both to and from advance by +1 compile to copy()
 	// calls (near-memcpy, no per-element bounds checks). It is non-nil
 	// only when the step is "blocky" enough for the copy path to win.
-	// segStarts[j] is the pair index where segs[j] begins, with a final
-	// entry equal to pairCount(), so shards can split a step at pair
-	// granularity and binary-search their way back to segs.
-	segs      []planSeg
-	segStarts []int32
-	uses      []int64 // per-port transmission counts
+	segs []planSeg
+	uses []int64 // per-port transmission counts
 }
 
 // planSeg is one contiguous run of a compiled step:
 // copy(dst[to:to+n], src[from:from+n]).
 type planSeg struct{ to, from, n int32 }
-
-// pairCount returns the number of winning deliveries of the step.
-func (st *planStep) pairCount() int { return len(st.tos) }
 
 // segMinAvgRun is the minimum average run length at which the
 // run-length copy path replaces the gather loop: below it, per-seg
@@ -117,13 +109,6 @@ func (st *planStep) finalize() {
 	}
 	if n/len(segs) >= segMinAvgRun {
 		st.segs = segs
-		st.segStarts = make([]int32, len(segs)+1)
-		at := int32(0)
-		for j, sg := range segs {
-			st.segStarts[j] = at
-			at += sg.n
-		}
-		st.segStarts[len(segs)] = at
 	}
 }
 
@@ -271,8 +256,8 @@ func (m *Machine) Record(schedule func()) *Plan {
 }
 
 // recordRoute resolves one unit route into a plan step (ascending
-// sender order, first message wins — the sequential executor's
-// semantics) and executes it through the same step code replay uses.
+// sender order, first message wins — Machine.deliver's semantics)
+// and executes it through the same step code replay uses.
 func (m *Machine) recordRoute(src, dst string, portOf PortFunc, modelA bool) int {
 	n := m.topo.Size()
 	st := planStep{
@@ -313,11 +298,11 @@ func (m *Machine) recordRoute(src, dst string, portOf PortFunc, modelA bool) int
 	return st.conflicts
 }
 
-// execStep applies one compiled step: delivery through the executor
-// plus every counter update. Shared by replay and the recording pass
-// itself, so a recorded run and its replays are bit-identical.
+// execStep applies one compiled step: the delivery plus every
+// counter update. Shared by replay and the recording pass itself, so
+// a recorded run and its replays are bit-identical.
 func (m *Machine) execStep(st *planStep, sr, dr []int64) {
-	m.exec.replayStep(m, st, sr, dr)
+	m.replayStep(st, sr, dr)
 	m.stats.UnitRoutes++
 	if st.modelA {
 		m.stats.ModelA++
@@ -331,6 +316,43 @@ func (m *Machine) execStep(st *planStep, sr, dr []int64) {
 			m.portUses[p] += u
 		}
 	}
+}
+
+// replayStep delivers one compiled plan step: dr[to] := sr[from] for
+// every pair, reads before writes when sr and dr alias. Counter
+// updates belong to execStep, not here.
+func (m *Machine) replayStep(st *planStep, sr, dr []int64) {
+	tos, froms := st.tos, st.froms
+	if aliased(sr, dr) {
+		// Reads precede writes: stage through the inbox, indexed by
+		// pair position (pairs never outnumber PEs).
+		inbox := m.inbox
+		for i, f := range froms {
+			inbox[i] = sr[f]
+		}
+		for i, t := range tos {
+			dr[t] = inbox[i]
+		}
+		return
+	}
+	if st.segs != nil {
+		// Run-length copy path: each seg is one memmove, no
+		// per-element bounds checks.
+		for _, sg := range st.segs {
+			copy(dr[sg.to:sg.to+sg.n], sr[sg.from:sg.from+sg.n])
+		}
+		return
+	}
+	// Gather loop over the destination-sorted permutation table: the
+	// writes stream through dr in address order.
+	for i, f := range froms {
+		dr[tos[i]] = sr[f]
+	}
+}
+
+// aliased reports whether two registers share backing storage.
+func aliased(a, b []int64) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
 // boundPlan holds a plan's register names resolved to this machine's

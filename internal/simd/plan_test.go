@@ -2,6 +2,7 @@ package simd
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -31,6 +32,27 @@ func routeProgram(m *Machine) []int {
 	return returns
 }
 
+// snapshot captures everything a run could get wrong.
+type snapshot struct {
+	Stats    Stats
+	PortUses []int64
+	Regs     map[string][]int64
+	Returns  []int // per-route conflict return values
+}
+
+func takeSnapshot(m *Machine, names []string, returns []int) snapshot {
+	regs := make(map[string][]int64)
+	for _, name := range names {
+		regs[name] = append([]int64(nil), m.Reg(name)...)
+	}
+	return snapshot{
+		Stats:    m.Stats(),
+		PortUses: m.PortUses(),
+		Regs:     regs,
+		Returns:  append([]int(nil), returns...),
+	}
+}
+
 func newPlanMachine(topo Topology, opts ...Option) *Machine {
 	m := New(topo, opts...)
 	m.AddReg("A")
@@ -57,35 +79,33 @@ func resetPlanMachine(m *Machine) {
 
 // TestReplayBitIdenticalToClosureExecution is the core determinism
 // contract: Stats, PortUses, registers and per-route conflict counts
-// of a replayed plan must equal closure-resolved sequential
-// execution, on every executor.
+// of a recording run and of a replayed plan must equal
+// closure-resolved execution.
 func TestReplayBitIdenticalToClosureExecution(t *testing.T) {
 	for _, topo := range []Topology{ring{n: 12}, ring{n: 1}, line{n: 9}, line{n: 30}, star4{n: 64}} {
-		ref := newPlanMachine(topo, WithExecutor(Sequential()))
+		ref := newPlanMachine(topo)
 		refReturns := routeProgram(ref)
 		want := takeSnapshot(ref, []string{"A", "B"}, refReturns)
 
-		for name, exec := range executorsUnderTest() {
-			rec := newPlanMachine(topo, WithExecutor(exec))
-			plan := rec.Record(func() { routeProgram(rec) })
-			if plan.Impure() {
-				t.Fatalf("%s on %T: route-only program recorded as impure", name, topo)
-			}
-			got := takeSnapshot(rec, []string{"A", "B"}, refReturns)
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("%s on %T: recording run diverged from closures\nwant %+v\ngot  %+v", name, topo, want, got)
-			}
+		rec := newPlanMachine(topo)
+		plan := rec.Record(func() { routeProgram(rec) })
+		if plan.Impure() {
+			t.Fatalf("%T: route-only program recorded as impure", topo)
+		}
+		got := takeSnapshot(rec, []string{"A", "B"}, refReturns)
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%T: recording run diverged from closures\nwant %+v\ngot  %+v", topo, want, got)
+		}
 
-			resetPlanMachine(rec)
-			routes, conflicts := rec.Replay(plan)
-			if routes != want.Stats.UnitRoutes || conflicts != want.Stats.ReceiveConflicts {
-				t.Errorf("%s on %T: Replay returned (%d, %d), want (%d, %d)",
-					name, topo, routes, conflicts, want.Stats.UnitRoutes, want.Stats.ReceiveConflicts)
-			}
-			got = takeSnapshot(rec, []string{"A", "B"}, refReturns)
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("%s on %T: replay diverged from closures\nwant %+v\ngot  %+v", name, topo, want, got)
-			}
+		resetPlanMachine(rec)
+		routes, conflicts := rec.Replay(plan)
+		if routes != want.Stats.UnitRoutes || conflicts != want.Stats.ReceiveConflicts {
+			t.Errorf("%T: Replay returned (%d, %d), want (%d, %d)",
+				topo, routes, conflicts, want.Stats.UnitRoutes, want.Stats.ReceiveConflicts)
+		}
+		got = takeSnapshot(rec, []string{"A", "B"}, refReturns)
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%T: replay diverged from closures\nwant %+v\ngot  %+v", topo, want, got)
 		}
 	}
 }
@@ -325,89 +345,34 @@ func TestPlanRegsAndRoutes(t *testing.T) {
 	}
 }
 
-// TestShardedReplayMatchesSequential drives parExecutor.replayStep's
-// sharded branch — the machine must be large enough that a step's
-// pair count clears parReplayMin — including the two-phase inbox
-// staging for aliased (src == dst) steps, and checks bit-identity
-// against the sequential replay.
-func TestShardedReplayMatchesSequential(t *testing.T) {
-	topo := ring{n: 4 * parReplayMin}
-	program := func(m *Machine) {
-		m.RouteA("A", "B", 0, nil)                                // full-size step
-		m.RouteA("B", "B", 1, nil)                                // aliased full-size step
-		m.RouteA("A", "B", 0, func(pe int) bool { return false }) // empty step
-	}
-	rec := newPlanMachine(topo)
-	plan := rec.Record(func() { program(rec) })
-	for si := range plan.steps[:2] {
-		if plan.steps[si].pairCount() < parReplayMin {
-			t.Fatalf("step %d has %d pairs, below parReplayMin=%d — sharded branch not exercised",
-				si, plan.steps[si].pairCount(), parReplayMin)
-		}
-	}
-	want := takeSnapshot(rec, []string{"A", "B"}, nil)
-	for name, exec := range executorsUnderTest() {
-		m := newPlanMachine(topo, WithExecutor(exec))
-		m.Replay(plan)
-		got := takeSnapshot(m, []string{"A", "B"}, nil)
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: sharded replay diverged from sequential recording", name)
-		}
-		m.Close()
-	}
-}
-
 // TestTouchedRecoveryAfterRoutePanic: a route that panics mid-scan
 // leaves the touched buffer dirty; the next route must start from a
 // clean slate (the dirty-list optimization must not skip the
 // recovery clear).
 func TestTouchedRecoveryAfterRoutePanic(t *testing.T) {
-	for name, exec := range map[string]Executor{
-		"sequential": Sequential(), "parallel-3": Parallel(3),
-	} {
-		m := newPlanMachine(line{n: 16})
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: unconnected route did not panic", name)
-				}
-			}()
-			// PEs send clockwise; PE 15 panics after earlier PEs have
-			// already touched their destinations.
-			m.RouteB("A", "B", func(pe int) int { return 0 })
+	m := newPlanMachine(line{n: 16})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("unconnected route did not panic")
+			}
 		}()
-		ref := newPlanMachine(line{n: 16}, WithExecutor(exec))
-		ref.RouteA("A", "B", 0, nil)
-		want := takeSnapshot(ref, []string{"A", "B"}, nil)
-		m.ResetStats()
-		m.RouteA("A", "B", 0, nil)
-		got := takeSnapshot(m, []string{"A", "B"}, nil)
-		if !reflect.DeepEqual(want.Regs, got.Regs) || want.Stats != got.Stats {
-			t.Errorf("%s: post-panic route diverged\nwant %+v\ngot  %+v", name, want, got)
-		}
+		// PEs send clockwise; PE 15 panics after earlier PEs have
+		// already touched their destinations.
+		m.RouteB("A", "B", func(pe int) int { return 0 })
+	}()
+	ref := newPlanMachine(line{n: 16})
+	ref.RouteA("A", "B", 0, nil)
+	want := takeSnapshot(ref, []string{"A", "B"}, nil)
+	m.ResetStats()
+	m.RouteA("A", "B", 0, nil)
+	got := takeSnapshot(m, []string{"A", "B"}, nil)
+	if !reflect.DeepEqual(want.Regs, got.Regs) || want.Stats != got.Stats {
+		t.Errorf("post-panic route diverged\nwant %+v\ngot  %+v", want, got)
 	}
-}
-
-// TestPoolLifecycle: Close is idempotent, safe on sequential
-// machines, and a closed machine keeps working (a fresh pool starts
-// lazily).
-func TestPoolLifecycle(t *testing.T) {
-	seq := newPlanMachine(ring{n: 8})
-	seq.Close()
-	seq.Close()
-
-	m := newPlanMachine(ring{n: 64}, WithExecutor(Parallel(4)))
-	routeProgram(m)
-	m.Close()
-	m.Close() // idempotent
-	resetPlanMachine(m)
-	ref := newPlanMachine(ring{n: 64})
-	refReturns := routeProgram(ref)
-	want := takeSnapshot(ref, []string{"A", "B"}, refReturns)
-	gotReturns := routeProgram(m)
-	got := takeSnapshot(m, []string{"A", "B"}, gotReturns)
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("machine diverged after Close\nwant %+v\ngot  %+v", want, got)
+	// A completed route resets exactly the receivers it marked, so the
+	// next route skips the full clear.
+	if !m.touchedClean || slices.Contains(m.touched, true) {
+		t.Error("post-panic route left the touched scratch dirty")
 	}
-	m.Close()
 }

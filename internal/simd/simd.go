@@ -32,7 +32,6 @@ type Machine struct {
 	bank     *regBank
 	stats    Stats
 	portUses []int64
-	exec     Executor
 	// scratch buffers reused across routes
 	inbox []int64
 	// touched marks destinations that received a message in the
@@ -44,8 +43,6 @@ type Machine struct {
 	touched      []bool
 	touchedDirty []int32
 	touchedClean bool
-	par          *parScratch // parallel-executor scratch, allocated lazily
-	pool         *workerPool // persistent parallel workers, started lazily
 	// plan state: the recorder active during Record, per-plan register
 	// bindings, and the plans-enabled flag (plans are on by default).
 	rec      *planRecorder
@@ -57,15 +54,17 @@ type Machine struct {
 	collector Collector
 }
 
-// New builds a machine with no registers. Options select the
-// execution engine (default: the sequential reference executor).
+// Option configures a Machine at construction time.
+type Option func(*Machine)
+
+// New builds a machine with no registers, configured by opts
+// (WithPlans, WithCollector).
 func New(topo Topology, opts ...Option) *Machine {
 	n := topo.Size()
 	m := &Machine{
 		topo:         topo,
 		bank:         newRegBank(n),
 		portUses:     make([]int64, topo.Ports()),
-		exec:         Sequential(),
 		inbox:        make([]int64, n),
 		touched:      make([]bool, n),
 		touchedDirty: make([]int32, 0, n),
@@ -77,28 +76,19 @@ func New(topo Topology, opts ...Option) *Machine {
 	return m
 }
 
-// Close releases the machine's persistent worker pool, if one was
-// started by a parallel executor. The machine remains usable — a
-// later parallel route lazily starts a fresh pool. Close is
-// idempotent and a no-op on sequential machines. (An unclosed pool
-// is also released when the machine is garbage collected, so Close
-// is an optimization for prompt shutdown, not a correctness
-// requirement.)
-func (m *Machine) Close() {
-	if m.pool != nil {
-		m.pool.close()
-		m.pool = nil
-	}
-}
+// Close does nothing: a machine holds no resource beyond its memory.
+// It exists so machines satisfy the Reset/Close resource interface
+// the job pools manage (internal/workload's Resource).
+func (m *Machine) Close() {}
 
 // Reset returns the machine to its post-construction state for
 // reuse: every declared register is zeroed, Stats and PortUses are
 // cleared, and the route scratch is restored to its clean state. The
-// expensive amortizable state — topology, compiled-plan bindings,
-// parallel scratch and the persistent worker pool — is deliberately
-// kept, which is the whole point: a pool of reset machines serves a
-// stream of jobs without paying construction again. Reset must not
-// be called while the machine is recording a plan.
+// expensive amortizable state — topology and compiled-plan bindings
+// — is deliberately kept, which is the whole point: a pool of reset
+// machines serves a stream of jobs without paying construction
+// again. Reset must not be called while the machine is recording a
+// plan.
 func (m *Machine) Reset() {
 	if m.rec != nil {
 		panic("simd: Reset called while recording a plan")
@@ -132,9 +122,6 @@ func (m *Machine) resetTouched() {
 	m.touchedDirty = m.touchedDirty[:0]
 	m.touchedClean = true
 }
-
-// Executor returns the machine's execution engine.
-func (m *Machine) Executor() Executor { return m.exec }
 
 // PortUses returns, per port index, the number of transmissions that
 // used it since the last ResetStats — the link-utilization profile
@@ -204,12 +191,13 @@ func (m *Machine) RegByHandle(h int) []int64 { return m.bank.slices[h] }
 func (m *Machine) NumRegs() int { return len(m.bank.slices) }
 
 // Set performs the intraprocessor assignment reg(i) := fn(i) on
-// every PE (fn may close over other registers via Reg). Under a
-// parallel executor fn must be pure (see the engine comment).
+// every PE (fn may close over other registers via Reg).
 func (m *Machine) Set(name string, fn func(pe int) int64) {
 	r := m.Reg(name)
 	m.markImpure()
-	m.exec.apply(m, func(pe int) { r[pe] = fn(pe) })
+	for pe := range r {
+		r[pe] = fn(pe)
+	}
 }
 
 // SetMasked assigns reg(i) := fn(i) only where mask(i) holds — the
@@ -217,22 +205,22 @@ func (m *Machine) Set(name string, fn func(pe int) int64) {
 func (m *Machine) SetMasked(name string, fn func(pe int) int64, mask func(pe int) bool) {
 	r := m.Reg(name)
 	m.markImpure()
-	m.exec.apply(m, func(pe int) {
+	for pe := range r {
 		if mask(pe) {
 			r[pe] = fn(pe)
 		}
-	})
+	}
 }
 
-// Apply runs fn once per PE through the machine's executor — the
-// engine-aware way to write per-PE compute loops (compare-exchange
-// combines and the like). fn(pe) may read any register and write
-// state owned by PE pe; under a parallel executor it runs
-// concurrently across shards and must not depend on evaluation
-// order.
+// Apply runs fn once per PE, in ascending PE order — the machine
+// instruction for per-PE compute loops (compare-exchange combines
+// and the like). fn(pe) may read any register and write state owned
+// by PE pe.
 func (m *Machine) Apply(fn func(pe int)) {
 	m.markImpure()
-	m.exec.apply(m, fn)
+	for pe := range m.topo.Size() {
+		fn(pe)
+	}
 }
 
 // route executes one unit route: every PE with portOf(pe) >= 0
@@ -243,9 +231,7 @@ func (m *Machine) route(src, dst string, portOf PortFunc, modelA bool) int {
 	if m.rec != nil {
 		return m.recordRoute(src, dst, portOf, modelA)
 	}
-	sr := m.Reg(src)
-	dr := m.Reg(dst)
-	conflicts := m.exec.route(m, sr, dr, portOf)
+	conflicts := m.deliver(m.Reg(src), m.Reg(dst), portOf)
 	m.stats.UnitRoutes++
 	if modelA {
 		m.stats.ModelA++
@@ -256,6 +242,42 @@ func (m *Machine) route(src, dst string, portOf PortFunc, modelA bool) int {
 	if m.collector != nil {
 		m.collector.RecordRoutes(1, conflicts)
 	}
+	return conflicts
+}
+
+// deliver executes the transmit and deliver phases of one unit route
+// in one pass over the senders in ascending PE order: it updates
+// Sent and PortUses, stages each winning message in the inbox (first
+// message wins; a later one to the same receiver is a conflict),
+// then writes the winners to dr, so every read precedes every write.
+// Returns the number of receive conflicts.
+func (m *Machine) deliver(sr, dr []int64, portOf PortFunc) int {
+	n := m.topo.Size()
+	m.clearTouched()
+	conflicts := 0
+	for pe := 0; pe < n; pe++ {
+		p := portOf(pe)
+		if p < 0 {
+			continue
+		}
+		to := m.topo.Neighbor(pe, p)
+		if to < 0 {
+			panic(fmt.Sprintf("simd: PE %d transmits through unconnected port %d", pe, p))
+		}
+		m.stats.Sent++
+		m.portUses[p]++
+		if m.touched[to] {
+			conflicts++
+			continue // first message wins; conflict recorded
+		}
+		m.touched[to] = true
+		m.touchedDirty = append(m.touchedDirty, int32(to))
+		m.inbox[to] = sr[pe]
+	}
+	for _, to := range m.touchedDirty {
+		dr[to] = m.inbox[to]
+	}
+	m.resetTouched()
 	return conflicts
 }
 

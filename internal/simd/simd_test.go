@@ -33,6 +33,23 @@ func (l line) Neighbor(pe, port int) int {
 	return pe - 1
 }
 
+// star4 is a many-to-one test topology: every PE's port 0 leads to
+// PE 0 (except PE 0 itself, whose port 0 leads to PE 1). Port 1 is
+// unconnected everywhere. It exists to provoke receive conflicts.
+type star4 struct{ n int }
+
+func (s star4) Size() int  { return s.n }
+func (s star4) Ports() int { return 2 }
+func (s star4) Neighbor(pe, port int) int {
+	if port != 0 {
+		return -1
+	}
+	if pe == 0 {
+		return 1
+	}
+	return 0
+}
+
 func TestRegisters(t *testing.T) {
 	m := New(ring{4})
 	m.AddReg("A")
@@ -168,16 +185,50 @@ func TestReceiveConflictFirstWins(t *testing.T) {
 	}
 }
 
+// TestManyToOneConflictLowestSenderWins checks the first-message-wins
+// rule under heavy many-to-one conflicts: the lowest sender PE wins
+// and every other sender to the same receiver is one conflict.
+func TestManyToOneConflictLowestSenderWins(t *testing.T) {
+	m := New(star4{n: 64})
+	m.AddReg("V")
+	m.AddReg("W")
+	m.Set("V", func(pe int) int64 { return int64(100 + pe) })
+	// Every PE transmits to PE 0 (PE 0 to PE 1): 63 senders collide
+	// at PE 0.
+	if c := m.RouteB("V", "W", func(pe int) int { return 0 }); c != 62 {
+		t.Fatalf("RouteB returned %d conflicts, want 62", c)
+	}
+	if got := m.Stats(); got.ReceiveConflicts != 62 || got.Sent != 64 {
+		t.Fatalf("stats = %+v, want 62 conflicts and 64 sent", got)
+	}
+	if w := m.Reg("W"); w[0] != 101 || w[1] != 100 { // lowest sender to PE 0 is PE 1
+		t.Fatalf("W[0], W[1] = %d, %d, want 101, 100", w[0], w[1])
+	}
+}
+
 func TestRouteThroughUnconnectedPortPanics(t *testing.T) {
 	m := New(line{3})
 	m.AddReg("A")
 	m.AddReg("B")
 	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic")
+		const want = "simd: PE 2 transmits through unconnected port 0"
+		if got := recover(); got != want {
+			t.Fatalf("panic = %v, want %q", got, want)
 		}
 	}()
 	m.RouteB("A", "B", func(pe int) int { return 0 }) // PE 2 has no port 0
+}
+
+func TestApplyCoversEveryPEOnce(t *testing.T) {
+	m := New(ring{n: 37})
+	m.AddReg("C")
+	c := m.Reg("C")
+	m.Apply(func(pe int) { c[pe]++ })
+	for pe, v := range c {
+		if v != 1 {
+			t.Fatalf("PE %d visited %d times", pe, v)
+		}
+	}
 }
 
 func TestSelfRouteReadsBeforeWrites(t *testing.T) {

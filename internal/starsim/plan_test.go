@@ -63,20 +63,6 @@ func TestPlanReusedAcrossMachines(t *testing.T) {
 	}
 }
 
-// TestPlannedRoutesUnderParallelPool runs the planned program on the
-// pooled parallel executor and checks it against the sequential
-// planned run, then closes the pool.
-func TestPlannedRoutesUnderParallelPool(t *testing.T) {
-	const n = 5
-	seqStats, seqUses, seqRegs := starProgram(New(n))
-	m := New(n, simd.WithExecutor(simd.Parallel(3)))
-	defer m.Close()
-	pStats, pUses, pRegs := starProgram(m)
-	if seqStats != pStats || !reflect.DeepEqual(seqUses, pUses) || !reflect.DeepEqual(seqRegs, pRegs) {
-		t.Error("planned program diverged from sequential")
-	}
-}
-
 // TestSetRouteCacheKeepsPlanPathsApart: toggling SetRouteCache with
 // plans enabled must not replay a plan recorded through the other
 // closure path — the memo keys carry the generic flag.

@@ -49,21 +49,3 @@ func TestRouteCacheMatchesGeneric(t *testing.T) {
 		}
 	}
 }
-
-func TestParallelStarMachineMatchesSequential(t *testing.T) {
-	for _, n := range []int{3, 4, 5} {
-		seqStats, seqUses, seqRegs := starProgram(New(n))
-		for _, workers := range []int{0, 2, 5} {
-			parStats, parUses, parRegs := starProgram(New(n, simd.WithExecutor(simd.Parallel(workers))))
-			if seqStats != parStats {
-				t.Errorf("n=%d workers=%d: stats %+v != sequential %+v", n, workers, parStats, seqStats)
-			}
-			if !reflect.DeepEqual(seqUses, parUses) {
-				t.Errorf("n=%d workers=%d: port uses diverged", n, workers)
-			}
-			if !reflect.DeepEqual(seqRegs, parRegs) {
-				t.Errorf("n=%d workers=%d: register contents diverged", n, workers)
-			}
-		}
-	}
-}

@@ -99,8 +99,7 @@ type Machine struct {
 	topo  *Topo
 	// tables caches, per (k, dir), the mesh-neighbor id and partner
 	// port of every PE — the Lemma-2/3 role data every unit route
-	// needs. Built lazily through the engine (so construction is
-	// sharded under a parallel executor) and keyed by topology only,
+	// needs. Built lazily through Apply and keyed by topology only,
 	// so it never invalidates. SetRouteCache(false) bypasses it.
 	tables  []*routeTable
 	noCache bool
@@ -140,9 +139,9 @@ type routeTable struct {
 	pport []int8  // Partner(perm(pe), k, dir), -1 at the boundary
 }
 
-// New builds the machine for S_n. Options select the simd execution
-// engine (default sequential); all of the machine's port and mask
-// functions are pure, so the parallel engine is always safe here.
+// New builds the machine for S_n. Options configure the simd machine
+// (see simd.New); all of the machine's port and mask functions are
+// pure, as plan recording requires.
 func New(n int, opts ...simd.Option) *Machine {
 	topo := NewTopo(n)
 	m := &Machine{Machine: simd.New(topo, opts...), N: n, topo: topo}
@@ -199,8 +198,8 @@ func (m *Machine) routeTableFor(k, dir int) *routeTable {
 		nbr:   make([]int32, len(m.perms)),
 		pport: make([]int8, len(m.perms)),
 	}
-	// Built through the engine: each PE's entry is independent, so a
-	// parallel executor shards the O(n!·n²) construction sweep.
+	// Built through Apply, which marks a plan under recording impure
+	// (see BuildRouteTables).
 	m.Apply(func(pe int) {
 		p := m.perms[pe]
 		tp := core.Partner(p, k, dir)
@@ -232,10 +231,9 @@ func (m *Machine) BuildRouteTables() {
 // MeshIDs returns, indexed by star PE id, the mesh node of D_n that
 // the paper's embedding places on that PE (core.UnmapID) — the
 // vertex map SnakeSortStar and the workload scenarios need. The
-// O(n!·n²) conversion sweep runs once per machine, through the
-// engine (so a parallel executor shards it), and the cached slice is
-// kept across Reset: reused machines never pay it again. Do not
-// mutate the returned slice.
+// O(n!·n²) conversion sweep runs once per machine, through Apply,
+// and the cached slice is kept across Reset: reused machines never
+// pay it again. Do not mutate the returned slice.
 func (m *Machine) MeshIDs() []int {
 	if m.meshIDs == nil {
 		ids := make([]int, m.Size())

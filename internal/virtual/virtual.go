@@ -165,14 +165,13 @@ func (m *Machine) isLow(bigID, par int) bool {
 	return m.snake.Index[bigID]%2 == par && m.snake.Dim[bigID] != -1
 }
 
-// Close releases the underlying star machine's worker pool.
+// Close closes the underlying star machine (see simd.Machine.Close).
 func (m *Machine) Close() { m.SM.Close() }
 
 // Reset returns the machine to its post-construction state for
 // pooled reuse: every slot register is zeroed and stats cleared,
 // while the star machine's amortized state (neighbor tables, route
-// tables, compiled plans, worker pool) and the placement tables are
-// kept.
+// tables, compiled plans) and the placement tables are kept.
 func (m *Machine) Reset() { m.SM.Reset() }
 
 // slotReg names the physical register backing a virtual register's

@@ -422,7 +422,7 @@ func EngineSweep(m *starsim.Machine) {
 }
 
 // RegChecksum folds a register into an order-sensitive checksum, for
-// cheap whole-register equality checks across executors.
+// cheap whole-register equality checks across execution paths.
 func RegChecksum(m *starsim.Machine, name string) int64 {
 	sum := int64(0)
 	for _, v := range m.Reg(name) {

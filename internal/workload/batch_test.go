@@ -7,7 +7,6 @@ import (
 
 	"starmesh/internal/mesh"
 	"starmesh/internal/meshsim"
-	"starmesh/internal/simd"
 	"starmesh/internal/star"
 	"starmesh/internal/starsim"
 )
@@ -52,21 +51,6 @@ func TestStandardBatchRunsCleanAndDeterministic(t *testing.T) {
 				t.Errorf("workers=%d scenario %d: %+v != %+v",
 					workers, i, b.Scenarios[i], a.Scenarios[i])
 			}
-		}
-	}
-}
-
-func TestStandardBatchParallelEngineMatches(t *testing.T) {
-	seqBatch := RunBatch(context.Background(), StandardBatch(4, 11), 2)
-	parBatch := RunBatch(context.Background(), StandardBatch(4, 11, simd.WithExecutor(simd.Parallel(3))), 2)
-	if len(parBatch.Errors) != 0 {
-		t.Fatalf("parallel-engine batch errors: %v", parBatch.Errors)
-	}
-	a, b := stripTiming(seqBatch), stripTiming(parBatch)
-	for i := range a.Scenarios {
-		if a.Scenarios[i] != b.Scenarios[i] {
-			t.Errorf("scenario %d diverged under parallel engine: %+v != %+v",
-				i, b.Scenarios[i], a.Scenarios[i])
 		}
 	}
 }

@@ -251,8 +251,8 @@ func RunDiagnosticsOn(ctx context.Context, g starGraph, holes, trials int, rng *
 // rectangular-embedding sweep, the snake sort, then a broadcast —
 // resetting the machine between phases so each starts from
 // post-construction state while the amortized topology, route
-// tables, compiled plans and worker pool carry across. This is the
-// pool-reuse story inside a single job: three workloads, one machine
+// tables and compiled plans carry across. This is the pool-reuse
+// story inside a single job: three workloads, one machine
 // construction.
 func RunPipelineOn(ctx context.Context, sm *starsim.Machine, d int, dist Dist, source int, rng *rand.Rand) (ScenarioResult, error) {
 	if d < 1 || d > sm.N-1 {

@@ -14,30 +14,10 @@ import (
 	"starmesh/internal/virtual"
 )
 
-// EngineOption selects the execution engine of a SIMD machine: the
-// strategy that carries out the per-PE work of every unit route.
-// All machine constructors accept engine options; the default is the
-// sequential reference engine.
+// EngineOption configures a SIMD machine at construction. All
+// machine constructors accept engine options; the facade's one
+// option is WithPlans, which switches the compiled route plans.
 type EngineOption = simd.Option
-
-// SequentialEngine selects the single-threaded reference executor —
-// the semantic ground truth every other engine must match
-// bit-for-bit.
-func SequentialEngine() EngineOption {
-	return simd.WithExecutor(simd.Sequential())
-}
-
-// ParallelEngine selects the sharded executor: each unit route
-// splits the PE range across the given number of workers (<= 0
-// selects GOMAXPROCS) running on a persistent per-machine pool
-// (started lazily, reused across routes, released by the machine's
-// Close method or at GC), and merges per-shard results
-// deterministically, so Stats, register contents and conflict
-// diagnostics are identical to SequentialEngine. Programs must use
-// pure per-PE functions (every algorithm in this module qualifies).
-func ParallelEngine(workers int) EngineOption {
-	return simd.WithExecutor(simd.Parallel(workers))
-}
 
 // WithPlans enables or disables compiled route plans (default
 // enabled): machines record each pure unit-route schedule once —

@@ -135,41 +135,46 @@ func TestFacadeRectEmbedding(t *testing.T) {
 }
 
 // TestFacadeEngineOptions drives machines built with the exported
-// engine options and checks the parallel engine's determinism
-// contract through the facade.
+// engine option and checks through the facade that plan replay and
+// closure resolution agree.
 func TestFacadeEngineOptions(t *testing.T) {
 	run := func(opts ...starmesh.EngineOption) ([]int64, int) {
 		sm := starmesh.NewStarMachine(4, opts...)
+		if len(opts) > 0 && sm.PlansEnabled() {
+			t.Fatal("WithPlans(false) left plans on")
+		}
 		sm.AddReg("A")
 		sm.AddReg("B")
 		sm.Set("A", func(pe int) int64 { return int64(2*pe + 1) })
 		total := 0
-		for k := 1; k <= 3; k++ {
-			routes, conflicts := sm.MeshUnitRoute("A", "B", k, +1)
-			if conflicts != 0 {
-				t.Fatalf("conflicts on dim %d", k)
+		for range 2 { // with plans on, the second pass replays them
+			for k := 1; k <= 3; k++ {
+				routes, conflicts := sm.MeshUnitRoute("A", "B", k, +1)
+				if conflicts != 0 {
+					t.Fatalf("conflicts on dim %d", k)
+				}
+				total += routes
 			}
-			total += routes
 		}
 		return append([]int64(nil), sm.Reg("B")...), total
 	}
-	seqRegs, seqRoutes := run(starmesh.SequentialEngine())
-	parRegs, parRoutes := run(starmesh.ParallelEngine(3))
-	if seqRoutes != parRoutes {
-		t.Fatalf("route counts diverged: %d vs %d", seqRoutes, parRoutes)
+	planRegs, planRoutes := run()
+	closureRegs, closureRoutes := run(starmesh.WithPlans(false))
+	if planRoutes != closureRoutes {
+		t.Fatalf("route counts diverged: %d vs %d", planRoutes, closureRoutes)
 	}
-	for pe := range seqRegs {
-		if seqRegs[pe] != parRegs[pe] {
-			t.Fatalf("PE %d register diverged: %d vs %d", pe, seqRegs[pe], parRegs[pe])
+	for pe := range planRegs {
+		if planRegs[pe] != closureRegs[pe] {
+			t.Fatalf("PE %d register diverged: %d vs %d", pe, planRegs[pe], closureRegs[pe])
 		}
 	}
 
-	mm := starmesh.NewMeshMachine([]int{3, 4}, starmesh.ParallelEngine(2))
+	mm := starmesh.NewMeshMachine([]int{3, 4}, starmesh.WithPlans(false))
 	mm.AddReg("K")
 	mm.Set("K", func(pe int) int64 { return int64(12 - pe) })
 	mm.UnitRoute("K", "K", 0, +1)
 	if mm.Stats().UnitRoutes != 1 {
-		t.Fatalf("mesh machine with parallel engine: %+v", mm.Stats())
+		t.Fatalf("mesh machine with plans off: %+v", mm.Stats())
 	}
 }
 
