@@ -256,6 +256,30 @@ func TestImpureScheduleNotCached(t *testing.T) {
 	m.Replay(rec)
 }
 
+// TestParallelUnconnectedPortPanicMessage checks that a route through
+// an unconnected port panics with the same message on every path that
+// resolves routes: the direct route and the plan recorder.
+func TestParallelUnconnectedPortPanicMessage(t *testing.T) {
+	mustPanic := func(route func(m *Machine)) (msg string) {
+		defer func() { msg = panicString(recover()) }()
+		m := New(line{n: 16})
+		m.AddReg("A")
+		route(m)
+		return ""
+	}
+	clockwise := func(m *Machine) {
+		m.RouteB("A", "A", func(pe int) int { return 0 }) // PE 15 has no clockwise link
+	}
+	const want = "simd: PE 15 transmits through unconnected port 0"
+	if got := mustPanic(clockwise); got != want {
+		t.Errorf("direct route panic = %q, want %q", got, want)
+	}
+	recorded := func(m *Machine) { m.Record(func() { clockwise(m) }) }
+	if got := mustPanic(recorded); got != want {
+		t.Errorf("recording route panic = %q, want %q", got, want)
+	}
+}
+
 func panicString(v any) string {
 	if s, ok := v.(string); ok {
 		return s
