@@ -64,9 +64,9 @@ bench:
 ## bare (metrics-off) run (GOMAXPROCS=2), writes BENCH_serve.json,
 ## and fails if pooled throughput falls below build-per-job, the WAL
 ## costs more than 10% of pooled throughput, the observability layer
-## costs more than 5% of bare throughput, the /v1/metrics exposition
-## fails format validation, or any job result diverges from a
-## standalone run.
+## costs more than 5% of bare throughput, an instrumented run's
+## /v1/metrics scrape fails format validation, or any job result
+## diverges from a standalone run.
 bench-serve:
 	GOMAXPROCS=2 $(BENCH) $(GO) run ./cmd/experiments -run serve
 

@@ -1,11 +1,14 @@
 package starmesh_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"starmesh"
 )
 
 // mdLink matches inline markdown links [text](target).
@@ -82,3 +85,49 @@ func TestDocsMentionCommittedRecords(t *testing.T) {
 
 // benchRecordName matches a bench record's file name.
 var benchRecordName = regexp.MustCompile(`BENCH_[A-Za-z0-9_]+\.json`)
+
+// codeSpan matches an inline code span in a markdown table cell.
+var codeSpan = regexp.MustCompile("`([a-z_]+)`")
+
+// TestMetricCatalogMatchesRegistry holds the metric catalog of
+// docs/observability.md to the service's registry in both directions:
+// family names, types and label names. A row may name several
+// families ("a / b"), with one type for all of them or one each.
+func TestMetricCatalogMatchesRegistry(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("docs", "observability.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, catalog, _ := strings.Cut(string(doc), "\n## Metric catalog\n")
+	catalog, _, _ = strings.Cut(catalog, "\n## ")
+	documented := map[string]string{} // family → "type [labels]"
+	for _, line := range strings.Split(catalog, "\n") {
+		cells := strings.Split(line, "|") // "", families, type, labels, meaning, ""
+		if !strings.HasPrefix(line, "| `") || len(cells) < 5 {
+			continue // headers, separators and prose
+		}
+		types := strings.Split(strings.TrimSpace(cells[2]), " / ")
+		var labels []string
+		for _, m := range codeSpan.FindAllStringSubmatch(cells[3], -1) {
+			labels = append(labels, m[1])
+		}
+		for i, m := range codeSpan.FindAllStringSubmatch(cells[1], -1) {
+			documented["starmesh_"+m[1]] = fmt.Sprint(types[min(i, len(types)-1)], " ", labels)
+		}
+	}
+
+	svc, err := starmesh.NewJobService(starmesh.ServiceConfig{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Drain()
+	for _, fam := range svc.MetricsRegistry().Snapshot() {
+		if got, want := documented[fam.Name], fmt.Sprint(fam.Type, " ", fam.Labels); got != want {
+			t.Errorf("%s: docs/observability.md catalogs %q, the registry has %q", fam.Name, got, want)
+		}
+		delete(documented, fam.Name)
+	}
+	for name := range documented {
+		t.Errorf("docs/observability.md catalogs %s, which the service does not register", name)
+	}
+}

@@ -128,6 +128,29 @@ func TestDriveCountsRetries(t *testing.T) {
 	}
 }
 
+// TestFoldPercentiles: fold reads the latency p50 and p99 and the
+// queue-wait p99 from log-bucket counts, within 1% of nearest rank.
+// The latencies are 1..100 ms scrambled, the waits twice that.
+func TestFoldPercentiles(t *testing.T) {
+	res := fixedResult(JobSpec{})
+	var outcomes []outcome
+	for i := range 100 {
+		ms := time.Duration(1+(i*37)%100) * time.Millisecond
+		outcomes = append(outcomes, outcome{latency: ms, job: Job{
+			Spec: testSpecs()[0], Status: serve.StatusDone, Result: &res, WaitNs: 2 * ms.Nanoseconds(),
+		}})
+	}
+	within := func(got int64, exact time.Duration) bool { // |got − exact| ≤ 1%·exact + ½ ns
+		d := got - exact.Nanoseconds()
+		return 200*max(d, -d) <= 2*exact.Nanoseconds()+100
+	}
+	got, err := fold(outcomes, time.Second)
+	if err != nil || !within(got.LatencyP50Ns, 50*time.Millisecond) || !within(got.LatencyP99Ns, 99*time.Millisecond) ||
+		!within(got.QueueWaitP99Ns, 198*time.Millisecond) {
+		t.Fatalf("fold: %+v, %v; want latency p50 50 ms and p99 99 ms, wait p99 198 ms, within 1%%", got, err)
+	}
+}
+
 func TestFoldRejectsDivergingResults(t *testing.T) {
 	calls := 0
 	cfg := fakeLoop(1, 0, 0, func(JobSpec) ScenarioResult {

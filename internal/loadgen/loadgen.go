@@ -65,40 +65,18 @@ type LoadResult struct {
 	// watch stream included).
 	LatencyP50Ns int64 `json:"latency_p50_ns"`
 	LatencyP99Ns int64 `json:"latency_p99_ns"`
-	// QueueWaitP99Ns is the service-side p99 queue wait (submit →
-	// claim), scraped from /v1/metrics after the run — the scheduler's
-	// own view of the admission backlog, as opposed to the client-side
-	// LatencyP99Ns which also includes execution and the watch stream.
-	// Zero when the service ran without metrics (NoObs).
+	// QueueWaitP99Ns is the p99 of the jobs' own server-side queue
+	// waits (WaitNs: submit → claim) — the scheduler's view of the
+	// admission backlog, as opposed to the client-side LatencyP99Ns
+	// which also includes execution and the watch stream. It comes
+	// from the job records, so every mode sets it, NoObs included.
+	// All three percentiles are nearest-rank, read from log-bucket
+	// counts (obs.LatencyCounts), within 1% of the exact value.
 	QueueWaitP99Ns int64 `json:"queue_wait_p99_ns"`
 	// BySpec holds, per normalized spec name, the result every done
 	// job of that spec returned; the fold fails if two runs of one
 	// spec ever disagree (the service determinism contract).
 	BySpec map[string]ScenarioResult `json:"-"`
-}
-
-// ScrapeQueueWaitP99 reads the service's /v1/metrics exposition and
-// returns the p99 of starmesh_queue_wait_seconds (0 with an error if
-// the exposition is unreachable, invalid, or missing the histogram).
-func ScrapeQueueWaitP99(ctx context.Context, baseURL string) (time.Duration, error) {
-	text, err := client.New(baseURL).Metrics(ctx)
-	if err != nil {
-		return 0, err
-	}
-	// Validate before use: the bench doubles as CI's exposition-format
-	// smoke — a malformed /v1/metrics fails the serve job here.
-	if err := obs.Validate(text); err != nil {
-		return 0, fmt.Errorf("loadgen: /v1/metrics failed exposition validation: %w", err)
-	}
-	sc, err := obs.ParseText(text)
-	if err != nil {
-		return 0, fmt.Errorf("loadgen: parsing /v1/metrics: %w", err)
-	}
-	q, ok := sc.HistogramQuantile("starmesh_queue_wait_seconds", nil, 0.99)
-	if !ok {
-		return 0, fmt.Errorf("loadgen: /v1/metrics has no starmesh_queue_wait_seconds histogram")
-	}
-	return time.Duration(q * float64(time.Second)), nil
 }
 
 // RunLoad drives the API at baseURL closed-loop with one typed
@@ -235,8 +213,8 @@ func drive(cfg closedLoop) (run, error) {
 }
 
 // fold folds a run's outcomes into a LoadResult: counts, 429
-// retries, throughput and client-latency percentiles, and the
-// per-spec results. It fails if two jobs of one spec returned
+// retries, throughput, client-latency and queue-wait percentiles,
+// and the per-spec results. It fails if two jobs of one spec returned
 // different results — the service's determinism contract.
 func fold(outcomes []outcome, elapsed time.Duration) (LoadResult, error) {
 	res := LoadResult{
@@ -244,10 +222,11 @@ func fold(outcomes []outcome, elapsed time.Duration) (LoadResult, error) {
 		ElapsedNs: elapsed.Nanoseconds(),
 		BySpec:    make(map[string]ScenarioResult),
 	}
-	latencies := make([]time.Duration, 0, len(outcomes))
+	var latencies, waits obs.LatencyCounts
 	for _, o := range outcomes {
 		res.Rejected += o.rejected
-		latencies = append(latencies, o.latency)
+		latencies[obs.LatencyBucket(o.latency)]++
+		waits[obs.LatencyBucket(time.Duration(o.job.WaitNs))]++
 		if o.job.Status != serve.StatusDone {
 			res.Failed++
 			continue
@@ -265,22 +244,9 @@ func fold(outcomes []outcome, elapsed time.Duration) (LoadResult, error) {
 	if secs := elapsed.Seconds(); secs > 0 {
 		res.ThroughputJobsPerSec = float64(res.Jobs-res.Failed) / secs
 	}
-	p50, p99 := percentiles(latencies)
-	res.LatencyP50Ns, res.LatencyP99Ns = p50.Nanoseconds(), p99.Nanoseconds()
+	res.LatencyP50Ns, res.LatencyP99Ns = latencies.Percentiles(len(outcomes))
+	_, res.QueueWaitP99Ns = waits.Percentiles(len(outcomes))
 	return res, nil
-}
-
-// percentiles returns the exact nearest-rank p50 and p99 of samples
-// (the ceil(p·n/100)-th smallest), sorting samples in place.
-func percentiles(samples []time.Duration) (p50, p99 time.Duration) {
-	if len(samples) == 0 {
-		return 0, 0
-	}
-	slices.Sort(samples)
-	rank := func(p int) time.Duration {
-		return samples[max((p*len(samples)+99)/100, 1)-1]
-	}
-	return rank(50), rank(99)
 }
 
 // oracle holds the standalone reference result of every bench spec,
@@ -346,8 +312,9 @@ type Comparison struct {
 	Durable LoadResult `json:"durable"`
 	// Bare re-runs the pooled configuration with metrics disabled
 	// (NoObs): the throughput delta against Pooled is what the
-	// observability layer costs — every counter bump, histogram
-	// observation and trace append on the hot path.
+	// metrics layer costs — every counter bump and histogram
+	// observation on the hot path. Traces are part of the job record
+	// and stay on in both.
 	Bare LoadResult `json:"bare"`
 	// DurableWALRecords and DurableSnapshots are the WAL counters the
 	// durable run accumulated — evidence the log was actually on.
@@ -420,11 +387,15 @@ func RunComparison(svcCfg serve.Config, load LoadConfig) (Comparison, error) {
 		}()
 		res, err := RunLoad(ts.URL, load)
 		if err == nil && !cfg.NoObs {
-			// The scrape happens after the run's clock stops, so it
-			// never perturbs the measurement it reports on.
-			var p99 time.Duration
-			p99, err = ScrapeQueueWaitP99(context.Background(), ts.URL)
-			res.QueueWaitP99Ns = p99.Nanoseconds()
+			// CI's exposition smoke: a malformed /v1/metrics fails the
+			// serve bench. The scrape happens after the run's clock
+			// stops, so it never perturbs the measurement.
+			var text string
+			if text, err = client.New(ts.URL).Metrics(context.Background()); err == nil {
+				if err = obs.Validate(text); err != nil {
+					err = fmt.Errorf("loadgen: /v1/metrics failed exposition validation: %w", err)
+				}
+			}
 		}
 		if err == nil {
 			err = ref.check(mode, res.BySpec)
@@ -512,8 +483,7 @@ type BenchRecord struct {
 
 	// The bare (NoObs, pooled) measurement and the observability
 	// overhead it exposes — the number the serve experiment gates at
-	// 5%. PooledQueueWaitP99Ns is the scheduler-side p99 queue wait
-	// scraped from the instrumented pooled run's /v1/metrics.
+	// 5%. PooledQueueWaitP99Ns is the pooled run's QueueWaitP99Ns.
 	BareJobs             int     `json:"bare_jobs"`
 	BareNs               int64   `json:"bare_ns"`
 	BareThroughput       float64 `json:"bare_jobs_per_sec"`

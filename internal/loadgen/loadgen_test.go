@@ -89,6 +89,11 @@ func TestRunComparisonParity(t *testing.T) {
 	if cmp.UnpooledBuilds != 16 {
 		t.Fatalf("unpooled run built %d machines, want one per job (16)", cmp.UnpooledBuilds)
 	}
+	// Every mode reads its queue-wait p99 from the job records, the
+	// bare (NoObs) run included.
+	if cmp.Pooled.QueueWaitP99Ns <= 0 || cmp.Bare.QueueWaitP99Ns <= 0 {
+		t.Fatalf("queue-wait p99 pooled %d ns, bare %d ns; want both set", cmp.Pooled.QueueWaitP99Ns, cmp.Bare.QueueWaitP99Ns)
+	}
 	rec := NewBenchRecord(serve.Config{Workers: 2},
 		LoadConfig{Clients: 2, JobsPerClient: 8, Specs: specs}, cmp)
 	if rec.PooledJobs != 16 || !rec.ParityOK || rec.Queue != 64 {

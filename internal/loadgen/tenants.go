@@ -25,6 +25,7 @@ import (
 
 	"starmesh/client"
 	"starmesh/internal/exptab"
+	"starmesh/internal/obs"
 	"starmesh/internal/serve"
 )
 
@@ -70,7 +71,8 @@ type TenantLoadResult struct {
 	// WantShare is its weight's fraction of the active total weight.
 	Share     float64 `json:"share"`
 	WantShare float64 `json:"want_share"`
-	// Queue-wait percentiles from the jobs' own server-side WaitNs.
+	// Queue-wait percentiles from the jobs' own server-side WaitNs,
+	// nearest-rank, read from log-bucket counts within 1%.
 	QueueWaitP50Ns int64 `json:"queue_wait_p50_ns"`
 	QueueWaitP99Ns int64 `json:"queue_wait_p99_ns"`
 }
@@ -180,16 +182,16 @@ func runPhase(svcCfg serve.Config, cfg FairnessConfig, ref oracle, classes []Ten
 		svc.Drain()
 	}()
 
-	var owner []TenantClass // client index → its tenant
-	for _, tc := range classes {
+	var owner []int // client index → index of its tenant class
+	for i, tc := range classes {
 		for range tc.Clients {
-			owner = append(owner, tc)
+			owner = append(owner, i)
 		}
 	}
 	r, err := drive(closedLoop{
 		clients: len(owner),
 		dial: func(c int, onRetry func()) (target, error) {
-			return client.New(ts.URL, append(pressure(onRetry), client.WithAPIKey(owner[c].Key))...), nil
+			return client.New(ts.URL, append(pressure(onRetry), client.WithAPIKey(classes[owner[c]].Key))...), nil
 		},
 		specs: []JobSpec{cfg.Spec},
 		until: cfg.Phase,
@@ -209,26 +211,25 @@ func runPhase(svcCfg serve.Config, cfg FairnessConfig, ref oracle, classes []Ten
 	for _, tc := range classes {
 		totalWeight += tc.Weight
 	}
-	byTenant := make(map[string][]time.Duration, len(classes))
+	waits := make([]obs.LatencyCounts, len(classes))
+	jobs := make([]int, len(classes))
 	res := PhaseResult{ElapsedNs: r.elapsed.Nanoseconds()}
 	for _, o := range r.outcomes {
 		if o.finished.Sub(r.start) < cfg.Warmup {
 			continue
 		}
-		name := owner[o.client].Name
-		byTenant[name] = append(byTenant[name], time.Duration(o.job.WaitNs))
+		i := owner[o.client]
+		waits[i][obs.LatencyBucket(time.Duration(o.job.WaitNs))]++
+		jobs[i]++
 		res.Jobs++
 	}
-	for _, tc := range classes {
-		waits := byTenant[tc.Name]
-		p50, p99 := percentiles(waits)
+	for i, tc := range classes {
 		tr := TenantLoadResult{
 			Tenant: tc.Name, Weight: tc.Weight, Clients: tc.Clients,
-			Jobs:           len(waits),
-			WantShare:      float64(tc.Weight) / float64(totalWeight),
-			QueueWaitP50Ns: p50.Nanoseconds(),
-			QueueWaitP99Ns: p99.Nanoseconds(),
+			Jobs:      jobs[i],
+			WantShare: float64(tc.Weight) / float64(totalWeight),
 		}
+		tr.QueueWaitP50Ns, tr.QueueWaitP99Ns = waits[i].Percentiles(jobs[i])
 		if res.Jobs > 0 {
 			tr.Share = float64(tr.Jobs) / float64(res.Jobs)
 		}

@@ -4,6 +4,7 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -125,7 +126,7 @@ func writeFamily(w io.Writer, fs *FamilySnapshot) error {
 	// yields first-use order, which depends on scheduling).
 	series := append([]SeriesSnapshot(nil), fs.Series...)
 	sort.Slice(series, func(i, j int) bool {
-		return seriesKey(series[i].LabelValues) < seriesKey(series[j].LabelValues)
+		return bytes.Compare(appendSeriesKey(nil, series[i].LabelValues), appendSeriesKey(nil, series[j].LabelValues)) < 0
 	})
 	for _, s := range series {
 		if fs.Type != TypeHistogram {

@@ -2,7 +2,9 @@
 // atomic counters, gauges and fixed-bucket histograms with label
 // support, registered in a Registry that renders the Prometheus text
 // exposition format (GET /v1/metrics) and a structured Snapshot for
-// tests and in-process consumers.
+// tests and in-process consumers, plus the log-bucket latency counts
+// (quantile.go) that every percentile the repository publishes is
+// read from. No quantile is computed from the fixed buckets.
 //
 // Design constraints, in order:
 //
@@ -14,8 +16,9 @@
 //     Gauge.Set/Add are single atomic instructions; Histogram.Observe
 //     is one atomic add and one compare-and-swap loop on the sum,
 //     plus a bucket search over a handful of upper bounds. Label
-//     resolution (the map lookup) is paid once via With, and callers
-//     on hot paths hold the resolved series.
+//     resolution through With is one read-locked map lookup that
+//     allocates nothing once the series exists, so call sites resolve
+//     their series per use.
 //   - Reads never block writes. Exposition and Snapshot take the
 //     registry read lock and load atomics; they never quiesce
 //     writers, so a scrape cannot stall the scheduler.
@@ -30,7 +33,6 @@ import (
 	"math"
 	"regexp"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -49,8 +51,8 @@ var (
 
 // DefBuckets are the default latency buckets (seconds): 100 µs to
 // 10 s, a decade per ~3 buckets — wide enough for queue waits and
-// request latencies, fine enough for p99 interpolation at the low
-// end where the service actually operates.
+// request latencies, fine enough at the low end where the service
+// actually operates.
 var DefBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
 	0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
@@ -174,35 +176,48 @@ func (r *Registry) CollectFunc(name, help, typ string, labels []string, fn func(
 	r.register(&family{name: name, help: help, typ: typ, labels: labels, collect: fn})
 }
 
-// seriesKey joins label values into the series map key. \xff cannot
-// appear in label values that differ only by joining, so the key is
-// injective for practical values.
-func seriesKey(values []string) string { return strings.Join(values, "\xff") }
+// appendSeriesKey appends the series map key of a label-value tuple
+// to dst: the values joined by \xff, which cannot appear in label
+// values that differ only by joining, so the key is injective for
+// practical values. The exposition sorts series by the same key.
+func appendSeriesKey(dst []byte, values []string) []byte {
+	for i, v := range values {
+		if i > 0 {
+			dst = append(dst, '\xff')
+		}
+		dst = append(dst, v...)
+	}
+	return dst
+}
 
 // with resolves (creating on first use) the series of a label-value
-// tuple.
+// tuple. The key is built in a stack buffer, and a map index by
+// string(key) does not copy it, so resolving an existing series
+// allocates nothing.
 func (f *family) with(values []string) *series {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: metric %s wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
-	key := seriesKey(values)
+	var buf [128]byte
+	key := appendSeriesKey(buf[:0], values)
 	f.mu.RLock()
-	s := f.series[key]
+	s := f.series[string(key)]
 	f.mu.RUnlock()
 	if s != nil {
 		return s
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if s = f.series[key]; s != nil {
+	if s = f.series[string(key)]; s != nil {
 		return s
 	}
 	s = &series{labelValues: append([]string(nil), values...)}
 	if f.typ == TypeHistogram {
 		s.counts = make([]atomic.Uint64, len(f.buckets)+1)
 	}
-	f.series[key] = s
-	f.sorder = append(f.sorder, key)
+	k := string(key)
+	f.series[k] = s
+	f.sorder = append(f.sorder, k)
 	return s
 }
 
@@ -213,8 +228,7 @@ type CounterVec struct{ f *family }
 type Counter struct{ s *series }
 
 // With resolves the series of a label-value tuple (order matches the
-// registered label names). Hot paths call With once and keep the
-// Counter.
+// registered label names).
 func (v *CounterVec) With(labelValues ...string) Counter {
 	return Counter{v.f.with(labelValues)}
 }
@@ -295,38 +309,3 @@ func (h Histogram) Count() uint64 {
 
 // Sum returns the sum of observed values.
 func (h Histogram) Sum() float64 { return math.Float64frombits(h.s.sum.Load()) }
-
-// bucketQuantile estimates a quantile from per-bucket (non-
-// cumulative) counts; counts has one extra entry for +Inf.
-func bucketQuantile(uppers []float64, counts []uint64, q float64) float64 {
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 || q <= 0 {
-		return 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	var seen uint64
-	for i, c := range counts {
-		if seen+c < rank {
-			seen += c
-			continue
-		}
-		if i >= len(uppers) {
-			// Beyond the last finite bucket: clamp to its bound.
-			return uppers[len(uppers)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = uppers[i-1]
-		}
-		// Linear interpolation of the rank inside the bucket.
-		frac := float64(rank-seen) / float64(c)
-		return lo + (uppers[i]-lo)*frac
-	}
-	return uppers[len(uppers)-1]
-}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -47,18 +48,12 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 	if got := h.Sum(); math.Abs(got-3.6) > 1e-12 {
 		t.Fatalf("sum = %v, want 3.6", got)
 	}
-	// The quantiles of the scraped bucket counts. p50: rank 3 of 5
-	// lands in the (0.1, 0.5] bucket (1 obs), so interpolation yields
-	// its upper bound.
+	// Each observation lands in the first bucket whose upper bound
+	// holds it; 2.5 lands in +Inf. Quantiles are the scraper's to
+	// compute from these counts.
 	s := r.Snapshot()[0].Series[0]
-	if got := bucketQuantile(s.Uppers, s.Buckets, 0.5); got != 0.5 {
-		t.Fatalf("p50 = %v, want 0.5", got)
-	}
-	if got := bucketQuantile(s.Uppers, s.Buckets, 0); got != 0 {
-		t.Fatalf("q<=0 = %v, want 0", got)
-	}
-	if got := bucketQuantile(s.Uppers, s.Buckets, 1.5); got != 1 {
-		t.Fatalf("q>1 = %v, want clamp to 1", got)
+	if !slices.Equal(s.Buckets, []uint64{2, 1, 1, 1}) {
+		t.Fatalf("buckets = %v, want [2 1 1 1]", s.Buckets)
 	}
 }
 
@@ -70,17 +65,8 @@ func TestHistogramDefaultBuckets(t *testing.T) {
 		t.Fatalf("count = %d, want 1", got)
 	}
 	s := r.Snapshot()[0].Series[0]
-	if q := bucketQuantile(s.Uppers, s.Buckets, 0.99); q < 0.0025 || q > 0.005 {
-		t.Fatalf("p99 = %v, want inside owning bucket (0.0025, 0.005]", q)
-	}
-}
-
-func TestEmptyHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	r.Histogram("lat", "Latency.", []float64{1}).With()
-	s := r.Snapshot()[0].Series[0]
-	if got := bucketQuantile(s.Uppers, s.Buckets, 0.99); got != 0 {
-		t.Fatalf("empty quantile = %v, want 0", got)
+	if !slices.Equal(s.Uppers, DefBuckets) || s.Buckets[5] != 1 {
+		t.Fatalf("0.003 counted in %v over %v, want the (0.0025, 0.005] bucket", s.Buckets, s.Uppers)
 	}
 }
 
@@ -91,6 +77,23 @@ func TestLabelSeriesIndependent(t *testing.T) {
 	v.With("/v1/jobs", "429").Inc()
 	if a, b := v.With("/v1/jobs", "200").Value(), v.With("/v1/jobs", "429").Value(); a != 3 || b != 1 {
 		t.Fatalf("series values = %d, %d; want 3, 1", a, b)
+	}
+}
+
+// TestWithAllocatesNothingOnHit: resolving a series that exists is a
+// map lookup on a key built in a stack buffer, at one label and at
+// three, so call sites need no handle cache.
+func TestWithAllocatesNothingOnHit(t *testing.T) {
+	r := NewRegistry()
+	one := r.Counter("one_total", "One label.", "tenant")
+	three := r.Counter("three_total", "Three labels.", "status", "kind", "tenant")
+	one.With("ci").Inc()
+	three.With("done", "sweep", "ci").Inc()
+	if n := testing.AllocsPerRun(100, func() { one.With("ci").Inc() }); n != 0 {
+		t.Errorf("With on one label allocates %v per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { three.With("done", "sweep", "ci").Inc() }); n != 0 {
+		t.Errorf("With on three labels allocates %v per call, want 0", n)
 	}
 }
 
@@ -309,18 +312,8 @@ func TestParseTextRoundTrip(t *testing.T) {
 	if sc.Help["depth"] != "Depth." {
 		t.Fatalf("help = %q, want Depth.", sc.Help["depth"])
 	}
-	q, ok := sc.HistogramQuantile("wait_seconds", map[string]string{"kind": "star"}, 0.99)
-	if !ok {
-		t.Fatal("HistogramQuantile not ok")
-	}
-	if q <= 0.1 || q > 1 {
-		t.Fatalf("scraped p99 = %v, want in (0.1, 1]", q)
-	}
-	if _, ok := sc.HistogramQuantile("wait_seconds", map[string]string{"kind": "nope"}, 0.99); ok {
-		t.Fatal("HistogramQuantile matched wrong labels")
-	}
-	if _, ok := sc.HistogramQuantile("missing", nil, 0.99); ok {
-		t.Fatal("HistogramQuantile matched missing family")
+	if v, ok := sc.Value("wait_seconds_bucket", map[string]string{"kind": "star", "le": "1"}); !ok || v != 2 {
+		t.Fatalf("Value(wait_seconds_bucket le=1) = %v, %v; want the cumulative 2, true", v, ok)
 	}
 }
 
@@ -415,16 +408,5 @@ func TestFormatValue(t *testing.T) {
 		if got := formatValue(in); got != want {
 			t.Errorf("formatValue(%v) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestBucketQuantileEdges(t *testing.T) {
-	// All mass in +Inf: clamp to last finite bound.
-	if got := bucketQuantile([]float64{1, 2}, []uint64{0, 0, 5}, 0.5); got != 2 {
-		t.Fatalf("all-inf quantile = %v, want 2", got)
-	}
-	// First bucket interpolates from 0.
-	if got := bucketQuantile([]float64{2}, []uint64{4, 0}, 0.5); got != 1 {
-		t.Fatalf("first-bucket p50 = %v, want 1", got)
 	}
 }

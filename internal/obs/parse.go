@@ -1,7 +1,7 @@
 // Parsing and validation of the text exposition format — the
-// consumer half of the package. loadgen scrapes /v1/metrics with it
-// to pull queue-wait percentiles into BENCH_serve.json, and the CI
-// serve smoke uses Validate as the exposition validator.
+// consumer half of the package. The serve bench validates every
+// instrumented run's /v1/metrics scrape with Validate (CI's
+// exposition smoke); tests read samples back with Scrape.Value.
 package obs
 
 import (
@@ -325,54 +325,4 @@ func (sc *Scrape) Value(name string, labels map[string]string) (v float64, ok bo
 		}
 	}
 	return 0, false
-}
-
-// HistogramQuantile estimates quantile q of a scraped histogram
-// family (with the given non-le label subset) by the same
-// bucket-interpolation rule the live Histogram uses. ok is false when
-// the family has no matching buckets or no observations.
-func (sc *Scrape) HistogramQuantile(name string, labels map[string]string, q float64) (v float64, ok bool) {
-	type bucket struct {
-		upper float64
-		cum   float64
-	}
-	var buckets []bucket
-	for _, m := range sc.Samples {
-		if m.Name != name+"_bucket" {
-			continue
-		}
-		match := true
-		for k, want := range labels {
-			if m.Labels[k] != want {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		upper, err := parseFloat(m.Labels["le"])
-		if err != nil {
-			continue
-		}
-		buckets = append(buckets, bucket{upper, m.Value})
-	}
-	if len(buckets) == 0 {
-		return 0, false
-	}
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i].upper < buckets[j].upper })
-	uppers := make([]float64, 0, len(buckets)-1)
-	counts := make([]uint64, len(buckets))
-	var prev float64
-	for i, b := range buckets {
-		if !math.IsInf(b.upper, +1) {
-			uppers = append(uppers, b.upper)
-		}
-		counts[i] = uint64(b.cum - prev)
-		prev = b.cum
-	}
-	if prev == 0 || len(uppers) == 0 {
-		return 0, false
-	}
-	return bucketQuantile(uppers, counts, q), true
 }

@@ -1,18 +1,19 @@
 // Metrics wiring: every instrument the service exports through
-// GET /v1/metrics, in one place. Hot-path instruments (histograms,
-// the counters the scheduler bumps per job) are resolved to their
-// series once here; state another subsystem already tracks (queue
-// depth, running jobs, pool counters, watch subscriptions, WAL
-// durability) bridges in through CollectFunc closures sampled at
-// scrape time, costing those subsystems nothing between scrapes.
-// docs/observability.md is the rendered catalog of everything
-// registered here.
+// GET /v1/metrics, in one place. Unlabeled instruments are resolved
+// to their series once here; labeled ones are resolved with With at
+// each call site, which allocates nothing once the series exists.
+// State another subsystem already tracks (queue depth, running jobs,
+// pool counters, watch subscriptions, WAL durability) bridges in
+// through CollectFunc closures sampled at scrape time, costing those
+// subsystems nothing between scrapes. No percentile is read from
+// these histograms: /v1/stats reads its own from the store's
+// log-bucket counts. docs/observability.md is the rendered catalog
+// of everything registered here, held to it by
+// TestMetricCatalogMatchesRegistry.
 package serve
 
 import (
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"starmesh/internal/obs"
@@ -36,21 +37,11 @@ type serveMetrics struct {
 	queueWaitSeconds obs.Histogram
 	jobRunSeconds    *obs.HistogramVec // kind
 
-	// Tenancy. The per-series handles the scheduler hot path bumps
-	// are cached in the maps below (struct/string keys, no joins):
-	// CounterVec.With is variadic and allocates its argument slice on
-	// every call, so the finish hook resolves each (status, kind,
-	// tenant) series exactly once and then increments a cached handle
-	// — no allocations in the steady state.
-	tenantAdmittedVec *obs.CounterVec   // tenant
-	tenantRejectedVec *obs.CounterVec   // tenant, reason
-	tenantWaitVec     *obs.HistogramVec // tenant
-	tenantPreempts    *obs.CounterVec   // (no labels; preemptions are rare)
-	handleMu          sync.RWMutex
-	finishedHandles   map[finishKey]obs.Counter
-	admittedHandles   map[string]obs.Counter
-	rejectedHandles   map[rejectKey]obs.Counter
-	tenantWaitHandles map[string]obs.Histogram
+	// Tenancy.
+	tenantAdmitted  *obs.CounterVec   // tenant
+	tenantRejected  *obs.CounterVec   // tenant, reason
+	tenantQueueWait *obs.HistogramVec // tenant
+	tenantPreempts  *obs.CounterVec   // (no labels; preemptions are rare)
 
 	// Pools.
 	checkoutWaitSeconds *obs.HistogramVec // shape
@@ -60,7 +51,7 @@ type serveMetrics struct {
 	httpRequestSeconds *obs.HistogramVec // route
 	httpInFlight       obs.Gauge
 
-	// Engine (fed through the simd.Collector adapter below).
+	// Engine (fed through the simd.Collector methods below).
 	engineRoutes        obs.Counter
 	engineConflicts     obs.Counter
 	engineReplays       obs.Counter
@@ -92,7 +83,7 @@ func newServeMetrics(s *Service) *serveMetrics {
 	m.jobsAdmitted = r.Counter("starmesh_jobs_admitted_total",
 		"Jobs admitted to the queue, by scenario kind.", "kind")
 	m.jobsRejected = r.Counter("starmesh_jobs_rejected_total",
-		"Submissions rejected at admission, by reason (queue_full, draining, invalid_spec).", "reason")
+		"Submissions rejected at admission, by reason (unauthorized, invalid_spec, rate_limited, draining, queue_full).", "reason")
 	m.jobsFinished = r.Counter("starmesh_jobs_finished_total",
 		"Jobs that reached a terminal status, by status, kind and tenant.", "status", "kind", "tenant")
 	m.queueWaitSeconds = r.Histogram("starmesh_queue_wait_seconds",
@@ -108,12 +99,12 @@ func newServeMetrics(s *Service) *serveMetrics {
 		func() []obs.Sample { return []obs.Sample{{Value: float64(s.queueCap)}} })
 
 	// Tenancy.
-	m.tenantAdmittedVec = r.Counter("starmesh_tenant_admitted_total",
+	m.tenantAdmitted = r.Counter("starmesh_tenant_admitted_total",
 		"Jobs admitted, by tenant.", "tenant")
-	m.tenantRejectedVec = r.Counter("starmesh_tenant_rejected_total",
+	m.tenantRejected = r.Counter("starmesh_tenant_rejected_total",
 		"Submissions rejected, by tenant and reason (rate_limited, queue_full, invalid_spec, draining).",
 		"tenant", "reason")
-	m.tenantWaitVec = r.Histogram("starmesh_tenant_queue_wait_seconds",
+	m.tenantQueueWait = r.Histogram("starmesh_tenant_queue_wait_seconds",
 		"Time jobs spent queued before a worker claimed them, by tenant.", nil, "tenant")
 	m.tenantPreempts = r.Counter("starmesh_jobs_preempted_total",
 		"Running jobs bounced back to their tenant queue by a higher-priority submission.")
@@ -228,83 +219,7 @@ func newServeMetrics(s *Service) *serveMetrics {
 			return []obs.Sample{{Value: v}}
 		})
 
-	m.finishedHandles = make(map[finishKey]obs.Counter)
-	m.admittedHandles = make(map[string]obs.Counter)
-	m.rejectedHandles = make(map[rejectKey]obs.Counter)
-	m.tenantWaitHandles = make(map[string]obs.Histogram)
-
 	return m
-}
-
-// finishKey identifies one resolved jobs_finished series.
-type finishKey struct{ status, kind, tenant string }
-
-// rejectKey identifies one resolved tenant_rejected series.
-type rejectKey struct{ tenant, reason string }
-
-// finished resolves the (status, kind, tenant) finish counter,
-// cached so the store's finish hook allocates nothing after the
-// first job of each combination.
-func (m *serveMetrics) finished(status Status, kind, tenant string) obs.Counter {
-	k := finishKey{string(status), kind, tenant}
-	m.handleMu.RLock()
-	c, ok := m.finishedHandles[k]
-	m.handleMu.RUnlock()
-	if ok {
-		return c
-	}
-	c = m.jobsFinished.With(k.status, k.kind, k.tenant)
-	m.handleMu.Lock()
-	m.finishedHandles[k] = c
-	m.handleMu.Unlock()
-	return c
-}
-
-// tenantAdmitted resolves a tenant's admission counter (cached).
-func (m *serveMetrics) tenantAdmitted(tenant string) obs.Counter {
-	m.handleMu.RLock()
-	c, ok := m.admittedHandles[tenant]
-	m.handleMu.RUnlock()
-	if ok {
-		return c
-	}
-	c = m.tenantAdmittedVec.With(tenant)
-	m.handleMu.Lock()
-	m.admittedHandles[tenant] = c
-	m.handleMu.Unlock()
-	return c
-}
-
-// tenantRejected resolves a (tenant, reason) rejection counter
-// (cached).
-func (m *serveMetrics) tenantRejected(tenant, reason string) obs.Counter {
-	k := rejectKey{tenant, reason}
-	m.handleMu.RLock()
-	c, ok := m.rejectedHandles[k]
-	m.handleMu.RUnlock()
-	if ok {
-		return c
-	}
-	c = m.tenantRejectedVec.With(tenant, reason)
-	m.handleMu.Lock()
-	m.rejectedHandles[k] = c
-	m.handleMu.Unlock()
-	return c
-}
-
-// tenantQueueWait resolves a tenant's queue-wait histogram (cached).
-func (m *serveMetrics) tenantQueueWait(tenant string) obs.Histogram {
-	m.handleMu.RLock()
-	h, ok := m.tenantWaitHandles[tenant]
-	m.handleMu.RUnlock()
-	if ok {
-		return h
-	}
-	h = m.tenantWaitVec.With(tenant)
-	m.handleMu.Lock()
-	m.tenantWaitHandles[tenant] = h
-	m.handleMu.Unlock()
-	return h
 }
 
 // poolSamples maps every pool's stats through one field selector.
@@ -326,39 +241,17 @@ func (m *serveMetrics) observeHTTP(route, method string, code int, d time.Durati
 	m.httpRequestSeconds.With(route).Observe(d.Seconds())
 }
 
-// engineCollector adapts the metrics to simd.Collector. Pooled
-// machines on concurrent jobs share it; obs instruments are atomic,
-// so no extra locking is needed.
-type engineCollector struct {
-	routes        obs.Counter
-	conflicts     obs.Counter
-	replays       obs.Counter
-	replaySeconds obs.Histogram
-	// replayNs and replayRoutes additionally accumulate raw totals for
-	// the /v1/metrics-independent snapshot used by tests and loadgen.
-	replayNs     atomic.Int64
-	replayRoutes atomic.Int64
-}
-
-func newEngineCollector(m *serveMetrics) *engineCollector {
-	return &engineCollector{
-		routes:        m.engineRoutes,
-		conflicts:     m.engineConflicts,
-		replays:       m.engineReplays,
-		replaySeconds: m.engineReplaySeconds,
-	}
-}
-
-func (c *engineCollector) RecordRoutes(routes, conflicts int) {
-	c.routes.Add(int64(routes))
+// RecordRoutes and RecordReplay make the metrics the machines'
+// simd.Collector. Pooled machines on concurrent jobs share it; obs
+// instruments are atomic, so no extra locking is needed.
+func (m *serveMetrics) RecordRoutes(routes, conflicts int) {
+	m.engineRoutes.Add(int64(routes))
 	if conflicts > 0 {
-		c.conflicts.Add(int64(conflicts))
+		m.engineConflicts.Add(int64(conflicts))
 	}
 }
 
-func (c *engineCollector) RecordReplay(d time.Duration, routes int) {
-	c.replays.Inc()
-	c.replaySeconds.Observe(d.Seconds())
-	c.replayNs.Add(d.Nanoseconds())
-	c.replayRoutes.Add(int64(routes))
+func (m *serveMetrics) RecordReplay(d time.Duration, _ int) {
+	m.engineReplays.Inc()
+	m.engineReplaySeconds.Observe(d.Seconds())
 }

@@ -184,13 +184,13 @@ func newService(cfg Config, startWorkers bool) (*Service, error) {
 		st.setHooks(
 			func(tenant, kind string, wait time.Duration) {
 				met.queueWaitSeconds.Observe(wait.Seconds())
-				met.tenantQueueWait(tenant).Observe(wait.Seconds())
+				met.tenantQueueWait.With(tenant).Observe(wait.Seconds())
 			},
 			func(status Status, tenant, kind string, run time.Duration, ran bool) {
 				if ran {
 					met.jobRunSeconds.With(kind).Observe(run.Seconds())
 				}
-				met.finished(status, kind, tenant).Inc()
+				met.jobsFinished.With(string(status), kind, tenant).Inc()
 			},
 		)
 		if st.wal != nil {
@@ -198,7 +198,7 @@ func newService(cfg Config, startWorkers bool) (*Service, error) {
 		}
 		// Every machine the pools build reports into the engine
 		// counters.
-		s.engineOpts = append(s.engineOpts, simd.WithCollector(newEngineCollector(s.met)))
+		s.engineOpts = append(s.engineOpts, simd.WithCollector(s.met))
 	}
 	// Re-admit recovered work in original admission order before any
 	// worker starts or any new submission lands. Forced pushes ride
@@ -300,7 +300,7 @@ func (s *Service) maybePreempt(priority int) {
 func (s *Service) admitted(tenant, kind string) {
 	if s.met != nil {
 		s.met.jobsAdmitted.With(kind).Inc()
-		s.met.tenantAdmitted(tenant).Inc()
+		s.met.tenantAdmitted.With(tenant).Inc()
 	}
 }
 
@@ -310,7 +310,7 @@ func (s *Service) reject(tenant, reason string) {
 	if s.met != nil {
 		s.met.jobsRejected.With(reason).Inc()
 		if tenant != "" {
-			s.met.tenantRejected(tenant, reason).Inc()
+			s.met.tenantRejected.With(tenant, reason).Inc()
 		}
 	}
 }

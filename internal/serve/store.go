@@ -12,13 +12,13 @@ package serve
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"starmesh/internal/obs"
 	"starmesh/internal/workload"
 )
 
@@ -123,7 +123,7 @@ type finishEvent struct {
 type finishWindow struct {
 	events     []finishEvent
 	next       int // the oldest event, once the ring is full
-	total, run latCounts
+	total, run obs.LatencyCounts
 }
 
 // add records a job that just reached a terminal status from running.
@@ -134,9 +134,9 @@ func (w *finishWindow) add(j *Job) {
 		at:     j.Finished,
 		tenant: j.Tenant,
 		done:   j.Status == StatusDone,
-		total:  latBucket(time.Duration(j.WaitNs + j.RunNs)),
-		run:    latBucket(time.Duration(j.RunNs)),
-		wait:   latBucket(time.Duration(j.WaitNs)),
+		total:  obs.LatencyBucket(time.Duration(j.WaitNs + j.RunNs)),
+		run:    obs.LatencyBucket(time.Duration(j.RunNs)),
+		wait:   obs.LatencyBucket(time.Duration(j.WaitNs)),
 	}
 	if ev.done && j.Result != nil {
 		ev.routes, ev.conflicts = int64(j.Result.UnitRoutes), int64(j.Result.Conflicts)
@@ -152,62 +152,6 @@ func (w *finishWindow) add(j *Job) {
 	w.run[old.run]--
 	*old = ev
 	w.next = (w.next + 1) % len(w.events)
-}
-
-// Log-bucket percentiles, after DDSketch's logarithmic mapping
-// (Masson, Rim, Lee, VLDB 2019). With γ = (1+α)/(1−α), bucket k ≥ 1
-// holds the durations in (γ^(k−2), γ^(k−1)] ns and reports
-// 2γ^(k−1)/(1+γ) rounded to a whole ns, which lies within α of
-// every value in the bucket before the rounding; bucket 0 holds the
-// durations ≤ 0 and reports 0. So a percentile read from the counts
-// is within α·exact + ½ ns of the exact nearest-rank value. The
-// array reaches γ^(latBuckets−2) ≥ 24 h; the top bucket also takes
-// every longer duration and reports about 24 h for it.
-const (
-	latAlpha   = 0.01
-	latGamma   = (1 + latAlpha) / (1 - latAlpha)
-	latBuckets = 1607
-)
-
-var (
-	latLogGamma = math.Log(latGamma)
-	// latValues is the value each bucket reports.
-	latValues = func() (v [latBuckets]int64) {
-		for k := 1; k < latBuckets; k++ {
-			v[k] = int64(math.Round(2 * math.Pow(latGamma, float64(k-1)) / (1 + latGamma)))
-		}
-		return v
-	}()
-)
-
-// latCounts counts durations per log bucket.
-type latCounts [latBuckets]uint32
-
-// latBucket maps a duration to its log bucket.
-func latBucket(d time.Duration) uint16 {
-	if d <= 0 {
-		return 0
-	}
-	return uint16(min(int(math.Ceil(math.Log(float64(d))/latLogGamma))+1, latBuckets-1))
-}
-
-// percentiles returns the nearest-rank p50 and p99 of the n counted
-// durations (0 for n = 0) in one pass: the p-th percentile is the
-// value of the bucket holding the ceil(p·n/100)-th smallest.
-func (c *latCounts) percentiles(n int) (p50, p99 int64) {
-	if n == 0 {
-		return 0, 0
-	}
-	r50, r99 := (50*n+99)/100, (99*n+99)/100
-	k, seen := 0, 0
-	for ; k < latBuckets-1 && seen+int(c[k]) < r50; k++ {
-		seen += int(c[k])
-	}
-	p50 = latValues[k]
-	for ; k < latBuckets-1 && seen+int(c[k]) < r99; k++ {
-		seen += int(c[k])
-	}
-	return p50, latValues[k]
 }
 
 // walOp names one job transition in the WAL; every transition emits
@@ -808,8 +752,8 @@ func (st *store) aggregate(uptime time.Duration) Stats {
 		s.ThroughputJobsPerSec = float64(st.finished) / secs
 	}
 	n := len(st.window.events)
-	s.LatencyTotalP50Ns, s.LatencyTotalP99Ns = st.window.total.percentiles(n)
-	s.LatencyRunP50Ns, s.LatencyRunP99Ns = st.window.run.percentiles(n)
+	s.LatencyTotalP50Ns, s.LatencyTotalP99Ns = st.window.total.Percentiles(n)
+	s.LatencyRunP50Ns, s.LatencyRunP99Ns = st.window.run.Percentiles(n)
 	st.mu.Unlock()
 
 	sort.Slice(s.Kinds, func(i, j int) bool { return s.Kinds[i].Kind < s.Kinds[j].Kind })

@@ -7,6 +7,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"starmesh/internal/obs"
 )
 
 var errAny = errors.New("boom")
@@ -94,33 +96,12 @@ func TestLatWindowWrapsToRecentSamples(t *testing.T) {
 	}
 	// 7..10 ns land in four distinct buckets, so the counts name the
 	// samples the ring kept.
-	var want latCounts
+	var want obs.LatencyCounts
 	for i := 7; i <= 10; i++ {
-		want[latBucket(time.Duration(i))]++
+		want[obs.LatencyBucket(time.Duration(i))]++
 	}
 	if w.run != want || w.total != want {
 		t.Fatal("window counts do not hold the most recent four samples")
-	}
-}
-
-// TestLatBucketRange pins the ends of the bucket array: durations
-// ≤ 0 report 0, 1 ns reports 1 ns, 24 h still lands in a bucket
-// within 1% of it, and anything longer clamps into that top bucket.
-func TestLatBucketRange(t *testing.T) {
-	for _, d := range []time.Duration{-time.Second, 0} {
-		if k := latBucket(d); k != 0 || latValues[k] != 0 {
-			t.Fatalf("latBucket(%v) = %d reporting %d, want bucket 0 reporting 0", d, k, latValues[k])
-		}
-	}
-	if v := latValues[latBucket(1)]; v != 1 {
-		t.Fatalf("1ns reports %d", v)
-	}
-	day := 24 * time.Hour
-	if k := latBucket(day); k != latBuckets-1 || !withinAlpha(latValues[k], day.Nanoseconds()) {
-		t.Fatalf("24h lands in bucket %d of %d reporting %d", k, latBuckets, latValues[k])
-	}
-	if k := latBucket(30 * day); k != latBuckets-1 {
-		t.Fatalf("30 days land in bucket %d, want the top one", k)
 	}
 }
 
@@ -157,8 +138,8 @@ func TestStoreAggregatesPerKind(t *testing.T) {
 }
 
 // TestStoreSmallHelpers pins the leaf helpers: id sequence parsing
-// (malformed ids order first), the memory store's empty recovery
-// set, and the empty-percentile guard.
+// (malformed ids order first) and the memory store's empty recovery
+// set.
 func TestStoreSmallHelpers(t *testing.T) {
 	if seqOf("job-000042") != 42 {
 		t.Fatal("seqOf lost the sequence")
@@ -168,10 +149,6 @@ func TestStoreSmallHelpers(t *testing.T) {
 	}
 	if got := memStore(t).recoveredQueued(); got != nil {
 		t.Fatalf("memory store recovered %v, want nothing", got)
-	}
-	var empty latCounts
-	if p50, p99 := empty.percentiles(0); p50 != 0 || p99 != 0 {
-		t.Fatal("empty percentile must be 0")
 	}
 }
 
@@ -332,7 +309,7 @@ func FuzzPercentilesNs(f *testing.F) {
 			for _, d := range samples {
 				w.add(&Job{WaitNs: int64(d), RunNs: int64(d)})
 			}
-			var total, run latCounts
+			var total, run obs.LatencyCounts
 			for _, ev := range w.events {
 				total[ev.total]++
 				run[ev.run]++
@@ -346,8 +323,8 @@ func FuzzPercentilesNs(f *testing.F) {
 				sorted := slices.Sorted(slices.Values(kept))
 				want50, want99 = nearestRankRef(sorted, 50), nearestRankRef(sorted, 99)
 			}
-			p50, p99 := w.run.percentiles(len(w.events))
-			t50, t99 := w.total.percentiles(len(w.events))
+			p50, p99 := w.run.Percentiles(len(w.events))
+			t50, t99 := w.total.Percentiles(len(w.events))
 			if !withinAlpha(p50, want50) || !withinAlpha(p99, want99) ||
 				!withinAlpha(t50, 2*want50) || !withinAlpha(t99, 2*want99) {
 				t.Fatalf("n=%d cap=%d: run %d/%d, total %d/%d, sort reference %d/%d and twice that",

@@ -15,6 +15,8 @@ import (
 	"math"
 	"sort"
 	"time"
+
+	"starmesh/internal/obs"
 )
 
 // tenantAgg is one tenant's slice of the trailing window.
@@ -24,7 +26,7 @@ type tenantAgg struct {
 	done      int
 	routes    int64
 	conflicts int64
-	waits     latCounts // queue waits, jobs of them
+	waits     obs.LatencyCounts // queue waits, jobs of them
 }
 
 // tenantWindow folds the finishes of the trailing window per tenant,
@@ -127,7 +129,7 @@ func buildTenantStats(aggs map[string]*tenantAgg, window time.Duration,
 			UnitRoutes: agg.routes,
 			Conflicts:  agg.conflicts,
 		}
-		row.QueueWaitP50Ns, row.QueueWaitP99Ns = agg.waits.percentiles(agg.jobs)
+		row.QueueWaitP50Ns, row.QueueWaitP99Ns = agg.waits.Percentiles(agg.jobs)
 		row.setThroughput(window)
 		rows = append(rows, row)
 	}

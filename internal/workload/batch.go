@@ -288,123 +288,42 @@ func RunFaultRouteOn(ctx context.Context, g starGraph, faults, pairs int, rng *r
 	return ScenarioResult{UnitRoutes: hops, OK: true}, nil
 }
 
-// The named scenario constructors are thin registry dispatches:
-// each builds the canonical Spec and asks ScenarioFor for the
-// standalone (fresh machine per run) scenario. mustScenario panics
-// on validation errors — these constructors are programmatic wiring,
-// not input handling; callers with untrusted parameters go through
-// ScenarioFor and handle the error.
-func mustScenario(s Spec, opts ...simd.Option) Scenario {
-	sc, err := ScenarioFor(s, opts...)
-	if err != nil {
-		panic(fmt.Sprintf("workload: %v", err))
-	}
-	return sc
-}
-
-// SortScenario snake-sorts n! keys of the given distribution on the
-// star machine S_n through the paper's embedding.
-func SortScenario(n int, d Dist, seed int64, opts ...simd.Option) Scenario {
-	return mustScenario(Spec{Kind: KindSort, N: n, Dist: distName(d), Seed: seed}, opts...)
-}
-
-// ShearScenario shear-sorts a rows×cols mesh machine.
-func ShearScenario(rows, cols int, d Dist, seed int64, opts ...simd.Option) Scenario {
-	return mustScenario(Spec{Kind: KindShear, Rows: rows, Cols: cols, Dist: distName(d), Seed: seed}, opts...)
-}
-
-// BroadcastScenario floods one value from the given source PE across
-// the star machine S_n and checks every PE received it.
-func BroadcastScenario(n, source int, opts ...simd.Option) Scenario {
-	return mustScenario(Spec{Kind: KindBroadcast, N: n, Source: source}, opts...)
-}
-
-// SweepScenario drives the full mesh-unit-route sweep on S_n.
-func SweepScenario(n int, opts ...simd.Option) Scenario {
-	return mustScenario(Spec{Kind: KindSweep, N: n}, opts...)
-}
-
-// FaultRouteScenario routes the given number of random source/target
-// pairs through S_n while avoiding a random set of faulty nodes
-// (at most n-2, so a path always exists). The reported unit routes
-// are the total hops across all pairs.
-func FaultRouteScenario(n, faults, pairs int, seed int64) Scenario {
-	return mustScenario(Spec{Kind: KindFaultRoute, N: n, Faults: faults, Pairs: pairs, Seed: seed})
-}
-
-// EmbedRectScenario sweeps verified grouped unit routes over the
-// appendix's d-dimensional rectangular mesh realized on S_n.
-func EmbedRectScenario(n, d int, opts ...simd.Option) Scenario {
-	return mustScenario(Spec{Kind: KindEmbedRect, N: n, D: d}, opts...)
-}
-
-// PermRouteScenario routes full permutation traffic of the given
-// pattern obliviously on S_n.
-func PermRouteScenario(n int, pattern string, seed int64) Scenario {
-	return mustScenario(Spec{Kind: KindPermRoute, N: n, Pattern: pattern, Seed: seed})
-}
-
-// VirtualScenario snake-sorts (n+1)! keys on the virtualized
-// machine D_{n+1}-on-S_n.
-func VirtualScenario(n int, d Dist, seed int64, opts ...simd.Option) Scenario {
-	return mustScenario(Spec{Kind: KindVirtual, N: n, Dist: distName(d), Seed: seed}, opts...)
-}
-
-// DiagnosticsScenario sweeps random vertex-hole patterns over S_n
-// and measures reachability and eccentricity.
-func DiagnosticsScenario(n, holes, trials int, seed int64) Scenario {
-	return mustScenario(Spec{Kind: KindDiagnostics, N: n, Holes: holes, Trials: trials, Seed: seed})
-}
-
-// PipelineScenario chains embedrect → sort → broadcast on one star
-// machine, Reset between phases.
-func PipelineScenario(n, d int, dist Dist, seed int64, source int, opts ...simd.Option) Scenario {
-	return mustScenario(Spec{Kind: KindPipeline, N: n, D: d, Dist: distName(dist), Seed: seed, Source: source}, opts...)
-}
-
 // StandardBatch assembles a representative mixed batch spanning
 // every registered scenario family: snake sorts across
 // distributions, shear sorts, broadcasts, fault routing, and the
-// embedrect/permroute/virtual/diagnostics/pipeline families.
+// embedrect/permroute/virtual/diagnostics/pipeline families, each the
+// standalone (fresh machine per run) scenario ScenarioFor builds. It
+// panics on a validation error: the specs are programmatic wiring,
+// not input handling; callers with untrusted parameters go through
+// ScenarioFor and handle the error.
 func StandardBatch(n int, seed int64, opts ...simd.Option) []Scenario {
-	var scs []Scenario
+	specs := make([]Spec, 0, len(Dists)+10)
 	for _, d := range Dists {
-		scs = append(scs, SortScenario(n, d.D, seed, opts...))
+		specs = append(specs, Spec{Kind: KindSort, N: n, Dist: d.Name, Seed: seed})
 	}
-	vn := n
-	if vn > 4 {
-		vn = 4 // the virtual sort runs (n+1)! phases; keep the mixed batch snappy
-	}
-	pn := n
-	if pn > MaxPermRouteN {
-		pn = MaxPermRouteN
-	}
-	ed := 2
-	if ed > n-1 {
-		ed = n - 1 // embedrect/pipeline need d ≤ n-1 (S_2 only factorizes to d=1)
-	}
-	scs = append(scs,
-		ShearScenario(16, 16, Uniform, seed, opts...),
-		ShearScenario(32, 8, Reversed, seed+1, opts...),
-		BroadcastScenario(n, 0, opts...),
-		BroadcastScenario(n, 1, opts...),
-		FaultRouteScenario(n, n-2, 16, seed),
-		EmbedRectScenario(n, ed, opts...),
-		PermRouteScenario(pn, "random", seed),
-		VirtualScenario(vn, Uniform, seed, opts...),
-		DiagnosticsScenario(n, n-2, 2, seed),
-		PipelineScenario(n, ed, Uniform, seed, 0, opts...),
+	ed := min(2, n-1) // embedrect/pipeline need d ≤ n-1 (S_2 only factorizes to d=1)
+	specs = append(specs,
+		Spec{Kind: KindShear, Rows: 16, Cols: 16, Dist: "uniform", Seed: seed},
+		Spec{Kind: KindShear, Rows: 32, Cols: 8, Dist: "reversed", Seed: seed + 1},
+		Spec{Kind: KindBroadcast, N: n, Source: 0},
+		Spec{Kind: KindBroadcast, N: n, Source: 1},
+		Spec{Kind: KindFaultRoute, N: n, Faults: n - 2, Pairs: 16, Seed: seed},
+		Spec{Kind: KindEmbedRect, N: n, D: ed},
+		Spec{Kind: KindPermRoute, N: min(n, MaxPermRouteN), Pattern: "random", Seed: seed},
+		// The virtual sort runs (n+1)! phases; keep the mixed batch snappy.
+		Spec{Kind: KindVirtual, N: min(n, 4), Dist: "uniform", Seed: seed},
+		Spec{Kind: KindDiagnostics, N: n, Holes: n - 2, Trials: 2, Seed: seed},
+		Spec{Kind: KindPipeline, N: n, D: ed, Dist: "uniform", Seed: seed},
 	)
-	return scs
-}
-
-func distName(d Dist) string {
-	for _, e := range Dists {
-		if e.D == d {
-			return e.Name
+	scs := make([]Scenario, len(specs))
+	for i, s := range specs {
+		sc, err := ScenarioFor(s, opts...)
+		if err != nil {
+			panic(fmt.Sprintf("workload: %v", err))
 		}
+		scs[i] = sc
 	}
-	return fmt.Sprintf("dist%d", int(d))
+	return scs
 }
 
 // EngineSweep drives one full mesh-unit-route sweep — every

@@ -11,6 +11,16 @@ import (
 	"starmesh/internal/starsim"
 )
 
+// scenario builds a spec's standalone scenario or fails the test.
+func scenario(t *testing.T, s Spec) Scenario {
+	t.Helper()
+	sc, err := ScenarioFor(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
 // stripTiming zeroes the wall-clock fields so runs can be compared.
 func stripTiming(b BatchResult) BatchResult {
 	b.ElapsedNs = 0
@@ -59,7 +69,7 @@ func TestRunBatchCollectsErrors(t *testing.T) {
 	boom := Scenario{Name: "boom", Run: func(context.Context) (ScenarioResult, error) {
 		return ScenarioResult{}, errors.New("deliberate failure")
 	}}
-	res := RunBatch(context.Background(), []Scenario{BroadcastScenario(3, 0), boom}, 2)
+	res := RunBatch(context.Background(), []Scenario{scenario(t, Spec{Kind: KindBroadcast, N: 3, Source: 0}), boom}, 2)
 	if len(res.Errors) != 1 {
 		t.Fatalf("errors = %v, want exactly one", res.Errors)
 	}
@@ -88,7 +98,7 @@ func TestRunnersMatchScenarios(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := run(SortScenario(n, Uniform, seed)); got != want {
+	if want := run(scenario(t, Spec{Kind: KindSort, N: n, Dist: "uniform", Seed: seed})); got != want {
 		t.Fatalf("RunSortOn diverged: %+v != %+v", got, want)
 	}
 
@@ -98,7 +108,7 @@ func TestRunnersMatchScenarios(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := run(ShearScenario(8, 8, Reversed, seed)); got != want {
+	if want := run(scenario(t, Spec{Kind: KindShear, Rows: 8, Cols: 8, Dist: "reversed", Seed: seed})); got != want {
 		t.Fatalf("RunShearOn diverged: %+v != %+v", got, want)
 	}
 
@@ -107,11 +117,11 @@ func TestRunnersMatchScenarios(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := run(FaultRouteScenario(n, n-2, 8, seed)); got != want {
+	if want := run(scenario(t, Spec{Kind: KindFaultRoute, N: n, Faults: n - 2, Pairs: 8, Seed: seed})); got != want {
 		t.Fatalf("RunFaultRouteOn diverged: %+v != %+v", got, want)
 	}
 
-	sweep := run(SweepScenario(n))
+	sweep := run(scenario(t, Spec{Kind: KindSweep, N: n}))
 	if !sweep.OK || sweep.UnitRoutes == 0 {
 		t.Fatalf("sweep scenario reported no clean work: %+v", sweep)
 	}
