@@ -46,9 +46,10 @@ race-recovery:
 BENCH = BENCH_DIR=$(CURDIR)
 
 ## bench: the S_8 engine record (BENCH_engine.json) from
-## TestEngineBenchRecord — closure path, replay vs closure per sweep,
-## and five single-sweep replays — with parity asserted at every
-## point. Gates: plan replay no slower than closure per sweep; the
+## TestEngineBenchRecord — replay vs closure per sweep and five
+## single-sweep replays — written once one sweep of each path (generic
+## role tests, route cache, replay) has checked bit-identical. Gates:
+## plan replay no slower than closure per sweep; the
 ## regression rule against the committed record (fails only when the
 ## fresh sweeps/s interval lies wholly below 0.5 × the committed
 ## one). Then one pass over every benchmark. The route paths' parity

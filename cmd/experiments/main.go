@@ -6,7 +6,6 @@
 //	experiments -list
 //	experiments -run fig7
 //	experiments -run all
-//	experiments -run plans               // plan replay vs closure resolution, bit-identical
 //	experiments -run scenarios           // one demo run per registered scenario family
 //	experiments -run serve               // job-service load, pooled vs build-per-job
 //	experiments -run tenants             // multi-tenant fairness under a hot tenant

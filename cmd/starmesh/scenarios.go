@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"starmesh/internal/workload"
 )
@@ -50,8 +51,8 @@ func cmdRun(args []string) {
 }
 
 // runSpec parses the run subcommand's arguments, one JSON job spec,
-// and runs it standalone through workload.RunBatch, the runner that
-// times scenarios, so the result carries its elapsed_ns.
+// and runs it standalone on a fresh machine, timed, so the result
+// carries its name and elapsed_ns like a served job's.
 func runSpec(args []string) (workload.ScenarioResult, error) {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	if err := fs.Parse(args); err != nil {
@@ -70,9 +71,11 @@ func runSpec(args []string) (workload.ScenarioResult, error) {
 	if err != nil {
 		return workload.ScenarioResult{}, err
 	}
-	batch := workload.RunBatch(context.Background(), []workload.Scenario{sc}, 1)
-	if len(batch.Errors) > 0 {
-		return batch.Scenarios[0], errors.New(batch.Errors[0])
+	start := time.Now()
+	res, err := sc.Run(context.Background())
+	res.Name, res.ElapsedNs = sc.Name, time.Since(start).Nanoseconds()
+	if err != nil {
+		return res, fmt.Errorf("%s: %w", sc.Name, err)
 	}
-	return batch.Scenarios[0], nil
+	return res, nil
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // TestRunSpecReportsElapsed: `starmesh run` times the scenario it
-// runs, like the batch runner and the job service do.
+// runs, like the job service does.
 func TestRunSpecReportsElapsed(t *testing.T) {
 	res, err := runSpec([]string{`{"kind":"sweep","n":4}`})
 	if err != nil {

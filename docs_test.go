@@ -1,14 +1,17 @@
 package starmesh_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
 	"starmesh"
+	"starmesh/internal/experiments"
 )
 
 // mdLink matches inline markdown links [text](target).
@@ -129,5 +132,59 @@ func TestMetricCatalogMatchesRegistry(t *testing.T) {
 	}
 	for name := range documented {
 		t.Errorf("docs/observability.md catalogs %s, which the service does not register", name)
+	}
+}
+
+// workloadArg matches a perfbench --workload value; alternatives are
+// split on "|", and a line may break after one.
+var workloadArg = regexp.MustCompile(`--workload[ =]+((?:[\w-]+\|\s*)*[\w-]+)`)
+
+// experimentRun matches `experiments -run <id>` for the cmd/experiments
+// binary, not `go test ./internal/experiments -run <pattern>`.
+var experimentRun = regexp.MustCompile(`(?:^|[\s` + "`" + `]|cmd/)experiments\s+-run[ =]+([\w-]+)`)
+
+// TestDocsNameExistingTargets holds the notes a developer reads
+// (README.md, docs/*.md and the verify notes) to what exists: every
+// perfbench workload they name is a BENCHMARK.json workload, and
+// every `experiments -run <id>` names a registered experiment or all.
+func TestDocsNameExistingTargets(t *testing.T) {
+	var bench struct {
+		Workloads []struct{ Name string } `json:"workloads"`
+	}
+	data, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &bench); err != nil {
+		t.Fatal(err)
+	}
+	var workloads []string
+	for _, w := range bench.Workloads {
+		workloads = append(workloads, w.Name)
+	}
+	ids := append(experiments.IDs(), "all")
+
+	sources, err := filepath.Glob(filepath.Join("docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources = append(sources, "README.md", filepath.Join(".claude", "skills", "verify", "SKILL.md"))
+	for _, src := range sources {
+		data, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range workloadArg.FindAllStringSubmatch(string(data), -1) {
+			for _, w := range strings.Split(m[1], "|") {
+				if w = strings.TrimSpace(w); !slices.Contains(workloads, w) {
+					t.Errorf("%s names perfbench workload %q; BENCHMARK.json has %v", src, w, workloads)
+				}
+			}
+		}
+		for _, m := range experimentRun.FindAllStringSubmatch(string(data), -1) {
+			if !slices.Contains(ids, m[1]) {
+				t.Errorf("%s runs experiment %q, which is not registered (%v)", src, m[1], ids)
+			}
+		}
 	}
 }

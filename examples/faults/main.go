@@ -6,9 +6,13 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
+	"slices"
 
 	"starmesh"
 	"starmesh/internal/graphalg"
@@ -18,22 +22,30 @@ import (
 const n = 5 // 120 processors, degree 4
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's report to w. The fault sets come from a
+// fixed seed, so every run prints the same bytes.
+func run(w io.Writer) error {
 	s := starmesh.NewStar(n)
 	g := s.G
 
 	// 1. Vertex connectivity equals the degree.
 	k := graphalg.VertexConnectivity(g, true)
-	fmt.Printf("S_%d: degree %d, vertex connectivity %d -> maximally fault tolerant: %v\n",
+	fmt.Fprintf(w, "S_%d: degree %d, vertex connectivity %d -> maximally fault tolerant: %v\n",
 		n, s.Degree(), k, k == s.Degree())
 	if k != s.Degree() {
-		log.Fatal("connectivity mismatch")
+		return errors.New("connectivity mismatch")
 	}
 
 	// 2. There are n-1 vertex-disjoint paths between any two nodes.
 	src := g.ID(starmesh.IdentityPerm(n))
 	dst := g.Order() - 1
 	paths := graphalg.VertexDisjointPaths(g, src, dst)
-	fmt.Printf("vertex-disjoint paths between %v and %v: %d\n",
+	fmt.Fprintf(w, "vertex-disjoint paths between %v and %v: %d\n",
 		g.Node(src), g.Node(dst), paths)
 
 	// 3. Inject n-2 random faults; the network must stay connected
@@ -51,17 +63,19 @@ func main() {
 		for h := range holes {
 			holeList = append(holeList, h)
 		}
+		slices.Sort(holeList) // map order is random; the report is not
 		faulty := graphalg.NewExclude(g, holeList...)
 		if !graphalg.ConnectedExcept(g, src, holeList...) {
-			log.Fatalf("S_%d disconnected by %d faults — contradicts maximal fault tolerance", n, n-2)
+			return fmt.Errorf("S_%d disconnected by %d faults — contradicts maximal fault tolerance", n, n-2)
 		}
 		path := graphalg.BFSPath(faulty, src, dst)
 		healthy := star.Distance(g.Node(src), g.Node(dst))
-		fmt.Printf("trial %d: faults at %v; healthy distance %d, detour length %d\n",
+		fmt.Fprintf(w, "trial %d: faults at %v; healthy distance %d, detour length %d\n",
 			trial, holeList, healthy, len(path)-1)
 		if path == nil {
-			log.Fatal("no route around faults")
+			return errors.New("no route around faults")
 		}
 	}
-	fmt.Println("all fault scenarios routed successfully")
+	fmt.Fprintln(w, "all fault scenarios routed successfully")
+	return nil
 }

@@ -12,7 +12,7 @@ func TestFactorizeProductIsFactorial(t *testing.T) {
 	for n := 2; n <= 12; n++ {
 		for d := 1; d <= n-1; d++ {
 			f := Factorize(n, d)
-			if !f.SanityProduct() {
+			if f.Product() != perm.Factorial(n) {
 				t.Fatalf("n=%d d=%d: product %d != %d!", n, d, f.Product(), n)
 			}
 			if len(f.L) != d {
@@ -102,14 +102,19 @@ func TestGroupedBijective(t *testing.T) {
 
 func TestGroupedStepCostIsOne(t *testing.T) {
 	// The appendix claim: every ±1 move in a grouped dimension is a
-	// single physical D_n step (dilation 1 via snake encoding).
+	// single physical D_n step (dilation 1 via snake encoding): the
+	// D_n Manhattan distance the move realizes is 1 wherever the move
+	// stays inside R.
 	for _, c := range [][2]int{{4, 2}, {5, 2}, {5, 3}, {6, 2}} {
 		g := NewGrouped(Factorize(c[0], c[1]))
 		for rID := 0; rID < g.R.Order(); rID++ {
 			for t2 := 0; t2 < g.F.D; t2++ {
 				for _, dir := range []int{+1, -1} {
-					cost := g.StepCost(rID, t2, dir)
-					if cost != -1 && cost != 1 {
+					to := g.R.Step(rID, t2, dir)
+					if to == -1 {
+						continue
+					}
+					if cost := g.Dn.Distance(g.ToDn(rID), g.ToDn(to)); cost != 1 {
 						t.Fatalf("n=%d d=%d r=%d dim=%d dir=%d: step cost %d",
 							c[0], c[1], rID, t2, dir, cost)
 					}

@@ -13,7 +13,6 @@ import (
 	"math"
 
 	"starmesh/internal/mesh"
-	"starmesh/internal/perm"
 )
 
 // Factorization groups the dimension sizes {2,…,n} of D_n into d
@@ -151,21 +150,4 @@ func (g *Grouped) ToDn(rID int) int {
 		}
 	}
 	return g.Dn.ID(coords)
-}
-
-// StepCost returns the D_n Manhattan distance realized by a ±1 move
-// in grouped dimension t from logical node rID, or -1 at the
-// boundary. The appendix's snake construction makes this always 1.
-func (g *Grouped) StepCost(rID, t, dir int) int {
-	to := g.R.Step(rID, t, dir)
-	if to == -1 {
-		return -1
-	}
-	return g.Dn.Distance(g.ToDn(rID), g.ToDn(to))
-}
-
-// SanityProduct double-checks ∏L = n! (used by tests and the
-// experiments binary).
-func (f Factorization) SanityProduct() bool {
-	return f.Product() == perm.Factorial(f.N)
 }

@@ -11,7 +11,6 @@ package cubesim
 import (
 	"fmt"
 
-	"starmesh/internal/hypercube"
 	"starmesh/internal/simd"
 )
 
@@ -119,10 +118,6 @@ func trailingBit(j int) int {
 	}
 	return b
 }
-
-// MinDimFor re-exports hypercube.MinDimFor for callers sizing a cube
-// to hold at least n keys.
-func MinDimFor(n int64) int { return hypercube.MinDimFor(n) }
 
 // TheoreticalRoutes returns d(d+1)/2, the exact unit-route count of
 // bitonic sort on Q_d.

@@ -8,6 +8,7 @@ import (
 	"starmesh/internal/core"
 	"starmesh/internal/cubesim"
 	"starmesh/internal/exptab"
+	"starmesh/internal/hypercube"
 	"starmesh/internal/mesh"
 	"starmesh/internal/meshsim"
 	"starmesh/internal/perm"
@@ -128,7 +129,7 @@ func Sorting(w io.Writer) error {
 		// Note it needs a power-of-two machine: 2^d >= n! wastes up
 		// to half the PEs, which is exactly the §5 point about
 		// divide-and-conquer sorters on non-power-of-two meshes.
-		d := cubesim.MinDimFor(int64(N))
+		d := hypercube.MinDimFor(int64(N))
 		cm := cubesim.New(d)
 		cm.AddReg("K")
 		maxKey := int64(0)

@@ -51,17 +51,6 @@ func (a *Adjacency) AppendNeighbors(buf []int, v int) []int {
 	return append(buf, a.Adj[v]...)
 }
 
-// Materialize copies an arbitrary Graph into an *Adjacency, which is
-// faster to traverse repeatedly.
-func Materialize(g Graph) *Adjacency {
-	n := g.Order()
-	a := &Adjacency{Adj: make([][]int, n)}
-	for v := 0; v < n; v++ {
-		a.Adj[v] = g.AppendNeighbors(nil, v)
-	}
-	return a
-}
-
 // NumEdges returns the number of undirected edges of g.
 func NumEdges(g Graph) int {
 	total := 0

@@ -177,20 +177,6 @@ func TestNumEdges(t *testing.T) {
 	}
 }
 
-func TestMaterialize(t *testing.T) {
-	g := grid(3, 3)
-	m := Materialize(g)
-	if m.Order() != g.Order() {
-		t.Fatalf("order mismatch")
-	}
-	for v := 0; v < g.Order(); v++ {
-		a, b := Neighbors(g, v), Neighbors(m, v)
-		if len(a) != len(b) {
-			t.Fatalf("neighbor mismatch at %d", v)
-		}
-	}
-}
-
 func TestVertexDisjointPaths(t *testing.T) {
 	// C6: exactly 2 disjoint paths between opposite vertices.
 	if k := VertexDisjointPaths(cycle(6), 0, 3); k != 2 {

@@ -1,16 +1,13 @@
-// Package hypercube implements the binary d-cube Q_d and the
-// classical Gray-code embedding of rectangular meshes into it
-// ([SAAD88], [CHAN88]). The paper's introduction motivates the star
-// graph as an alternative to the hypercube; experiment E12 reproduces
-// that comparison (nodes, degree, diameter) and E18 uses the Gray
-// embedding as the "meshes embed well in hypercubes" baseline.
+// Package hypercube implements the binary d-cube Q_d. The paper's
+// introduction motivates the star graph as an alternative to the
+// hypercube; the `properties` experiment reproduces that comparison
+// (nodes, degree, diameter), and the `sorting` experiment sizes its
+// bitonic-sort baseline with MinDimFor.
 package hypercube
 
 import (
 	"fmt"
 	"math/bits"
-
-	"starmesh/internal/mesh"
 )
 
 // Graph is the hypercube Q_d on 2^d vertices; vertex ids are the
@@ -54,77 +51,4 @@ func MinDimFor(n int64) int {
 		d++
 	}
 	return d
-}
-
-// Gray returns the i-th binary reflected Gray code.
-func Gray(i int) int { return i ^ (i >> 1) }
-
-// GrayInverse inverts Gray.
-func GrayInverse(gc int) int {
-	i := 0
-	for gc != 0 {
-		i ^= gc
-		gc >>= 1
-	}
-	return i
-}
-
-// MeshEmbedding is a vertex map from a rectangular mesh into a
-// hypercube built from per-dimension reflected Gray codes. When every
-// mesh dimension is a power of two the embedding has dilation 1;
-// otherwise dimensions are padded to the next power of two
-// (expansion > 1, dilation still 1 because consecutive Gray codes
-// differ in one bit).
-type MeshEmbedding struct {
-	M       *mesh.Mesh
-	H       *Graph
-	bitsPer []int
-	shift   []int
-}
-
-// NewMeshEmbedding builds the Gray-code embedding of m.
-func NewMeshEmbedding(m *mesh.Mesh) *MeshEmbedding {
-	e := &MeshEmbedding{M: m}
-	total := 0
-	for j := 0; j < m.Dims(); j++ {
-		b := 0
-		for 1<<b < m.Size(j) {
-			b++
-		}
-		e.bitsPer = append(e.bitsPer, b)
-		e.shift = append(e.shift, total)
-		total += b
-	}
-	e.H = New(total)
-	return e
-}
-
-// MapNode returns the hypercube vertex hosting the given mesh node.
-func (e *MeshEmbedding) MapNode(id int) int {
-	v := 0
-	for j := 0; j < e.M.Dims(); j++ {
-		v |= Gray(e.M.Coord(id, j)) << e.shift[j]
-	}
-	return v
-}
-
-// Dilation returns the maximum Hamming distance between the images
-// of adjacent mesh nodes (1 for any mesh, by the Gray-code property).
-func (e *MeshEmbedding) Dilation() int {
-	maxD := 0
-	var buf []int
-	for id := 0; id < e.M.Order(); id++ {
-		buf = e.M.AppendNeighbors(buf[:0], id)
-		for _, w := range buf {
-			if d := Distance(e.MapNode(id), e.MapNode(w)); d > maxD {
-				maxD = d
-			}
-		}
-	}
-	return maxD
-}
-
-// Expansion returns |Q_d| / |mesh|.
-func (e *MeshEmbedding) Expansion() float64 {
-	return float64(e.H.Order()) / float64(e.M.Order())
 }

@@ -2,10 +2,8 @@ package hypercube
 
 import (
 	"testing"
-	"testing/quick"
 
 	"starmesh/internal/graphalg"
-	"starmesh/internal/mesh"
 )
 
 func TestBasicProperties(t *testing.T) {
@@ -43,21 +41,6 @@ func TestConnectivityIsMaximal(t *testing.T) {
 	}
 }
 
-func TestGrayCode(t *testing.T) {
-	// Consecutive Gray codes differ in exactly one bit.
-	for i := 0; i < 1000; i++ {
-		if Distance(Gray(i), Gray(i+1)) != 1 {
-			t.Fatalf("gray step %d differs in %d bits", i, Distance(Gray(i), Gray(i+1)))
-		}
-	}
-	f := func(v uint16) bool {
-		return GrayInverse(Gray(int(v))) == int(v)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMinDimFor(t *testing.T) {
 	cases := []struct {
 		n    int64
@@ -67,44 +50,6 @@ func TestMinDimFor(t *testing.T) {
 		if got := MinDimFor(c.n); got != c.want {
 			t.Errorf("MinDimFor(%d) = %d, want %d", c.n, got, c.want)
 		}
-	}
-}
-
-func TestMeshEmbeddingDilationOne(t *testing.T) {
-	shapes := [][]int{{2, 4}, {4, 4}, {2, 3, 4}, {3, 5}, {8}, {2, 2, 2}}
-	for _, s := range shapes {
-		e := NewMeshEmbedding(mesh.New(s...))
-		if d := e.Dilation(); d != 1 {
-			t.Fatalf("%v: gray embedding dilation = %d", s, d)
-		}
-	}
-}
-
-func TestMeshEmbeddingInjective(t *testing.T) {
-	e := NewMeshEmbedding(mesh.New(3, 5, 2))
-	seen := make(map[int]bool)
-	for id := 0; id < e.M.Order(); id++ {
-		v := e.MapNode(id)
-		if v < 0 || v >= e.H.Order() {
-			t.Fatalf("image out of range")
-		}
-		if seen[v] {
-			t.Fatalf("embedding not injective at %d", id)
-		}
-		seen[v] = true
-	}
-}
-
-func TestMeshEmbeddingExpansion(t *testing.T) {
-	// Power-of-two mesh: expansion exactly 1.
-	e := NewMeshEmbedding(mesh.New(4, 8))
-	if e.Expansion() != 1 {
-		t.Fatalf("expansion = %v", e.Expansion())
-	}
-	// 2×3×4 mesh needs 1+2+2 = 5 bits: expansion 32/24.
-	e2 := NewMeshEmbedding(mesh.New(2, 3, 4))
-	if e2.Expansion() != 32.0/24.0 {
-		t.Fatalf("expansion = %v", e2.Expansion())
 	}
 }
 
@@ -118,13 +63,5 @@ func TestNewPanics(t *testing.T) {
 			}()
 			New(d)
 		}()
-	}
-}
-
-func BenchmarkMapNode(b *testing.B) {
-	e := NewMeshEmbedding(mesh.New(2, 3, 4, 5, 6))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = e.MapNode(i % e.M.Order())
 	}
 }

@@ -9,11 +9,7 @@
 // D_n of the paper — size 2×3×…×n — is produced by D(n).
 package mesh
 
-import (
-	"fmt"
-
-	"starmesh/internal/perm"
-)
+import "fmt"
 
 // Mesh is an l_1 × l_2 × … × l_m rectangular mesh (no wraparound).
 type Mesh struct {
@@ -174,12 +170,6 @@ func (m *Mesh) String() string {
 	return s + " mesh"
 }
 
-// DPoint converts a mesh id of D(n) into the paper's mesh coordinates
-// (d_{n-1}, …, d_1): out[k-1] = d_k with 0 ≤ d_k ≤ k.
-func DPoint(n, id int) []int {
-	return D(n).Coords(nil, id)
-}
-
 // DPointString renders D_n coordinates in the paper's tuple order,
 // e.g. "(3,0,1)" for d_3=3, d_2=0, d_1=1.
 func DPointString(pt []int) string {
@@ -191,10 +181,4 @@ func DPointString(pt []int) string {
 		}
 	}
 	return s + ")"
-}
-
-// CheckDnMatchesStarOrder verifies |D(n)| == n! (sanity helper used
-// by tests and the experiments binary).
-func CheckDnMatchesStarOrder(n int) bool {
-	return int64(D(n).Order()) == perm.Factorial(n)
 }

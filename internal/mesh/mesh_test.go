@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"starmesh/internal/graphalg"
+	"starmesh/internal/perm"
 )
 
 func TestBasicShape(t *testing.T) {
@@ -96,7 +97,7 @@ func TestStepChangesOnlyOneCoord(t *testing.T) {
 func TestDnShape(t *testing.T) {
 	for n := 2; n <= 8; n++ {
 		m := D(n)
-		if !CheckDnMatchesStarOrder(n) {
+		if int64(m.Order()) != perm.Factorial(n) {
 			t.Fatalf("|D(%d)| != %d!", n, n)
 		}
 		if m.Dims() != n-1 {

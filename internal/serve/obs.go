@@ -251,7 +251,7 @@ func (m *serveMetrics) RecordRoutes(routes, conflicts int) {
 	}
 }
 
-func (m *serveMetrics) RecordReplay(d time.Duration, _ int) {
+func (m *serveMetrics) RecordReplay(d time.Duration) {
 	m.engineReplays.Inc()
 	m.engineReplaySeconds.Observe(d.Seconds())
 }

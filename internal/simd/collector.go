@@ -17,9 +17,9 @@ type Collector interface {
 	// plan replays report once per Replay with the batched totals, so
 	// the replay inner loop stays free of per-step calls.
 	RecordRoutes(routes, conflicts int)
-	// RecordReplay reports one completed plan replay: wall time and
-	// the number of steps replayed.
-	RecordReplay(d time.Duration, routes int)
+	// RecordReplay reports one completed plan replay's wall time (its
+	// routes arrive through RecordRoutes).
+	RecordReplay(d time.Duration)
 }
 
 // WithCollector selects the machine's metrics collector (nil
@@ -27,7 +27,3 @@ type Collector interface {
 func WithCollector(c Collector) Option {
 	return func(m *Machine) { m.collector = c }
 }
-
-// SetCollector installs (or, with nil, removes) the metrics
-// collector on an existing machine.
-func (m *Machine) SetCollector(c Collector) { m.collector = c }

@@ -214,20 +214,14 @@ func (m *Machine) markImpure() {
 // recordings.
 func (m *Machine) MarkImpure() { m.markImpure() }
 
-// Recording reports whether the machine is currently recording.
-func (m *Machine) Recording() bool { return m.rec != nil }
-
 // PlansEnabled reports whether plan recording/replay is enabled on
-// this machine (it is by default; see WithPlans/SetPlans).
+// this machine (it is by default; see WithPlans).
 func (m *Machine) PlansEnabled() bool { return !m.plansOff }
 
-// SetPlans enables or disables the plan layer at runtime. Disabling
-// it re-routes every planned operation through the original
-// closure-resolved path — the reference implementation plans are
-// tested against, and the baseline the plan benchmarks measure.
-func (m *Machine) SetPlans(enabled bool) { m.plansOff = !enabled }
-
-// WithPlans is the construction-time form of SetPlans.
+// WithPlans enables or disables the plan layer. Disabling it routes
+// every planned operation through the original closure-resolved
+// path — the reference implementation plans are tested against, and
+// the baseline the plan benchmarks measure.
 func WithPlans(enabled bool) Option {
 	return func(m *Machine) { m.plansOff = !enabled }
 }
@@ -426,7 +420,7 @@ func (m *Machine) Replay(p *Plan) (routes, conflicts int) {
 		conflicts += st.conflicts
 	}
 	if m.collector != nil {
-		m.collector.RecordReplay(time.Since(start), len(p.steps))
+		m.collector.RecordReplay(time.Since(start))
 		m.collector.RecordRoutes(len(p.steps), conflicts)
 	}
 	return len(p.steps), conflicts

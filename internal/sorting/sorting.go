@@ -6,8 +6,6 @@
 //
 // Algorithms:
 //
-//   - OddEvenSort1D: odd-even transposition sort on a 1-D mesh
-//     ([THOM77]-era baseline; N phases, 2 routes each).
 //   - ShearSort2D: shear sort on an a×b mesh ([SCHE89]; the paper
 //     singles it out as the 2-D method that avoids divide and
 //     conquer). ⌈log₂ a⌉+1 row/column rounds.
@@ -50,36 +48,6 @@ func IsSortedBySnake(m *mesh.Mesh, key []int64) bool {
 		prev = v
 	}
 	return true
-}
-
-// IsSortedLinear reports whether key is nondecreasing in PE order.
-func IsSortedLinear(key []int64) bool {
-	for i := 1; i < len(key); i++ {
-		if key[i] < key[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
-// OddEvenSort1D sorts register key on a 1-D mesh machine using
-// odd-even transposition: exactly N phases of 2 unit routes.
-func OddEvenSort1D(m *meshsim.Machine, key string) Result {
-	if m.M.Dims() != 1 {
-		panic("sorting: OddEvenSort1D needs a 1-D mesh")
-	}
-	n := m.M.Order()
-	before := m.Stats()
-	for phase := 0; phase < n; phase++ {
-		m.CompareExchange(key, 0, phase%2, nil)
-	}
-	after := m.Stats()
-	return Result{
-		Sorted:     IsSortedLinear(m.Reg(key)),
-		Phases:     n,
-		UnitRoutes: after.UnitRoutes - before.UnitRoutes,
-		Conflicts:  after.ReceiveConflicts - before.ReceiveConflicts,
-	}
 }
 
 // ShearSort2D sorts register key on an a×b mesh machine (dimension 0

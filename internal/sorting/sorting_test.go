@@ -20,47 +20,6 @@ func fillRandom(rng *rand.Rand, n int) []int64 {
 	return vals
 }
 
-func TestOddEvenSort1D(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{1, 2, 7, 16, 31} {
-		m := meshsim.New(mesh.New(n))
-		m.AddReg("K")
-		vals := fillRandom(rng, n)
-		m.Set("K", func(pe int) int64 { return vals[pe] })
-		res := OddEvenSort1D(m, "K")
-		if !res.Sorted {
-			t.Fatalf("n=%d not sorted: %v", n, m.Reg("K"))
-		}
-		if res.UnitRoutes != 2*n {
-			t.Fatalf("n=%d unit routes = %d, want %d", n, res.UnitRoutes, 2*n)
-		}
-		if res.Conflicts != 0 {
-			t.Fatalf("conflicts")
-		}
-	}
-}
-
-func TestOddEvenSortWorstCase(t *testing.T) {
-	n := 20
-	m := meshsim.New(mesh.New(n))
-	m.AddReg("K")
-	m.Set("K", func(pe int) int64 { return int64(n - pe) }) // reversed
-	if !OddEvenSort1D(m, "K").Sorted {
-		t.Fatalf("reversed input not sorted")
-	}
-}
-
-func TestOddEvenSort1DPanicsOn2D(t *testing.T) {
-	m := meshsim.New(mesh.New(2, 2))
-	m.AddReg("K")
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic")
-		}
-	}()
-	OddEvenSort1D(m, "K")
-}
-
 func TestShearSort2D(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	shapes := [][]int{{4, 4}, {8, 4}, {3, 5}, {6, 6}, {2, 3}, {5, 2}}
@@ -163,9 +122,6 @@ func TestSnakeSortStarMatchesMeshAndCostsAtMost3x(t *testing.T) {
 }
 
 func TestIsSortedHelpers(t *testing.T) {
-	if !IsSortedLinear([]int64{1, 2, 2, 3}) || IsSortedLinear([]int64{2, 1}) {
-		t.Fatalf("IsSortedLinear wrong")
-	}
 	m := mesh.New(2, 2)
 	keys := make([]int64, 4)
 	for s := 0; s < 4; s++ {

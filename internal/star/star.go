@@ -46,9 +46,6 @@ func (g *Graph) Order() int { return int(perm.Factorial(g.n)) }
 // Degree returns n-1, the degree of every vertex.
 func (g *Graph) Degree() int { return g.n - 1 }
 
-// Front returns the index of the front position, n-1.
-func (g *Graph) Front() int { return g.n - 1 }
-
 // Node returns the permutation with the given vertex id.
 func (g *Graph) Node(id int) perm.Perm { return perm.Unrank(g.n, int64(id)) }
 

@@ -1,9 +1,6 @@
 package star
 
-import (
-	"starmesh/internal/graphalg"
-	"starmesh/internal/perm"
-)
+import "starmesh/internal/perm"
 
 // Surface areas and distance statistics of S_n. The distance
 // distribution ("how many nodes sit at distance d from a fixed
@@ -21,18 +18,6 @@ func SurfaceAreas(n int) []int64 {
 		return true
 	})
 	return hist
-}
-
-// SurfaceAreasBFS computes the same histogram by breadth-first
-// search; used to cross-check the formula in tests.
-func SurfaceAreasBFS(n int) []int64 {
-	g := New(n)
-	h := graphalg.DistanceHistogram(g, int(perm.Identity(n).Rank()))
-	out := make([]int64, len(h))
-	for i, c := range h {
-		out[i] = int64(c)
-	}
-	return out
 }
 
 // MeanDistance returns the average distance from a node to all

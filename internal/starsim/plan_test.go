@@ -110,32 +110,3 @@ func TestRecordOverBroadcastIsImpure(t *testing.T) {
 		}
 	}
 }
-
-// TestSetPlansToggle: disabling plans mid-run falls back to closure
-// resolution without disturbing results.
-func TestSetPlansToggle(t *testing.T) {
-	const n = 4
-	m := New(n)
-	m.AddReg("V")
-	m.AddReg("W")
-	m.Set("V", func(pe int) int64 { return int64(pe) })
-	m.MeshUnitRoute("V", "W", 1, +1) // planned
-	m.SetPlans(false)
-	m.MeshUnitRoute("V", "W", 1, +1) // closure
-	m.SetPlans(true)
-	m.MeshUnitRoute("V", "W", 1, +1) // replayed
-
-	ref := New(n, simd.WithPlans(false))
-	ref.AddReg("V")
-	ref.AddReg("W")
-	ref.Set("V", func(pe int) int64 { return int64(pe) })
-	for i := 0; i < 3; i++ {
-		ref.MeshUnitRoute("V", "W", 1, +1)
-	}
-	if m.Stats() != ref.Stats() {
-		t.Fatalf("toggled stats %+v != reference %+v", m.Stats(), ref.Stats())
-	}
-	if !reflect.DeepEqual(m.Reg("W"), ref.Reg("W")) {
-		t.Fatalf("toggled registers diverged")
-	}
-}

@@ -28,7 +28,6 @@ import (
 	"starmesh/internal/core"
 	"starmesh/internal/perm"
 	"starmesh/internal/simd"
-	"starmesh/internal/star"
 )
 
 // Topo adapts S_n to simd.Topology with a precomputed neighbor
@@ -646,6 +645,3 @@ func (m *Machine) broadcastRoutes(dst string, source int) int {
 	}
 	return round
 }
-
-// EmbeddedStar exposes the underlying star graph for measurements.
-func (m *Machine) EmbeddedStar() *star.Graph { return star.New(m.N) }

@@ -1,23 +1,17 @@
-// Batch scenario runner: executes many independent machine
-// instances concurrently — the large-batch evaluation mode the
-// engine exists for. Each Scenario builds its own machine (so
-// instances share nothing and scale across workers), runs a
-// workload, self-checks the result and reports unit-route costs.
-// The per-scenario results are deterministic regardless of worker
-// count; only the wall-clock changes.
+// Scenarios and the star, mesh and graph runners. A Scenario is one
+// independently runnable workload instance: ScenarioFor builds one
+// per spec, on a fresh resource per run. The runners below execute a
+// scenario on a caller-supplied machine; the registry's families
+// (families.go) call them on pooled and fresh resources alike.
 package workload
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
-	"time"
 
 	"starmesh/internal/graphalg"
 	"starmesh/internal/meshsim"
-	"starmesh/internal/simd"
 	"starmesh/internal/sorting"
 	"starmesh/internal/starsim"
 )
@@ -39,73 +33,13 @@ type ScenarioResult struct {
 	ElapsedNs  int64  `json:"elapsed_ns"`
 }
 
-// BatchResult aggregates a concurrent batch run.
-type BatchResult struct {
-	Workers   int              `json:"workers"`
-	ElapsedNs int64            `json:"elapsed_ns"`
-	Scenarios []ScenarioResult `json:"scenarios"`
-	Errors    []string         `json:"errors,omitempty"`
-}
-
-// RunBatch executes the scenarios on a pool of the given number of
-// workers (<= 0 selects GOMAXPROCS). Results keep the input order;
-// failures are collected, not fatal. Canceling ctx aborts the
-// in-flight scenarios at their next checkpoint and skips the rest.
-func RunBatch(ctx context.Context, scenarios []Scenario, workers int) BatchResult {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(scenarios) {
-		workers = len(scenarios)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	results := make([]ScenarioResult, len(scenarios))
-	errs := make([]error, len(scenarios))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				sc := scenarios[i]
-				t0 := time.Now()
-				res, err := sc.Run(ctx)
-				res.Name = sc.Name
-				res.ElapsedNs = time.Since(t0).Nanoseconds()
-				results[i] = res
-				errs[i] = err
-			}
-		}()
-	}
-	for i := range scenarios {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	out := BatchResult{
-		Workers:   workers,
-		ElapsedNs: time.Since(start).Nanoseconds(),
-		Scenarios: results,
-	}
-	for i, err := range errs {
-		if err != nil {
-			out.Errors = append(out.Errors, fmt.Sprintf("%s: %v", scenarios[i].Name, err))
-		}
-	}
-	return out
-}
-
-// The Run*On functions execute one scenario on a caller-supplied
-// machine, drawing all randomness from an explicit *rand.Rand. They
-// are the single implementation shared by the standalone Scenario
-// constructors below (which build a fresh machine per run) and the
-// job service's pooled execution (internal/serve, which checks
-// machines out of per-shape pools) — so a pooled run is bit-identical
-// to a standalone run of the same seed by construction. Each runner
+// The runners execute one scenario on a caller-supplied machine,
+// drawing all randomness from an explicit *rand.Rand. They are the
+// single implementation shared by the standalone scenario
+// (ScenarioFor, which builds a fresh machine per run) and the job
+// service's pooled execution (internal/serve, which checks machines
+// out of per-shape pools) — so a pooled run is bit-identical to a
+// standalone run of the same seed by construction. Each runner
 // assumes post-construction machine state (zero registers, zero
 // stats): exactly what a fresh machine or a Reset pooled machine
 // provides.
@@ -123,15 +57,11 @@ func canceledPartial(ctx context.Context, res ScenarioResult) (ScenarioResult, e
 	return res, ctx.Err()
 }
 
-// RunSortOn snake-sorts keys of the given distribution on a star
-// machine through the paper's embedding. The sort checks ctx once
-// per odd-even transposition phase.
-func RunSortOn(ctx context.Context, sm *starsim.Machine, d Dist, rng *rand.Rand) (ScenarioResult, error) {
-	return runSort(ctx, sm, sorting.NewStarSort(sm, sm.MeshIDs()), d, rng)
-}
-
-// runSort is RunSortOn with the machine's snake-sort tables supplied
-// by the caller (a pooled resource keeps them across jobs).
+// runSort snake-sorts keys of the given distribution on a star
+// machine through the paper's embedding, with the machine's
+// snake-sort tables supplied by the caller (a pooled resource keeps
+// them across jobs). The sort checks ctx once per odd-even
+// transposition phase.
 func runSort(ctx context.Context, sm *starsim.Machine, ss *sorting.StarSort, d Dist, rng *rand.Rand) (ScenarioResult, error) {
 	keys := KeysRand(d, sm.Size(), rng)
 	sm.EnsureReg("K")
@@ -286,66 +216,4 @@ func RunFaultRouteOn(ctx context.Context, g starGraph, faults, pairs int, rng *r
 		hops += len(path) - 1
 	}
 	return ScenarioResult{UnitRoutes: hops, OK: true}, nil
-}
-
-// StandardBatch assembles a representative mixed batch spanning
-// every registered scenario family: snake sorts across
-// distributions, shear sorts, broadcasts, fault routing, and the
-// embedrect/permroute/virtual/diagnostics/pipeline families, each the
-// standalone (fresh machine per run) scenario ScenarioFor builds. It
-// panics on a validation error: the specs are programmatic wiring,
-// not input handling; callers with untrusted parameters go through
-// ScenarioFor and handle the error.
-func StandardBatch(n int, seed int64, opts ...simd.Option) []Scenario {
-	specs := make([]Spec, 0, len(Dists)+10)
-	for _, d := range Dists {
-		specs = append(specs, Spec{Kind: KindSort, N: n, Dist: d.Name, Seed: seed})
-	}
-	ed := min(2, n-1) // embedrect/pipeline need d ≤ n-1 (S_2 only factorizes to d=1)
-	specs = append(specs,
-		Spec{Kind: KindShear, Rows: 16, Cols: 16, Dist: "uniform", Seed: seed},
-		Spec{Kind: KindShear, Rows: 32, Cols: 8, Dist: "reversed", Seed: seed + 1},
-		Spec{Kind: KindBroadcast, N: n, Source: 0},
-		Spec{Kind: KindBroadcast, N: n, Source: 1},
-		Spec{Kind: KindFaultRoute, N: n, Faults: n - 2, Pairs: 16, Seed: seed},
-		Spec{Kind: KindEmbedRect, N: n, D: ed},
-		Spec{Kind: KindPermRoute, N: min(n, MaxPermRouteN), Pattern: "random", Seed: seed},
-		// The virtual sort runs (n+1)! phases; keep the mixed batch snappy.
-		Spec{Kind: KindVirtual, N: min(n, 4), Dist: "uniform", Seed: seed},
-		Spec{Kind: KindDiagnostics, N: n, Holes: n - 2, Trials: 2, Seed: seed},
-		Spec{Kind: KindPipeline, N: n, D: ed, Dist: "uniform", Seed: seed},
-	)
-	scs := make([]Scenario, len(specs))
-	for i, s := range specs {
-		sc, err := ScenarioFor(s, opts...)
-		if err != nil {
-			panic(fmt.Sprintf("workload: %v", err))
-		}
-		scs[i] = sc
-	}
-	return scs
-}
-
-// EngineSweep drives one full mesh-unit-route sweep — every
-// dimension, both directions — on the star machine: the standard
-// workload of the engine benchmarks and the `engine` parity
-// experiment (register V routed into W).
-func EngineSweep(m *starsim.Machine) {
-	m.EnsureReg("V")
-	m.EnsureReg("W")
-	m.Set("V", func(pe int) int64 { return int64(pe) })
-	for k := 1; k <= m.N-1; k++ {
-		m.MeshUnitRoute("V", "W", k, +1)
-		m.MeshUnitRoute("V", "W", k, -1)
-	}
-}
-
-// RegChecksum folds a register into an order-sensitive checksum, for
-// cheap whole-register equality checks across execution paths.
-func RegChecksum(m *starsim.Machine, name string) int64 {
-	sum := int64(0)
-	for _, v := range m.Reg(name) {
-		sum = sum*31 + v
-	}
-	return sum
 }

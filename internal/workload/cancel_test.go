@@ -21,8 +21,18 @@ func TestRunnersHonorCancellation(t *testing.T) {
 	cancel()
 	ctx := context.Background()
 
-	sm := starsim.New(4)
+	// The star kinds run through their family's Run on one star
+	// resource, the path the service's pools take.
+	sm := buildStar(Spec{N: 4}).(*starMachine)
 	defer sm.Close()
+	family := func(s Spec) func(c context.Context) (ScenarioResult, error) {
+		norm, err := s.Normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, _ := Builtin.Lookup(norm.Kind)
+		return func(c context.Context) (ScenarioResult, error) { return f.Run(c, norm, sm) }
+	}
 	mm := meshsim.New(mesh.New(4, 4))
 	defer mm.Close()
 	vm := virtual.New(3)
@@ -33,13 +43,11 @@ func TestRunnersHonorCancellation(t *testing.T) {
 		name string
 		run  func(c context.Context) (ScenarioResult, error)
 	}{
-		{"sort", func(c context.Context) (ScenarioResult, error) { return RunSortOn(c, sm, Uniform, NewRand(1)) }},
-		{"sweep", func(c context.Context) (ScenarioResult, error) { return RunSweepOn(c, sm, 3) }},
-		{"broadcast", func(c context.Context) (ScenarioResult, error) { return RunBroadcastOn(c, sm, 0) }},
-		{"embedrect", func(c context.Context) (ScenarioResult, error) { return RunEmbedRectOn(c, sm, 2) }},
-		{"pipeline", func(c context.Context) (ScenarioResult, error) {
-			return RunPipelineOn(c, sm, 2, Uniform, 0, NewRand(1))
-		}},
+		{"sort", family(Spec{Kind: KindSort, N: 4, Seed: 1})},
+		{"sweep", func(c context.Context) (ScenarioResult, error) { return RunSweepOn(c, sm.Machine, 3) }},
+		{"broadcast", func(c context.Context) (ScenarioResult, error) { return RunBroadcastOn(c, sm.Machine, 0) }},
+		{"embedrect", family(Spec{Kind: KindEmbedRect, N: 4, D: 2})},
+		{"pipeline", family(Spec{Kind: KindPipeline, N: 4, D: 2, Seed: 1})},
 		{"shear", func(c context.Context) (ScenarioResult, error) { return RunShearOn(c, mm, Uniform, NewRand(1)) }},
 		{"virtual", func(c context.Context) (ScenarioResult, error) { return RunVirtualOn(c, vm, Uniform, NewRand(1)) }},
 		{"faultroute", func(c context.Context) (ScenarioResult, error) {
@@ -61,16 +69,15 @@ func TestRunnersHonorCancellation(t *testing.T) {
 		}
 	}
 
-	// Reset clears whatever the aborted runs left behind: a machine
-	// runner must reproduce the fresh-machine result after Reset.
+	// Reset clears whatever the aborted runs left behind: the machine
+	// must reproduce the fresh-machine result after Reset.
 	sm.Reset()
-	got, err := RunSortOn(ctx, sm, Reversed, NewRand(9))
+	reversed := Spec{Kind: KindSort, N: 4, Dist: "reversed", Seed: 9}
+	got, err := family(reversed)(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := starsim.New(4)
-	defer fresh.Close()
-	want, err := RunSortOn(ctx, fresh, Reversed, NewRand(9))
+	want, err := scenario(t, reversed).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,16 +114,5 @@ func TestSweepTrialsScaleTheWork(t *testing.T) {
 	}
 	if _, err := (Spec{Kind: KindSweep, N: 4, Trials: MaxSweepTrials + 1}).Normalized(); err == nil {
 		t.Fatal("oversized trials accepted")
-	}
-}
-
-// TestRunBatchCancellation: a canceled batch context aborts the
-// remaining scenarios instead of running them to completion.
-func TestRunBatchCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res := RunBatch(ctx, StandardBatch(4, 1), 2)
-	if len(res.Errors) == 0 {
-		t.Fatalf("canceled batch reported no aborts: %+v", res)
 	}
 }

@@ -133,8 +133,8 @@ func kindList() string { return strings.Join(Builtin.Kinds(), ", ") }
 
 // ScenarioFor returns the standalone scenario of a spec: a fresh
 // resource built per run and closed after — the reference pooled
-// execution is checked against, and the path the batch runner and
-// CLI use.
+// execution is checked against, and the path `starmesh run` and the
+// facade use.
 func ScenarioFor(s Spec, opts ...simd.Option) (Scenario, error) {
 	norm, err := s.Normalized()
 	if err != nil {

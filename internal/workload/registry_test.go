@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"starmesh/internal/simd"
 )
 
 // strip removes the wall-clock and name fields so results compare.
@@ -68,6 +70,19 @@ func TestDemoSpecsRunCleanAndDeterministic(t *testing.T) {
 		}
 		if strip(first) != strip(again) {
 			t.Errorf("%s: same seed diverged: %+v != %+v", sc.Name, first, again)
+		}
+		// Plans off: closure resolution is replay's reference, so the
+		// same spec must run clean to the same result without plans.
+		closure, err := ScenarioFor(spec, simd.WithPlans(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := closure.Run(context.Background())
+		if err != nil {
+			t.Fatalf("%s with plans off: %v", sc.Name, err)
+		}
+		if strip(first) != strip(ref) {
+			t.Errorf("%s: plans off diverged: %+v != %+v", sc.Name, ref, first)
 		}
 	}
 }

@@ -23,22 +23,6 @@ import (
 	"starmesh/internal/virtual"
 )
 
-// RunEmbedRectOn realizes the appendix's d-dimensional rectangular
-// mesh R = l_1×…×l_d on the star machine (grouped snake realization
-// + the paper's embedding) and sweeps one grouped unit route along
-// every rectangular dimension in both directions, verifying each
-// delivery against the rectangular mesh's own Step function. The
-// unit routes reported are the physical star routes of the sweep;
-// Theorem 6 promises conflict freedom. ctx is checked before every
-// grouped step.
-func RunEmbedRectOn(ctx context.Context, sm *starsim.Machine, d int) (ScenarioResult, error) {
-	n := sm.N
-	if d < 1 || d > n-1 {
-		return ScenarioResult{}, fmt.Errorf("embedrect needs d in [1,%d] for S_%d, got %d", n-1, n, d)
-	}
-	return runEmbedRect(ctx, sm, newRectTables(sm, d))
-}
-
 // rectTables is what an embedrect run on one star machine depends on
 // for one d: the grouped realization, its step plan, the star stepper,
 // each PE's rectangular node id and the memoized grouped steps. All
@@ -74,9 +58,15 @@ func newRectTables(sm *starsim.Machine, d int) *rectTables {
 	return rt
 }
 
-// runEmbedRect runs the embedrect sweep on sm with its tables. Each
-// grouped step's routes depend only on (n, d, t, dir), so each is
-// recorded once and replayed as a compiled plan.
+// runEmbedRect realizes the appendix's d-dimensional rectangular mesh
+// R = l_1×…×l_d on the star machine (grouped snake realization + the
+// paper's embedding) and sweeps one grouped unit route along every
+// rectangular dimension in both directions, verifying each delivery
+// against the rectangular mesh's own Step function. The unit routes
+// reported are the physical star routes of the sweep; Theorem 6
+// promises conflict freedom. Each grouped step's routes depend only
+// on (n, d, t, dir), so each is recorded once and replayed as a
+// compiled plan; ctx is checked before every grouped step.
 func runEmbedRect(ctx context.Context, sm *starsim.Machine, rt *rectTables) (ScenarioResult, error) {
 	sm.EnsureReg("V")
 	sm.EnsureReg("W")
@@ -247,22 +237,13 @@ func RunDiagnosticsOn(ctx context.Context, g starGraph, holes, trials int, rng *
 	}, nil
 }
 
-// RunPipelineOn chains three phases on ONE star machine — the
+// runPipeline chains three phases on ONE pooled star machine — the
 // rectangular-embedding sweep, the snake sort, then a broadcast —
 // resetting the machine between phases so each starts from
 // post-construction state while the amortized topology, route
-// tables and compiled plans carry across. This is the pool-reuse
-// story inside a single job: three workloads, one machine
-// construction.
-func RunPipelineOn(ctx context.Context, sm *starsim.Machine, d int, dist Dist, source int, rng *rand.Rand) (ScenarioResult, error) {
-	if d < 1 || d > sm.N-1 {
-		return ScenarioResult{}, fmt.Errorf("pipeline needs d in [1,%d] for S_%d, got %d", sm.N-1, sm.N, d)
-	}
-	return runPipeline(ctx, newStarMachine(sm), d, dist, source, rng)
-}
-
-// runPipeline is RunPipelineOn on a pooled star resource, whose
-// embedrect and sort tables the first two phases reuse.
+// tables, compiled plans and the resource's embedrect and sort
+// tables carry across. This is the pool-reuse story inside a single
+// job: three workloads, one machine construction.
 func runPipeline(ctx context.Context, sm *starMachine, d int, dist Dist, source int, rng *rand.Rand) (ScenarioResult, error) {
 	phases := []func() (ScenarioResult, error){
 		func() (ScenarioResult, error) { return runEmbedRect(ctx, sm.Machine, sm.rect(d)) },

@@ -23,8 +23,7 @@ import (
 type JobService = serve.Service
 
 // ServiceConfig shapes a JobService; its zero value is a working
-// default (GOMAXPROCS workers, 64-deep queue, pooling on, sequential
-// engine with plans).
+// default (GOMAXPROCS workers, 64-deep queue, pooling on, plans on).
 type ServiceConfig = serve.Config
 
 // JobSpec is the typed description of one simulation job: scenario
