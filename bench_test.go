@@ -128,10 +128,7 @@ func BenchmarkUnitRouteMeshN6(b *testing.B) {
 
 func BenchmarkSnakeSortStarN4End2End(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
-	meshID := make([]int, 24)
-	for pe := range meshID {
-		meshID[pe] = core.UnmapID(4, pe)
-	}
+	meshID := starsim.New(4).MeshIDs()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sm := starsim.New(4)

@@ -10,8 +10,9 @@
 //	final, err := c.Await(ctx, job.ID)
 //
 // Submissions transparently retry on 429 backpressure, honoring the
-// server's Retry-After header and jittering the exponential backoff
-// otherwise (see WithMaxRetries / WithBackoff / WithJitter).
+// server's Retry-After header and otherwise backing off
+// exponentially — 100ms doubling up to 2s, each sleep drawn
+// uniformly from [d/2, d] (see WithMaxRetries).
 // Every non-2xx response becomes a *client.APIError carrying the
 // service's typed error code.
 package client
@@ -57,24 +58,6 @@ func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc
 // eventually succeed).
 func WithMaxRetries(n int) Option { return func(c *Client) { c.maxRetries = n } }
 
-// WithBackoff sets the base retry delay used when the server sends
-// no Retry-After header (default 100ms, doubling per attempt, capped
-// at 2s; each sleep is jittered — see WithJitter).
-func WithBackoff(d time.Duration) Option { return func(c *Client) { c.backoff = d } }
-
-// WithJitter substitutes the backoff jitter applied to each
-// exponential retry sleep. The default is equal jitter — a delay d
-// sleeps uniformly in [d/2, d] — which decorrelates the retry storm
-// a fleet of clients raises after a service restart (everyone's
-// first retry would otherwise land exactly backoff later, exactly
-// when recovery is re-admitting a full queue). Identity (func(d)
-// time.Duration { return d }) restores the deterministic pre-jitter
-// schedule; server-sent Retry-After waits are honored verbatim and
-// never jittered.
-func WithJitter(fn func(d time.Duration) time.Duration) Option {
-	return func(c *Client) { c.jitter = fn }
-}
-
 // WithSleep substitutes the retry sleeper — tests inject a fake
 // clock, load harnesses a fast poll. The sleeper must honor ctx.
 func WithSleep(fn func(ctx context.Context, d time.Duration) error) Option {
@@ -104,6 +87,9 @@ func New(baseURL string, opts ...Option) *Client {
 		maxRetries: 4,
 		backoff:    100 * time.Millisecond,
 	}
+	// Equal jitter: a backoff d sleeps uniformly in [d/2, d], which
+	// decorrelates the retry storm a fleet of clients raises after a
+	// service restart.
 	c.jitter = func(d time.Duration) time.Duration {
 		if d <= 1 {
 			return d

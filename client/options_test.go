@@ -61,11 +61,9 @@ func TestBackoffDoublesWithoutRetryAfter(t *testing.T) {
 	defer ts.Close()
 
 	var slept []time.Duration
-	c := New(ts.URL,
-		WithHTTPClient(&http.Client{}),
-		WithBackoff(10*time.Millisecond),
-		WithJitter(func(d time.Duration) time.Duration { return d }), // pin the envelope
-		client429Sleeper(&slept))
+	c := New(ts.URL, WithHTTPClient(&http.Client{}), client429Sleeper(&slept))
+	c.backoff = 10 * time.Millisecond
+	c.jitter = func(d time.Duration) time.Duration { return d } // pin the envelope
 	if _, err := c.Submit(context.Background(), quickSpec(1)); err != nil {
 		t.Fatal(err)
 	}

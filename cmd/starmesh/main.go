@@ -31,8 +31,12 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
+	"maps"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -302,19 +306,31 @@ func cmdBroadcast(args []string) {
 }
 
 func cmdSafeRoute(args []string) {
+	if err := safeRoute(os.Stdout, args); err != nil {
+		fatalf("%v", err)
+	}
+}
+
+// safeRoute writes a shortest route between two nodes that avoids
+// f pseudo-random faulty nodes, drawn from a fixed seed. The faults
+// are listed in id order, so every run prints the same bytes.
+func safeRoute(w io.Writer, args []string) error {
 	if len(args) < 3 || (len(args)-1)%2 != 0 {
-		fatalf("saferoute needs fault count and two nodes of equal length")
+		return errors.New("saferoute needs fault count and two nodes of equal length")
 	}
 	f, err := strconv.Atoi(args[0])
 	if err != nil || f < 0 {
-		fatalf("bad fault count")
+		return errors.New("bad fault count")
 	}
 	half := (len(args) - 1) / 2
 	a := displayToPerm(ints(args[1 : 1+half]))
 	b := displayToPerm(ints(args[1+half:]))
 	g := star.New(a.N())
+	if f > g.Order()-2 {
+		return fmt.Errorf("at most %d of the %d nodes can fail besides the endpoints", g.Order()-2, g.Order())
+	}
 	if f > g.MaxSafeFaults() {
-		fmt.Printf("warning: %d faults exceeds the guaranteed-safe n-2 = %d\n", f, g.MaxSafeFaults())
+		fmt.Fprintf(w, "warning: %d faults exceeds the guaranteed-safe n-2 = %d\n", f, g.MaxSafeFaults())
 	}
 	faulty := map[int]bool{}
 	x := uint64(12345)
@@ -325,18 +341,18 @@ func cmdSafeRoute(args []string) {
 			faulty[h] = true
 		}
 	}
-	fmt.Printf("faults (%d): ", len(faulty))
-	for h := range faulty {
-		fmt.Printf("%v ", g.Node(h))
+	fmt.Fprintf(w, "faults (%d): ", len(faulty))
+	for _, h := range slices.Sorted(maps.Keys(faulty)) {
+		fmt.Fprintf(w, "%v ", g.Node(h))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	path := g.RouteAvoiding(a, b, faulty)
 	if path == nil {
-		fmt.Println("no healthy route exists")
-		os.Exit(1)
+		return errors.New("no healthy route exists")
 	}
-	fmt.Printf("healthy distance %d, detour length %d\n", star.Distance(a, b), len(path)-1)
+	fmt.Fprintf(w, "healthy distance %d, detour length %d\n", star.Distance(a, b), len(path)-1)
 	for i, q := range path {
-		fmt.Printf("  %2d  %s\n", i, q)
+		fmt.Fprintf(w, "  %2d  %s\n", i, q)
 	}
+	return nil
 }

@@ -143,10 +143,54 @@ var workloadArg = regexp.MustCompile(`--workload[ =]+((?:[\w-]+\|\s*)*[\w-]+)`)
 // binary, not `go test ./internal/experiments -run <pattern>`.
 var experimentRun = regexp.MustCompile(`(?:^|[\s` + "`" + `]|cmd/)experiments\s+-run[ =]+([\w-]+)`)
 
+// makeCall matches `make <target>` in a code span or a fenced line.
+var makeCall = regexp.MustCompile(`(?:^|[\s;&|(])make\s+([A-Za-z][\w-]*)`)
+
+// cliLine matches a fenced line that runs the starmesh CLI, and
+// goRunCLI a `go run ./cmd/starmesh <subcommand>` anywhere.
+var (
+	cliLine  = regexp.MustCompile(`^starmesh\s+([a-z][\w-]*)`)
+	goRunCLI = regexp.MustCompile(`go run \./cmd/starmesh\s+([a-z][\w-]*)`)
+)
+
+// inlineCode matches a markdown code span, which may break across
+// lines.
+var inlineCode = regexp.MustCompile("`([^`]+)`")
+
+// makeTargets returns the targets the Makefile defines.
+func makeTargets(t *testing.T) []string {
+	data, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, m := range regexp.MustCompile(`(?m)^([A-Za-z][\w.-]*)\s*:(?:[^=]|$)`).FindAllStringSubmatch(string(data), -1) {
+		out = append(out, m[1])
+	}
+	return out
+}
+
+// cliSubcommands returns the subcommands cmd/starmesh dispatches on.
+func cliSubcommands(t *testing.T) []string {
+	data, err := os.ReadFile(filepath.Join("cmd", "starmesh", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, dispatch, _ := strings.Cut(string(data), "switch os.Args[1] {")
+	dispatch, _, _ = strings.Cut(dispatch, "default:")
+	var out []string
+	for _, m := range regexp.MustCompile(`case "([\w-]+)":`).FindAllStringSubmatch(dispatch, -1) {
+		out = append(out, m[1])
+	}
+	return out
+}
+
 // TestDocsNameExistingTargets holds the notes a developer reads
 // (README.md, docs/*.md and the verify notes) to what exists: every
-// perfbench workload they name is a BENCHMARK.json workload, and
-// every `experiments -run <id>` names a registered experiment or all.
+// perfbench workload they name is a BENCHMARK.json workload, every
+// `experiments -run <id>` names a registered experiment or all, every
+// `make <target>` in code names a Makefile target, and every starmesh
+// command line names a subcommand cmd/starmesh dispatches on.
 func TestDocsNameExistingTargets(t *testing.T) {
 	var bench struct {
 		Workloads []struct{ Name string } `json:"workloads"`
@@ -163,6 +207,10 @@ func TestDocsNameExistingTargets(t *testing.T) {
 		workloads = append(workloads, w.Name)
 	}
 	ids := append(experiments.IDs(), "all")
+	targets, subcommands := makeTargets(t), cliSubcommands(t)
+	if len(targets) < 10 || len(subcommands) < 10 {
+		t.Fatalf("found only make targets %v and subcommands %v", targets, subcommands)
+	}
 
 	sources, err := filepath.Glob(filepath.Join("docs", "*.md"))
 	if err != nil {
@@ -184,6 +232,41 @@ func TestDocsNameExistingTargets(t *testing.T) {
 		for _, m := range experimentRun.FindAllStringSubmatch(string(data), -1) {
 			if !slices.Contains(ids, m[1]) {
 				t.Errorf("%s runs experiment %q, which is not registered (%v)", src, m[1], ids)
+			}
+		}
+		for _, m := range goRunCLI.FindAllStringSubmatch(string(data), -1) {
+			if !slices.Contains(subcommands, m[1]) {
+				t.Errorf("%s runs starmesh subcommand %q, which cmd/starmesh does not dispatch (%v)", src, m[1], subcommands)
+			}
+		}
+		// Split fenced lines from prose; the code spans are in the prose.
+		var fenced []string
+		var prose strings.Builder
+		inFence := false
+		for _, line := range strings.Split(string(data), "\n") {
+			switch {
+			case strings.HasPrefix(strings.TrimSpace(line), "```"):
+				inFence = !inFence
+			case inFence:
+				fenced = append(fenced, strings.TrimSpace(line))
+			default:
+				prose.WriteString(line + "\n")
+			}
+		}
+		code := fenced
+		for _, m := range inlineCode.FindAllStringSubmatch(prose.String(), -1) {
+			code = append(code, m[1])
+		}
+		for _, c := range code {
+			for _, m := range makeCall.FindAllStringSubmatch(c, -1) {
+				if !slices.Contains(targets, m[1]) {
+					t.Errorf("%s runs `make %s`, which the Makefile does not define (%v)", src, m[1], targets)
+				}
+			}
+		}
+		for _, line := range fenced {
+			if m := cliLine.FindStringSubmatch(line); m != nil && !slices.Contains(subcommands, m[1]) {
+				t.Errorf("%s runs starmesh subcommand %q, which cmd/starmesh does not dispatch (%v)", src, m[1], subcommands)
 			}
 		}
 	}

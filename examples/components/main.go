@@ -9,8 +9,11 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"starmesh"
 	"starmesh/internal/atallah"
@@ -132,6 +135,13 @@ func parallelComponents(s meshops.Stepper, g *atallah.Grouped, plan *meshops.Gro
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's report to w.
+func run(w io.Writer) error {
 	f := atallah.Factorize(n, d)
 	g := atallah.NewGrouped(f)
 	plan := meshops.NewGroupedPlan(g)
@@ -155,12 +165,12 @@ func main() {
 			comps[want[i]] = true
 		}
 	}
-	fmt.Printf("connected components on a %dx%d image (S_%d as a 2-D grid)\n", rows, cols, n)
-	fmt.Printf("  components found: %d; mislabeled pixels: %d\n", len(comps), bad)
-	fmt.Printf("  routes: mesh %d, star %d (x%.2f, Theorem-6 bound x3)\n",
+	fmt.Fprintf(w, "connected components on a %dx%d image (S_%d as a 2-D grid)\n", rows, cols, n)
+	fmt.Fprintf(w, "  components found: %d; mislabeled pixels: %d\n", len(comps), bad)
+	fmt.Fprintf(w, "  routes: mesh %d, star %d (x%.2f, Theorem-6 bound x3)\n",
 		rm, rs, float64(rs)/float64(rm))
 	if bad != 0 || rs > 3*rm {
-		log.Fatal("component labeling failed")
+		return errors.New("component labeling failed")
 	}
 
 	// Render the labeled image (letters per component).
@@ -182,6 +192,7 @@ func main() {
 			}
 			line[c] = names[l]
 		}
-		fmt.Printf("  %s\n", line)
+		fmt.Fprintf(w, "  %s\n", line)
 	}
+	return nil
 }

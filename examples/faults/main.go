@@ -52,23 +52,20 @@ func run(w io.Writer) error {
 	// and routing must find a detour.
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 5; trial++ {
-		holes := map[int]bool{}
-		for len(holes) < n-2 {
+		removed := make([]bool, g.Order())
+		var holeList []int
+		for len(holeList) < n-2 {
 			h := rng.Intn(g.Order())
-			if h != src && h != dst {
-				holes[h] = true
+			if h != src && h != dst && !removed[h] {
+				removed[h] = true
+				holeList = append(holeList, h)
 			}
 		}
-		var holeList []int
-		for h := range holes {
-			holeList = append(holeList, h)
-		}
-		slices.Sort(holeList) // map order is random; the report is not
-		faulty := graphalg.NewExclude(g, holeList...)
+		slices.Sort(holeList) // the report lists the faults in id order
 		if !graphalg.ConnectedExcept(g, src, holeList...) {
 			return fmt.Errorf("S_%d disconnected by %d faults — contradicts maximal fault tolerance", n, n-2)
 		}
-		path := graphalg.BFSPath(faulty, src, dst)
+		path := graphalg.BFSPath(graphalg.WithoutVertices(g, removed), src, dst)
 		healthy := star.Distance(g.Node(src), g.Node(dst))
 		fmt.Fprintf(w, "trial %d: faults at %v; healthy distance %d, detour length %d\n",
 			trial, holeList, healthy, len(path)-1)

@@ -12,10 +12,11 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"starmesh"
-	"starmesh/internal/core"
 	"starmesh/internal/mesh"
 )
 
@@ -100,6 +101,13 @@ func jacobi(s stepper, dn *mesh.Mesh, meshOf func(pe int) int) {
 }
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's report to w.
+func run(w io.Writer) error {
 	dn := mesh.D(n)
 
 	mm := starmesh.NewDMeshMachine(n)
@@ -107,10 +115,7 @@ func main() {
 	jacobi(ms, dn, func(pe int) int { return pe })
 
 	sm := starmesh.NewStarMachine(n)
-	meshID := make([]int, sm.Size())
-	for pe := range meshID {
-		meshID[pe] = core.UnmapID(n, pe)
-	}
+	meshID := sm.MeshIDs()
 	ss := starStepper{m: sm}
 	jacobi(ss, dn, func(pe int) int { return meshID[pe] })
 
@@ -121,21 +126,22 @@ func main() {
 			diffs++
 		}
 	}
-	fmt.Printf("Jacobi heat diffusion on D_%d (%d nodes, %d sweeps)\n", n, dn.Order(), iters)
-	fmt.Printf("  mesh machine:  %6d unit routes\n", ms.routes())
-	fmt.Printf("  star machine:  %6d unit routes (x%.2f, Theorem 6 bound x3)\n",
+	fmt.Fprintf(w, "Jacobi heat diffusion on D_%d (%d nodes, %d sweeps)\n", n, dn.Order(), iters)
+	fmt.Fprintf(w, "  mesh machine:  %6d unit routes\n", ms.routes())
+	fmt.Fprintf(w, "  star machine:  %6d unit routes (x%.2f, Theorem 6 bound x3)\n",
 		ss.routes(), float64(ss.routes())/float64(ms.routes()))
-	fmt.Printf("  temperature fields identical: %v\n", diffs == 0)
+	fmt.Fprintf(w, "  temperature fields identical: %v\n", diffs == 0)
 	if diffs != 0 {
-		log.Fatalf("%d PEs disagree", diffs)
+		return fmt.Errorf("%d PEs disagree", diffs)
 	}
 
 	// Show the resulting gradient along the d_4 axis from the hot corner.
-	fmt.Println("  temperature along +d4 from the hot corner (milli-degrees):")
+	fmt.Fprintln(w, "  temperature along +d4 from the hot corner (milli-degrees):")
 	pt := []int{0, 0, 0, 0}
 	for d4 := 0; d4 <= 4; d4++ {
 		pt[3] = d4
 		id := dn.ID(pt)
-		fmt.Printf("    d4=%d: %7d\n", d4, mm.Reg("T")[id])
+		fmt.Fprintf(w, "    d4=%d: %7d\n", d4, mm.Reg("T")[id])
 	}
+	return nil
 }

@@ -7,8 +7,11 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"starmesh"
 	"starmesh/internal/atallah"
@@ -23,9 +26,16 @@ const (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's report to w.
+func run(w io.Writer) error {
 	f := atallah.Factorize(n, d)
 	g := atallah.NewGrouped(f)
-	fmt.Printf("S_%d viewed as a %d x %d matrix (%s)\n", n, f.L[0], f.L[1], f)
+	fmt.Fprintf(w, "S_%d viewed as a %d x %d matrix (%s)\n", n, f.L[0], f.L[1], f)
 
 	// The matrix entries, assigned by logical (row, col).
 	vals := workload.Keys(workload.Uniform, g.R.Order(), 11)
@@ -61,27 +71,27 @@ func main() {
 			want = v
 		}
 	}
-	fmt.Printf("global max: sequential %d, mesh %d, star %d\n", want, meshMax, starMax)
+	fmt.Fprintf(w, "global max: sequential %d, mesh %d, star %d\n", want, meshMax, starMax)
 	if meshMax != want || starMax != want {
-		log.Fatal("reduction disagreed")
+		return errors.New("reduction disagreed")
 	}
-	fmt.Printf("routes: mesh %d, star %d (x%.2f, bound x3)\n",
+	fmt.Fprintf(w, "routes: mesh %d, star %d (x%.2f, bound x3)\n",
 		meshRoutes, starRoutes, float64(starRoutes)/float64(meshRoutes))
 	if starRoutes > 3*meshRoutes {
-		log.Fatal("Theorem 6 bound violated")
+		return errors.New("Theorem 6 bound violated")
 	}
 
 	// --- Row sums via scan on each matrix row ----------------------
 	// Recompute per-row sums sequentially and via the embedding's
 	// 2-D view: walk each logical row, summing entries.
 	rows, cols := int(f.L[0]), int(f.L[1])
-	fmt.Printf("row sums of the %dx%d matrix (first 5 rows):\n", rows, cols)
+	fmt.Fprintf(w, "row sums of the %dx%d matrix (first 5 rows):\n", rows, cols)
 	for r := 0; r < 5; r++ {
 		sum := int64(0)
 		for c := 0; c < cols; c++ {
 			sum += vals[g.R.ID([]int{r, c})]
 		}
-		fmt.Printf("  row %2d: %d\n", r, sum)
+		fmt.Fprintf(w, "  row %2d: %d\n", r, sum)
 	}
 
 	// --- Matrix-vector multiply y = A·x on both machines ----------
@@ -138,14 +148,15 @@ func main() {
 			bad++
 		}
 	}
-	fmt.Printf("matvec y = A·x: mesh %d routes, star %d routes (x%.2f); wrong rows: %d\n",
+	fmt.Fprintf(w, "matvec y = A·x: mesh %d routes, star %d routes (x%.2f); wrong rows: %d\n",
 		rMesh, rStar, float64(rStar)/float64(rMesh), bad)
 	if bad > 0 || rStar > 3*rMesh {
-		log.Fatal("matvec failed")
+		return errors.New("matvec failed")
 	}
 
 	// The 2-D view really is a dilation-3 embedding:
 	e := starmesh.NewRectEmbedding(n, d)
-	fmt.Printf("2-D view embedding: dilation %d, expansion %.0f\n",
+	fmt.Fprintf(w, "2-D view embedding: dilation %d, expansion %.0f\n",
 		e.Dilation(), e.Metrics().Expansion)
+	return nil
 }

@@ -9,10 +9,11 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"starmesh"
-	"starmesh/internal/core"
 	"starmesh/internal/mesh"
 	"starmesh/internal/sorting"
 	"starmesh/internal/starsim"
@@ -22,6 +23,14 @@ import (
 const n = 5 // 120 keys on 120 processors
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the example's report to w. The keys come from fixed
+// seeds, so every run prints the same bytes.
+func run(w io.Writer) error {
 	dn := mesh.D(n)
 	N := dn.Order()
 
@@ -37,29 +46,27 @@ func main() {
 		// Star run through the embedding.
 		sm := starsim.New(n)
 		sm.AddReg("K")
-		meshID := make([]int, sm.Size())
-		for pe := range meshID {
-			meshID[pe] = core.UnmapID(n, pe)
-		}
+		meshID := sm.MeshIDs()
 		sm.Set("K", func(pe int) int64 { return keys[meshID[pe]] })
 		rs := sorting.SnakeSortStar(sm, "K", meshID)
 
 		if !rm.Sorted || !rs.Sorted {
-			log.Fatalf("%s: sort failed (mesh %v, star %v)", dist.Name, rm.Sorted, rs.Sorted)
+			return fmt.Errorf("%s: sort failed (mesh %v, star %v)", dist.Name, rm.Sorted, rs.Sorted)
 		}
 		if rs.Conflicts != 0 {
-			log.Fatalf("%s: %d conflicts on the star (Lemma 5 violated)", dist.Name, rs.Conflicts)
+			return fmt.Errorf("%s: %d conflicts on the star (Lemma 5 violated)", dist.Name, rs.Conflicts)
 		}
 		for pe := 0; pe < sm.Size(); pe++ {
 			if sm.Reg("K")[pe] != mm.Reg("K")[meshID[pe]] {
-				log.Fatalf("%s: final placements differ", dist.Name)
+				return fmt.Errorf("%s: final placements differ", dist.Name)
 			}
 		}
-		fmt.Printf("%-12s  mesh %4d routes   star %4d routes   ratio %.2f (bound 3.00)\n",
+		fmt.Fprintf(w, "%-12s  mesh %4d routes   star %4d routes   ratio %.2f (bound 3.00)\n",
 			dist.Name, rm.UnitRoutes, rs.UnitRoutes,
 			float64(rs.UnitRoutes)/float64(rm.UnitRoutes))
 	}
 
 	// Show the sorted snake prefix of the last run.
-	fmt.Printf("\nsorted %d keys into snake order of the %v embedded in S_%d\n", N, dn, n)
+	fmt.Fprintf(w, "\nsorted %d keys into snake order of the %v embedded in S_%d\n", N, dn, n)
+	return nil
 }

@@ -69,10 +69,6 @@ func New(d int, opts ...simd.Option) *Machine {
 // once per (src, dst, b) and replayed; bitonic sort revisits each
 // bit many times.
 func (m *Machine) ExchangeBit(src, dst string, b int) {
-	if !m.PlansEnabled() {
-		m.RouteA(src, dst, b, nil)
-		return
-	}
 	simd.RunMemoized(m.Machine, simd.SharedPlans, m.xPlans,
 		xKey{src: src, dst: dst, bit: b},
 		func() string { return fmt.Sprintf("xbit:%s:%s:%d", src, dst, b) },

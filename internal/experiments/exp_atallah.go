@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"starmesh/internal/atallah"
-	"starmesh/internal/core"
 	"starmesh/internal/cubesim"
 	"starmesh/internal/exptab"
 	"starmesh/internal/hypercube"
@@ -87,10 +86,7 @@ func Sorting(w io.Writer) error {
 
 		sm := starsim.New(n)
 		sm.AddReg("K")
-		meshID := make([]int, sm.Size())
-		for pe := range meshID {
-			meshID[pe] = core.UnmapID(n, pe)
-		}
+		meshID := sm.MeshIDs()
 		sm.Set("K", func(pe int) int64 { return keys[meshID[pe]] })
 		rs := sorting.SnakeSortStar(sm, "K", meshID)
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"starmesh/internal/core"
 	"starmesh/internal/exptab"
 	"starmesh/internal/mesh"
 	"starmesh/internal/meshsim"
@@ -58,10 +57,7 @@ func Utilization(w io.Writer) error {
 		sm := starsim.New(n)
 		sm.AddReg("K")
 		keys := workload.Keys(workload.Uniform, sm.Size(), int64(n))
-		meshID := make([]int, sm.Size())
-		for pe := range meshID {
-			meshID[pe] = core.UnmapID(n, pe)
-		}
+		meshID := sm.MeshIDs()
 		sm.Set("K", func(pe int) int64 { return keys[meshID[pe]] })
 		res := sorting.SnakeSortStar(sm, "K", meshID)
 		uses := sm.PortUses()

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"starmesh/internal/exptab"
 	"starmesh/internal/perm"
+	"starmesh/internal/sorting"
 	"starmesh/internal/virtual"
 	"starmesh/internal/workload"
 )
@@ -58,9 +60,9 @@ func Virtualization(w io.Writer) error {
 		vm.AddReg("K")
 		keys := workload.Keys(workload.Uniform, vm.Big.Order(), 7)
 		vm.Set("K", func(bigID int) int64 { return keys[bigID] })
-		sorted, routes := vm.SnakeSort("K")
-		t2.Add(n, vm.Big.Order(), int(perm.Factorial(n)), routes, sorted)
-		if !sorted {
+		res, _ := sorting.NewVirtualSort(vm).Sort(context.Background(), "K")
+		t2.Add(n, vm.Big.Order(), int(perm.Factorial(n)), res.UnitRoutes, res.Sorted)
+		if !res.Sorted {
 			return fmt.Errorf("virtual sort failed at n=%d", n)
 		}
 	}

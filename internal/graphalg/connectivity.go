@@ -126,55 +126,3 @@ func VertexConnectivity(g Graph, assumeTransitive bool) int {
 	// A complete graph has no non-adjacent pair; κ = n-1.
 	return best
 }
-
-// Exclude is a Graph view of g with a set of vertices removed
-// (fault injection). Removed vertices keep their ids but become
-// isolated; callers should not use them as BFS sources.
-type Exclude struct {
-	G     Graph
-	Holes map[int]bool
-}
-
-// NewExclude builds a fault-injected view of g.
-func NewExclude(g Graph, holes ...int) *Exclude {
-	m := make(map[int]bool, len(holes))
-	for _, h := range holes {
-		m[h] = true
-	}
-	return &Exclude{G: g, Holes: m}
-}
-
-// Order implements Graph.
-func (e *Exclude) Order() int { return e.G.Order() }
-
-// AppendNeighbors implements Graph.
-func (e *Exclude) AppendNeighbors(buf []int, v int) []int {
-	if e.Holes[v] {
-		return buf
-	}
-	start := len(buf)
-	buf = e.G.AppendNeighbors(buf, v)
-	out := buf[:start]
-	for _, w := range buf[start:] {
-		if !e.Holes[w] {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-// ConnectedExcept reports whether g stays connected after removing
-// the given vertices (which must not include vertex `probe`).
-func ConnectedExcept(g Graph, probe int, holes ...int) bool {
-	e := NewExclude(g, holes...)
-	if e.Holes[probe] {
-		panic("graphalg: probe vertex is a hole")
-	}
-	dist := BFS(e, probe)
-	for v, d := range dist {
-		if !e.Holes[v] && d == -1 {
-			return false
-		}
-	}
-	return true
-}

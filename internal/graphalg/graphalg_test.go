@@ -228,17 +228,18 @@ func TestVertexConnectivity(t *testing.T) {
 	}
 }
 
-func TestExcludeAndConnectedExcept(t *testing.T) {
+func TestWithoutVerticesAndConnectedExcept(t *testing.T) {
 	g := cycle(6)
 	// Removing two opposite vertices disconnects C6.
 	if ConnectedExcept(g, 1, 0, 3) {
 		t.Fatalf("C6 minus {0,3} should be disconnected")
 	}
-	// Removing one vertex leaves a path: connected.
-	if !ConnectedExcept(g, 1, 0) {
+	// Removing one vertex leaves a path: connected, also when the
+	// hole is named twice.
+	if !ConnectedExcept(g, 1, 0) || !ConnectedExcept(g, 1, 0, 0) {
 		t.Fatalf("C6 minus {0} should be connected")
 	}
-	e := NewExclude(g, 0)
+	e := WithoutVertices(g, []bool{true})
 	if len(Neighbors(e, 0)) != 0 {
 		t.Fatalf("hole should have no neighbors")
 	}
@@ -303,8 +304,11 @@ func TestRandomGraphMengerSanity(t *testing.T) {
 					holes = append(holes, h)
 				}
 			}
-			e := NewExclude(g, holes...)
-			if BFS(e, s)[t2] == -1 {
+			removed := make([]bool, n)
+			for _, h := range holes {
+				removed[h] = true
+			}
+			if BFS(WithoutVertices(g, removed), s)[t2] == -1 {
 				t.Fatalf("Menger violated: k=%d holes=%v", k, holes)
 			}
 		}

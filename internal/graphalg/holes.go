@@ -48,3 +48,21 @@ func ReachableFrom(g Graph, src int) (count, ecc int) {
 	}
 	return count, ecc
 }
+
+// ConnectedExcept reports whether g stays connected after removing
+// the given vertices (which must not include vertex `probe`).
+func ConnectedExcept(g Graph, probe int, holes ...int) bool {
+	removed := make([]bool, g.Order())
+	alive := g.Order()
+	for _, h := range holes {
+		if !removed[h] {
+			removed[h] = true
+			alive--
+		}
+	}
+	if removed[probe] {
+		panic("graphalg: probe vertex is a hole")
+	}
+	count, _ := ReachableFrom(WithoutVertices(g, removed), probe)
+	return count == alive
+}

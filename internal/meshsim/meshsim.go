@@ -121,10 +121,6 @@ func New(m *mesh.Mesh, opts ...simd.Option) *Machine {
 // default) the route is compiled once per (src, dst, dim, dir) and
 // replayed as a dense array walk.
 func (m *Machine) UnitRoute(src, dst string, dim, dir int) {
-	if !m.PlansEnabled() {
-		m.RouteA(src, dst, Port(dim, dir), nil)
-		return
-	}
 	simd.RunMemoized(m.Machine, simd.SharedPlans, m.urPlans,
 		urKey{src: src, dst: dst, dim: dim, dir: dir},
 		func() string { return fmt.Sprintf("ur:%s:%s:%d:%d", src, dst, dim, dir) },
@@ -148,14 +144,10 @@ func (m *Machine) CompareExchange(key string, dim, phase int, ascending func(pe 
 		m.RouteA(key, tmp, Port(dim, +1), func(pe int) bool { return roles[pe] == ceLow })
 		m.RouteA(key, tmp, Port(dim, -1), func(pe int) bool { return roles[pe] == ceHigh })
 	}
-	if !m.PlansEnabled() {
-		routes()
-	} else {
-		simd.RunMemoized(m.Machine, simd.SharedPlans, m.cePlans,
-			ceKey{key: key, dim: dim, phase: phase},
-			func() string { return fmt.Sprintf("ce:%s:%d:%d", key, dim, phase) },
-			routes)
-	}
+	simd.RunMemoized(m.Machine, simd.SharedPlans, m.cePlans,
+		ceKey{key: key, dim: dim, phase: phase},
+		func() string { return fmt.Sprintf("ce:%s:%d:%d", key, dim, phase) },
+		routes)
 	k := m.Reg(key)
 	t := m.ceTmp
 	m.Apply(func(pe int) {

@@ -508,10 +508,17 @@ func (m *Machine) RunPlanned(c *PlanCache, key string, schedule func()) (p *Plan
 // replays the plan directly, skipping the key formatting and the
 // shared cache's lock on the hot path; a miss delegates to
 // RunPlanned(c, key(), schedule) and memoizes any plan it returns.
-// The memo key K must capture everything the schedule's route
-// sequence depends on (the same contract as the string key).
+// A machine with plans disabled runs schedule directly and never
+// formats the key, so machine layers call RunMemoized whatever the
+// plan setting. The memo key K must capture everything the
+// schedule's route sequence depends on (the same contract as the
+// string key).
 func RunMemoized[K comparable](m *Machine, c *PlanCache, memo map[K]*Plan, k K, key func() string, schedule func()) (routes, conflicts int) {
-	if p := memo[k]; p != nil && !m.plansOff {
+	if m.plansOff {
+		_, routes, conflicts = m.RunPlanned(c, "", schedule)
+		return routes, conflicts
+	}
+	if p := memo[k]; p != nil {
 		return m.Replay(p)
 	}
 	p, routes, conflicts := m.RunPlanned(c, key(), schedule)

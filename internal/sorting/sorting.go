@@ -11,8 +11,9 @@
 //     conquer). ⌈log₂ a⌉+1 row/column rounds.
 //   - SnakeSort: odd-even transposition over the snake
 //     (boustrophedon) order of an arbitrary rectangular mesh —
-//     runnable on the mesh machine and on the star machine, where
-//     every masked mesh unit route costs ≤ 3 star routes.
+//     runnable on the mesh machine, on the star machine, where
+//     every masked mesh unit route costs ≤ 3 star routes, and on the
+//     virtual machine, which hosts D_{n+1} on S_n (NewVirtualSort).
 package sorting
 
 import (
@@ -25,6 +26,7 @@ import (
 	"starmesh/internal/meshsim"
 	"starmesh/internal/simd"
 	"starmesh/internal/starsim"
+	"starmesh/internal/virtual"
 )
 
 // Result reports the cost of a sort run.
@@ -33,6 +35,18 @@ type Result struct {
 	Phases     int
 	UnitRoutes int // unit routes on the executing machine
 	Conflicts  int // receive conflicts observed (must be 0)
+}
+
+// costSince reports what machine m spent since it counted before, as
+// the Result of a sort that ran the given phases.
+func costSince(m *simd.Machine, before simd.Stats, phases int, sorted bool) Result {
+	after := m.Stats()
+	return Result{
+		Sorted:     sorted,
+		Phases:     phases,
+		UnitRoutes: after.UnitRoutes - before.UnitRoutes,
+		Conflicts:  after.ReceiveConflicts - before.ReceiveConflicts,
+	}
 }
 
 // IsSortedBySnake reports whether register key on machine m is
@@ -56,7 +70,7 @@ func IsSortedBySnake(m *mesh.Mesh, key []int64) bool {
 // and descending, columns ascending, for ⌈log₂ a⌉ rounds plus a
 // final row phase.
 func ShearSort2D(m *meshsim.Machine, key string) Result {
-	res, _ := shearSort2D(m, key, nil)
+	res, _ := ShearSort2DCtx(context.Background(), m, key)
 	return res
 }
 
@@ -65,12 +79,6 @@ func ShearSort2D(m *meshsim.Machine, key string) Result {
 // sort stops at the next phase boundary and returns the partial cost
 // with ctx's error (Sorted false).
 func ShearSort2DCtx(ctx context.Context, m *meshsim.Machine, key string) (Result, error) {
-	return shearSort2D(m, key, ctx.Err)
-}
-
-// shearSort2D runs the shear sort, consulting stop (when non-nil)
-// before every phase.
-func shearSort2D(m *meshsim.Machine, key string, stop func() error) (Result, error) {
 	if m.M.Dims() != 2 {
 		panic("sorting: ShearSort2D needs a 2-D mesh")
 	}
@@ -80,23 +88,10 @@ func shearSort2D(m *meshsim.Machine, key string, stop func() error) (Result, err
 	for x := 1; x < a; x *= 2 {
 		rounds++
 	}
-	partial := func(err error) (Result, error) {
-		after := m.Stats()
-		return Result{
-			UnitRoutes: after.UnitRoutes - before.UnitRoutes,
-			Conflicts:  after.ReceiveConflicts - before.ReceiveConflicts,
-		}, err
-	}
-	check := func() error {
-		if stop == nil {
-			return nil
-		}
-		return stop()
-	}
 	rowAscending := func(pe int) bool { return m.M.Coord(pe, 1)%2 == 0 }
 	sortRows := func() error {
 		for phase := 0; phase < b; phase++ {
-			if err := check(); err != nil {
+			if err := ctx.Err(); err != nil {
 				return err
 			}
 			m.CompareExchange(key, 0, phase%2, rowAscending)
@@ -105,7 +100,7 @@ func shearSort2D(m *meshsim.Machine, key string, stop func() error) (Result, err
 	}
 	sortCols := func() error {
 		for phase := 0; phase < a; phase++ {
-			if err := check(); err != nil {
+			if err := ctx.Err(); err != nil {
 				return err
 			}
 			m.CompareExchange(key, 1, phase%2, nil)
@@ -114,28 +109,23 @@ func shearSort2D(m *meshsim.Machine, key string, stop func() error) (Result, err
 	}
 	for r := 0; r < rounds; r++ {
 		if err := sortRows(); err != nil {
-			return partial(err)
+			return costSince(m.Machine, before, 0, false), err
 		}
 		if err := sortCols(); err != nil {
-			return partial(err)
+			return costSince(m.Machine, before, 0, false), err
 		}
 	}
 	if err := sortRows(); err != nil {
-		return partial(err)
+		return costSince(m.Machine, before, 0, false), err
 	}
-	after := m.Stats()
-	return Result{
-		Sorted:     IsSortedBySnake(m.M, m.Reg(key)),
-		Phases:     rounds + 1,
-		UnitRoutes: after.UnitRoutes - before.UnitRoutes,
-		Conflicts:  after.ReceiveConflicts - before.ReceiveConflicts,
-	}, nil
+	return costSince(m.Machine, before, rounds+1, IsSortedBySnake(m.M, m.Reg(key))), nil
 }
 
 // exchanger abstracts "move register src one masked step along
-// (dim,dir) into dst" over the two machines, so SnakeSort runs
-// unchanged on a mesh (1 route per step) and on a star via the
-// embedding (≤ 3 routes per step).
+// (dim,dir) into dst" over the three machines, so the snake sort runs
+// unchanged on a mesh (1 route per step), on a star via the embedding
+// (≤ 3 routes per step) and on the virtual machine (≤ 3 star routes
+// per slot, or a free slot shuffle along its last dimension).
 type exchanger interface {
 	maskedStep(src, dst string, dim, dir int, mask func(meshID int) bool)
 	machine() *simd.Machine
@@ -145,6 +135,15 @@ type exchanger interface {
 	// map), so compiled phase plans never collide in the shared
 	// cache.
 	planTag() string
+	// banks declares register name if it does not exist yet and
+	// returns its storage, one bank per slot: cell s·len(bank) + pe
+	// of the register is banks[s][pe]. The virtual machine keeps a
+	// bank per slot, the mesh and star machines a single one.
+	banks(name string) [][]int64
+	// routed is how many leading mesh dimensions move by unit routes,
+	// which a phase plan records. Steps along the others write
+	// register banks directly, so they run after the recorded block.
+	routed() int
 }
 
 // meshExchanger runs on the mesh machine itself; PE ids are mesh ids.
@@ -153,6 +152,11 @@ type meshExchanger struct{ mm *meshsim.Machine }
 func (e meshExchanger) machine() *simd.Machine { return e.mm.Machine }
 func (e meshExchanger) theMesh() *mesh.Mesh    { return e.mm.M }
 func (e meshExchanger) planTag() string        { return "mesh" }
+func (e meshExchanger) routed() int            { return e.mm.M.Dims() }
+func (e meshExchanger) banks(name string) [][]int64 {
+	e.mm.EnsureReg(name)
+	return [][]int64{e.mm.Reg(name)}
+}
 func (e meshExchanger) maskedStep(src, dst string, dim, dir int, mask func(int) bool) {
 	e.mm.RouteA(src, dst, meshsim.Port(dim, dir), mask)
 }
@@ -170,6 +174,11 @@ type starExchanger struct {
 
 func (e starExchanger) machine() *simd.Machine { return e.sm.Machine }
 func (e starExchanger) theMesh() *mesh.Mesh    { return e.dn }
+func (e starExchanger) routed() int            { return e.dn.Dims() }
+func (e starExchanger) banks(name string) [][]int64 {
+	e.sm.EnsureReg(name)
+	return [][]int64{e.sm.Reg(name)}
+}
 func (e starExchanger) planTag() string {
 	// The meshID vertex map shapes every mask, so it is part of the
 	// schedule identity.
@@ -192,7 +201,24 @@ func (e starExchanger) maskedStep(src, dst string, dim, dir int, mask func(int) 
 	e.sm.MaskedMeshUnitRoute(src, dst, dim+1, dir, starMask)
 }
 
-// The role of a PE in one odd-even transposition phase (0: none):
+// virtualExchanger runs on the virtual machine: mesh ids are the
+// D_{n+1} node ids the machine's masks take, and the last dimension
+// is the slot shuffle.
+type virtualExchanger struct{ vm *virtual.Machine }
+
+func (e virtualExchanger) machine() *simd.Machine { return e.vm.SM.Machine }
+func (e virtualExchanger) theMesh() *mesh.Mesh    { return e.vm.Big }
+func (e virtualExchanger) planTag() string        { return "virtual" }
+func (e virtualExchanger) routed() int            { return e.vm.N - 1 }
+func (e virtualExchanger) banks(name string) [][]int64 {
+	e.vm.EnsureReg(name)
+	return e.vm.Banks(name)
+}
+func (e virtualExchanger) maskedStep(src, dst string, dim, dir int, mask func(int) bool) {
+	e.vm.MaskedUnitRoute(src, dst, dim+1, dir, mask)
+}
+
+// The role of a cell in one odd-even transposition phase (0: none):
 // the low end of a snake pair keeps the smaller key, the high end the
 // larger.
 const (
@@ -204,19 +230,34 @@ const (
 const snakeTmp = "__snake_tmp"
 
 // snakeTables holds everything the phases of a snake sort depend on
-// besides the keys: the snake plan, each PE's role per phase parity,
-// the schedule tag and the memoized route block of each (key
-// register, parity). All of it is a function of the exchanger (the
-// machine, its SIMD model and its vertex map), so a machine that
-// keeps its tables sorts again without rebuilding any of it.
+// besides the keys: the snake plan, each cell's role per phase
+// parity, the masks of every class of snake pairs, the schedule tag,
+// the memoized route block of each (key register, parity) and the
+// banks of the registers sorted so far. All of it is a function of
+// the exchanger (the machine, its SIMD model and its vertex map), so
+// a machine that keeps its tables sorts again without rebuilding any
+// of it.
 type snakeTables struct {
 	e      exchanger
 	plan   *meshops.SnakePlan
-	meshOf func(pe int) int
-	role   [2][]int8 // [parity][pe]
-	tag    string
-	blocks map[blockKey]*simd.Plan
-	keys   []int64 // gather scratch of the sortedness check
+	meshOf func(cell int) int
+	role   [2][]int8 // [parity][cell]
+	// classes[par][j][d] selects the snake pairs of parity par whose
+	// step runs along dimension j, upward for d = 0 and downward for
+	// d = 1.
+	classes [2][][2]pairClass
+	tag     string
+	blocks  map[blockKey]*simd.Plan
+	regs    map[string][][]int64 // banks per register name
+	keys    []int64              // gather scratch of the sortedness check
+}
+
+// pairClass is one (parity, dimension, direction) class of snake
+// pairs: the masks that select their low and their high ends, and
+// whether the class has any pair at all.
+type pairClass struct {
+	low, high func(id int) bool
+	some      bool
 }
 
 // blockKey identifies one memoized route block of a snakeTables.
@@ -225,7 +266,9 @@ type blockKey struct {
 	par int
 }
 
-func newSnakeTables(e exchanger, meshOf func(pe int) int) *snakeTables {
+// newSnakeTables builds the tables of a sort through e, whose cell c
+// (see exchanger.banks) hosts mesh node meshOf(c).
+func newSnakeTables(e exchanger, meshOf func(cell int) int) *snakeTables {
 	m := e.theMesh()
 	t := &snakeTables{
 		e:      e,
@@ -233,22 +276,28 @@ func newSnakeTables(e exchanger, meshOf func(pe int) int) *snakeTables {
 		meshOf: meshOf,
 		tag:    e.planTag(),
 		blocks: make(map[blockKey]*simd.Plan),
+		regs:   make(map[string][][]int64),
 		keys:   make([]int64, m.Order()),
 	}
-	size := e.machine().Size()
 	for par := range t.role {
-		role := make([]int8, size)
-		for pe := range role {
-			id := meshOf(pe)
+		role := make([]int8, m.Order())
+		for c := range role {
+			id := meshOf(c)
 			s := t.plan.Index[id]
 			switch {
 			case t.isLow(id, par):
-				role[pe] = roleLow
+				role[c] = roleLow
 			case s > 0 && t.isLow(t.plan.IDAt[s-1], par):
-				role[pe] = roleHigh
+				role[c] = roleHigh
 			}
 		}
 		t.role[par] = role
+		t.classes[par] = make([][2]pairClass, m.Dims())
+		for j := range t.classes[par] {
+			for d, dir := range [2]int{+1, -1} {
+				t.classes[par][j][d] = t.newPairClass(par, j, dir)
+			}
+		}
 	}
 	return t
 }
@@ -260,112 +309,121 @@ func (t *snakeTables) isLow(id, par int) bool {
 	return t.plan.Index[id]%2 == par && t.plan.Dim[id] != -1
 }
 
-// routeBlock moves every pair's keys across in phases of parity par:
-// each (dim,dir) class of snake steps is one masked route in each
-// direction. It depends only on the tables, never on the keys.
-func (t *snakeTables) routeBlock(key string, par int) {
+// newPairClass builds the masks of the snake pairs of parity par
+// whose step runs along dimension j in direction dir.
+func (t *snakeTables) newPairClass(par, j, dir int) pairClass {
 	p := t.plan
-	m := p.M
-	for j := 0; j < m.Dims(); j++ {
-		for _, dir := range []int{+1, -1} {
-			low := func(id int) bool {
-				return t.isLow(id, par) && p.Dim[id] == j && p.Dir[id] == dir
-			}
-			high := func(id int) bool {
-				s := p.Index[id]
-				return s > 0 && low(p.IDAt[s-1])
-			}
-			if !anyMesh(m, low) {
+	c := pairClass{
+		low: func(id int) bool {
+			return t.isLow(id, par) && p.Dim[id] == j && p.Dir[id] == dir
+		},
+	}
+	c.high = func(id int) bool {
+		s := p.Index[id]
+		return s > 0 && c.low(p.IDAt[s-1])
+	}
+	for id := 0; id < len(p.IDAt) && !c.some; id++ {
+		c.some = c.low(id)
+	}
+	return c
+}
+
+// banks returns (looking up on first use) the banks of register name.
+// Banks never move once declared, not even across Reset.
+func (t *snakeTables) banks(name string) [][]int64 {
+	b, ok := t.regs[name]
+	if !ok {
+		b = t.e.banks(name)
+		t.regs[name] = b
+	}
+	return b
+}
+
+// routeBlock moves every pair's keys across in phases of parity par,
+// for the pairs whose step runs along a dimension in [from, to): each
+// (dim,dir) class of snake steps is one masked route in each
+// direction. It depends only on the tables, never on the keys.
+func (t *snakeTables) routeBlock(key string, par, from, to int) {
+	for j := from; j < to; j++ {
+		for d, dir := range [2]int{+1, -1} {
+			c := &t.classes[par][j][d]
+			if !c.some {
 				continue
 			}
-			t.e.maskedStep(key, snakeTmp, j, dir, low)
-			t.e.maskedStep(key, snakeTmp, j, -dir, high)
+			t.e.maskedStep(key, snakeTmp, j, dir, c.low)
+			t.e.maskedStep(key, snakeTmp, j, -dir, c.high)
 		}
 	}
 }
 
-// sort runs odd-even transposition over the snake order. stop (when
-// non-nil) is consulted once per phase — the cooperative
-// cancellation checkpoint; a non-nil return aborts the sort at the
-// phase boundary with the partial cost.
-func (t *snakeTables) sort(key string, stop func() error) (Result, error) {
+// sort runs odd-even transposition over the snake order, checking ctx
+// once per phase — the cooperative cancellation checkpoint: when ctx
+// fires the sort stops at the phase boundary and returns the partial
+// cost with ctx's error (Sorted false).
+func (t *snakeTables) sort(ctx context.Context, key string) (Result, error) {
 	mach := t.e.machine()
-	mach.EnsureReg(snakeTmp)
+	keys, tmps := t.banks(key), t.banks(snakeTmp)
 	n := t.plan.M.Order()
+	routed, dims := t.e.routed(), len(t.classes[0])
 	before := mach.Stats()
-	k := mach.Reg(key)
-	tmp := mach.Reg(snakeTmp)
 	for phase := 0; phase < n; phase++ {
-		if stop != nil {
-			if err := stop(); err != nil {
-				after := mach.Stats()
-				return Result{
-					Phases:     phase,
-					UnitRoutes: after.UnitRoutes - before.UnitRoutes,
-					Conflicts:  after.ReceiveConflicts - before.ReceiveConflicts,
-				}, err
-			}
+		if err := ctx.Err(); err != nil {
+			return costSince(mach, before, phase, false), err
 		}
 		// The route block of a phase depends only on the phase's
 		// parity, so the whole odd-even transposition replays two
 		// compiled schedules: record parity 0 and 1 once, replay them
 		// for the remaining phases (and across machines of the same
-		// shape via the shared plan cache).
+		// shape via the shared plan cache). Steps a plan cannot record
+		// run after the block.
 		par := phase % 2
 		simd.RunMemoized(mach, simd.SharedPlans, t.blocks, blockKey{key: key, par: par},
 			func() string { return fmt.Sprintf("snakephase:%s:%s:%d", t.tag, key, par) },
-			func() { t.routeBlock(key, par) })
+			func() { t.routeBlock(key, par, 0, routed) })
+		t.routeBlock(key, par, routed, dims)
 		// Local compare: lows keep min, highs keep max.
-		for pe, r := range t.role[par] {
-			switch r {
-			case roleLow:
-				if tmp[pe] < k[pe] {
-					k[pe] = tmp[pe]
-				}
-			case roleHigh:
-				if tmp[pe] > k[pe] {
-					k[pe] = tmp[pe]
+		for s, k := range keys {
+			tmp := tmps[s]
+			for pe, r := range t.role[par][s*len(k) : (s+1)*len(k)] {
+				switch r {
+				case roleLow:
+					if tmp[pe] < k[pe] {
+						k[pe] = tmp[pe]
+					}
+				case roleHigh:
+					if tmp[pe] > k[pe] {
+						k[pe] = tmp[pe]
+					}
 				}
 			}
 		}
 	}
-	after := mach.Stats()
+	res := costSince(mach, before, n, true)
 	// Gather keys in mesh-id order for the sortedness check.
-	for pe := range k {
-		t.keys[t.meshOf(pe)] = k[pe]
-	}
-	sorted := true
-	for s := 1; s < n && sorted; s++ {
-		sorted = t.keys[t.plan.IDAt[s-1]] <= t.keys[t.plan.IDAt[s]]
-	}
-	return Result{
-		Sorted:     sorted,
-		Phases:     n,
-		UnitRoutes: after.UnitRoutes - before.UnitRoutes,
-		Conflicts:  after.ReceiveConflicts - before.ReceiveConflicts,
-	}, nil
-}
-
-func anyMesh(m *mesh.Mesh, pred func(int) bool) bool {
-	for id := 0; id < m.Order(); id++ {
-		if pred(id) {
-			return true
+	for s, k := range keys {
+		for pe, v := range k {
+			t.keys[t.meshOf(s*len(k)+pe)] = v
 		}
 	}
-	return false
+	for s := 1; s < n && res.Sorted; s++ {
+		res.Sorted = t.keys[t.plan.IDAt[s-1]] <= t.keys[t.plan.IDAt[s]]
+	}
+	return res, nil
 }
 
 // SnakeSortMesh sorts register key on the mesh machine into snake
 // order via odd-even transposition over the snake.
 func SnakeSortMesh(m *meshsim.Machine, key string) Result {
-	res, _ := newSnakeTables(meshExchanger{mm: m}, func(pe int) int { return pe }).sort(key, nil)
+	res, _ := newSnakeTables(meshExchanger{mm: m}, func(pe int) int { return pe }).sort(context.Background(), key)
 	return res
 }
 
-// StarSort is the snake sort of one star machine under one vertex
-// map, with its tables built once: the snake plan, the per-parity
-// roles, the phase keys and the memoized route blocks. A machine that
-// keeps its StarSort sorts again without rebuilding any of them.
+// StarSort is the snake sort of one machine built on a star machine —
+// S_n under one vertex map of D_n, or the virtual machine's D_{n+1} —
+// with its tables built once: the snake plan, the per-parity roles
+// and pair masks, the phase keys, the memoized route blocks and the
+// register banks. A machine that keeps its StarSort sorts again
+// without rebuilding any of them.
 type StarSort struct{ t *snakeTables }
 
 // NewStarSort builds the snake-sort tables of star machine sm, whose
@@ -375,10 +433,27 @@ func NewStarSort(sm *starsim.Machine, meshID []int) *StarSort {
 	return &StarSort{t: newStarTables(sm, meshID, false)}
 }
 
-// Sort is SnakeSortStarCtx on the machine and vertex map s was built
-// for.
+// NewVirtualSort builds the snake-sort tables of the virtual machine
+// vm: (n+1)! keys of D_{n+1} sorted on the n! PEs of S_n.
+func NewVirtualSort(vm *virtual.Machine) *StarSort {
+	// The recorded star routes are masked; their route tables must
+	// exist before the first recording, or it is impure.
+	vm.SM.BuildRouteTables()
+	cells := make([]int, vm.Big.Order())
+	size := vm.SM.Size()
+	for bigID := range cells {
+		pe, slot := vm.Locate(bigID)
+		cells[slot*size+pe] = bigID
+	}
+	return &StarSort{t: newSnakeTables(virtualExchanger{vm: vm}, func(c int) int { return cells[c] })}
+}
+
+// Sort sorts register key on the machine s was built for, checking
+// ctx once per odd-even transposition phase: when ctx fires the sort
+// stops at the next phase boundary and returns the partial cost with
+// ctx's error (Sorted false).
 func (s *StarSort) Sort(ctx context.Context, key string) (Result, error) {
-	return s.t.sort(key, ctx.Err)
+	return s.t.sort(ctx, key)
 }
 
 // newStarTables builds the snake tables of a star machine. The
@@ -396,16 +471,8 @@ func newStarTables(sm *starsim.Machine, meshID []int, modelA bool) *snakeTables 
 // routes (Theorem 6). meshID[pe] must give the mesh node hosted by
 // star PE pe (i.e. core.UnmapID).
 func SnakeSortStar(sm *starsim.Machine, key string, meshID []int) Result {
-	res, _ := SnakeSortStarCtx(context.Background(), sm, key, meshID)
+	res, _ := NewStarSort(sm, meshID).Sort(context.Background(), key)
 	return res
-}
-
-// SnakeSortStarCtx is SnakeSortStar with a cooperative cancellation
-// checkpoint once per odd-even transposition phase: when ctx fires
-// the sort stops at the next phase boundary and returns the partial
-// cost with ctx's error (Sorted false).
-func SnakeSortStarCtx(ctx context.Context, sm *starsim.Machine, key string, meshID []int) (Result, error) {
-	return NewStarSort(sm, meshID).Sort(ctx, key)
 }
 
 // SnakeSortStarModelA is SnakeSortStar on a SIMD-A star machine:
@@ -413,6 +480,6 @@ func SnakeSortStarCtx(ctx context.Context, sm *starsim.Machine, key string, mesh
 // rounds, quantifying the §4 remark that SIMD-A results carry an
 // extra O(n) factor.
 func SnakeSortStarModelA(sm *starsim.Machine, key string, meshID []int) Result {
-	res, _ := newStarTables(sm, meshID, true).sort(key, nil)
+	res, _ := newStarTables(sm, meshID, true).sort(context.Background(), key)
 	return res
 }

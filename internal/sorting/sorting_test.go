@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"starmesh/internal/core"
 	"starmesh/internal/mesh"
 	"starmesh/internal/meshsim"
 	"starmesh/internal/simd"
@@ -95,10 +94,7 @@ func TestSnakeSortStarMatchesMeshAndCostsAtMost3x(t *testing.T) {
 
 		sm := starsim.New(n)
 		sm.AddReg("K")
-		meshID := make([]int, sm.Size())
-		for pe := 0; pe < sm.Size(); pe++ {
-			meshID[pe] = core.UnmapID(n, pe)
-		}
+		meshID := sm.MeshIDs()
 		sm.Set("K", func(pe int) int64 { return vals[meshID[pe]] })
 		resStar := SnakeSortStar(sm, "K", meshID)
 
@@ -171,10 +167,7 @@ func BenchmarkShearSort16x16(b *testing.B) {
 
 func BenchmarkSnakeSortStarN4(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
-	meshID := make([]int, 24)
-	for pe := range meshID {
-		meshID[pe] = core.UnmapID(4, pe)
-	}
+	meshID := starsim.New(4).MeshIDs()
 	for i := 0; i < b.N; i++ {
 		sm := starsim.New(4)
 		sm.AddReg("K")
@@ -195,10 +188,7 @@ func TestSnakeSortStarModelA(t *testing.T) {
 
 		smB := starsim.New(n)
 		smB.AddReg("K")
-		meshID := make([]int, smB.Size())
-		for pe := range meshID {
-			meshID[pe] = core.UnmapID(n, pe)
-		}
+		meshID := smB.MeshIDs()
 		smB.Set("K", func(pe int) int64 { return vals[meshID[pe]] })
 		resB := SnakeSortStar(smB, "K", meshID)
 
@@ -264,10 +254,7 @@ func TestSnakeSortPlansMatchClosure(t *testing.T) {
 	}
 
 	// Star machine through the embedding.
-	meshID := make([]int, 24)
-	for pe := range meshID {
-		meshID[pe] = core.UnmapID(4, pe)
-	}
+	meshID := starsim.New(4).MeshIDs()
 	smPlan := starsim.New(4)
 	smPlan.AddReg("K")
 	load(smPlan.Machine)

@@ -3,6 +3,7 @@ package star
 import (
 	"math"
 
+	"starmesh/internal/graphalg"
 	"starmesh/internal/perm"
 )
 
@@ -45,17 +46,28 @@ func BroadcastUpperBound(n int) float64 {
 // given source vertex id and returns the number of unit routes until
 // every node is informed.
 func (g *Graph) GreedyBroadcast(source int) int {
+	return GreedyFlood(g, source, func([]int) {})
+}
+
+// GreedyFlood runs the greedy SIMD-B broadcast schedule on g from
+// source and returns its number of rounds. In each round every node
+// informed before that round sends to its first uninformed neighbour
+// in g's neighbour order; nodes informed within the round stay
+// silent until the next one, and marking a target at once keeps two
+// senders from spending a round on the same node. send receives each
+// round's choices: port[v] is the index of v's target in its
+// neighbour list, or -1 where v stays silent (on the star graph the
+// index is the generator, i.e. the port). The slice is reused from
+// round to round.
+func GreedyFlood(g graphalg.Graph, source int, send func(port []int)) int {
 	order := g.Order()
 	// informedAt[v] = round in which v learned the message, or -1.
-	// A node may transmit in round r only if informedAt[v] < r, so
-	// nodes informed within the current round stay silent until the
-	// next one; marking targets immediately also prevents two
-	// senders from wasting a round on the same target.
 	informedAt := make([]int, order)
 	for i := range informedAt {
 		informedAt[i] = -1
 	}
 	informedAt[source] = 0
+	port := make([]int, order)
 	count := 1
 	round := 0
 	var buf []int
@@ -63,13 +75,15 @@ func (g *Graph) GreedyBroadcast(source int) int {
 		round++
 		progressed := false
 		for v := 0; v < order; v++ {
+			port[v] = -1
 			if informedAt[v] < 0 || informedAt[v] >= round {
 				continue
 			}
 			buf = g.AppendNeighbors(buf[:0], v)
-			for _, w := range buf {
+			for i, w := range buf {
 				if informedAt[w] == -1 {
 					informedAt[w] = round
+					port[v] = i
 					count++
 					progressed = true
 					break // one transmission per node per round
@@ -79,6 +93,7 @@ func (g *Graph) GreedyBroadcast(source int) int {
 		if !progressed {
 			panic("star: broadcast stalled") // impossible on a connected graph
 		}
+		send(port)
 	}
 	return round
 }

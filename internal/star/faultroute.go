@@ -22,12 +22,11 @@ func (g *Graph) RouteAvoiding(p, q perm.Perm, faulty map[int]bool) []perm.Perm {
 	if src == dst {
 		return []perm.Perm{p.Clone()}
 	}
-	holes := make([]int, 0, len(faulty))
-	for h := range faulty {
-		holes = append(holes, h)
+	removed := make([]bool, g.Order())
+	for h, bad := range faulty {
+		removed[h] = bad
 	}
-	view := graphalg.NewExclude(g, holes...)
-	ids := graphalg.BFSPath(view, src, dst)
+	ids := graphalg.BFSPath(graphalg.WithoutVertices(g, removed), src, dst)
 	if ids == nil {
 		return nil
 	}

@@ -28,6 +28,7 @@ import (
 	"starmesh/internal/core"
 	"starmesh/internal/perm"
 	"starmesh/internal/simd"
+	"starmesh/internal/star"
 )
 
 // Topo adapts S_n to simd.Topology with a precomputed neighbor
@@ -268,23 +269,18 @@ func (m *Machine) MaskedMeshUnitRoute(src, dst string, k, dir int, mask func(pe 
 	if dir != 1 && dir != -1 {
 		panic("starsim: dir must be ±1")
 	}
-	if mask == nil && m.PlansEnabled() {
-		return m.plannedMeshUnitRoute(src, dst, k, dir)
+	if mask == nil {
+		// The unmasked schedule runs through a compiled plan, recorded
+		// once per (k, dir, src, dst) and shared across machines of
+		// the same n.
+		return m.plannedRoute(m.murPlans, "mur", src, dst, k, dir,
+			func() { m.maskedMeshUnitRouteCached(src, dst, k, dir, nil) },
+			func() { m.maskedMeshUnitRouteGeneric(src, dst, k, dir, nil) })
 	}
 	if !m.noCache {
 		return m.maskedMeshUnitRouteCached(src, dst, k, dir, mask)
 	}
 	return m.maskedMeshUnitRouteGeneric(src, dst, k, dir, mask)
-}
-
-// plannedMeshUnitRoute runs the unmasked Theorem-6 schedule through
-// a compiled plan: recorded once per (k, dir, src, dst) — via the
-// closure path selected by SetRouteCache — then replayed as a dense
-// array walk, shared across machines of the same n.
-func (m *Machine) plannedMeshUnitRoute(src, dst string, k, dir int) (routes, conflicts int) {
-	return m.plannedRoute(m.murPlans, "mur", src, dst, k, dir,
-		func() { m.maskedMeshUnitRouteCached(src, dst, k, dir, nil) },
-		func() { m.maskedMeshUnitRouteGeneric(src, dst, k, dir, nil) })
 }
 
 // plannedRoute is the shared memoized-plan shape of the unmasked
@@ -430,7 +426,7 @@ func (m *Machine) MeshUnitRouteModelA(src, dst string, k, dir int) int {
 // MaskedMeshUnitRouteModelA is MeshUnitRouteModelA restricted to the
 // mesh nodes selected by mask (nil = all).
 func (m *Machine) MaskedMeshUnitRouteModelA(src, dst string, k, dir int, mask func(pe int) bool) int {
-	if mask == nil && m.PlansEnabled() {
+	if mask == nil {
 		routes, _ := m.plannedRoute(m.muraPlans, "mura", src, dst, k, dir,
 			func() { m.maskedModelACached(src, dst, k, dir, nil) },
 			func() { m.maskedModelAGeneric(src, dst, k, dir, nil) })
@@ -582,66 +578,31 @@ func (m *Machine) maskedModelAGeneric(src, dst string, k, dir int, mask func(pe 
 	return routes
 }
 
-// Broadcast floods register src from the PE holding the identity
-// permutation to all PEs using greedy SIMD-B rounds, writing into
-// dst on every PE (including the source). Returns the number of unit
-// routes. This is the measured counterpart of the §2 broadcast bound
-// 3(n·log n − 3/2); see star.GreedyBroadcast for the round counter
-// on the bare graph.
+// Broadcast floods register src from PE source to all PEs using
+// greedy SIMD-B rounds, writing into dst on every PE (including the
+// source). Returns the number of unit routes. This is the measured
+// counterpart of the §2 broadcast bound 3(n·log n − 3/2); the rounds
+// are star.GreedyFlood's over the neighbour table, so the count
+// equals star.GreedyBroadcast's on the bare graph.
 func (m *Machine) Broadcast(src, dst string, source int) int {
 	sr := m.Reg(src)
 	dr := m.Reg(dst)
 	// The source's self-copy is a direct register write the plan
 	// recorder cannot capture; a plan recorded over a Broadcast must
-	// therefore be rejected (the internal planned path below keeps
-	// the write outside its recorded region instead).
+	// therefore be rejected (the planned rounds below keep the write
+	// outside their recorded region instead).
 	m.MarkImpure()
 	dr[source] = sr[source]
-	if m.PlansEnabled() {
-		// The greedy schedule construction (informedAt bookkeeping,
-		// neighbor scans) is purely topological, so it runs only at
-		// record time; replay walks the compiled rounds directly.
-		routes, _ := simd.RunMemoized(m.Machine, simd.SharedPlans, m.bcastPlans,
-			bcastKey{src: src, dst: dst, source: source},
-			func() string { return fmt.Sprintf("bcast:%s:%s:%d", src, dst, source) },
-			func() { m.broadcastRoutes(dst, source) })
-		return routes
-	}
-	return m.broadcastRoutes(dst, source)
-}
-
-// broadcastRoutes issues the greedy flood's unit routes (one RouteB
-// per round), assuming dst at the source already holds the payload.
-func (m *Machine) broadcastRoutes(dst string, source int) int {
-	informedAt := make([]int, m.Size())
-	for i := range informedAt {
-		informedAt[i] = -1
-	}
-	informedAt[source] = 0
-	count := 1
-	round := 0
-	topo := m.Topology()
-	for count < m.Size() {
-		round++
-		ports := make([]int, m.Size())
-		for i := range ports {
-			ports[i] = -1
-		}
-		for pe := 0; pe < m.Size(); pe++ {
-			if informedAt[pe] < 0 || informedAt[pe] >= round {
-				continue
-			}
-			for p := 0; p < topo.Ports(); p++ {
-				to := topo.Neighbor(pe, p)
-				if to >= 0 && informedAt[to] == -1 {
-					informedAt[to] = round
-					ports[pe] = p
-					count++
-					break
-				}
-			}
-		}
-		m.RouteB(dst, dst, func(pe int) int { return ports[pe] })
-	}
-	return round
+	// The flood's construction (informedAt bookkeeping, neighbour
+	// scans) is purely topological, so with plans on it runs only at
+	// record time; replay walks the compiled rounds directly.
+	routes, _ := simd.RunMemoized(m.Machine, simd.SharedPlans, m.bcastPlans,
+		bcastKey{src: src, dst: dst, source: source},
+		func() string { return fmt.Sprintf("bcast:%s:%s:%d", src, dst, source) },
+		func() {
+			star.GreedyFlood(m.topo, source, func(port []int) {
+				m.RouteB(dst, dst, func(pe int) int { return port[pe] })
+			})
+		})
+	return routes
 }

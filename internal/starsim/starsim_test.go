@@ -6,6 +6,8 @@ import (
 	"starmesh/internal/core"
 	"starmesh/internal/mesh"
 	"starmesh/internal/perm"
+	"starmesh/internal/simd"
+	"starmesh/internal/star"
 )
 
 func TestTopoMatchesStarEdges(t *testing.T) {
@@ -244,5 +246,35 @@ func TestMeshIDsMatchesUnmapAndSurvivesReset(t *testing.T) {
 	again := m.MeshIDs()
 	if &again[0] != &ids[0] {
 		t.Fatal("MeshIDs rebuilt after Reset; the cache should survive")
+	}
+}
+
+// TestBroadcastMatchesGreedyBroadcast pins the star machine's flood
+// to the greedy SIMD-B schedule on the bare graph: for every n and a
+// spread of sources the machine uses exactly the rounds
+// star.GreedyBroadcast counts, informs every PE, and does so with
+// plans on and off.
+func TestBroadcastMatchesGreedyBroadcast(t *testing.T) {
+	for n := 2; n <= 7; n++ {
+		g := star.New(n)
+		order := g.Order()
+		for _, src := range []int{0, 1, order / 3, order / 2, order - 1} {
+			want := g.GreedyBroadcast(src)
+			for _, plans := range []bool{true, false} {
+				m := New(n, simd.WithPlans(plans))
+				m.AddReg("V")
+				m.AddReg("W")
+				m.Set("V", func(pe int) int64 { return int64(1000 + pe) })
+				m.Set("W", func(pe int) int64 { return -1 })
+				if got := m.Broadcast("V", "W", src); got != want {
+					t.Fatalf("n=%d src=%d plans=%v: %d rounds, star.GreedyBroadcast counts %d", n, src, plans, got, want)
+				}
+				for pe, v := range m.Reg("W") {
+					if v != int64(1000+src) {
+						t.Fatalf("n=%d src=%d plans=%v: PE %d holds %d, want %d", n, src, plans, pe, v, 1000+src)
+					}
+				}
+			}
+		}
 	}
 }

@@ -14,24 +14,22 @@
 //
 // The placement is table-driven: New derives every virtual node's
 // (pe, slot) and its inverse from the star machine's cached vertex
-// map (starsim.Machine.MeshIDs), the snake plan of D_{n+1} and each
-// virtual node's odd-even role per phase parity once. Slot register
-// names and banks are memoized on first use, and so are the star
-// routes of a snake-sort phase, one compiled plan per (key register,
-// parity). All of these depend only on n and on registers that never
-// move, so they survive Reset and a pooled machine never rebuilds
-// them; Locate, Get, Put, Set and every mask test are table lookups.
+// map (starsim.Machine.MeshIDs) once. Slot register names and banks
+// are memoized on first use. All of these depend only on n and on
+// registers that never move, so they survive Reset and a pooled
+// machine never rebuilds them; Locate, Get, Put, Set and every mask
+// test are table lookups. The snake sort of D_{n+1} runs through
+// package sorting (sorting.NewVirtualSort), on the slot banks Banks
+// returns.
 //
 // The equivalence tests check bit-identical behaviour against a real
 // (n+1)!-PE mesh machine.
 package virtual
 
 import (
-	"context"
 	"fmt"
 
 	"starmesh/internal/mesh"
-	"starmesh/internal/meshops"
 	"starmesh/internal/simd"
 	"starmesh/internal/starsim"
 )
@@ -47,42 +45,8 @@ type Machine struct {
 	// bigAt[slot·n! + pe] inverts that.
 	pe    []int
 	bigAt []int
-	snake *meshops.SnakePlan // snake order of D_{n+1}
-	// role[par][slot·n! + pe] is the odd-even role (roleLow, roleHigh
-	// or 0) of the virtual node in slot of PE pe, in the snake sort's
-	// phases of parity par.
-	role [2][]int8
-	// blocks memoizes the star routes of one snake-sort phase per
-	// (key register, parity).
-	blocks map[blockKey]*simd.Plan
-	regs   map[string]*vreg
-	// classes[par][j][d] selects the snake pairs of parity par whose
-	// step runs along dimension index j, upward for d = 0 and
-	// downward for d = 1.
-	classes [2][][2]pairClass
+	regs  map[string]*vreg
 }
-
-// pairClass is one (parity, dimension, direction) class of snake
-// pairs: the masks that select their low and their high ends, and
-// whether the class has any pair at all.
-type pairClass struct {
-	low, high func(bigID int) bool
-	some      bool
-}
-
-// blockKey identifies the memoized star routes of one snake-sort
-// phase.
-type blockKey struct {
-	key string
-	par int
-}
-
-// The odd-even roles of the snake sort: the low end of a snake pair
-// keeps the smaller key, the high end the larger.
-const (
-	roleLow int8 = 1 + iota
-	roleHigh
-)
 
 // vreg is a virtual register's n+1 physical slot registers.
 type vreg struct {
@@ -96,15 +60,13 @@ func New(n int, opts ...simd.Option) *Machine {
 	sm := starsim.New(n, opts...)
 	big := mesh.D(n + 1)
 	m := &Machine{
-		SM:     sm,
-		N:      n,
-		Slots:  n + 1,
-		Big:    big,
-		pe:     make([]int, big.Order()),
-		bigAt:  make([]int, big.Order()),
-		snake:  meshops.NewSnakePlan(big),
-		blocks: make(map[blockKey]*simd.Plan),
-		regs:   make(map[string]*vreg),
+		SM:    sm,
+		N:     n,
+		Slots: n + 1,
+		Big:   big,
+		pe:    make([]int, big.Order()),
+		bigAt: make([]int, big.Order()),
+		regs:  make(map[string]*vreg),
 	}
 	// D_{n+1}'s last dimension has stride n!, so bigID = slot·n! + the
 	// id of its D_n coordinates, which the paper's map places on PE pe.
@@ -117,52 +79,7 @@ func New(n int, opts ...simd.Option) *Machine {
 			m.bigAt[slot*size+pe] = bigID
 		}
 	}
-	for par := range m.role {
-		role := make([]int8, len(m.bigAt))
-		for i, bigID := range m.bigAt {
-			s := m.snake.Index[bigID]
-			switch {
-			case m.isLow(bigID, par):
-				role[i] = roleLow
-			case s > 0 && m.isLow(m.snake.IDAt[s-1], par):
-				role[i] = roleHigh
-			}
-		}
-		m.role[par] = role
-		m.classes[par] = make([][2]pairClass, n)
-		for j := range m.classes[par] {
-			for d, dir := range [2]int{+1, -1} {
-				m.classes[par][j][d] = m.newPairClass(par, j, dir)
-			}
-		}
-	}
 	return m
-}
-
-// newPairClass builds the masks of the snake pairs of parity par whose
-// step runs along dimension index j in direction dir.
-func (m *Machine) newPairClass(par, j, dir int) pairClass {
-	index, idAt, stepDim, stepDir := m.snake.Index, m.snake.IDAt, m.snake.Dim, m.snake.Dir
-	c := pairClass{
-		low: func(bigID int) bool {
-			return m.isLow(bigID, par) && stepDim[bigID] == j && stepDir[bigID] == dir
-		},
-	}
-	c.high = func(bigID int) bool {
-		s := index[bigID]
-		return s > 0 && c.low(idAt[s-1])
-	}
-	for bigID := 0; bigID < len(idAt) && !c.some; bigID++ {
-		c.some = c.low(bigID)
-	}
-	return c
-}
-
-// isLow reports whether virtual node bigID starts a compare-exchange
-// pair in snake-sort phases of parity par: an even (or odd) snake
-// position that has a successor.
-func (m *Machine) isLow(bigID, par int) bool {
-	return m.snake.Index[bigID]%2 == par && m.snake.Dim[bigID] != -1
 }
 
 // Close closes the underlying star machine (see simd.Machine.Close).
@@ -195,6 +112,11 @@ func (m *Machine) reg(name string) *vreg {
 	m.regs[name] = r
 	return r
 }
+
+// Banks returns the n+1 slot banks of virtual register name: bank
+// s holds slot s, indexed by PE. The register must be declared. The
+// banks never move, not even across Reset.
+func (m *Machine) Banks(name string) [][]int64 { return m.reg(name).banks }
 
 // EnsureReg declares a virtual register if it does not exist yet —
 // the idempotent form pooled reuse needs.
@@ -305,88 +227,3 @@ func (m *Machine) MaskedUnitRoute(src, dst string, k, dir int, mask func(bigID i
 
 // Stats exposes the underlying machine counters.
 func (m *Machine) Stats() (unitRoutes int) { return m.SM.Stats().UnitRoutes }
-
-// SnakeSort sorts virtual register key into the snake order of
-// D_{n+1} by odd-even transposition over the snake — (n+1)! keys on
-// n! physical PEs. Returns whether the result is sorted and the
-// physical unit routes consumed.
-func (m *Machine) SnakeSort(key string) (sorted bool, routes int) {
-	sorted, routes, _ = m.SnakeSortCtx(context.Background(), key)
-	return sorted, routes
-}
-
-// SnakeSortCtx is SnakeSort with a cooperative cancellation
-// checkpoint once per odd-even transposition phase — the sort runs
-// (n+1)! phases, so mid-run cancellation aborts within one phase.
-// On cancellation it returns the partial route count with ctx's
-// error (sorted false).
-func (m *Machine) SnakeSortCtx(ctx context.Context, key string) (sorted bool, routes int, err error) {
-	idAt := m.snake.IDAt
-	N := len(idAt)
-	const tmp = "__vsnake_tmp"
-	m.EnsureReg(tmp)
-	keys, tmps := m.reg(key), m.reg(tmp)
-	size := m.SM.Size()
-	// The recorded star routes are masked; their route tables must
-	// exist before the first recording, or it is impure.
-	m.SM.BuildRouteTables()
-	before := m.SM.Stats().UnitRoutes
-	for phase := 0; phase < N; phase++ {
-		if err := ctx.Err(); err != nil {
-			return false, m.SM.Stats().UnitRoutes - before, err
-		}
-		par := phase % 2
-		// The star routes of a phase (dimensions 1..n-1) depend only
-		// on its parity: record them once per (key, parity), replay
-		// them after. The new dimension's slot shuffle writes register
-		// banks directly, which a plan cannot record, so it runs after
-		// the block, as it did last in the dimension loop.
-		simd.RunMemoized(m.SM.Machine, simd.SharedPlans, m.blocks, blockKey{key: key, par: par},
-			func() string { return fmt.Sprintf("vsnake:%s:%d", key, par) },
-			func() { m.phaseRoutes(key, tmp, par, 0, m.N-1) })
-		m.phaseRoutes(key, tmp, par, m.N-1, m.N)
-		for slot := 0; slot < m.Slots; slot++ {
-			k, t := keys.banks[slot], tmps.banks[slot]
-			for pe, r := range m.role[par][slot*size : (slot+1)*size] {
-				switch r {
-				case roleLow:
-					if t[pe] < k[pe] {
-						k[pe] = t[pe]
-					}
-				case roleHigh:
-					if t[pe] > k[pe] {
-						k[pe] = t[pe]
-					}
-				}
-			}
-		}
-	}
-	routes = m.SM.Stats().UnitRoutes - before
-	sorted = true
-	prevVal := int64(0)
-	for s, bigID := range idAt {
-		v := *m.cell(keys, bigID)
-		if s > 0 && v < prevVal {
-			sorted = false
-		}
-		prevVal = v
-	}
-	return sorted, routes, nil
-}
-
-// phaseRoutes moves the keys of every snake pair whose step runs
-// along a D_{n+1} dimension index in [from, to) across, in phases of
-// parity par: one masked unit route per (dimension, direction) class
-// in each direction.
-func (m *Machine) phaseRoutes(key, tmp string, par, from, to int) {
-	for j := from; j < to; j++ {
-		for d, dir := range [2]int{+1, -1} {
-			c := &m.classes[par][j][d]
-			if !c.some {
-				continue
-			}
-			m.MaskedUnitRoute(key, tmp, j+1, dir, c.low)
-			m.MaskedUnitRoute(key, tmp, j+1, -dir, c.high)
-		}
-	}
-}

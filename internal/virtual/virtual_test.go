@@ -1,13 +1,11 @@
 package virtual
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"starmesh/internal/mesh"
-	"starmesh/internal/meshops"
 	"starmesh/internal/meshsim"
 )
 
@@ -127,58 +125,6 @@ func BenchmarkVirtualUnitRoute(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.UnitRoute("A", "B", 1+i%4, +1)
-	}
-}
-
-// TestVirtualSnakeSort sorts (n+1)! keys on n! physical PEs and
-// checks the result position by position: the node at snake
-// position s holds exactly the s-th smallest key.
-func TestVirtualSnakeSort(t *testing.T) {
-	for _, n := range []int{2, 3, 4} {
-		vm := New(n)
-		vm.AddReg("K")
-		keys := uniformKeys(vm.Big.Order(), int64(n))
-		vm.Set("K", func(bigID int) int64 { return keys[bigID] })
-		sorted, routes := vm.SnakeSort("K")
-		if !sorted {
-			t.Fatalf("n=%d: virtual snake sort failed", n)
-		}
-		if routes <= 0 {
-			t.Fatalf("n=%d: no routes recorded", n)
-		}
-		want := slices.Sorted(slices.Values(keys))
-		for s, bigID := range meshops.NewSnakePlan(vm.Big).IDAt {
-			if got := vm.Get("K", bigID); got != want[s] {
-				t.Fatalf("n=%d: snake position %d (node %d) holds %d, want %d", n, s, bigID, got, want[s])
-			}
-		}
-	}
-}
-
-// TestSnakeSortGoldenRouteCounts pins the physical unit routes of
-// one virtual snake sort for n = 2..5. The schedule depends only on
-// the snake plan, never on the keys, so each count is a constant of
-// n; the sort repeats on the same machine after Reset, the pooled
-// path, and must cost the same.
-func TestSnakeSortGoldenRouteCounts(t *testing.T) {
-	golden := []struct{ n, routes int }{{2, 36}, {3, 768}, {4, 8400}, {5, 86400}}
-	for _, g := range golden {
-		t.Run(fmt.Sprintf("n=%d", g.n), func(t *testing.T) {
-			if g.n == 5 && testing.Short() {
-				t.Skip("n=5 sorts 720 keys over 720 phases; skipped under -short")
-			}
-			vm := New(g.n)
-			for pass := 0; pass < 2; pass++ {
-				vm.Reset()
-				vm.EnsureReg("K")
-				keys := uniformKeys(vm.Big.Order(), int64(pass))
-				vm.Set("K", func(bigID int) int64 { return keys[bigID] })
-				sorted, routes := vm.SnakeSort("K")
-				if !sorted || routes != g.routes {
-					t.Fatalf("pass %d: sorted=%v routes=%d, want sorted with %d routes", pass, sorted, routes, g.routes)
-				}
-			}
-		})
 	}
 }
 

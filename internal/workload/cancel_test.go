@@ -9,7 +9,6 @@ import (
 	"starmesh/internal/meshsim"
 	"starmesh/internal/star"
 	"starmesh/internal/starsim"
-	"starmesh/internal/virtual"
 )
 
 // TestRunnersHonorCancellation: every long-loop runner aborts on a
@@ -35,7 +34,7 @@ func TestRunnersHonorCancellation(t *testing.T) {
 	}
 	mm := meshsim.New(mesh.New(4, 4))
 	defer mm.Close()
-	vm := virtual.New(3)
+	vm := buildVirtual(Spec{N: 3}).(*virtualMachine)
 	defer vm.Close()
 	g := star.New(4)
 
@@ -49,7 +48,9 @@ func TestRunnersHonorCancellation(t *testing.T) {
 		{"embedrect", family(Spec{Kind: KindEmbedRect, N: 4, D: 2})},
 		{"pipeline", family(Spec{Kind: KindPipeline, N: 4, D: 2, Seed: 1})},
 		{"shear", func(c context.Context) (ScenarioResult, error) { return RunShearOn(c, mm, Uniform, NewRand(1)) }},
-		{"virtual", func(c context.Context) (ScenarioResult, error) { return RunVirtualOn(c, vm, Uniform, NewRand(1)) }},
+		{"virtual", func(c context.Context) (ScenarioResult, error) {
+			return RunVirtualOn(c, vm.Machine, vm.sorter, Uniform, NewRand(1))
+		}},
 		{"faultroute", func(c context.Context) (ScenarioResult, error) {
 			return RunFaultRouteOn(c, g, 1, 4, NewRand(1))
 		}},

@@ -53,6 +53,14 @@ func (s *starMachine) sort() *sorting.StarSort {
 	return s.sorter
 }
 
+// virtualMachine is the pooled resource of the virtual:N family: the
+// virtual machine plus its snake-sort tables, which, like the star
+// machine's, survive Reset.
+type virtualMachine struct {
+	*virtual.Machine
+	sorter *sorting.StarSort
+}
+
 // graphResource is the pooled resource of the stargraph:N families:
 // the O(n!·n) neighbour table of S_n, built once by the star machine's
 // own construction (starsim.NewTopo), so a pooled BFS reads
@@ -91,13 +99,17 @@ func mustDist(name string) Dist {
 	return d
 }
 
-// buildStar, buildStarGraph: the shared constructors of the
+// buildStar, buildStarGraph, buildVirtual: the constructors of the
 // star-shaped pools.
 func buildStar(s Spec, opts ...simd.Option) Resource {
 	return newStarMachine(starsim.New(s.N, opts...))
 }
 func buildStarGraph(s Spec, _ ...simd.Option) Resource {
 	return &graphResource{Topo: starsim.NewTopo(s.N)}
+}
+func buildVirtual(s Spec, opts ...simd.Option) Resource {
+	vm := virtual.New(s.N, opts...)
+	return &virtualMachine{Machine: vm, sorter: sorting.NewVirtualSort(vm)}
 }
 
 func starShape(s Spec) string      { return fmt.Sprintf("star:%d", s.N) }
@@ -310,7 +322,7 @@ func builtinRegistry() *Registry {
 	r.Register(Family{
 		Kind:     KindVirtual,
 		Summary:  "virtual snake sort: (n+1)! keys of D_{n+1} on the n! PEs of S_n",
-		Package:  "internal/virtual",
+		Package:  "internal/virtual, internal/sorting",
 		PaperRef: "§4 extension (processor virtualization)",
 		Params:   "n, dist, seed",
 		Normalize: func(s Spec) (Spec, error) {
@@ -320,10 +332,11 @@ func builtinRegistry() *Registry {
 			return normDist(s)
 		},
 		Shape: func(s Spec) string { return fmt.Sprintf("virtual:%d", s.N) },
-		Build: func(s Spec, opts ...simd.Option) Resource { return virtual.New(s.N, opts...) },
+		Build: buildVirtual,
 		Run: func(ctx context.Context, s Spec, r Resource) (ScenarioResult, error) {
+			vm := r.(*virtualMachine)
 			return withRand(s.Seed, func(rng *rand.Rand) (ScenarioResult, error) {
-				return RunVirtualOn(ctx, r.(*virtual.Machine), mustDist(s.Dist), rng)
+				return RunVirtualOn(ctx, vm.Machine, vm.sorter, mustDist(s.Dist), rng)
 			})
 		},
 		Name: func(s Spec) string {

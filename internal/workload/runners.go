@@ -19,6 +19,7 @@ import (
 	"starmesh/internal/perm"
 	"starmesh/internal/permroute"
 	"starmesh/internal/simd"
+	"starmesh/internal/sorting"
 	"starmesh/internal/starsim"
 	"starmesh/internal/virtual"
 )
@@ -154,29 +155,29 @@ func RunPermRouteOn(ctx context.Context, n int, pattern string, seed int64) (Sce
 
 // RunVirtualOn snake-sorts (n+1)! keys of the given distribution on
 // the virtualized machine — the mesh D_{n+1} hosted on S_n with n+1
-// virtual nodes per PE. The reported unit routes are the physical
-// star routes consumed (amortized ≤ 3 per virtual move; the extra
-// dimension is a free intra-PE slot shuffle).
-func RunVirtualOn(ctx context.Context, vm *virtual.Machine, d Dist, rng *rand.Rand) (ScenarioResult, error) {
+// virtual nodes per PE — with the machine's snake-sort tables
+// supplied by the caller (a pooled resource keeps them across jobs).
+// The reported unit routes are the physical star routes consumed
+// (amortized ≤ 3 per virtual move; the extra dimension is a free
+// intra-PE slot shuffle).
+func RunVirtualOn(ctx context.Context, vm *virtual.Machine, vs *sorting.StarSort, d Dist, rng *rand.Rand) (ScenarioResult, error) {
 	keys := KeysRand(d, vm.Big.Order(), rng)
 	vm.EnsureReg("K")
 	vm.Set("K", func(bigID int) int64 { return keys[bigID] })
-	before := vm.SM.Stats()
-	sorted, routes, err := vm.SnakeSortCtx(ctx, "K")
+	res, err := vs.Sort(ctx, "K")
 	if err != nil {
 		return canceledPartial(ctx, ScenarioResult{
-			UnitRoutes: routes,
-			Conflicts:  vm.SM.Stats().ReceiveConflicts - before.ReceiveConflicts,
+			UnitRoutes: res.UnitRoutes,
+			Conflicts:  res.Conflicts,
 		})
 	}
-	if !sorted {
+	if !res.Sorted {
 		return ScenarioResult{}, fmt.Errorf("virtual snake sort left keys unsorted")
 	}
-	conflicts := vm.SM.Stats().ReceiveConflicts - before.ReceiveConflicts
 	return ScenarioResult{
-		UnitRoutes: routes,
-		Conflicts:  conflicts,
-		OK:         sorted && conflicts == 0,
+		UnitRoutes: res.UnitRoutes,
+		Conflicts:  res.Conflicts,
+		OK:         res.Sorted && res.Conflicts == 0,
 	}, nil
 }
 
