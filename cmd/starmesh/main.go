@@ -128,16 +128,16 @@ scenario kinds (accepted by run, submit and POST /v1/jobs):
 	os.Exit(2)
 }
 
-func ints(args []string) []int {
+func ints(args []string) ([]int, error) {
 	out := make([]int, len(args))
 	for i, a := range args {
 		v, err := strconv.Atoi(a)
 		if err != nil {
-			fatalf("not an integer: %q", a)
+			return nil, fmt.Errorf("not an integer: %q", a)
 		}
 		out[i] = v
 	}
-	return out
+	return out, nil
 }
 
 func fatalf(format string, args ...any) {
@@ -145,24 +145,56 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-// displayToPerm converts display-order symbols (front first) to a Perm.
-func displayToPerm(sym []int) perm.Perm {
+// exitOn ends the process through fatalf if err is set.
+func exitOn(err error) {
+	if err != nil {
+		fatalf("%v", err)
+	}
+}
+
+// displayToPerm parses display-order symbols (front first) into a
+// Perm.
+func displayToPerm(args []string) (perm.Perm, error) {
+	sym, err := ints(args)
+	if err != nil {
+		return nil, err
+	}
+	if len(sym) == 0 {
+		return nil, errors.New("a node needs at least one symbol")
+	}
 	rev := make([]int, len(sym))
 	for i, s := range sym {
 		rev[len(sym)-1-i] = s
 	}
-	p, err := perm.New(rev)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	return p
+	return perm.New(rev)
 }
 
-func cmdMap(args []string) {
-	// Arguments are d_{n-1} … d_1 in the paper's tuple order.
-	ds := ints(args)
+// twoNodes parses the halves of args, whose length is even, as two
+// display-order nodes.
+func twoNodes(args []string) (a, b perm.Perm, err error) {
+	half := len(args) / 2
+	if a, err = displayToPerm(args[:half]); err != nil {
+		return nil, nil, err
+	}
+	b, err = displayToPerm(args[half:])
+	return a, b, err
+}
+
+func cmdMap(args []string)       { exitOn(mapNode(os.Stdout, args)) }
+func cmdUnmap(args []string)     { exitOn(unmapNode(os.Stdout, args)) }
+func cmdRoute(args []string)     { exitOn(starRoute(os.Stdout, args)) }
+func cmdPath(args []string)      { exitOn(meshStepPath(os.Stdout, args)) }
+func cmdSafeRoute(args []string) { exitOn(safeRoute(os.Stdout, args)) }
+
+// mapNode writes the star node of the mesh node whose coordinates
+// args gives as d_{n-1} … d_1, the paper's tuple order.
+func mapNode(w io.Writer, args []string) error {
+	ds, err := ints(args)
+	if err != nil {
+		return err
+	}
 	if len(ds) == 0 {
-		fatalf("map needs mesh coordinates")
+		return errors.New("map needs mesh coordinates")
 	}
 	pt := make([]int, len(ds))
 	for i, d := range ds {
@@ -171,55 +203,73 @@ func cmdMap(args []string) {
 	n := len(pt) + 1
 	for k := 1; k <= n-1; k++ {
 		if pt[k-1] < 0 || pt[k-1] > k {
-			fatalf("d_%d = %d out of range [0,%d]", k, pt[k-1], k)
+			return fmt.Errorf("d_%d = %d out of range [0,%d]", k, pt[k-1], k)
 		}
 	}
 	p := core.ConvertDS(pt)
-	fmt.Printf("mesh %s  ->  star %s  (vertex id %d of %d)\n",
+	fmt.Fprintf(w, "mesh %s  ->  star %s  (vertex id %d of %d)\n",
 		mesh.DPointString(pt), p, p.Rank(), perm.Factorial(n))
+	return nil
 }
 
-func cmdUnmap(args []string) {
-	p := displayToPerm(ints(args))
-	pt := core.ConvertSD(p)
-	fmt.Printf("star %s  ->  mesh %s\n", p, mesh.DPointString(pt))
+// unmapNode writes the mesh node of the star node args names.
+func unmapNode(w io.Writer, args []string) error {
+	p, err := displayToPerm(args)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "star %s  ->  mesh %s\n", p, mesh.DPointString(core.ConvertSD(p)))
+	return nil
 }
 
-func cmdRoute(args []string) {
+// starRoute writes a shortest star route between the two nodes args
+// names.
+func starRoute(w io.Writer, args []string) error {
 	if len(args)%2 != 0 {
-		fatalf("route needs two nodes of equal length")
+		return errors.New("route needs two nodes of equal length")
 	}
-	half := len(args) / 2
-	a := displayToPerm(ints(args[:half]))
-	b := displayToPerm(ints(args[half:]))
-	fmt.Printf("distance %d\n", star.Distance(a, b))
+	a, b, err := twoNodes(args)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "distance %d\n", star.Distance(a, b))
 	for i, q := range star.Route(a, b) {
-		fmt.Printf("  %2d  %s\n", i, q)
+		fmt.Fprintf(w, "  %2d  %s\n", i, q)
 	}
+	return nil
 }
 
-func cmdPath(args []string) {
+// meshStepPath writes the Lemma-2 star path of one mesh step: args
+// are k, dir and the node, with 1 ≤ k ≤ n-1 and dir ±1.
+func meshStepPath(w io.Writer, args []string) error {
 	if len(args) < 3 {
-		fatalf("path needs k, dir and a node")
+		return errors.New("path needs k, dir and a node")
 	}
 	k, err := strconv.Atoi(args[0])
 	if err != nil {
-		fatalf("bad k")
+		return errors.New("bad k")
 	}
 	dir, err := strconv.Atoi(args[1])
 	if err != nil || (dir != 1 && dir != -1) {
-		fatalf("dir must be +1 or -1")
+		return errors.New("dir must be +1 or -1")
 	}
-	p := displayToPerm(ints(args[2:]))
+	p, err := displayToPerm(args[2:])
+	if err != nil {
+		return err
+	}
+	if k < 1 || k > p.N()-1 {
+		return fmt.Errorf("k = %d out of range [1,%d]", k, p.N()-1)
+	}
 	path, ok := core.Path(p, k, dir)
 	if !ok {
-		fmt.Printf("node %s is at the mesh boundary along dimension %d (dir %+d)\n", p, k, dir)
-		return
+		fmt.Fprintf(w, "node %s is at the mesh boundary along dimension %d (dir %+d)\n", p, k, dir)
+		return nil
 	}
-	fmt.Printf("mesh step along dimension %d (dir %+d): %d star hops\n", k, dir, len(path)-1)
+	fmt.Fprintf(w, "mesh step along dimension %d (dir %+d): %d star hops\n", k, dir, len(path)-1)
 	for i, q := range path {
-		fmt.Printf("  %2d  %s   (mesh %s)\n", i, q, mesh.DPointString(core.ConvertSD(q)))
+		fmt.Fprintf(w, "  %2d  %s   (mesh %s)\n", i, q, mesh.DPointString(core.ConvertSD(q)))
 	}
+	return nil
 }
 
 func cmdInfo(args []string) {
@@ -305,12 +355,6 @@ func cmdBroadcast(args []string) {
 	fmt.Printf("  paper upper bound 3(n lg n - 3/2)     = %.1f\n", star.BroadcastUpperBound(n))
 }
 
-func cmdSafeRoute(args []string) {
-	if err := safeRoute(os.Stdout, args); err != nil {
-		fatalf("%v", err)
-	}
-}
-
 // safeRoute writes a shortest route between two nodes that avoids
 // f pseudo-random faulty nodes, drawn from a fixed seed. The faults
 // are listed in id order, so every run prints the same bytes.
@@ -322,9 +366,10 @@ func safeRoute(w io.Writer, args []string) error {
 	if err != nil || f < 0 {
 		return errors.New("bad fault count")
 	}
-	half := (len(args) - 1) / 2
-	a := displayToPerm(ints(args[1 : 1+half]))
-	b := displayToPerm(ints(args[1+half:]))
+	a, b, err := twoNodes(args[1:])
+	if err != nil {
+		return err
+	}
 	g := star.New(a.N())
 	if f > g.Order()-2 {
 		return fmt.Errorf("at most %d of the %d nodes can fail besides the endpoints", g.Order()-2, g.Order())

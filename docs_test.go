@@ -146,12 +146,19 @@ var experimentRun = regexp.MustCompile(`(?:^|[\s` + "`" + `]|cmd/)experiments\s+
 // makeCall matches `make <target>` in a code span or a fenced line.
 var makeCall = regexp.MustCompile(`(?:^|[\s;&|(])make\s+([A-Za-z][\w-]*)`)
 
-// cliLine matches a fenced line that runs the starmesh CLI, and
-// goRunCLI a `go run ./cmd/starmesh <subcommand>` anywhere.
+// cliCall matches a shell command that runs the starmesh CLI —
+// `starmesh <subcommand>` or `go run ./cmd/starmesh <subcommand>` —
+// and captures the rest of the command; cliFlag matches a flag in
+// that rest, bracketed when optional. goRunCLI matches a
+// `go run ./cmd/starmesh <subcommand>` in prose outside code.
 var (
-	cliLine  = regexp.MustCompile(`^starmesh\s+([a-z][\w-]*)`)
+	cliCall  = regexp.MustCompile(`^(?:starmesh|.*\bgo run \./cmd/starmesh)\s+([a-z][\w-]*)(.*)`)
+	cliFlag  = regexp.MustCompile(`(?:^|\s)\[?--?([A-Za-z][\w-]*)`)
 	goRunCLI = regexp.MustCompile(`go run \./cmd/starmesh\s+([a-z][\w-]*)`)
 )
+
+// shellSep splits a code line into its shell commands.
+var shellSep = regexp.MustCompile(`[;&|]+`)
 
 // inlineCode matches a markdown code span, which may break across
 // lines.
@@ -170,17 +177,57 @@ func makeTargets(t *testing.T) []string {
 	return out
 }
 
-// cliSubcommands returns the subcommands cmd/starmesh dispatches on.
-func cliSubcommands(t *testing.T) []string {
-	data, err := os.ReadFile(filepath.Join("cmd", "starmesh", "main.go"))
+// Source patterns cliFlags reads cmd/starmesh with: a top-level
+// function (one line or several), a dispatch case, a flag definition
+// (fs.String("addr", …), fs.BoolVar(&wait, "wait", …)) and a call.
+var (
+	goFunc       = regexp.MustCompile(`(?ms)^func (\w+)\((?:[^\n]*}$|.*?^}$)`)
+	dispatchCase = regexp.MustCompile(`case "([\w-]+)":\s*(\w+)\(`)
+	flagDef      = regexp.MustCompile(`fs\.\w+\((?:&\w+,\s*)?"([\w-]+)"`)
+	goCall       = regexp.MustCompile(`\b(\w+)\(`)
+)
+
+// cliFlags returns, for every subcommand cmd/starmesh dispatches on,
+// the flags its source defines: those of the function the dispatch
+// calls and of every package function that one reaches, such as
+// remoteFlags.
+func cliFlags(t *testing.T) map[string][]string {
+	files, err := filepath.Glob(filepath.Join("cmd", "starmesh", "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, dispatch, _ := strings.Cut(string(data), "switch os.Args[1] {")
+	funcs := map[string]string{} // name → declaration
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range goFunc.FindAllStringSubmatch(string(data), -1) {
+			funcs[m[1]] = m[0]
+		}
+	}
+	_, dispatch, _ := strings.Cut(funcs["main"], "switch os.Args[1] {")
 	dispatch, _, _ = strings.Cut(dispatch, "default:")
-	var out []string
-	for _, m := range regexp.MustCompile(`case "([\w-]+)":`).FindAllStringSubmatch(dispatch, -1) {
-		out = append(out, m[1])
+	out := map[string][]string{}
+	for _, c := range dispatchCase.FindAllStringSubmatch(dispatch, -1) {
+		sub, seen := c[1], map[string]bool{}
+		var walk func(fn string)
+		walk = func(fn string) {
+			seen[fn] = true
+			for _, m := range flagDef.FindAllStringSubmatch(funcs[fn], -1) {
+				out[sub] = append(out[sub], m[1])
+			}
+			for _, m := range goCall.FindAllStringSubmatch(funcs[fn], -1) {
+				if _, ok := funcs[m[1]]; ok && !seen[m[1]] {
+					walk(m[1])
+				}
+			}
+		}
+		out[sub] = nil
+		walk(c[2])
 	}
 	return out
 }
@@ -190,7 +237,8 @@ func cliSubcommands(t *testing.T) []string {
 // perfbench workload they name is a BENCHMARK.json workload, every
 // `experiments -run <id>` names a registered experiment or all, every
 // `make <target>` in code names a Makefile target, and every starmesh
-// command line names a subcommand cmd/starmesh dispatches on.
+// command line names a subcommand cmd/starmesh dispatches on, with
+// only flags that subcommand defines.
 func TestDocsNameExistingTargets(t *testing.T) {
 	var bench struct {
 		Workloads []struct{ Name string } `json:"workloads"`
@@ -207,9 +255,9 @@ func TestDocsNameExistingTargets(t *testing.T) {
 		workloads = append(workloads, w.Name)
 	}
 	ids := append(experiments.IDs(), "all")
-	targets, subcommands := makeTargets(t), cliSubcommands(t)
-	if len(targets) < 10 || len(subcommands) < 10 {
-		t.Fatalf("found only make targets %v and subcommands %v", targets, subcommands)
+	targets, flags := makeTargets(t), cliFlags(t)
+	if len(targets) < 10 || len(flags) < 10 || len(flags["serve"]) < 5 || len(flags["submit"]) < 4 {
+		t.Fatalf("found only make targets %v and subcommand flags %v", targets, flags)
 	}
 
 	sources, err := filepath.Glob(filepath.Join("docs", "*.md"))
@@ -234,11 +282,6 @@ func TestDocsNameExistingTargets(t *testing.T) {
 				t.Errorf("%s runs experiment %q, which is not registered (%v)", src, m[1], ids)
 			}
 		}
-		for _, m := range goRunCLI.FindAllStringSubmatch(string(data), -1) {
-			if !slices.Contains(subcommands, m[1]) {
-				t.Errorf("%s runs starmesh subcommand %q, which cmd/starmesh does not dispatch (%v)", src, m[1], subcommands)
-			}
-		}
 		// Split fenced lines from prose; the code spans are in the prose.
 		var fenced []string
 		var prose strings.Builder
@@ -255,7 +298,12 @@ func TestDocsNameExistingTargets(t *testing.T) {
 		}
 		code := fenced
 		for _, m := range inlineCode.FindAllStringSubmatch(prose.String(), -1) {
-			code = append(code, m[1])
+			code = append(code, strings.ReplaceAll(m[1], "\n", " "))
+		}
+		for _, m := range goRunCLI.FindAllStringSubmatch(inlineCode.ReplaceAllString(prose.String(), ""), -1) {
+			if _, ok := flags[m[1]]; !ok {
+				t.Errorf("%s runs starmesh subcommand %q, which cmd/starmesh does not dispatch", src, m[1])
+			}
 		}
 		for _, c := range code {
 			for _, m := range makeCall.FindAllStringSubmatch(c, -1) {
@@ -264,9 +312,23 @@ func TestDocsNameExistingTargets(t *testing.T) {
 				}
 			}
 		}
-		for _, line := range fenced {
-			if m := cliLine.FindStringSubmatch(line); m != nil && !slices.Contains(subcommands, m[1]) {
-				t.Errorf("%s runs starmesh subcommand %q, which cmd/starmesh does not dispatch (%v)", src, m[1], subcommands)
+		for _, c := range code {
+			for _, cmd := range shellSep.Split(c, -1) {
+				cmd, _, _ = strings.Cut(strings.TrimSpace(cmd), " #")
+				m := cliCall.FindStringSubmatch(cmd)
+				if m == nil {
+					continue
+				}
+				defined, ok := flags[m[1]]
+				if !ok {
+					t.Errorf("%s runs starmesh subcommand %q, which cmd/starmesh does not dispatch", src, m[1])
+					continue
+				}
+				for _, f := range cliFlag.FindAllStringSubmatch(m[2], -1) {
+					if !slices.Contains(defined, f[1]) {
+						t.Errorf("%s runs `starmesh %s -%s`; cmd/starmesh defines %v for %s", src, m[1], f[1], defined, m[1])
+					}
+				}
 			}
 		}
 	}

@@ -13,19 +13,28 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"net/http/httptest"
+	"os"
 
 	"starmesh/client"
 	"starmesh/internal/serve"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the tour to w.
+func run(w io.Writer) error {
 	// A self-contained service; `starmesh serve` runs the same thing
 	// behind a real listener.
 	svc, err := serve.NewService(serve.Config{Workers: 2, Queue: 32})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer svc.Drain()
 	ts := httptest.NewServer(svc.Handler())
@@ -41,34 +50,34 @@ func main() {
 		{Kind: "pipeline", N: 4, Seed: 7},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("batch admitted %d jobs\n", len(jobs))
+	fmt.Fprintf(w, "batch admitted %d jobs\n", len(jobs))
 
 	// Watch the first job's status transitions to the terminal one.
-	w, err := c.Watch(ctx, jobs[0].ID)
+	watch, err := c.Watch(ctx, jobs[0].ID)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for {
-		j, err := w.Next()
+		j, err := watch.Next()
 		if err != nil {
 			break
 		}
-		fmt.Printf("watch %s: %s\n", j.ID, j.Status)
+		fmt.Fprintf(w, "watch %s: %s\n", j.ID, j.Status)
 		if j.Status.Terminal() {
 			break
 		}
 	}
-	w.Close()
+	watch.Close()
 
 	// Await the rest.
 	for _, j := range jobs[1:] {
 		final, err := c.Await(ctx, j.ID)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%s (%s): %s, %d unit routes\n",
+		fmt.Fprintf(w, "%s (%s): %s, %d unit routes\n",
 			final.ID, final.Spec.Kind, final.Status, final.Result.UnitRoutes)
 	}
 
@@ -76,41 +85,42 @@ func main() {
 	// it within one unit route, preserving partial stats.
 	long, err := c.Submit(ctx, client.JobSpec{Kind: "sweep", N: 5, Trials: 1_000_000})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for { // wait until it is actually running
 		j, err := c.Get(ctx, long.ID)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if j.Status == client.StatusRunning {
 			break
 		}
 	}
 	if _, err := c.Cancel(ctx, long.ID); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	canceled, err := c.Await(ctx, long.ID)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("canceled mid-run: %s after %d partial unit routes\n",
+	fmt.Fprintf(w, "canceled mid-run: %s after %d partial unit routes\n",
 		canceled.Status, canceled.Result.UnitRoutes)
 
 	// Canceling a terminal job is a typed conflict, not a no-op.
 	if _, err := c.Cancel(ctx, canceled.ID); client.IsTerminal(err) {
-		fmt.Println("second cancel: typed terminal conflict (409)")
+		fmt.Fprintln(w, "second cancel: typed terminal conflict (409)")
 	}
 
 	// The listing paginates; stats aggregate per kind.
 	page, err := c.List(ctx, client.ListOptions{Status: client.StatusDone, Limit: 2})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("done page: %d jobs (cursor %q)\n", len(page.Jobs), page.NextCursor)
+	fmt.Fprintf(w, "done page: %d jobs (cursor %q)\n", len(page.Jobs), page.NextCursor)
 	st, err := c.Stats(ctx)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("stats: %d done, %d canceled across %d kinds\n", st.Done, st.Canceled, len(st.Kinds))
+	fmt.Fprintf(w, "stats: %d done, %d canceled across %d kinds\n", st.Done, st.Canceled, len(st.Kinds))
+	return nil
 }

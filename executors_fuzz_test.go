@@ -286,7 +286,7 @@ func (s schedule) machine(cache *simd.PlanCache, v execVariant) (*simd.Machine, 
 	for _, name := range fuzzRegs {
 		m.AddReg(name)
 	}
-	if warm != nil && m.PlansEnabled() {
+	if warm != nil && v.replay {
 		warm()
 	}
 	return m, func(i int) {

@@ -214,10 +214,6 @@ func (m *Machine) markImpure() {
 // recordings.
 func (m *Machine) MarkImpure() { m.markImpure() }
 
-// PlansEnabled reports whether plan recording/replay is enabled on
-// this machine (it is by default; see WithPlans).
-func (m *Machine) PlansEnabled() bool { return !m.plansOff }
-
 // WithPlans enables or disables the plan layer. Disabling it routes
 // every planned operation through the original closure-resolved
 // path — the reference implementation plans are tested against, and

@@ -203,9 +203,6 @@ func TestRunPlannedCachesAndReplays(t *testing.T) {
 	if p4 != nil || calls != 2 {
 		t.Fatalf("plans-off RunPlanned: plan=%v calls=%d", p4, calls)
 	}
-	if !m3.PlansEnabled() == false {
-		t.Fatalf("PlansEnabled() inconsistent")
-	}
 
 	// Unkeyed topology: schedule runs raw every time.
 	m4 := newPlanMachine(ring{n: 16})

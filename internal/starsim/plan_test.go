@@ -14,12 +14,15 @@ import (
 func TestPlannedRoutesMatchClosureResolution(t *testing.T) {
 	for _, n := range []int{3, 4, 5} {
 		planned := New(n)
-		if !planned.PlansEnabled() {
+		if p, _, _ := planned.RunPlanned(simd.NewPlanCache(), "probe", func() {}); p == nil {
 			t.Fatalf("plans not enabled by default")
 		}
 		pStats, pUses, pRegs := starProgram(planned)
 
 		closure := New(n, simd.WithPlans(false))
+		if p, _, _ := closure.RunPlanned(simd.NewPlanCache(), "probe", func() {}); p != nil {
+			t.Fatalf("WithPlans(false) left plans on")
+		}
 		cStats, cUses, cRegs := starProgram(closure)
 
 		if pStats != cStats {

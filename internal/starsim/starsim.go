@@ -103,12 +103,11 @@ type Machine struct {
 	// so it never invalidates. SetRouteCache(false) bypasses it.
 	tables  []*routeTable
 	noCache bool
-	// murPlans/muraPlans/bcastPlans memoize compiled route plans per
-	// schedule, skipping the shared-cache key formatting and lookup
-	// on the hot path. The plans themselves live in simd.SharedPlans
-	// and are shared across machines of the same n.
+	// murPlans/bcastPlans memoize compiled route plans per schedule,
+	// skipping the shared-cache key formatting and lookup on the hot
+	// path. The plans themselves live in simd.SharedPlans and are
+	// shared across machines of the same n.
 	murPlans   map[murKey]*simd.Plan
-	muraPlans  map[murKey]*simd.Plan
 	bcastPlans map[bcastKey]*simd.Plan
 	// meshIDs lazily caches, per PE, the mesh node the embedding
 	// assigns to it (core.UnmapID) — a pure function of n, so it
@@ -117,13 +116,15 @@ type Machine struct {
 	meshIDs []int
 }
 
-// murKey identifies a mesh-unit-route schedule (unmasked). generic
-// records which closure path (Lemma-3 tables vs the original role
-// tests) the plan was compiled from, so toggling SetRouteCache never
+// murKey identifies an unmasked mesh-unit-route schedule. modelA
+// selects the SIMD-A schedule; generic records which role source
+// (the cached Lemma-3 tables or tables rebuilt from the role tests)
+// the plan was compiled from, so toggling SetRouteCache never
 // replays a plan recorded through the other path.
 type murKey struct {
 	k, dir   int
 	src, dst string
+	modelA   bool
 	generic  bool
 }
 
@@ -152,7 +153,6 @@ func New(n int, opts ...simd.Option) *Machine {
 	})
 	m.tables = make([]*routeTable, 2*(n-1))
 	m.murPlans = make(map[murKey]*simd.Plan)
-	m.muraPlans = make(map[murKey]*simd.Plan)
 	m.bcastPlans = make(map[bcastKey]*simd.Plan)
 	// Declare the schedule scratch registers once, here, so the
 	// per-route helpers never pay the EnsureReg map lookups on the
@@ -164,8 +164,8 @@ func New(n int, opts ...simd.Option) *Machine {
 	return m
 }
 
-// Scratch registers of the unit-route schedules, declared at
-// machine construction.
+// Scratch registers of the unit-route schedules (SIMD-B, SIMD-A),
+// declared at machine construction.
 const (
 	regT1  = "__mur_t1"
 	regT2  = "__mur_t2"
@@ -173,14 +173,14 @@ const (
 	regAT2 = "__mura_t2"
 )
 
-// SetRouteCache enables or disables the per-(k,dir) route tables.
-// The cache is on by default; disabling it re-routes every unit
-// route through the original closure-per-PE role tests (the
-// reference implementation the cache is tested against, and the
-// baseline the engine benchmarks measure). With plans enabled (the
-// default) the toggle selects which closure path *records* — plans
-// compiled from either path are kept apart and replay identically —
-// so closure-resolution measurements must also disable plans
+// SetRouteCache enables or disables the cached per-(k,dir) route
+// tables. The cache is on by default; disabling it makes every unit
+// route rebuild the tables it reads from the role tests
+// (core.Partner and core.Neighbor on each PE's permutation) — the
+// reference the cache is tested against. With plans enabled (the
+// default) the toggle selects which role source *records* — plans
+// compiled from either are kept apart and replay identically — so
+// closure-resolution measurements must also disable plans
 // (simd.WithPlans(false)).
 func (m *Machine) SetRouteCache(enabled bool) { m.noCache = !enabled }
 
@@ -212,6 +212,40 @@ func (m *Machine) routeTableFor(k, dir int) *routeTable {
 	})
 	m.tables[idx] = t
 	return t
+}
+
+// referenceTable builds the (k, dir) table from the role tests,
+// core.Partner and core.Neighbor, for one route and never stores
+// it. A plain loop rather than Apply, so a plan recorded through the
+// reference stays pure.
+func (m *Machine) referenceTable(k, dir int) *routeTable {
+	t := &routeTable{
+		nbr:   make([]int32, len(m.perms)),
+		pport: make([]int8, len(m.perms)),
+	}
+	for pe, p := range m.perms {
+		t.pport[pe] = int8(core.Partner(p, k, dir))
+		t.nbr[pe] = -1
+		if q, ok := core.Neighbor(p, k, dir); ok {
+			t.nbr[pe] = int32(q.Rank())
+		}
+	}
+	return t
+}
+
+// roleTables returns the tables a (k, dir) unit route reads: fwd for
+// (k, dir) and, when k < n-1, rev for (k, -dir) — the cached ones, or
+// with the route cache off, reference tables built for this route.
+func (m *Machine) roleTables(k, dir int) (fwd, rev *routeTable) {
+	table := m.routeTableFor
+	if m.noCache {
+		table = m.referenceTable
+	}
+	fwd = table(k, dir)
+	if k < m.N-1 {
+		rev = table(k, -dir)
+	}
+	return fwd, rev
 }
 
 // BuildRouteTables builds every (k, dir) Lemma-3 route table not
@@ -251,9 +285,10 @@ func (m *Machine) Perm(pe int) perm.Perm { return m.perms[pe] }
 // every mesh node with a (k,dir)-neighbor, dst at the neighbor's
 // star PE receives src of the node's star PE. Other PEs' dst is
 // unchanged. Returns the number of star unit routes used (1 or 3)
-// and the receive conflicts observed (always 0, per Lemma 5).
+// and the receive conflicts observed (always 0, per Lemma 5). It
+// panics if k or dir is out of range.
 func (m *Machine) MeshUnitRoute(src, dst string, k, dir int) (routes, conflicts int) {
-	return m.MaskedMeshUnitRoute(src, dst, k, dir, nil)
+	return m.meshRoute(src, dst, k, dir, nil, false)
 }
 
 // MaskedMeshUnitRoute is MeshUnitRoute restricted to the mesh nodes
@@ -262,320 +297,137 @@ func (m *Machine) MeshUnitRoute(src, dst string, k, dir int) (routes, conflicts 
 // moves the selected subset of messages, which stays conflict-free
 // because it is a subset of the full Lemma-5 schedule.
 func (m *Machine) MaskedMeshUnitRoute(src, dst string, k, dir int, mask func(pe int) bool) (routes, conflicts int) {
-	n := m.N
-	if k < 1 || k > n-1 {
-		panic(fmt.Sprintf("starsim: dimension %d out of range", k))
-	}
-	if dir != 1 && dir != -1 {
-		panic("starsim: dir must be ±1")
-	}
-	if mask == nil {
-		// The unmasked schedule runs through a compiled plan, recorded
-		// once per (k, dir, src, dst) and shared across machines of
-		// the same n.
-		return m.plannedRoute(m.murPlans, "mur", src, dst, k, dir,
-			func() { m.maskedMeshUnitRouteCached(src, dst, k, dir, nil) },
-			func() { m.maskedMeshUnitRouteGeneric(src, dst, k, dir, nil) })
-	}
-	if !m.noCache {
-		return m.maskedMeshUnitRouteCached(src, dst, k, dir, mask)
-	}
-	return m.maskedMeshUnitRouteGeneric(src, dst, k, dir, mask)
-}
-
-// plannedRoute is the shared memoized-plan shape of the unmasked
-// unit-route schedules (SIMD-B and Model-A): warm the Lemma-3 tables
-// outside the recording — their lazy build runs through Apply, which
-// would mark the plan impure — then record or replay the closure
-// path SetRouteCache selects, keeping the two paths' plans apart.
-func (m *Machine) plannedRoute(memo map[murKey]*simd.Plan, prefix, src, dst string, k, dir int, cached, generic func()) (routes, conflicts int) {
-	if !m.noCache {
-		m.routeTableFor(k, dir)
-		if k != m.N-1 {
-			m.routeTableFor(k, -dir)
-		}
-	}
-	mk := murKey{k: k, dir: dir, src: src, dst: dst, generic: m.noCache}
-	return simd.RunMemoized(m.Machine, simd.SharedPlans, memo, mk,
-		func() string {
-			return fmt.Sprintf("%s:%d:%d:%s:%s:generic=%t", prefix, k, dir, src, dst, m.noCache)
-		},
-		func() {
-			if m.noCache {
-				generic()
-			} else {
-				cached()
-			}
-		})
-}
-
-// maskedMeshUnitRouteCached drives the Lemma-5 schedule from the
-// precomputed route tables: every role test collapses to table
-// lookups, avoiding the per-PE permutation clone and O(n²) rank of
-// the generic path. The step-3 interior test is implicit — a PE
-// whose (k,-dir) mesh neighbor exists is automatically a legal
-// sender along (k,+dir), because mesh neighbor moves invert.
-func (m *Machine) maskedMeshUnitRouteCached(src, dst string, k, dir int, mask func(pe int) bool) (routes, conflicts int) {
-	fwd := m.routeTableFor(k, dir)
-	front := m.N - 1
-	sends := func(pe int) bool {
-		return fwd.nbr[pe] != -1 && (mask == nil || mask(pe))
-	}
-	if k == front {
-		c := m.RouteB(src, dst, func(pe int) int {
-			if !sends(pe) {
-				return -1
-			}
-			return int(fwd.pport[pe])
-		})
-		return 1, c
-	}
-	rev := m.routeTableFor(k, -dir)
-	const t1 = regT1
-	const t2 = regT2
-	// Step 1: senders π through port k.
-	c1 := m.RouteB(src, t1, func(pe int) int {
-		if !sends(pe) {
-			return -1
-		}
-		return k
-	})
-	// Step 2: X1 forwards through the partner port of π = X1·g_k,
-	// looked up via X1's g_k neighbor id.
-	c2 := m.RouteB(t1, t2, func(pe int) int {
-		ni := int(m.topo.table[pe][k])
-		if !sends(ni) {
-			return -1
-		}
-		return int(fwd.pport[ni])
-	})
-	// Step 3: Y1 forwards through port k when Y1·g_k is a route
-	// destination, i.e. its (k,-dir) mesh neighbor is a selected
-	// sender.
-	c3 := m.RouteB(t2, dst, func(pe int) int {
-		ni := int(m.topo.table[pe][k])
-		sender := rev.nbr[ni]
-		if sender == -1 || (mask != nil && !mask(int(sender))) {
-			return -1
-		}
-		return k
-	})
-	return 3, c1 + c2 + c3
-}
-
-// maskedMeshUnitRouteGeneric is the original closure-per-PE
-// implementation, kept as the semantic reference for the cached
-// path (and as the measured baseline of the engine benchmarks).
-func (m *Machine) maskedMeshUnitRouteGeneric(src, dst string, k, dir int, mask func(pe int) bool) (routes, conflicts int) {
-	n := m.N
-	sends := func(pe int) bool {
-		return core.Partner(m.perms[pe], k, dir) != -1 && (mask == nil || mask(pe))
-	}
-	front := n - 1
-	if k == front {
-		// Single route: every selected interior node transmits
-		// through its partner port.
-		c := m.RouteB(src, dst, func(pe int) int {
-			if !sends(pe) {
-				return -1
-			}
-			return core.Partner(m.perms[pe], k, dir)
-		})
-		return 1, c
-	}
-	const t1 = regT1
-	const t2 = regT2
-	// Step 1: senders π (selected, mesh-interior along (k,dir))
-	// through port k.
-	c1 := m.RouteB(src, t1, func(pe int) int {
-		if !sends(pe) {
-			return -1
-		}
-		return k
-	})
-	// Step 2: X1 forwards through the partner port of π = X1·g_k.
-	c2 := m.RouteB(t1, t2, func(pe int) int {
-		pi := m.perms[pe].SwapPositions(front, k)
-		if !sends(int(pi.Rank())) {
-			return -1
-		}
-		return core.Partner(pi, k, dir)
-	})
-	// Step 3: Y1 forwards through port k; Y1·g_k must be a
-	// destination, i.e. its (k,-dir) mesh neighbor must be a
-	// selected sender.
-	c3 := m.RouteB(t2, dst, func(pe int) int {
-		rho := m.perms[pe].SwapPositions(front, k)
-		sender, ok := core.Neighbor(rho, k, -dir)
-		if !ok || !sends(int(sender.Rank())) {
-			return -1
-		}
-		return k
-	})
-	return 3, c1 + c2 + c3
+	return m.meshRoute(src, dst, k, dir, mask, false)
 }
 
 // MeshUnitRouteModelA performs the same data movement on a SIMD-A
 // star machine: steps 1 and 3 are already single-generator routes,
-// and step 2 is serialized into one route per generator index
-// 0..k-1 actually used. Returns the number of SIMD-A unit routes.
+// and the partner-port step is serialized into one route per
+// generator some PE uses. Returns the number of SIMD-A unit routes.
+// It panics if k or dir is out of range.
 func (m *Machine) MeshUnitRouteModelA(src, dst string, k, dir int) int {
-	return m.MaskedMeshUnitRouteModelA(src, dst, k, dir, nil)
+	routes, _ := m.meshRoute(src, dst, k, dir, nil, true)
+	return routes
 }
 
 // MaskedMeshUnitRouteModelA is MeshUnitRouteModelA restricted to the
 // mesh nodes selected by mask (nil = all).
 func (m *Machine) MaskedMeshUnitRouteModelA(src, dst string, k, dir int, mask func(pe int) bool) int {
-	if mask == nil {
-		routes, _ := m.plannedRoute(m.muraPlans, "mura", src, dst, k, dir,
-			func() { m.maskedModelACached(src, dst, k, dir, nil) },
-			func() { m.maskedModelAGeneric(src, dst, k, dir, nil) })
-		return routes
+	routes, _ := m.meshRoute(src, dst, k, dir, mask, true)
+	return routes
+}
+
+// meshRoute is the entry of all four unit-route methods: it checks
+// (k, dir), runs masked routes straight through the schedule, and
+// runs unmasked ones through a compiled plan, recorded once per
+// schedule and shared across machines of the same n.
+func (m *Machine) meshRoute(src, dst string, k, dir int, mask func(pe int) bool, modelA bool) (routes, conflicts int) {
+	if k < 1 || k > m.N-1 {
+		panic(fmt.Sprintf("starsim: dimension %d out of range", k))
 	}
+	if dir != 1 && dir != -1 {
+		panic("starsim: dir must be ±1")
+	}
+	if mask != nil {
+		return m.lemma5(src, dst, k, dir, mask, modelA)
+	}
+	// Warm the cached tables outside the recording: their lazy build
+	// runs through Apply, which would mark the plan impure.
 	if !m.noCache {
-		return m.maskedModelACached(src, dst, k, dir, mask)
+		m.roleTables(k, dir)
 	}
-	return m.maskedModelAGeneric(src, dst, k, dir, mask)
+	mk := murKey{k: k, dir: dir, src: src, dst: dst, modelA: modelA, generic: m.noCache}
+	return simd.RunMemoized(m.Machine, simd.SharedPlans, m.murPlans, mk,
+		func() string {
+			prefix := "mur"
+			if modelA {
+				prefix = "mura"
+			}
+			return fmt.Sprintf("%s:%d:%d:%s:%s:generic=%t", prefix, k, dir, src, dst, m.noCache)
+		},
+		func() { m.lemma5(src, dst, k, dir, nil, modelA) })
 }
 
-// maskedModelACached is the table-driven SIMD-A schedule; the
-// generator-usage scans that dominated the generic path become
-// linear passes over the cached partner ports.
-func (m *Machine) maskedModelACached(src, dst string, k, dir int, mask func(pe int) bool) int {
-	n := m.N
-	front := n - 1
-	fwd := m.routeTableFor(k, dir)
-	portAt := func(id int) int {
-		if fwd.nbr[id] == -1 || (mask != nil && !mask(id)) {
+// lemma5 is Lemma 5's schedule for the mesh nodes mask selects (nil =
+// all). For k < n-1: step 1, every sender π transmits through port
+// k; step 2, every X1 forwards through the partner port of
+// π = X1·g_k; step 3, every Y1 forwards through port k when Y1·g_k
+// is a route destination. For k = n-1 the partner-port step alone
+// completes the move. Every role test is a table lookup; step 3's
+// interior test is implicit — a PE whose (k,-dir) mesh neighbor
+// exists is a legal sender along (k,+dir), because mesh neighbor
+// moves invert.
+func (m *Machine) lemma5(src, dst string, k, dir int, mask func(pe int) bool, modelA bool) (routes, conflicts int) {
+	fwd, rev := m.roleTables(k, dir)
+	sends := func(pe int) bool {
+		return fwd.nbr[pe] != -1 && (mask == nil || mask(pe))
+	}
+	if k == m.N-1 {
+		return m.sendPorts(src, dst, func(pe int) int {
+			if !sends(pe) {
+				return -1
+			}
+			return int(fwd.pport[pe])
+		}, modelA)
+	}
+	t1, t2 := regT1, regT2
+	if modelA {
+		t1, t2 = regAT1, regAT2
+	}
+	c1 := m.sendPort(src, t1, k, func(pe int) int {
+		if !sends(pe) {
 			return -1
 		}
-		return int(fwd.pport[id])
-	}
-	if k == front {
-		routes := 0
-		for g := 0; g < n-1; g++ {
-			used := false
-			for pe := range m.perms {
-				if portAt(pe) == g {
-					used = true
-					break
-				}
-			}
-			if !used {
-				continue
-			}
-			m.RouteA(src, dst, g, func(pe int) bool {
-				return portAt(pe) == g
-			})
-			routes++
+		return k
+	}, modelA)
+	r2, c2 := m.sendPorts(t1, t2, func(pe int) int {
+		ni := m.topo.table[pe][k]
+		if !sends(int(ni)) {
+			return -1
 		}
-		return routes
-	}
-	rev := m.routeTableFor(k, -dir)
-	const t1 = regAT1
-	const t2 = regAT2
-	routes := 0
-	m.RouteA(src, t1, k, func(pe int) bool {
-		return portAt(pe) != -1
-	})
-	routes++
-	for g := 0; g < k; g++ {
-		used := false
-		for pe := range m.perms {
-			if portAt(int(m.topo.table[pe][k])) == g {
-				used = true
-				break
-			}
+		return int(fwd.pport[ni])
+	}, modelA)
+	c3 := m.sendPort(t2, dst, k, func(pe int) int {
+		sender := rev.nbr[m.topo.table[pe][k]]
+		if sender == -1 || (mask != nil && !mask(int(sender))) {
+			return -1
 		}
-		if !used {
-			continue
-		}
-		m.RouteA(t1, t2, g, func(pe int) bool {
-			return portAt(int(m.topo.table[pe][k])) == g
-		})
-		routes++
-	}
-	m.RouteA(t2, dst, k, func(pe int) bool {
-		sender := rev.nbr[int(m.topo.table[pe][k])]
-		if sender == -1 {
-			return false
-		}
-		return mask == nil || mask(int(sender))
-	})
-	routes++
-	return routes
+		return k
+	}, modelA)
+	return r2 + 2, c1 + c2 + c3
 }
 
-// maskedModelAGeneric is the original implementation, kept as the
-// reference for the cached path.
-func (m *Machine) maskedModelAGeneric(src, dst string, k, dir int, mask func(pe int) bool) int {
-	n := m.N
-	front := n - 1
-	partnerPort := func(pi perm.Perm) int {
-		t := core.Partner(pi, k, dir)
-		if t == -1 {
-			return -1
-		}
-		if mask != nil && !mask(int(pi.Rank())) {
-			return -1
-		}
-		return t
+// sendPort is one unit route through generator port from every PE
+// whose portOf is port (the others return -1): a SIMD-A route, or
+// the same moves as a SIMD-B one. It counts as one route even when
+// no PE sends.
+func (m *Machine) sendPort(src, dst string, port int, portOf simd.PortFunc, modelA bool) int {
+	if modelA {
+		return m.RouteA(src, dst, port, func(pe int) bool { return portOf(pe) >= 0 })
 	}
-	if k == front {
-		routes := 0
-		for g := 0; g < n-1; g++ {
-			used := false
-			for pe := range m.perms {
-				if partnerPort(m.perms[pe]) == g {
-					used = true
-					break
-				}
-			}
-			if !used {
-				continue
-			}
-			m.RouteA(src, dst, g, func(pe int) bool {
-				return partnerPort(m.perms[pe]) == g
-			})
+	return m.RouteB(src, dst, portOf)
+}
+
+// sendPorts moves every PE's datum through the PE's own port (-1 =
+// none): one SIMD-B route, or on SIMD-A one route per generator some
+// PE uses, in ascending generator order.
+func (m *Machine) sendPorts(src, dst string, portOf simd.PortFunc, modelA bool) (routes, conflicts int) {
+	if !modelA {
+		return 1, m.RouteB(src, dst, portOf)
+	}
+	var used uint64
+	for pe := range m.perms {
+		if p := portOf(pe); p >= 0 {
+			used |= 1 << p
+		}
+	}
+	for g := range m.N - 1 {
+		if used&(1<<g) != 0 {
+			conflicts += m.RouteA(src, dst, g, func(pe int) bool { return portOf(pe) == g })
 			routes++
 		}
-		return routes
 	}
-	const t1 = regAT1
-	const t2 = regAT2
-	routes := 0
-	m.RouteA(src, t1, k, func(pe int) bool {
-		return partnerPort(m.perms[pe]) != -1
-	})
-	routes++
-	for g := 0; g < k; g++ {
-		used := false
-		for pe := range m.perms {
-			pi := m.perms[pe].SwapPositions(front, k)
-			if partnerPort(pi) == g {
-				used = true
-				break
-			}
-		}
-		if !used {
-			continue
-		}
-		m.RouteA(t1, t2, g, func(pe int) bool {
-			pi := m.perms[pe].SwapPositions(front, k)
-			return partnerPort(pi) == g
-		})
-		routes++
-	}
-	m.RouteA(t2, dst, k, func(pe int) bool {
-		rho := m.perms[pe].SwapPositions(front, k)
-		sender, ok := core.Neighbor(rho, k, -dir)
-		if !ok {
-			return false
-		}
-		return mask == nil || mask(int(sender.Rank()))
-	})
-	routes++
-	return routes
+	return routes, conflicts
 }
 
 // Broadcast floods register src from PE source to all PEs using

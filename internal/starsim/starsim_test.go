@@ -10,21 +10,25 @@ import (
 	"starmesh/internal/star"
 )
 
+// TestTopoMatchesStarEdges checks the neighbour table, which the
+// unit-route schedule also reads for π·g_k, against the generator
+// definition at every n the machine layers test.
 func TestTopoMatchesStarEdges(t *testing.T) {
-	topo := NewTopo(4)
-	if topo.Size() != 24 || topo.Ports() != 3 || topo.N() != 4 {
-		t.Fatalf("topo shape wrong")
-	}
-	perm.All(4, func(p perm.Perm) bool {
-		id := int(p.Rank())
-		for i := 0; i < 3; i++ {
-			want := int(p.SwapPositions(3, i).Rank())
-			if topo.Neighbor(id, i) != want {
-				t.Fatalf("neighbor table wrong at %v port %d", p, i)
-			}
+	for n := 2; n <= 7; n++ {
+		topo := NewTopo(n)
+		if topo.Size() != int(perm.Factorial(n)) || topo.Ports() != n-1 || topo.N() != n {
+			t.Fatalf("n=%d: topo shape wrong", n)
 		}
-		return true
-	})
+		perm.All(n, func(p perm.Perm) bool {
+			id := int(p.Rank())
+			for i := 0; i < n-1; i++ {
+				if want := int(p.SwapPositions(n-1, i).Rank()); topo.Neighbor(id, i) != want {
+					t.Fatalf("n=%d: neighbor table wrong at %v port %d", n, p, i)
+				}
+			}
+			return true
+		})
+	}
 }
 
 func TestPermCache(t *testing.T) {
@@ -151,19 +155,78 @@ func TestModelASimulation(t *testing.T) {
 	}
 }
 
+// TestMeshUnitRoutePanics: both models reject an out-of-range
+// dimension or direction with the same message, whichever role
+// source the route cache selects.
 func TestMeshUnitRoutePanics(t *testing.T) {
 	m := New(3)
 	m.AddReg("A")
 	m.AddReg("B")
-	for _, bad := range []struct{ k, dir int }{{0, 1}, {3, 1}, {1, 0}, {1, 2}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("k=%d dir=%d did not panic", bad.k, bad.dir)
+	routes := []struct {
+		name  string
+		route func(k, dir int)
+	}{
+		{"MeshUnitRoute", func(k, dir int) { m.MeshUnitRoute("A", "B", k, dir) }},
+		{"MeshUnitRouteModelA", func(k, dir int) { m.MeshUnitRouteModelA("A", "B", k, dir) }},
+	}
+	bads := []struct {
+		k, dir int
+		want   string
+	}{
+		{0, 1, "starsim: dimension 0 out of range"},
+		{3, 1, "starsim: dimension 3 out of range"},
+		{1, 0, "starsim: dir must be ±1"},
+		{1, 2, "starsim: dir must be ±1"},
+	}
+	for _, cache := range []bool{true, false} {
+		m.SetRouteCache(cache)
+		for _, r := range routes {
+			for _, bad := range bads {
+				func() {
+					defer func() {
+						if got := recover(); got != bad.want {
+							t.Errorf("cache=%t %s k=%d dir=%d: panic %v, want %q", cache, r.name, bad.k, bad.dir, got, bad.want)
+						}
+					}()
+					r.route(bad.k, bad.dir)
+				}()
+			}
+		}
+	}
+}
+
+// TestMaskedModelARouteCounts pins the SIMD-A route counts of masked
+// unit routes along +k: steps 1 and 3 count one route each even when
+// the mask selects no PE, and the partner-port step counts one route
+// per generator a selected PE uses. Both role sources agree.
+func TestMaskedModelARouteCounts(t *testing.T) {
+	pe5 := func(pe int) bool { return pe == 5 }
+	none := func(int) bool { return false }
+	for _, tc := range []struct {
+		n    int
+		want [][3]int // per k = 1..n-1: mask PE 5 only, mask none, unmasked
+	}{
+		{3, [][3]int{{2, 2, 3}, {0, 0, 2}}},
+		{4, [][3]int{{3, 2, 3}, {3, 2, 4}, {1, 0, 3}}},
+		{5, [][3]int{{3, 2, 3}, {3, 2, 4}, {3, 2, 5}, {1, 0, 4}}},
+	} {
+		for _, cache := range []bool{true, false} {
+			m := New(tc.n)
+			m.SetRouteCache(cache)
+			m.AddReg("A")
+			m.AddReg("B")
+			for i, want := range tc.want {
+				k := i + 1
+				got := [3]int{
+					m.MaskedMeshUnitRouteModelA("A", "B", k, +1, pe5),
+					m.MaskedMeshUnitRouteModelA("A", "B", k, +1, none),
+					m.MeshUnitRouteModelA("A", "B", k, +1),
 				}
-			}()
-			m.MeshUnitRoute("A", "B", bad.k, bad.dir)
-		}()
+				if got != want {
+					t.Errorf("n=%d k=%d cache=%t: SIMD-A routes %v, want %v", tc.n, k, cache, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package workload provides deterministic, seeded input generators
 // for the experiments and benchmarks: random keys with several
-// adversarial distributions, random permutations, and random mesh
-// points. Every generator has a *rand.Rand form (the canonical one —
-// callers thread an explicit stream so multi-draw workloads stay
-// reproducible from one seed) and a seed form that derives a fresh
-// stream via NewRand. Nothing in this package touches the global
-// math/rand state.
+// adversarial distributions, random permutations, random mesh points
+// and random vertex maps. Every generator has a seed form that
+// derives a fresh stream via NewRand; keys also have a *rand.Rand
+// form, KeysRand, through which the scenario runners thread one
+// explicit stream so a multi-draw job stays reproducible from its
+// seed. Nothing in this package touches the global math/rand state.
 package workload
 
 import (
@@ -105,12 +105,7 @@ func KeysRand(d Dist, n int, rng *rand.Rand) []int64 {
 // Perms generates count random permutations of n symbols from a
 // fresh stream seeded with seed.
 func Perms(n, count int, seed int64) []perm.Perm {
-	return PermsRand(n, count, NewRand(seed))
-}
-
-// PermsRand generates count random permutations of n symbols from
-// the caller's random stream.
-func PermsRand(n, count int, rng *rand.Rand) []perm.Perm {
+	rng := NewRand(seed)
 	out := make([]perm.Perm, count)
 	for i := range out {
 		out[i] = perm.Random(n, rng)
@@ -121,12 +116,7 @@ func PermsRand(n, count int, rng *rand.Rand) []perm.Perm {
 // MeshPoints generates count random D_n coordinates from a fresh
 // stream seeded with seed.
 func MeshPoints(n, count int, seed int64) [][]int {
-	return MeshPointsRand(n, count, NewRand(seed))
-}
-
-// MeshPointsRand generates count random D_n coordinates from the
-// caller's random stream.
-func MeshPointsRand(n, count int, rng *rand.Rand) [][]int {
+	rng := NewRand(seed)
 	out := make([][]int, count)
 	for i := range out {
 		pt := make([]int, n-1)
@@ -141,16 +131,10 @@ func MeshPointsRand(n, count int, rng *rand.Rand) [][]int {
 // RandomVertexMap returns a random bijection [0,n) → [0,n) from a
 // fresh stream seeded with seed.
 func RandomVertexMap(n int, seed int64) []int {
-	return RandomVertexMapRand(n, NewRand(seed))
-}
-
-// RandomVertexMapRand returns a random bijection [0,n) → [0,n) from
-// the caller's random stream.
-func RandomVertexMapRand(n int, rng *rand.Rand) []int {
 	vm := make([]int, n)
 	for i := range vm {
 		vm[i] = i
 	}
-	rng.Shuffle(n, func(i, j int) { vm[i], vm[j] = vm[j], vm[i] })
+	NewRand(seed).Shuffle(n, func(i, j int) { vm[i], vm[j] = vm[j], vm[i] })
 	return vm
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"starmesh"
+	"starmesh/internal/simd"
 )
 
 func TestFacadeMapUnmap(t *testing.T) {
@@ -140,8 +141,9 @@ func TestFacadeRectEmbedding(t *testing.T) {
 func TestFacadeEngineOptions(t *testing.T) {
 	run := func(opts ...starmesh.EngineOption) ([]int64, int) {
 		sm := starmesh.NewStarMachine(4, opts...)
-		if len(opts) > 0 && sm.PlansEnabled() {
-			t.Fatal("WithPlans(false) left plans on")
+		// An empty schedule compiles to a plan exactly when plans are on.
+		if p, _, _ := sm.RunPlanned(simd.NewPlanCache(), "probe", func() {}); (p == nil) != (len(opts) > 0) {
+			t.Fatalf("RunPlanned returned plan %v with %d options", p, len(opts))
 		}
 		sm.AddReg("A")
 		sm.AddReg("B")
